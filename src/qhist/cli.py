@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract:
   0  success
-  1  input error (unreadable file, parse/validation failure, bad flags)
+  1  input error (unreadable file, parse/validation failure, bad flags,
+     or out of memory)
   2  inconsistent-family finding (analyze) / zero-probability condition
   3  single-framework-rule refusal (inconsistent family queried, or the
      queried event is not part of the family)
@@ -24,7 +25,7 @@ from .errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from .histories import DEFAULT_MAX_HISTORIES, consistency_check, history_probability
+from .histories import DEFAULT_MAX_HISTORIES, consistency_check
 from .linalg import Tolerance
 from .oracle import sequential_probability
 from .scenario import effective_tolerance, parse_scenario, resolve
@@ -70,7 +71,7 @@ def _tol_json(tol: Tolerance) -> dict:
 
 def cmd_validate(args) -> int:
     scn, records, _ = _load(args)
-    total = sum(len(r.family.histories) for r in records)
+    total = sum(r.family.n_histories for r in records)
     print(f"ok: scenario {scn.name!r}, dim {scn.total_dim}, "
           f"{len(records)} observer(s), {total} histories")
     return EXIT_OK
@@ -283,22 +284,21 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scn, records, _ = _load(args)
+    """Check the probabilities ``analyze`` reports against the oracle."""
+    scn, records, tol = _load(args)
     if not records:
         raise QHistError("scenario has no observers; nothing to verify")
     worst = 0.0
     worst_at = None
     total = 0
     for record in records:
-        for history in record.family.histories:
+        report = consistency_check(record.family, tol)
+        for labels, p in zip(report.labels, report.probabilities):
             total += 1
-            delta = abs(
-                history_probability(record.family, history)
-                - sequential_probability(record.family, history.labels)
-            )
+            delta = abs(float(p) - sequential_probability(record.family, labels))
             if delta > worst:
                 worst = delta
-                worst_at = (record.name, history.labels)
+                worst_at = (record.name, labels)
     if worst > ORACLE_BOUND:
         name, labels = worst_at
         print(
@@ -355,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(fn=cmd_conditional)
 
-    p = sub.add_parser("verify", help="cross-check chain kets against the Born-rule oracle")
+    p = sub.add_parser("verify", help="cross-check history probabilities against the Born-rule oracle")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -375,6 +375,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print(
+            f"error: out of memory in {args.command}; the scenario's families are too "
+            "large for this machine (fewer slots or outcomes per slot would help)",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
 
 

@@ -5,14 +5,22 @@ and a projective decomposition per later time slot.  Each history picks one
 outcome label per slot; its chain ket is the initial ket pushed through the
 alternating evolve/project string, and its probability is the squared norm of
 that chain ket.  The family supports classical probabilistic reasoning exactly
-when all pairs of chain kets are orthogonal; ``consistency_check`` computes the
-full Gram matrix as evidence either way.
+when all pairs of chain kets are orthogonal.
+
+``consistency_check`` propagates every chain ket at once, level by level: a
+batch of prefix kets is evolved, split by the slot's projectors, and rid of
+the rows that are exactly zero.  A zero ket adds nothing to the Gram matrix,
+so only the Gram matrix of the surviving kets is computed; a consistent
+family has at most ``dim`` of them.  ``chain_ket`` composes one history's
+operator string on its own and is kept as an independent per-history path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -117,46 +125,77 @@ class HistoryFamily:
     initial_ket: np.ndarray
     evolutions: tuple[Evolution, ...]
     slot_decompositions: tuple[ProjectiveDecomposition, ...]
-    histories: tuple[History, ...]
-    _lookup: dict[tuple[str, ...], History] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._lookup.update({h.labels: h for h in self.histories})
 
     @property
     def n_slots(self) -> int:
         return len(self.slot_decompositions)
 
+    @property
+    def n_histories(self) -> int:
+        """The product of the slot sizes, counted without enumerating."""
+        return math.prod(len(d) for d in self.slot_decompositions)
+
+    @cached_property
+    def histories(self) -> tuple[History, ...]:
+        """Every history in ``itertools.product`` order of the slot labels,
+        enumerated on first access."""
+        return tuple(
+            self.history(combo)
+            for combo in itertools.product(*(d.labels for d in self.slot_decompositions))
+        )
+
     def history(self, labels: Iterable[str]) -> History:
         key = tuple(labels)
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise UnknownHistoryError(f"history {key!r} is not in this family") from None
+        decomps = self.slot_decompositions
+        if len(key) != len(decomps) or any(lab not in d.labels for lab, d in zip(key, decomps)):
+            raise UnknownHistoryError(f"history {key!r} is not in this family")
+        return History(labels=key, projectors=tuple(d.projector_for(lab) for d, lab in zip(decomps, key)))
 
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Gram-matrix evidence for the pairwise orthogonality of chain kets.
 
+    ``support`` holds the flat indices (in ``labels`` order) of the chain
+    kets that are not exactly zero, and ``support_gram`` their Gram matrix;
+    every other entry of the full Gram matrix is zero.  ``gram`` is that full
+    N x N matrix, built only when it is read.
+
     ``probabilities`` is the Gram diagonal and is populated even when the
     family is inconsistent (flagged by ``consistent=False``); in that case the
     numbers are diagnostic only and not additive.
     """
 
-    labels: tuple[tuple[str, ...], ...]
-    gram: np.ndarray
+    slot_labels: tuple[tuple[str, ...], ...]
+    support: np.ndarray
+    support_gram: np.ndarray
     max_offdiag: float
     threshold: float
     consistent: bool
     probabilities: np.ndarray
 
+    @cached_property
+    def labels(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(itertools.product(*self.slot_labels))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        n = len(self.probabilities)
+        gram = np.zeros((n, n), dtype=complex)
+        gram[np.ix_(self.support, self.support)] = self.support_gram
+        gram.setflags(write=False)
+        return gram
+
     def probability(self, labels: Iterable[str]) -> float:
         key = tuple(labels)
-        for i, row in enumerate(self.labels):
-            if row == key:
-                return float(self.probabilities[i])
-        raise UnknownHistoryError(f"history {key!r} is not in this report")
+        if len(key) != len(self.slot_labels):
+            raise UnknownHistoryError(f"history {key!r} is not in this report")
+        flat = 0
+        for lab, slot in zip(key, self.slot_labels):
+            if lab not in slot:
+                raise UnknownHistoryError(f"history {key!r} is not in this report")
+            flat = flat * len(slot) + slot.index(lab)
+        return float(self.probabilities[flat])
 
 
 def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
@@ -212,9 +251,10 @@ def build_family(
     """Assemble a history family from an initial ket, evolutions, and slots.
 
     Observables are converted to eigenprojector decompositions; incomplete
-    slots are padded with the complement projector labelled "rest"; the full
-    Cartesian product of outcome labels is enumerated eagerly (capped at
-    ``max_histories``).
+    slots are padded with the complement projector labelled "rest".  The
+    number of histories, the product of the slot sizes, is capped at
+    ``max_histories``; the histories themselves are enumerated only when
+    ``HistoryFamily.histories`` is read.
     """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(tuple(grid))
@@ -239,15 +279,8 @@ def build_family(
 
     decomps = tuple(_coerce_slot(slot, dim, tol) for slot in slots)
 
-    count = 1
-    for d in decomps:
-        count *= len(d)
-        if count > max_histories:
-            raise HistoryLimitError(f"family would enumerate > {max_histories} histories")
-    histories = tuple(
-        History(labels=combo, projectors=tuple(d.projector_for(lab) for d, lab in zip(decomps, combo)))
-        for combo in itertools.product(*(d.labels for d in decomps))
-    )
+    if math.prod(len(d) for d in decomps) > max_histories:
+        raise HistoryLimitError(f"family would enumerate > {max_histories} histories")
     psi0 = psi0.copy()
     psi0.setflags(write=False)
     return HistoryFamily(
@@ -256,7 +289,6 @@ def build_family(
         initial_ket=psi0,
         evolutions=tuple(evs),
         slot_decompositions=decomps,
-        histories=histories,
     )
 
 
@@ -286,33 +318,59 @@ def history_probability(family: HistoryFamily, history) -> float:
     return float(np.vdot(ket, ket).real)
 
 
+def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The chain kets that are not exactly zero, as rows, and their flat
+    history indices (ascending, in ``itertools.product`` order).
+
+    One level per slot: every prefix ket is evolved and projected by each of
+    the slot's projectors in one matrix product, and the rows that come out
+    exactly zero are dropped, since every extension of a zero prefix is zero.
+    """
+    dim = family.dim
+    kets = family.initial_ket[None, :]
+    index = np.zeros(1, dtype=np.int64)
+    for ev, decomp in zip(family.evolutions, family.slot_decompositions):
+        n = len(decomp)
+        steps = np.stack([p @ ev.unitary for p in decomp.projectors]).reshape(n * dim, dim)
+        kets = (kets @ steps.T).reshape(-1, dim)
+        index = (index[:, None] * n + np.arange(n)).reshape(-1)
+        live = kets.any(axis=1)
+        kets, index = kets[live], index[live]
+    return kets, index
+
+
 def consistency_check(family: HistoryFamily, tol: Tolerance = DEFAULT_TOL) -> ConsistencyReport:
-    """Gram matrix of all pairwise chain-ket overlaps, and the verdict.
+    """Gram matrix of the nonzero chain kets, the probabilities, and the verdict.
 
     The family is consistent when the largest off-diagonal magnitude does not
     exceed ``tol.cons`` relative to the largest diagonal entry (floored at 1),
     i.e. the criterion is the full complex overlap, not just its real part.
+    Overlaps with an exactly-zero chain ket are exactly zero, so the maximum
+    is taken over the surviving kets only.
     """
-    kets = np.array([chain_ket(family, h) for h in family.histories])
+    kets, support = _surviving_kets(family)
     gram = np.conjugate(kets) @ kets.T
     diag = gram.diagonal().real
-    if len(family.histories) > 1:
-        off = gram.copy()
+    probabilities = np.zeros(family.n_histories)
+    probabilities[support] = diag
+    if len(support) > 1:
+        off = np.abs(gram)
         np.fill_diagonal(off, 0.0)
-        max_offdiag = float(np.max(np.abs(off)))
+        max_offdiag = float(np.max(off))
     else:
         max_offdiag = 0.0
     scale = max(1.0, float(np.max(diag, initial=0.0)))
     threshold = tol.cons * scale
-    gram = gram.copy()
     gram.setflags(write=False)
+    support.setflags(write=False)
     return ConsistencyReport(
-        labels=tuple(h.labels for h in family.histories),
-        gram=gram,
+        slot_labels=tuple(d.labels for d in family.slot_decompositions),
+        support=support,
+        support_gram=gram,
         max_offdiag=max_offdiag,
         threshold=threshold,
         consistent=max_offdiag <= threshold,
-        probabilities=diag.copy(),
+        probabilities=probabilities,
     )
 
 

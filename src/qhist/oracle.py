@@ -2,9 +2,10 @@
 
 ``sequential_probability`` reimplements the Born rule as a plain state
 propagation: evolve the vector, project it, never normalize, and read the
-final squared norm.  It deliberately shares no code with the chain-ket path
-in ``histories`` (which composes the operator string instead); agreement
-between the two is the suite's strongest cross-check.
+final squared norm, one history at a time.  It deliberately shares no code
+with ``histories`` (whose ``chain_ket`` composes the operator string and
+whose ``consistency_check`` propagates all histories as one batch);
+agreement between them is the suite's strongest cross-check.
 
 ``exhaustive_additivity_scan`` probes the operational meaning of consistency:
 for every pairwise merge of two outcomes at one slot it compares the merged

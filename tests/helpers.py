@@ -77,8 +77,20 @@ def random_decomposition(
     """Projectors onto random orthogonal subspaces covering the whole space."""
     if n_blocks is None:
         n_blocks = int(rng.integers(1, d + 1))
-    n_blocks = min(n_blocks, d)
-    u = random_unitary(rng, d)
+    return _block_decomposition(rng, random_unitary(rng, d), min(n_blocks, d))
+
+
+def coordinate_decomposition(rng: np.random.Generator, d: int) -> ProjectiveDecomposition:
+    """Random grouping of the coordinate basis: diagonal 0/1 projectors, so
+    that products of different blocks are exactly zero."""
+    permutation = np.eye(d, dtype=complex)[:, rng.permutation(d)]
+    return _block_decomposition(rng, permutation, int(rng.integers(1, d + 1)))
+
+
+def _block_decomposition(
+    rng: np.random.Generator, u: np.ndarray, n_blocks: int
+) -> ProjectiveDecomposition:
+    d = u.shape[0]
     cuts = sorted(rng.choice(np.arange(1, d), size=n_blocks - 1, replace=False)) if n_blocks > 1 else []
     bounds = [0, *cuts, d]
     projectors = []
@@ -95,7 +107,9 @@ def random_family(
 ) -> HistoryFamily:
     """kind: 'generic' (usually inconsistent for n_slots > 1), 'repeated'
     (same observable transported through the evolutions: always consistent),
-    or 'single' (one slot: always consistent)."""
+    'single' (one slot: always consistent), or 'basis' (mostly
+    coordinate-basis slots, each evolution the identity or random: repeated
+    bases across identity steps make chain kets vanish exactly)."""
     if kind == "single":
         n_slots = 1
     grid = ["t0"] + [f"t{k + 1}" for k in range(n_slots)]
@@ -113,6 +127,12 @@ def random_family(
                     base.labels,
                 )
             )
+    elif kind == "basis":
+        evolutions = [identity(d) if rng.random() < 0.6 else u for u in evolutions]
+        slots = [
+            coordinate_decomposition(rng, d) if rng.random() < 0.75 else random_decomposition(rng, d)
+            for _ in range(n_slots)
+        ]
     else:
         slots = [random_decomposition(rng, d) for _ in range(n_slots)]
     return build_family(ket, grid, evolutions, slots)

@@ -218,3 +218,16 @@ class TestDeterminism:
         second = run(capsys, command, str(gallery("stable_facts")), "--json")
         assert first == second
         json.loads(first[1])
+
+
+class TestResourceFailure:
+    def test_memory_error_is_input_error(self, capsys, monkeypatch):
+        def exhausted(family, tol):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "consistency_check", exhausted)
+        code, out, err = run(capsys, "analyze", str(gallery("repeated_x")))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
