@@ -16,6 +16,7 @@ deterministic: identical inputs and flags give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -50,7 +51,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _emit_json(doc: dict) -> None:
+def _emit_report(command: str, scn, tol: Tolerance, **fields) -> None:
+    """One JSON report: the header every command shares, then its own fields."""
+    doc = {"report_version": REPORT_VERSION, "command": command, "scenario": scn.name,
+           "tolerance": dataclasses.asdict(tol), **fields}
     print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True))
 
 
@@ -63,10 +67,6 @@ def _load(args) -> tuple:
     tol = effective_tolerance(scn, override)
     records = resolve(scn, tol, max_histories=args.max_histories)
     return scn, records, tol
-
-
-def _tol_json(tol: Tolerance) -> dict:
-    return {k: getattr(tol, k) for k in ("norm", "herm", "proj", "comm", "cons")}
 
 
 def cmd_validate(args) -> int:
@@ -110,15 +110,7 @@ def cmd_analyze(args) -> int:
             }
         )
     if args.json:
-        _emit_json(
-            {
-                "report_version": REPORT_VERSION,
-                "command": "analyze",
-                "scenario": scn.name,
-                "tolerance": _tol_json(tol),
-                "observers": observers_doc,
-            }
-        )
+        _emit_report("analyze", scn, tol, observers=observers_doc)
     else:
         print("\n".join(lines))
     return EXIT_INCONSISTENT if any_inconsistent else EXIT_OK
@@ -208,16 +200,8 @@ def cmd_classify(args) -> int:
             nway_doc = {"combinable": False, "consistent": None, "max_offdiag": None}
             lines.append(f"all {len(records)} observers: not combinable into one framework")
     if args.json:
-        doc = {
-            "report_version": REPORT_VERSION,
-            "command": "classify",
-            "scenario": scn.name,
-            "tolerance": _tol_json(tol),
-            "pairs": [_pair_doc(r) for r in reports],
-        }
-        if nway_doc is not None:
-            doc["nway"] = nway_doc
-        _emit_json(doc)
+        nway = {} if nway_doc is None else {"nway": nway_doc}
+        _emit_report("classify", scn, tol, pairs=[_pair_doc(r) for r in reports], **nway)
     else:
         print("\n".join(lines))
     return EXIT_OK
@@ -263,17 +247,14 @@ def cmd_conditional(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.json:
-        _emit_json(
-            {
-                "report_version": REPORT_VERSION,
-                "command": "conditional",
-                "scenario": scn.name,
-                "tolerance": _tol_json(tol),
-                "family": family_name,
-                "event": {"time": event[0], "label": event[1]},
-                "given": {"time": given[0], "label": given[1]},
-                "probability": float(value),
-            }
+        _emit_report(
+            "conditional",
+            scn,
+            tol,
+            family=family_name,
+            event={"time": event[0], "label": event[1]},
+            given={"time": given[0], "label": given[1]},
+            probability=float(value),
         )
     else:
         print(
@@ -367,13 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except QHistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (QHistError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

@@ -193,6 +193,13 @@ def refine(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
+    return _products(a, b, tol)
+
+
+def _products(
+    a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
+) -> ProjectiveDecomposition:
+    """The nonzero products PQ, labelled "p∧q", validated as a decomposition."""
     projectors = []
     labels = []
     for la, p in a.items():

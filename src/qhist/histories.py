@@ -198,6 +198,14 @@ class ConsistencyReport:
         return float(self.probabilities[flat])
 
 
+def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecomposition:
+    """Eigenprojectors of a Hermitian observable, labelled ``ev{k}={value}``
+    in ascending order of eigenvalue."""
+    pairs = hermitian_eigenprojectors(m, tol)
+    labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
+    return make_decomposition([p for _, p in pairs], labels, tol)
+
+
 def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
     """Accept a decomposition, a Hermitian observable, a single (labelled)
     projector, or a list of labelled projectors; pad to completeness."""
@@ -215,9 +223,7 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
     if is_projector(m, tol):
         return _pad_to_decomposition([("p", m)], dim, tol)
     if is_hermitian(m, tol):
-        pairs = hermitian_eigenprojectors(m, tol)
-        labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
-        return make_decomposition([p for _, p in pairs], labels, tol)
+        return _eigen_decomposition(m, tol)
     raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
 
 
@@ -250,22 +256,30 @@ def build_family(
 ) -> HistoryFamily:
     """Assemble a history family from an initial ket, evolutions, and slots.
 
-    Observables are converted to eigenprojector decompositions; incomplete
-    slots are padded with the complement projector labelled "rest".  The
-    number of histories, the product of the slot sizes, is capped at
-    ``max_histories``; the histories themselves are enumerated only when
+    Each input is validated here, once: the ket's norm, each evolution's
+    unitarity (``_checked_evolutions``), then each slot (``_assemble_family``).
+    Observables become eigenprojector decompositions and incomplete slots are
+    padded with the complement projector labelled "rest"; a
+    ``ProjectiveDecomposition`` was validated when it was made and is used as
+    it is.  The number of histories, the product of the slot sizes, is capped
+    at ``max_histories``; the histories are enumerated only when
     ``HistoryFamily.histories`` is read.
     """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(tuple(grid))
-    psi0 = as_ket(initial_ket, tol)
-    dim = psi0.shape[0]
+    psi0 = as_ket(initial_ket, tol).copy()
+    psi0.setflags(write=False)
+    evs = _checked_evolutions(grid, evolutions, psi0.shape[0], tol)
+    return _assemble_family(psi0, grid, evs, slots, tol, max_histories)
+
+
+def _checked_evolutions(
+    grid: TimeGrid, evolutions: Sequence, dim: int, tol: Tolerance
+) -> tuple[Evolution, ...]:
+    """One read-only unitary per interval of ``grid``, each checked once."""
     n_intervals = len(grid.labels) - 1
     if len(evolutions) != n_intervals:
         raise DimMismatchError(f"expected {n_intervals} evolutions, got {len(evolutions)}")
-    if len(slots) != n_intervals:
-        raise DimMismatchError(f"expected {n_intervals} slots, got {len(slots)}")
-
     evs = []
     for k, ev in enumerate(evolutions):
         u = identity(dim) if ev is None else as_matrix(ev.unitary if isinstance(ev, Evolution) else ev)
@@ -276,18 +290,29 @@ def build_family(
         u = u.copy()
         u.setflags(write=False)
         evs.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=u))
+    return tuple(evs)
 
-    decomps = tuple(_coerce_slot(slot, dim, tol) for slot in slots)
 
+def _assemble_family(
+    psi0: np.ndarray,
+    grid: TimeGrid,
+    evolutions: tuple[Evolution, ...],
+    slots: Sequence,
+    tol: Tolerance,
+    max_histories: int,
+) -> HistoryFamily:
+    """The family over an already checked read-only ket and evolutions:
+    coerce the slots, then check the history count."""
+    if len(slots) != len(evolutions):
+        raise DimMismatchError(f"expected {len(evolutions)} slots, got {len(slots)}")
+    decomps = tuple(_coerce_slot(slot, psi0.shape[0], tol) for slot in slots)
     if math.prod(len(d) for d in decomps) > max_histories:
         raise HistoryLimitError(f"family would enumerate > {max_histories} histories")
-    psi0 = psi0.copy()
-    psi0.setflags(write=False)
     return HistoryFamily(
-        dim=dim,
+        dim=psi0.shape[0],
         grid=grid,
         initial_ket=psi0,
-        evolutions=tuple(evs),
+        evolutions=evolutions,
         slot_decompositions=decomps,
     )
 
@@ -408,11 +433,6 @@ def coarse_grain(
     unknown = set(merges) - set(family.grid.slot_times)
     if unknown:
         raise UnknownLabelError(f"merge times {sorted(unknown)} are not slot times")
-    return build_family(
-        family.initial_ket,
-        family.grid,
-        [ev.unitary for ev in family.evolutions],
-        new_slots,
-        tol,
-        max_histories,
+    return _assemble_family(
+        family.initial_ket, family.grid, family.evolutions, new_slots, tol, max_histories
     )

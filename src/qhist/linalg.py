@@ -7,7 +7,7 @@ the package builds on.  All tolerance checks use the max-abs-entry norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,9 +32,6 @@ __all__ = [
     "hermitian_eigenprojectors",
 ]
 
-_TOL_FIELDS = ("norm", "herm", "proj", "comm", "cons")
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds (max-abs-entry norm), each in [0, 1e-3]."""
@@ -46,14 +43,14 @@ class Tolerance:
     cons: float = 1e-9
 
     def __post_init__(self):
-        for name in _TOL_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 <= value <= 1e-3:
-                raise ValueError(f"tolerance '{name}' must lie in [0, 1e-3], got {value!r}")
+                raise ValueError(f"tolerance '{f.name}' must lie in [0, 1e-3], got {value!r}")
 
     @classmethod
     def uniform(cls, eps: float) -> "Tolerance":
-        return cls(**{name: eps for name in _TOL_FIELDS})
+        return cls(**{f.name: eps for f in fields(cls)})
 
 
 DEFAULT_TOL = Tolerance()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -24,14 +24,21 @@ from .errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
-from .histories import TimeGrid, build_family
+from .framework import ProjectiveDecomposition
+from .histories import (
+    DEFAULT_MAX_HISTORIES,
+    TimeGrid,
+    _assemble_family,
+    _checked_evolutions,
+    _coerce_slot,
+    _eigen_decomposition,
+)
 from .linalg import (
-    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     Tolerance,
-    hermitian_eigenprojectors,
+    as_ket,
     identity,
     is_hermitian,
     is_projector,
@@ -70,8 +77,6 @@ _QUBIT_PRESETS = {
 
 # (matrix, axis letter); eigenvalue +1 gets the "+" label
 _PAULI_OPS = {"sigma_x": (SIGMA_X, "x"), "sigma_y": (SIGMA_Y, "y"), "sigma_z": (SIGMA_Z, "z")}
-
-_TOL_KEYS = ("norm", "herm", "proj", "comm", "cons")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +271,7 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
     tolerance: dict[str, float] = {}
     if "tolerance" in doc:
         tobj = _expect(doc["tolerance"], dict, "$.tolerance", "an object")
-        _reject_unknown(tobj, set(_TOL_KEYS), "$.tolerance")
+        _reject_unknown(tobj, {f.name for f in fields(Tolerance)}, "$.tolerance")
         for key, value in tobj.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1e-3:
                 raise ScenarioError("tolerance must be a number in [0, 1e-3]", path=f"$.tolerance.{key}")
@@ -441,7 +446,8 @@ def _scenario_to_jsonable(s: Scenario) -> dict:
         ],
     }
     if s.tolerance_overrides:
-        doc["tolerance"] = {k: s.tolerance_overrides[k] for k in _TOL_KEYS if k in s.tolerance_overrides}
+        names = [f.name for f in fields(Tolerance)]
+        doc["tolerance"] = {k: s.tolerance_overrides[k] for k in names if k in s.tolerance_overrides}
     return doc
 
 
@@ -454,8 +460,7 @@ def serialize_scenario(s: Scenario) -> bytes:
 # resolution
 
 def effective_tolerance_from_overrides(overrides: dict[str, float]) -> Tolerance:
-    values = {k: overrides.get(k, getattr(DEFAULT_TOL, k)) for k in _TOL_KEYS}
-    return Tolerance(**values)
+    return Tolerance(**{f.name: overrides.get(f.name, f.default) for f in fields(Tolerance)})
 
 
 def effective_tolerance(s: Scenario, override: Tolerance | None = None) -> Tolerance:
@@ -467,24 +472,37 @@ def effective_tolerance(s: Scenario, override: Tolerance | None = None) -> Toler
 
 def _embed(op: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
     """Operator on the 1-based ``factor``, tensored with identities elsewhere."""
-    out = np.eye(1, dtype=complex)
-    for k, d in enumerate(dims, start=1):
-        out = np.kron(out, op if k == factor else identity(d))
-    return out
+    left, right = math.prod(dims[: factor - 1]), math.prod(dims[factor:])
+    out = op if left == 1 else np.kron(identity(left), op)
+    return out if right == 1 else np.kron(out, identity(right))
 
 
-def _named_decomposition(name: str, dims: tuple[int, ...], total: int):
-    base, _, suffix = name.partition("@")
-    if base == "identity":
-        return [(TRIVIAL_LABEL, identity(total))]
+def _measurement_key(spec) -> object:
+    """What a slot's decomposition depends on: ``"identity"`` for the trivial
+    slot and every identity, ``"sigma_z@3"`` for a Pauli, else the observable."""
+    if spec is None:
+        return "identity"
+    if isinstance(spec, NamedObservable):
+        base, _, suffix = spec.name.partition("@")
+        return "identity" if base == "identity" else f"{base}@{suffix or 1}"
+    return spec
+
+
+def _decomposition(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition:
+    """The validated decomposition of one ``_measurement_key``."""
+    total = math.prod(dims)
+    if isinstance(key, MatrixObservable):
+        return _eigen_decomposition(key.matrix, tol)
+    if isinstance(key, ProjectorListObservable):
+        return _coerce_slot(list(zip(key.labels, key.matrices)), total, tol)
+    if key == "identity":
+        return _coerce_slot([(TRIVIAL_LABEL, identity(total))], total, tol)
+    base, _, factor = key.partition("@")
     op, axis = _PAULI_OPS[base]
-    factor = int(suffix) if suffix else 1
     plus = (identity(2) + op) / 2.0
     minus = (identity(2) - op) / 2.0
-    return [
-        (f"+{axis}", _embed(plus, factor, dims)),
-        (f"-{axis}", _embed(minus, factor, dims)),
-    ]
+    pairs = [(f"+{axis}", _embed(plus, int(factor), dims)), (f"-{axis}", _embed(minus, int(factor), dims))]
+    return _coerce_slot(pairs, total, tol)
 
 
 def _initial_ket(s: Scenario) -> np.ndarray:
@@ -503,35 +521,34 @@ def resolve(
 ) -> list[ObserverRecord]:
     """Expand named operators and presets; build one family per observer.
 
+    ``parse_scenario`` checks the document.  Here, under the effective
+    tolerance, the initial ket and the evolutions are checked once for all
+    observers, and each distinct measurement (a Pauli on one factor, the
+    identity or trivial slot, or one observable object) becomes one validated
+    decomposition that every slot measuring it shares.  The sharing is local
+    to this call: nothing is kept between calls.
+
     Deterministic: identical input bytes yield bit-identical projectors.
     """
-    from .histories import DEFAULT_MAX_HISTORIES
-
     tol = effective_tolerance(s, tol)
     cap = DEFAULT_MAX_HISTORIES if max_histories is None else max_histories
-    dims = s.subsystem_dims
-    total = s.total_dim
-    ket = _initial_ket(s)
     grid = TimeGrid(s.times)
-    evolutions = [identity(total) if isinstance(ev, str) else np.array(ev) for ev in s.evolutions]
-
+    ket = as_ket(_initial_ket(s), tol)
+    ket.setflags(write=False)
+    total = s.total_dim
+    evolutions = _checked_evolutions(
+        grid, [identity(total) if isinstance(ev, str) else ev for ev in s.evolutions], total, tol
+    )
+    decomps: dict[object, ProjectiveDecomposition] = {}
     records = []
     for obs in s.observers:
         by_time = {m.time: m.observable for m in obs.measurements}
         slots = []
         for t in grid.slot_times:
-            spec = by_time.get(t)
-            if spec is None:
-                slots.append([(TRIVIAL_LABEL, identity(total))])
-            elif isinstance(spec, NamedObservable):
-                slots.append(_named_decomposition(spec.name, dims, total))
-            elif isinstance(spec, MatrixObservable):
-                pairs = hermitian_eigenprojectors(spec.matrix, tol)
-                slots.append(
-                    [(f"ev{k}={value:.6g}", p) for k, (value, p) in enumerate(pairs)]
-                )
-            else:
-                slots.append(list(zip(spec.labels, spec.matrices)))
-        family = build_family(ket, grid, evolutions, slots, tol, cap)
+            key = _measurement_key(by_time.get(t))
+            if key not in decomps:
+                decomps[key] = _decomposition(key, s.subsystem_dims, tol)
+            slots.append(decomps[key])
+        family = _assemble_family(ket, grid, evolutions, slots, tol, cap)
         records.append(ObserverRecord(name=obs.name, family=family))
     return records

@@ -23,20 +23,16 @@ from .errors import (
     InconsistentFamilyError,
     MismatchedScenarioError,
     NotCompatibleError,
+    QHistError,
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from .framework import (
-    CONJUNCTION_JOINER,
-    CommutationCheck,
-    ProjectiveDecomposition,
-    decompositions_compatible,
-    make_decomposition,
-)
+from .framework import CommutationCheck, _products, decompositions_compatible
 from .histories import (
+    DEFAULT_MAX_HISTORIES,
     ConsistencyReport,
     HistoryFamily,
-    build_family,
+    _assemble_family,
     consistency_check,
 )
 from .linalg import DEFAULT_TOL, Tolerance, commutator, max_abs
@@ -107,28 +103,6 @@ def _require_shared_scenario(a: ObserverRecord, b: ObserverRecord, tol: Toleranc
             raise MismatchedScenarioError(f"evolutions differ on {ea.start} -> {ea.end}")
 
 
-def _product_slots(
-    fa: HistoryFamily, fb: HistoryFamily, tol: Tolerance
-) -> list[ProjectiveDecomposition] | None:
-    """Slot-wise products {K_i Y_j} with zero products dropped, or None when
-    some slot's products do not form a valid decomposition."""
-    slots = []
-    for da, db in zip(fa.slot_decompositions, fb.slot_decompositions):
-        projectors = []
-        labels = []
-        for la, p in da.items():
-            for lb, q in db.items():
-                product = p @ q
-                if max_abs(product) > tol.proj:
-                    projectors.append(product)
-                    labels.append(f"{la}{CONJUNCTION_JOINER}{lb}")
-        try:
-            slots.append(make_decomposition(projectors, labels, tol))
-        except Exception:
-            return None
-    return slots
-
-
 def _compatibility(
     a: ObserverRecord, b: ObserverRecord, tol: Tolerance
 ) -> tuple[CompatibilityReport, HistoryFamily | None]:
@@ -140,12 +114,16 @@ def _compatibility(
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
     condition1 = all(sc.commutes for sc in per_slot)
 
-    product_family = None
-    product_report = None
-    slots = _product_slots(fa, fb, tol)
-    if slots is not None:
-        product_family = build_family(
-            fa.initial_ket, fa.grid, [ev.unitary for ev in fa.evolutions], slots, tol
+    # the slot-wise products {K_i Y_j}; they may fail to form decompositions
+    # only when condition 1 already failed, and condition 2 is then skipped
+    product_family = product_report = None
+    try:
+        slots = [_products(da, db, tol) for da, db in zip(fa.slot_decompositions, fb.slot_decompositions)]
+    except QHistError:
+        pass
+    else:
+        product_family = _assemble_family(
+            fa.initial_ket, fa.grid, fa.evolutions, slots, tol, DEFAULT_MAX_HISTORIES
         )
         product_report = consistency_check(product_family, tol)
 
@@ -236,10 +214,31 @@ def _resolve_outcome(family: HistoryFamily, time: str, outcome, tol: Tolerance) 
     raise UnknownLabelError(f"no projector at {time!r} matches the given operator")
 
 
-def _event_mass(report: ConsistencyReport, slot: int, label: str) -> float:
-    return float(
-        sum(p for labels, p in zip(report.labels, report.probabilities) if labels[slot] == label)
-    )
+def _event_mass(report: ConsistencyReport, *events: tuple[int, str]) -> float:
+    """Total probability of the histories that carry every (slot, label) of
+    ``events``, summed over the other slots of the outcome tensor."""
+    index: list = [slice(None)] * len(report.slot_labels)
+    for slot, label in events:
+        k = report.slot_labels[slot].index(label)
+        if isinstance(index[slot], int) and index[slot] != k:
+            return 0.0
+        index[slot] = k
+    tensor = report.probabilities.reshape([len(labels) for labels in report.slot_labels])
+    return float(tensor[tuple(index)].sum())
+
+
+def _conditional(
+    family: HistoryFamily, report: ConsistencyReport, event: tuple, condition: tuple, tol: Tolerance
+) -> float:
+    """P(event | condition) from the report of a consistent family."""
+    ev = _resolve_outcome(family, event[0], event[1], tol)
+    cond = _resolve_outcome(family, condition[0], condition[1], tol)
+    cond_mass = _event_mass(report, cond)
+    if cond_mass <= tol.cons:
+        raise ZeroProbabilityConditionError(
+            f"condition {cond[1]!r} at {condition[0]!r} has probability {cond_mass:.3e}"
+        )
+    return _event_mass(report, ev, cond) / cond_mass
 
 
 def conditional_probability(
@@ -256,21 +255,7 @@ def conditional_probability(
             "single-framework rule: family is inconsistent (max off-diagonal "
             f"overlap {report.max_offdiag:.3e}), so it supports no probabilistic reasoning"
         )
-    ev_slot, ev_label = _resolve_outcome(family, query.event[0], query.event[1], tol)
-    cond_slot, cond_label = _resolve_outcome(family, query.condition[0], query.condition[1], tol)
-    cond_mass = _event_mass(report, cond_slot, cond_label)
-    if cond_mass <= tol.cons:
-        raise ZeroProbabilityConditionError(
-            f"condition {cond_label!r} at {query.condition[0]!r} has probability {cond_mass:.3e}"
-        )
-    joint = float(
-        sum(
-            p
-            for labels, p in zip(report.labels, report.probabilities)
-            if labels[ev_slot] == ev_label and labels[cond_slot] == cond_label
-        )
-    )
-    return joint / cond_mass
+    return _conditional(family, report, query.event, query.condition, tol)
 
 
 def check_total_probability_law(
@@ -284,6 +269,7 @@ def check_total_probability_law(
     Inside one consistent family the law is an identity; ``holds`` allows
     10 * tol.cons of numerical slack.  Partition outcomes with probability
     at or below tol.cons are skipped (conditioning on them is undefined).
+    The family's consistency is checked once for the whole sum.
     """
     report = consistency_check(family, tol)
     if not report.consistent:
@@ -293,18 +279,13 @@ def check_total_probability_law(
     part_slot = family.grid.slot_index(partition_time)
     if part_slot == ev_slot:
         raise BadTimesError("partition time must differ from the event time")
-    lhs = _event_mass(report, ev_slot, ev_label)
+    lhs = _event_mass(report, (ev_slot, ev_label))
     rhs = 0.0
     for label in family.slot_decompositions[part_slot].labels:
-        mass = _event_mass(report, part_slot, label)
+        mass = _event_mass(report, (part_slot, label))
         if mass <= tol.cons:
             continue
-        conditional = conditional_probability(
-            family,
-            FactQuery(event=(ev_time, ev_label), condition=(partition_time, label)),
-            tol,
-        )
-        rhs += conditional * mass
+        rhs += _conditional(family, report, (ev_time, ev_label), (partition_time, label), tol) * mass
     return TotalProbabilityCheck(lhs, rhs, abs(lhs - rhs) <= 10.0 * tol.cons)
 
 

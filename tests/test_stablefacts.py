@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qhist.stablefacts
 from qhist.errors import (
     BadTimesError,
     InconsistentFamilyError,
@@ -229,6 +230,18 @@ class TestTotalProbabilityLaw:
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("z")])
         with pytest.raises(InconsistentFamilyError):
             check_total_probability_law(fam, ("t2", "+z"), "t1")
+
+    def test_consistency_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(family, tol):
+            calls.append(family)
+            return consistency_check(family, tol)
+
+        monkeypatch.setattr(qhist.stablefacts, "consistency_check", counted)
+        fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("x")])
+        check = check_total_probability_law(fam, ("t2", "+x"), "t1")
+        assert check.holds and len(calls) == 1
 
     def test_holds_for_every_pair_in_consistent_families(self, rng):
         checked = 0
