@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("path", help="scenario JSON file")
         p.add_argument("--tolerance", type=float, default=None,
-                       help="set all tolerances to this value (default 1e-9)")
+                       help="set all tolerances, input checks included (default: the file's, else 1e-9)")
         p.add_argument("--max-histories", type=int, default=DEFAULT_MAX_HISTORIES,
                        help="cap on enumerated histories per family")
 
@@ -344,8 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (QHistError, OSError, ValueError) as exc:

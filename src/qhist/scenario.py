@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
 
 from .errors import (
     DimMismatchError,
+    QHistError,
     ScenarioError,
     ScenarioParseError,
     UnknownFieldError,
@@ -34,15 +35,13 @@ from .histories import (
     _eigen_decomposition,
 )
 from .linalg import (
+    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     Tolerance,
     as_ket,
     identity,
-    is_hermitian,
-    is_projector,
-    is_unitary,
 )
 from .stablefacts import ObserverRecord
 
@@ -180,7 +179,7 @@ def _parse_matrix(value, path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _parse_observable(value, path: str, dims: tuple[int, ...], total: int, tol: Tolerance):
+def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
     if isinstance(value, str):
         _check_operator_name(value, path, dims)
         return NamedObservable(name=value)
@@ -190,8 +189,6 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int, tol: 
         m = _parse_matrix(value["matrix"], f"{path}.matrix")
         if m.shape != (total, total):
             raise DimMismatchError(f"{path}.matrix: shape {m.shape} does not match total dim {total}")
-        if not is_hermitian(m, tol):
-            raise ScenarioError("observable matrix is not Hermitian", path=f"{path}.matrix")
         return MatrixObservable(matrix=m)
     if "projectors" in value:
         _reject_unknown(value, {"projectors"}, path)
@@ -206,8 +203,6 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int, tol: 
             m = _parse_matrix(_get(entry, "matrix", epath), f"{epath}.matrix")
             if m.shape != (total, total):
                 raise DimMismatchError(f"{epath}.matrix: shape {m.shape} does not match total dim {total}")
-            if not is_projector(m, tol):
-                raise ScenarioError("matrix is not a projector", path=f"{epath}.matrix")
             matrices.append(m)
         if not labels:
             raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
@@ -276,7 +271,6 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
             if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1e-3:
                 raise ScenarioError("tolerance must be a number in [0, 1e-3]", path=f"$.tolerance.{key}")
             tolerance[key] = float(value)
-    tol = effective_tolerance_from_overrides(tolerance)
 
     state_raw = _get(doc, "initial_state", "$")
     initial_state: tuple[str, ...] | np.ndarray
@@ -291,7 +285,7 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
             raise DimMismatchError(
                 f"$.initial_state.vector: length {vec.shape[0]} does not match total dim {total}"
             )
-        if abs(np.vdot(vec, vec).real - 1.0) > tol.norm:
+        if abs(np.vdot(vec, vec).real - 1.0) > tolerance.get("norm", DEFAULT_TOL.norm):
             raise ScenarioError(
                 f"initial state is not normalized (<v|v> = {np.vdot(vec, vec).real!r})",
                 path="$.initial_state.vector",
@@ -332,8 +326,6 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
             m = _parse_matrix(_get(ev, "matrix", epath), f"{epath}.matrix")
             if m.shape != (total, total):
                 raise DimMismatchError(f"{epath}.matrix: shape {m.shape} does not match total dim {total}")
-            if not is_unitary(m, tol):
-                raise ScenarioError("evolution matrix is not unitary", path=f"{epath}.matrix")
             evolutions.append(m)
         evolutions = tuple(evolutions)
     else:
@@ -369,7 +361,7 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
                 raise ScenarioError(f"observer {oname!r} measures twice at {mtime!r}", path=f"{mpath}.time")
             seen_times.add(mtime)
             observable = _parse_observable(
-                _get(m, "observable", mpath), f"{mpath}.observable", dims, total, tol
+                _get(m, "observable", mpath), f"{mpath}.observable", dims, total
             )
             measurements.append(Measurement(time=mtime, observable=observable))
         observers.append(ObserverSpec(name=oname, measurements=tuple(measurements)))
@@ -459,15 +451,11 @@ def serialize_scenario(s: Scenario) -> bytes:
 # ---------------------------------------------------------------------------
 # resolution
 
-def effective_tolerance_from_overrides(overrides: dict[str, float]) -> Tolerance:
-    return Tolerance(**{f.name: overrides.get(f.name, f.default) for f in fields(Tolerance)})
-
-
 def effective_tolerance(s: Scenario, override: Tolerance | None = None) -> Tolerance:
     """Override wins over scenario file overrides, which win over defaults."""
     if override is not None:
         return override
-    return effective_tolerance_from_overrides(s.tolerance_overrides)
+    return replace(DEFAULT_TOL, **s.tolerance_overrides)
 
 
 def _embed(op: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
@@ -521,12 +509,14 @@ def resolve(
 ) -> list[ObserverRecord]:
     """Expand named operators and presets; build one family per observer.
 
-    ``parse_scenario`` checks the document.  Here, under the effective
-    tolerance, the initial ket and the evolutions are checked once for all
-    observers, and each distinct measurement (a Pauli on one factor, the
-    identity or trivial slot, or one observable object) becomes one validated
-    decomposition that every slot measuring it shares.  The sharing is local
-    to this call: nothing is kept between calls.
+    ``parse_scenario`` checks the document's structure.  Here, under the
+    effective tolerance, the initial ket and the evolutions are checked once
+    for all observers, and each distinct measurement (a Pauli on one factor,
+    the identity or trivial slot, or one observable object) becomes one
+    validated decomposition that every slot measuring it shares.  A
+    decomposition's error is prefixed with the JSONPath of the first
+    measurement that uses it.  The sharing is local to this call: nothing is
+    kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
     """
@@ -541,13 +531,18 @@ def resolve(
     )
     decomps: dict[object, ProjectiveDecomposition] = {}
     records = []
-    for obs in s.observers:
-        by_time = {m.time: m.observable for m in obs.measurements}
+    for i, obs in enumerate(s.observers):
+        by_time = {m.time: (j, m.observable) for j, m in enumerate(obs.measurements)}
         slots = []
         for t in grid.slot_times:
-            key = _measurement_key(by_time.get(t))
+            j, spec = by_time.get(t, (None, None))
+            key = _measurement_key(spec)
             if key not in decomps:
-                decomps[key] = _decomposition(key, s.subsystem_dims, tol)
+                try:
+                    decomps[key] = _decomposition(key, s.subsystem_dims, tol)
+                except (QHistError, ValueError) as exc:
+                    exc.args = (f"$.observers[{i}].measurements[{j}].observable: {exc}",)
+                    raise
             slots.append(decomps[key])
         family = _assemble_family(ket, grid, evolutions, slots, tol, cap)
         records.append(ObserverRecord(name=obs.name, family=family))

@@ -39,6 +39,27 @@ def gallery(name: str) -> pathlib.Path:
     return SCENARIOS / f"{name}.json"
 
 
+def _measures(name: str, by_time: dict[str, str]) -> dict:
+    return {"name": name, "measurements": [{"time": t, "observable": o} for t, o in by_time.items()]}
+
+
+# One qubit from up_z.  A and B commute slot by slot, but their product
+# family measures z, x, z, which is inconsistent (max off-diagonal 0.25):
+# condition 2 fails.  A and C fail condition 1 at t1; B and C are stable.
+CONDITION2 = {
+    "format": 1,
+    "name": "condition2",
+    "systems": [2],
+    "initial_state": "up_z",
+    "times": ["t0", "t1", "t2", "t3"],
+    "observers": [
+        _measures("A", {"t1": "sigma_z", "t3": "sigma_z"}),
+        _measures("B", {"t2": "sigma_x"}),
+        _measures("C", {"t1": "sigma_x"}),
+    ],
+}
+
+
 def proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 

@@ -4,13 +4,92 @@ import pytest
 
 from qhist import cli
 
-from helpers import GALLERY_NAMES, gallery
+from helpers import CONDITION2, GALLERY_NAMES, gallery
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write(tmp_path, doc) -> str:
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def one_qubit(**fields) -> dict:
+    return {
+        "format": 1,
+        "name": "one_qubit",
+        "systems": [2],
+        "initial_state": "up_z",
+        "times": ["t0", "t1"],
+        "observers": [{"name": "O1", "measurements": [{"time": "t1", "observable": "sigma_z"}]}],
+        **fields,
+    }
+
+
+def cmatrix(rows) -> list:
+    return [[[float(z.real), float(z.imag)] for z in map(complex, row)] for row in rows]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("analyze", "--bogus"),
+            ("analyze", "--tolerance", "abc"),
+            ("conditional", "--event", "t1:+x", "--given", "t1:+x"),  # no --family
+        ],
+    )
+    def test_usage_error_is_input_error(self, capsys, flags):
+        command, *rest = flags
+        code, out, err = run(capsys, command, str(gallery("repeated_x")), *rest)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: qhist")
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: qhist")
+
+
+class TestInputChecks:
+    """Numeric checks run once, in ``resolve``, under the command's tolerance."""
+
+    def test_evolution_checked_under_command_tolerance(self, capsys, tmp_path):
+        near = cmatrix([[1 + 1e-6, 0], [0, 1]])
+        path = write(tmp_path, one_qubit(evolutions=[{"matrix": near}]))
+        code, out, _ = run(capsys, "analyze", path, "--tolerance", "1e-4")
+        assert code == 0
+        assert "+z  1.000002" in out
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 1
+        assert "evolution 0" in err
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            {"matrix": cmatrix([[0, 1], [0, 0]])},  # not Hermitian
+            {"projectors": [{"label": "a", "matrix": cmatrix([[2, 0], [0, 0]])}]},  # not a projector
+            {
+                "projectors": [  # not orthogonal
+                    {"label": "+x", "matrix": cmatrix([[0.5, 0.5], [0.5, 0.5]])},
+                    {"label": "up", "matrix": cmatrix([[1, 0], [0, 0]])},
+                ]
+            },
+        ],
+        ids=["not_hermitian", "not_projector", "not_orthogonal"],
+    )
+    def test_bad_observable_names_its_measurement(self, capsys, tmp_path, observable):
+        observers = [{"name": "O1", "measurements": [{"time": "t1", "observable": observable}]}]
+        code, out, err = run(capsys, "validate", write(tmp_path, one_qubit(observers=observers)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: $.observers[0].measurements[0].observable: ")
 
 
 class TestValidate:
@@ -77,6 +156,12 @@ class TestAnalyze:
         for entry in observer["histories"]:
             assert f"{entry['probability']:.12g}" in human
 
+    def test_observer_flag_restricts_output(self, capsys):
+        code, out, _ = run(capsys, "analyze", str(gallery("stable_facts")), "--observer", "O2")
+        assert code == 0
+        assert "observer O2:" in out
+        assert "observer O1" not in out
+
     def test_unknown_observer_flag(self, capsys):
         code, _, err = run(capsys, "analyze", str(gallery("repeated_x")), "--observer", "nobody")
         assert code == 1
@@ -105,6 +190,32 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(gallery("repeated_x")))
         assert code == 1
         assert "two observers" in err
+
+    def test_condition2_and_not_combinable(self, capsys, tmp_path):
+        path = write(tmp_path, CONDITION2)
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0
+        assert "pair A,B: relative (condition2 fails)" in out
+        assert "product family: inconsistent, max off-diagonal 0.25" in out
+        assert "pair A,C: relative (condition1 fails)" in out
+        assert "pair B,C: stable" in out
+        assert "all 3 observers: not combinable into one framework" in out
+        code, machine, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        doc = json.loads(machine)
+        verdicts = {(p["a"], p["b"]): (p["verdict"], p["failing_condition"]) for p in doc["pairs"]}
+        assert verdicts == {
+            ("A", "B"): ("relative", "condition2"),
+            ("A", "C"): ("relative", "condition1"),
+            ("B", "C"): ("stable", None),
+        }
+        assert doc["pairs"][0]["product_consistency"]["max_offdiag"] == pytest.approx(0.25, abs=1e-12)
+        assert doc["nway"] == {"combinable": False, "consistent": None, "max_offdiag": None}
+
+    def test_unknown_pair_member(self, capsys):
+        code, _, err = run(capsys, "classify", str(gallery("stable_facts")), "--pair", "O1", "nobody")
+        assert code == 1
+        assert "nobody" in err
 
     def test_three_observers_report_nway_verdict(self, capsys, tmp_path):
         doc = json.loads(gallery("stable_facts").read_text())
@@ -161,6 +272,32 @@ class TestConditional:
         )
         assert code == 2
         assert "probability" in err
+
+    @pytest.mark.parametrize(
+        "name, family, event, message",
+        [
+            ("repeated_x", "O1", "t1", "TIME:LABEL"),
+            ("repeated_x", "nobody", "t1:+x", "unknown family"),
+            ("repeated_x", "combined", "t1:+x", "at least two observers"),
+        ],
+        ids=["malformed_event", "unknown_family", "combined_needs_two"],
+    )
+    def test_input_errors(self, capsys, name, family, event, message):
+        code, out, err = run(
+            capsys, "conditional", str(gallery(name)),
+            "--family", family, "--event", event, "--given", "t1:+x",
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_disjoint_outcomes_at_one_time(self, capsys):
+        code, out, _ = run(
+            capsys, "conditional", str(gallery("repeated_x")),
+            "--family", "O1", "--event", "t1:-x", "--given", "t1:+x",
+        )
+        assert code == 0
+        assert out.startswith("P(-x@t1 | +x@t1) = 0 ")
 
     def test_combined_family(self, capsys):
         code, out, _ = run(

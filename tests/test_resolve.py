@@ -1,6 +1,7 @@
 """``scenario.resolve``: embedded projectors, one decomposition per distinct
 measurement within a call, evolutions checked once, and unchanged errors."""
 
+import json
 from functools import reduce
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhist.histories
-from qhist.errors import BadDecompositionError, NotUnitaryError
+from qhist.errors import BadDecompositionError, NotHermitianError, NotUnitaryError
+from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
 from qhist.scenario import (
     Measurement,
@@ -18,6 +20,8 @@ from qhist.scenario import (
     ObserverSpec,
     ProjectorListObservable,
     Scenario,
+    effective_tolerance,
+    parse_scenario,
     resolve,
 )
 
@@ -119,3 +123,37 @@ def test_non_orthogonal_projector_list_raises():
     scn = scenario((2,), ["identity"], [observer("A", {"t1": bad})])
     with pytest.raises(BadDecompositionError):
         resolve(scn)
+
+
+def test_decomposition_error_names_the_first_measurement_using_it():
+    bad = MatrixObservable(np.array([[0, 1], [0, 0]], dtype=complex))
+    scn = scenario(
+        (2,),
+        ["identity", "identity"],
+        [observer("A", {"t1": NamedObservable("sigma_z")}), observer("B", {"t1": bad, "t2": bad})],
+    )
+    with pytest.raises(NotHermitianError, match=r"^\$\.observers\[1\]\.measurements\[0\]\.observable: "):
+        resolve(scn)
+
+
+def test_threshold_scales_with_a_diagonal_above_one():
+    # a unitary accepted within the file's herm tolerance lets P(+z) exceed 1
+    near = [[[1 + 1e-6, 0], [0, 0]], [[0, 0], [1, 0]]]
+    doc = {
+        "format": 1,
+        "name": "near_unitary",
+        "systems": [2],
+        "initial_state": "up_z",
+        "times": ["t0", "t1"],
+        "evolutions": [{"matrix": near}],
+        "observers": [{"name": "A", "measurements": [{"time": "t1", "observable": "sigma_z"}]}],
+        "tolerance": {"herm": 1e-4},
+    }
+    scn = parse_scenario(json.dumps(doc))
+    tol = effective_tolerance(scn)
+    (record,) = resolve(scn)
+    report = consistency_check(record.family, tol)
+    top = float(np.max(report.probabilities))
+    assert top == pytest.approx(1.000002, abs=1e-12)
+    assert report.threshold == tol.cons * top
+    assert report.threshold > tol.cons

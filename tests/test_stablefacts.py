@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qhist.errors import (
 from qhist.framework import make_decomposition
 from qhist.histories import build_family, coarse_grain, consistency_check
 from qhist.linalg import SIGMA_X, identity
+from qhist.scenario import parse_scenario, resolve
 from qhist.stablefacts import (
     FactQuery,
     ObserverRecord,
@@ -26,6 +29,7 @@ from qhist.stablefacts import (
 )
 
 from helpers import (
+    CONDITION2,
     KET_UP,
     measurement_model,
     pauli_decomposition,
@@ -94,6 +98,25 @@ class TestCheckCompatibility:
         other = observer("O2", [DX1, DX2], ket=np.kron(KET_UP, KET_UP))
         with pytest.raises(MismatchedScenarioError):
             check_compatibility(o1, other)
+
+
+class TestCondition2:
+    """Slot-wise commuting observers whose product family is inconsistent."""
+
+    def test_pair_verdicts(self):
+        a, b, c = resolve(parse_scenario(json.dumps(CONDITION2)))
+        ab = check_compatibility(a, b)
+        assert all(sc.commutes for sc in ab.per_slot_commutation)
+        assert ab.verdict is Verdict.RELATIVE
+        assert ab.failing_condition == "condition2"
+        assert not ab.product_family_consistency.consistent
+        assert ab.product_family_consistency.max_offdiag == pytest.approx(0.25, abs=1e-12)
+        assert check_compatibility(a, c).failing_condition == "condition1"
+        assert check_compatibility(b, c).verdict is Verdict.STABLE
+
+    def test_not_combinable(self):
+        with pytest.raises(NotCompatibleError, match="condition2"):
+            combine_all(resolve(parse_scenario(json.dumps(CONDITION2))))
 
 
 class TestCombine:
