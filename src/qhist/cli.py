@@ -9,6 +9,10 @@ Exit codes are a stable contract:
      queried event is not part of the family)
   4  oracle discrepancy (verify)
 
+``main`` alone turns an exception into an exit code and a line on stderr.
+``analyze``, ``classify`` and ``conditional`` each build one dict of report
+fields, printed as the ``--json`` document or rendered from it as text.
+
 Verdicts themselves ("relative") are results, never failures.  JSON output is
 deterministic: identical inputs and flags give byte-identical bytes.
 """
@@ -51,11 +55,20 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _emit_report(command: str, scn, tol: Tolerance, **fields) -> None:
-    """One JSON report: the header every command shares, then its own fields."""
+def _verdict(consistent: bool) -> str:
+    return "consistent" if consistent else "inconsistent"
+
+
+def _emit(args, command: str, scn, tol: Tolerance, fields: dict, text) -> None:
+    """Print one report.  With ``--json``, the document: the header every
+    command shares, then the command's ``fields``; else the lines ``text``
+    renders from that same document."""
     doc = {"report_version": REPORT_VERSION, "command": command, "scenario": scn.name,
            "tolerance": dataclasses.asdict(tol), **fields}
-    print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True))
+    if args.json:
+        print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True))
+    else:
+        print("\n".join(text(doc)))
 
 
 def _load(args) -> tuple:
@@ -69,6 +82,15 @@ def _load(args) -> tuple:
     return scn, records, tol
 
 
+def _pick(records, names) -> list:
+    """The records with these names, in the order named; an unknown name is an input error."""
+    by_name = {r.name: r for r in records}
+    missing = [n for n in names if n not in by_name]
+    if missing:
+        raise QHistError(f"unknown observer(s): {', '.join(missing)}")
+    return [by_name[n] for n in names]
+
+
 def cmd_validate(args) -> int:
     scn, records, _ = _load(args)
     total = sum(r.family.n_histories for r in records)
@@ -77,43 +99,39 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _analyze_text(doc) -> list[str]:
+    lines = [f"scenario: {doc['scenario']}"]
+    for obs in doc["observers"]:
+        lines.append(
+            f"observer {obs['name']}: {_verdict(obs['consistent'])} "
+            f"(max off-diagonal {_fmt(obs['max_offdiag'])}, threshold {_fmt(obs['threshold'])})"
+        )
+        lines += [f"  {','.join(h['labels'])}  {_fmt(h['probability'])}" for h in obs["histories"]]
+    return lines
+
+
 def cmd_analyze(args) -> int:
     scn, records, tol = _load(args)
     if args.observer:
-        known = {r.name for r in records}
-        missing = [n for n in args.observer if n not in known]
-        if missing:
-            raise QHistError(f"unknown observer(s): {', '.join(missing)}")
-        records = [r for r in records if r.name in args.observer]
-    observers_doc = []
-    lines = [f"scenario: {scn.name}"]
-    any_inconsistent = False
+        chosen = _pick(records, args.observer)
+        records = [r for r in records if r in chosen]
+    observers = []
     for record in records:
         report = consistency_check(record.family, tol)
-        any_inconsistent = any_inconsistent or not report.consistent
-        verdict = "consistent" if report.consistent else "inconsistent"
-        lines.append(
-            f"observer {record.name}: {verdict} "
-            f"(max off-diagonal {_fmt(report.max_offdiag)}, threshold {_fmt(report.threshold)})"
-        )
-        histories_doc = []
-        for labels, p in zip(report.labels, report.probabilities):
-            lines.append(f"  {','.join(labels)}  {_fmt(p)}")
-            histories_doc.append({"labels": list(labels), "probability": float(p)})
-        observers_doc.append(
+        observers.append(
             {
                 "name": record.name,
                 "consistent": report.consistent,
                 "max_offdiag": float(report.max_offdiag),
                 "threshold": float(report.threshold),
-                "histories": histories_doc,
+                "histories": [
+                    {"labels": list(labels), "probability": float(p)}
+                    for labels, p in zip(report.labels, report.probabilities)
+                ],
             }
         )
-    if args.json:
-        _emit_report("analyze", scn, tol, observers=observers_doc)
-    else:
-        print("\n".join(lines))
-    return EXIT_INCONSISTENT if any_inconsistent else EXIT_OK
+    _emit(args, "analyze", scn, tol, {"observers": observers}, _analyze_text)
+    return EXIT_OK if all(obs["consistent"] for obs in observers) else EXIT_INCONSISTENT
 
 
 def _pair_doc(report) -> dict:
@@ -142,76 +160,72 @@ def _pair_doc(report) -> dict:
     }
 
 
-def _pair_lines(report) -> list[str]:
-    lines = [f"pair {report.observer_a},{report.observer_b}: {report.verdict.value}"]
-    if report.failing_condition:
-        lines[0] += f" ({report.failing_condition} fails)"
-    for sc in report.per_slot_commutation:
-        status = "commute" if sc.commutes else "do not commute"
-        pair = f" (worst pair {sc.worst_pair[0]},{sc.worst_pair[1]})" if sc.worst_pair else ""
-        lines.append(f"  {sc.time}: {status}, residual {_fmt(sc.max_residual)}{pair}")
-    product = report.product_family_consistency
-    if product is None:
-        lines.append("  product family: skipped (products not well-formed)")
-    else:
-        verdict = "consistent" if product.consistent else "inconsistent"
-        lines.append(f"  product family: {verdict}, max off-diagonal {_fmt(product.max_offdiag)}")
+def _nway_doc(records, tol: Tolerance) -> dict:
+    """Whether all observers fold into one family, and if so its verdict."""
+    try:
+        report = consistency_check(combine_all(records, tol), tol)
+    except QHistError:
+        return {"combinable": False, "consistent": None, "max_offdiag": None}
+    return {"combinable": True, "consistent": report.consistent, "max_offdiag": float(report.max_offdiag)}
+
+
+def _classify_text(doc) -> list[str]:
+    lines = [f"scenario: {doc['scenario']}"]
+    for pair in doc["pairs"]:
+        failing = f" ({pair['failing_condition']} fails)" if pair["failing_condition"] else ""
+        lines.append(f"pair {pair['a']},{pair['b']}: {pair['verdict']}{failing}")
+        for slot in pair["slots"]:
+            status = "commute" if slot["commutes"] else "do not commute"
+            worst = f" (worst pair {','.join(slot['worst_pair'])})" if slot["worst_pair"] else ""
+            lines.append(f"  {slot['time']}: {status}, residual {_fmt(slot['max_residual'])}{worst}")
+        product = pair["product_consistency"]
+        lines.append(
+            "  product family: skipped (products not well-formed)"
+            if product is None
+            else f"  product family: {_verdict(product['consistent'])}, "
+            f"max off-diagonal {_fmt(product['max_offdiag'])}"
+        )
+    if "nway" in doc:
+        nway = doc["nway"]
+        n = len({name for pair in doc["pairs"] for name in (pair["a"], pair["b"])})
+        lines.append(
+            f"all {n} observers: product family {_verdict(nway['consistent'])}, "
+            f"max off-diagonal {_fmt(nway['max_offdiag'])}"
+            if nway["combinable"]
+            else f"all {n} observers: not combinable into one framework"
+        )
     return lines
 
 
 def cmd_classify(args) -> int:
     scn, records, tol = _load(args)
-    by_name = {r.name: r for r in records}
     if args.pair:
-        a, b = args.pair
-        missing = [n for n in (a, b) if n not in by_name]
-        if missing:
-            raise QHistError(f"unknown observer(s): {', '.join(missing)}")
-        pairs = [(by_name[a], by_name[b])]
+        pairs = [_pick(records, args.pair)]
+    elif len(records) < 2:
+        raise QHistError("classify needs at least two observers")
     else:
-        if len(records) < 2:
-            raise QHistError("classify needs at least two observers")
-        pairs = [
-            (records[i], records[j])
-            for i in range(len(records))
-            for j in range(i + 1, len(records))
-        ]
-    reports = [check_compatibility(a, b, tol) for a, b in pairs]
-    lines = [f"scenario: {scn.name}"]
-    for report in reports:
-        lines.extend(_pair_lines(report))
-    nway_doc = None
+        pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
+    fields = {"pairs": [_pair_doc(check_compatibility(a, b, tol)) for a, b in pairs]}
     if args.pair is None and len(records) >= 3:
         # beyond the pairwise test; reported as an extension
-        try:
-            family = combine_all(records, tol)
-            nway_report = consistency_check(family, tol)
-            nway_doc = {
-                "combinable": True,
-                "consistent": nway_report.consistent,
-                "max_offdiag": float(nway_report.max_offdiag),
-            }
-            lines.append(
-                f"all {len(records)} observers: product family "
-                f"{'consistent' if nway_report.consistent else 'inconsistent'}, "
-                f"max off-diagonal {_fmt(nway_report.max_offdiag)}"
-            )
-        except QHistError:
-            nway_doc = {"combinable": False, "consistent": None, "max_offdiag": None}
-            lines.append(f"all {len(records)} observers: not combinable into one framework")
-    if args.json:
-        nway = {} if nway_doc is None else {"nway": nway_doc}
-        _emit_report("classify", scn, tol, pairs=[_pair_doc(r) for r in reports], **nway)
-    else:
-        print("\n".join(lines))
+        fields["nway"] = _nway_doc(records, tol)
+    _emit(args, "classify", scn, tol, fields, _classify_text)
     return EXIT_OK
 
 
-def _parse_fact(spec: str, what: str) -> tuple[str, str]:
+def _parse_fact(spec: str, what: str) -> dict:
     time, sep, label = spec.partition(":")
     if not sep or not time or not label:
         raise QHistError(f"--{what} must look like TIME:LABEL, got {spec!r}")
-    return time, label
+    return {"time": time, "label": label}
+
+
+def _conditional_text(doc) -> list[str]:
+    event, given = doc["event"], doc["given"]
+    return [
+        f"P({event['label']}@{event['time']} | {given['label']}@{given['time']}) = "
+        f"{_fmt(doc['probability'])} [family {doc['family']}, scenario {doc['scenario']}]"
+    ]
 
 
 def cmd_conditional(args) -> int:
@@ -221,46 +235,16 @@ def cmd_conditional(args) -> int:
         if len(records) < 2:
             raise QHistError("--family combined needs at least two observers")
         family = combine_all(records, tol)
-        family_name = "combined"
     elif args.family in by_name:
         family = by_name[args.family].family
-        family_name = args.family
     else:
         raise QHistError(f"unknown family {args.family!r} (pick an observer name or 'combined')")
     event = _parse_fact(args.event, "event")
     given = _parse_fact(args.given, "given")
-    try:
-        value = conditional_probability(
-            family, FactQuery(event=event, condition=given), tol
-        )
-    except InconsistentFamilyError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except UnknownLabelError as exc:
-        print(
-            f"refused: {exc}; the family contains no such event, so this framework "
-            "assigns it no probability",
-            file=sys.stderr,
-        )
-        return EXIT_REFUSED
-    except ZeroProbabilityConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    if args.json:
-        _emit_report(
-            "conditional",
-            scn,
-            tol,
-            family=family_name,
-            event={"time": event[0], "label": event[1]},
-            given={"time": given[0], "label": given[1]},
-            probability=float(value),
-        )
-    else:
-        print(
-            f"P({event[1]}@{event[0]} | {given[1]}@{given[0]}) = {_fmt(value)} "
-            f"[family {family_name}, scenario {scn.name}]"
-        )
+    query = FactQuery(event=(event["time"], event["label"]), condition=(given["time"], given["label"]))
+    fields = {"family": args.family, "event": event, "given": given,
+              "probability": float(conditional_probability(family, query, tol))}
+    _emit(args, "conditional", scn, tol, fields, _conditional_text)
     return EXIT_OK
 
 
@@ -308,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=None,
                        help="set all tolerances, input checks included (default: the file's, else 1e-9)")
         p.add_argument("--max-histories", type=int, default=DEFAULT_MAX_HISTORIES,
-                       help="cap on enumerated histories per family")
+                       help="cap on the histories of each observer's own family; the product "
+                       "families of classify and --family combined keep the default cap")
 
     p = sub.add_parser("validate", help="parse and resolve a scenario")
     common(p)
@@ -322,9 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stable/relative verdict per observer pair")
     common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--pair", nargs=2, metavar=("A", "B"), help="classify one pair")
-    group.add_argument("--all-pairs", action="store_true", help="classify all pairs (default)")
+    p.add_argument("--pair", nargs=2, metavar=("A", "B"), help="classify one pair (default: every pair)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(fn=cmd_classify)
 
@@ -350,6 +333,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
+    except InconsistentFamilyError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except UnknownLabelError as exc:
+        print(
+            f"refused: {exc}; the family contains no such event, so this framework "
+            "assigns it no probability",
+            file=sys.stderr,
+        )
+        return EXIT_REFUSED
+    except ZeroProbabilityConditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except (QHistError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -360,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -257,7 +257,7 @@ def build_family(
     """Assemble a history family from an initial ket, evolutions, and slots.
 
     Each input is validated here, once: the ket's norm, each evolution's
-    unitarity (``_checked_evolutions``), then each slot (``_assemble_family``).
+    unitarity (``_checked_evolution``), then each slot (``_assemble_family``).
     Observables become eigenprojector decompositions and incomplete slots are
     padded with the complement projector labelled "rest"; a
     ``ProjectiveDecomposition`` was validated when it was made and is used as
@@ -269,28 +269,22 @@ def build_family(
         grid = TimeGrid(tuple(grid))
     psi0 = as_ket(initial_ket, tol).copy()
     psi0.setflags(write=False)
-    evs = _checked_evolutions(grid, evolutions, psi0.shape[0], tol)
+    if len(evolutions) != len(grid.labels) - 1:
+        raise DimMismatchError(f"expected {len(grid.labels) - 1} evolutions, got {len(evolutions)}")
+    evs = tuple(_checked_evolution(grid, k, ev, psi0.shape[0], tol) for k, ev in enumerate(evolutions))
     return _assemble_family(psi0, grid, evs, slots, tol, max_histories)
 
 
-def _checked_evolutions(
-    grid: TimeGrid, evolutions: Sequence, dim: int, tol: Tolerance
-) -> tuple[Evolution, ...]:
-    """One read-only unitary per interval of ``grid``, each checked once."""
-    n_intervals = len(grid.labels) - 1
-    if len(evolutions) != n_intervals:
-        raise DimMismatchError(f"expected {n_intervals} evolutions, got {len(evolutions)}")
-    evs = []
-    for k, ev in enumerate(evolutions):
-        u = identity(dim) if ev is None else as_matrix(ev.unitary if isinstance(ev, Evolution) else ev)
-        if u.shape != (dim, dim):
-            raise DimMismatchError(f"evolution {k} has shape {u.shape}, expected ({dim}, {dim})")
-        if not is_unitary(u, tol):
-            raise NotUnitaryError(f"evolution {k} ({grid.labels[k]} -> {grid.labels[k + 1]}) is not unitary")
-        u = u.copy()
-        u.setflags(write=False)
-        evs.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=u))
-    return tuple(evs)
+def _checked_evolution(grid: TimeGrid, k: int, ev, dim: int, tol: Tolerance) -> Evolution:
+    """The read-only unitary of interval ``k`` of ``grid`` (None: the identity)."""
+    u = identity(dim) if ev is None else as_matrix(ev.unitary if isinstance(ev, Evolution) else ev)
+    if u.shape != (dim, dim):
+        raise DimMismatchError(f"evolution {k} has shape {u.shape}, expected ({dim}, {dim})")
+    if not is_unitary(u, tol):
+        raise NotUnitaryError(f"evolution {k} ({grid.labels[k]} -> {grid.labels[k + 1]}) is not unitary")
+    u = u.copy()
+    u.setflags(write=False)
+    return Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=u)
 
 
 def _assemble_family(

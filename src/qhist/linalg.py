@@ -88,7 +88,7 @@ def as_ket(value, tol: Tolerance | None = None) -> np.ndarray:
     if not np.all(np.isfinite(k)):
         raise ValueError("ket amplitudes must be finite")
     if tol is not None and abs(np.vdot(k, k).real - 1.0) > tol.norm:
-        raise ValueError(f"ket is not normalized: <k|k> = {np.vdot(k, k).real!r}")
+        raise ValueError(f"ket is not normalized: <k|k> = {float(np.vdot(k, k).real)!r}")
     return k
 
 

@@ -10,6 +10,7 @@ expands named operators and presets into concrete history families, one
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -30,7 +31,7 @@ from .histories import (
     DEFAULT_MAX_HISTORIES,
     TimeGrid,
     _assemble_family,
-    _checked_evolutions,
+    _checked_evolution,
     _coerce_slot,
     _eigen_decomposition,
 )
@@ -227,7 +228,7 @@ def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
         )
 
 
-def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
+def parse_scenario(data: bytes | str) -> Scenario:
     """Parse and structurally validate one scenario document."""
     if isinstance(data, bytes):
         try:
@@ -260,8 +261,8 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
         dims.append(d)
     dims = tuple(dims)
     total = int(np.prod(dims))
-    if total > max_dim:
-        raise DimMismatchError(f"$.systems: total dim {total} exceeds cap {max_dim}")
+    if total > DEFAULT_MAX_DIM:
+        raise DimMismatchError(f"$.systems: total dim {total} exceeds cap {DEFAULT_MAX_DIM}")
 
     tolerance: dict[str, float] = {}
     if "tolerance" in doc:
@@ -284,11 +285,6 @@ def parse_scenario(data: bytes | str, max_dim: int = DEFAULT_MAX_DIM) -> Scenari
         if vec.shape[0] != total:
             raise DimMismatchError(
                 f"$.initial_state.vector: length {vec.shape[0]} does not match total dim {total}"
-            )
-        if abs(np.vdot(vec, vec).real - 1.0) > tolerance.get("norm", DEFAULT_TOL.norm):
-            raise ScenarioError(
-                f"initial state is not normalized (<v|v> = {np.vdot(vec, vec).real!r})",
-                path="$.initial_state.vector",
             )
         initial_state = vec
     else:
@@ -493,6 +489,16 @@ def _decomposition(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDeco
     return _coerce_slot(pairs, total, tol)
 
 
+@contextlib.contextmanager
+def _located(path: str):
+    """Prefix a numeric error raised inside with the JSONPath it concerns."""
+    try:
+        yield
+    except (QHistError, ValueError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _initial_ket(s: Scenario) -> np.ndarray:
     if isinstance(s.initial_state, tuple):
         ket = np.eye(1, dtype=complex)[0]
@@ -505,30 +511,37 @@ def _initial_ket(s: Scenario) -> np.ndarray:
 def resolve(
     s: Scenario,
     tol: Tolerance | None = None,
-    max_histories: int | None = None,
+    max_histories: int = DEFAULT_MAX_HISTORIES,
 ) -> list[ObserverRecord]:
     """Expand named operators and presets; build one family per observer.
 
     ``parse_scenario`` checks the document's structure.  Here, under the
-    effective tolerance, the initial ket and the evolutions are checked once
-    for all observers, and each distinct measurement (a Pauli on one factor,
-    the identity or trivial slot, or one observable object) becomes one
-    validated decomposition that every slot measuring it shares.  A
-    decomposition's error is prefixed with the JSONPath of the first
-    measurement that uses it.  The sharing is local to this call: nothing is
-    kept between calls.
+    effective tolerance, the initial ket (norm included) and the evolutions
+    are checked once for all observers, and each distinct measurement (a
+    Pauli on one factor, the identity or trivial slot, or one observable
+    object) becomes one validated decomposition that every slot measuring it
+    shares.  Every error starts with a JSONPath: the initial state's (raised
+    as a ScenarioError), the evolution's, or the first measurement's to use
+    the decomposition; the others keep their type.
+    The sharing is local to this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
     """
     tol = effective_tolerance(s, tol)
-    cap = DEFAULT_MAX_HISTORIES if max_histories is None else max_histories
     grid = TimeGrid(s.times)
-    ket = as_ket(_initial_ket(s), tol)
+    state_path = "$.initial_state" if isinstance(s.initial_state, tuple) else "$.initial_state.vector"
+    try:
+        ket = as_ket(_initial_ket(s), tol)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), path=state_path) from None
     ket.setflags(write=False)
-    total = s.total_dim
-    evolutions = _checked_evolutions(
-        grid, [identity(total) if isinstance(ev, str) else ev for ev in s.evolutions], total, tol
-    )
+    if len(s.evolutions) != len(grid.slot_times):
+        raise DimMismatchError(f"$.evolutions: expected {len(grid.slot_times)} evolutions, got {len(s.evolutions)}")
+    evolutions = []
+    for k, ev in enumerate(s.evolutions):
+        with _located(f"$.evolutions[{k}].matrix"):
+            u = None if isinstance(ev, str) else ev
+            evolutions.append(_checked_evolution(grid, k, u, s.total_dim, tol))
     decomps: dict[object, ProjectiveDecomposition] = {}
     records = []
     for i, obs in enumerate(s.observers):
@@ -538,12 +551,9 @@ def resolve(
             j, spec = by_time.get(t, (None, None))
             key = _measurement_key(spec)
             if key not in decomps:
-                try:
+                with _located(f"$.observers[{i}].measurements[{j}].observable"):
                     decomps[key] = _decomposition(key, s.subsystem_dims, tol)
-                except (QHistError, ValueError) as exc:
-                    exc.args = (f"$.observers[{i}].measurements[{j}].observable: {exc}",)
-                    raise
             slots.append(decomps[key])
-        family = _assemble_family(ket, grid, evolutions, slots, tol, cap)
+        family = _assemble_family(ket, grid, tuple(evolutions), slots, tol, max_histories)
         records.append(ObserverRecord(name=obs.name, family=family))
     return records

@@ -92,6 +92,95 @@ class TestInputChecks:
         assert err.startswith("error: $.observers[0].measurements[0].observable: ")
 
 
+    def test_initial_ket_norm_checked_under_command_tolerance(self, capsys, tmp_path):
+        path = write(tmp_path, one_qubit(initial_state={"vector": [[1.000001, 0], [0, 0]]}))
+        code, out, _ = run(capsys, "validate", path, "--tolerance", "1e-4")
+        assert code == 0
+        assert out.startswith("ok: ")
+        code, out, err = run(capsys, "validate", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: $.initial_state.vector: ")
+
+    @pytest.mark.parametrize(
+        "fields, flags, path",
+        [
+            ({"evolutions": [{"matrix": cmatrix([[1, 1], [0, 1]])}]}, (), "$.evolutions[0].matrix"),
+            ({"initial_state": {"vector": [[float("nan"), 0], [0, 0]]}}, (), "$.initial_state.vector"),
+            ({"evolutions": [{"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}]}, (),
+             "$.evolutions[0].matrix"),
+            ({"initial_state": {"vector": [[1.0000000002 ** 0.5, 0], [0, 0]]}, "tolerance": {"norm": 1e-6}},
+             ("--tolerance", "1e-12"), "$.initial_state.vector"),
+        ],
+        ids=["non_unitary_evolution", "nan_amplitude", "nan_evolution_entry", "norm_under_flag"],
+    )
+    def test_resolution_error_names_its_path(self, capsys, tmp_path, fields, flags, path):
+        code, out, err = run(capsys, "validate", write(tmp_path, one_qubit(**fields)), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert "np.float64(" not in err
+
+
+def _observing(observable, **fields) -> dict:
+    return one_qubit(observers=[{"name": "O1", "measurements": [{"time": "t1", "observable": observable}]}],
+                     **fields)
+
+
+class TestScenarioErrors:
+    """Every structural error of a scenario file is an input error that names its JSONPath."""
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (b'{"name": "\xff"}', "$"),
+            (b"[]", "$"),
+            ({k: v for k, v in one_qubit().items() if k != "times"}, "$"),
+            (one_qubit(initial_state=5), "$.initial_state"),
+            (one_qubit(systems=[]), "$.systems"),
+            (one_qubit(systems=[0]), "$.systems[0]"),
+            (one_qubit(initial_state={"vector": [[1, 0, 0], [0, 0]]}), "$.initial_state.vector[0]"),
+            (one_qubit(initial_state={"vector": []}), "$.initial_state.vector"),
+            (one_qubit(initial_state={"vector": [[1, 0]]}), "$.initial_state.vector"),
+            (one_qubit(evolutions=[{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}]), "$.evolutions[0].matrix"),
+            (one_qubit(times=["t0"], observers=[]), "$.times"),
+            (one_qubit(times=["t0", "t0"], observers=[]), "$.times"),
+            (one_qubit(evolutions=[]), "$.evolutions"),
+            (one_qubit(evolutions=[{"matrix": [[[1, 0]]]}]), "$.evolutions[0].matrix"),
+            (one_qubit(evolutions=[{"matrix": []}]), "$.evolutions[0].matrix"),
+            (_observing({"eigenvalues": [1, -1]}), "$.observers[0].measurements[0].observable"),
+            (_observing({"projectors": []}), "$.observers[0].measurements[0].observable.projectors"),
+            (_observing({"projectors": [{"label": "a", "matrix": [[[1, 0]]]}]}),
+             "$.observers[0].measurements[0].observable.projectors[0].matrix"),
+            (_observing("sigma_z@5", systems=[2, 2, 2, 2], initial_state=["up_z"] * 4),
+             "$.observers[0].measurements[0].observable"),
+            (_observing("sigma_z@1", systems=[3], initial_state={"vector": [[1, 0], [0, 0], [0, 0]]}),
+             "$.observers[0].measurements[0].observable"),
+            (one_qubit(observers=[{"name": "O1", "measurements": []}] * 2), "$.observers[1].name"),
+            (one_qubit(observers=[{"name": "O1", "measurements": [{"time": "t9", "observable": "sigma_z"}]}]),
+             "$.observers[0].measurements[0].time"),
+            (one_qubit(systems=[2, 2]), "$.initial_state"),
+            (one_qubit(initial_state="up_q"), "$.initial_state[0]"),
+        ],
+        ids=[
+            "not_utf8", "not_an_object", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "complex_not_pair", "empty_vector",
+            "vector_wrong_length", "ragged_rows", "one_time", "duplicate_times", "evolution_count",
+            "evolution_shape", "empty_matrix", "observable_without_matrix_or_projectors",
+            "empty_projector_list", "projector_shape",
+            "pauli_factor_out_of_range", "pauli_on_qutrit", "duplicate_observer", "time_off_grid",
+            "preset_count", "unknown_preset",
+        ],
+    )
+    def test_validate_names_the_path(self, capsys, tmp_path, doc, path):
+        target = tmp_path / "scenario.json"
+        target.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        code, out, err = run(capsys, "validate", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+
 class TestValidate:
     def test_shipped_scenario(self, capsys):
         code, out, _ = run(capsys, "validate", str(gallery("stable_facts")))

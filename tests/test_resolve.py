@@ -2,6 +2,7 @@
 measurement within a call, evolutions checked once, and unchanged errors."""
 
 import json
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhist.histories
-from qhist.errors import BadDecompositionError, NotHermitianError, NotUnitaryError
+from qhist.errors import BadDecompositionError, DimMismatchError, NotHermitianError, NotUnitaryError
 from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
 from qhist.scenario import (
@@ -114,6 +115,19 @@ def test_non_unitary_evolution_raises():
     scn = scenario((2,), [shear], [observer("A", {"t1": NamedObservable("sigma_z")})])
     with pytest.raises(NotUnitaryError):
         resolve(scn)
+
+
+def test_non_unitary_evolution_names_its_path():
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    scn = scenario((2,), ["identity", shear], [observer("A", {"t1": NamedObservable("sigma_z")})])
+    with pytest.raises(NotUnitaryError, match=r"^\$\.evolutions\[1\]\.matrix: evolution 1 \(t1 -> t2\)"):
+        resolve(scn)
+
+
+def test_evolution_count_must_match_the_grid():
+    scn = scenario((2,), ["identity"], [observer("A", {"t1": NamedObservable("sigma_z")})])
+    with pytest.raises(DimMismatchError, match=r"^\$\.evolutions: expected 2 evolutions, got 1"):
+        resolve(replace(scn, times=("t0", "t1", "t2")))
 
 
 def test_non_orthogonal_projector_list_raises():

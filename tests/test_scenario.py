@@ -73,8 +73,9 @@ class TestParse:
             parse_scenario(doc(systems=[3], initial_state="up_z", observers=[]))
 
     def test_unnormalized_vector_rejected(self):
+        # the unit norm is a resolution check, made under the effective tolerance
         with pytest.raises(ScenarioError):
-            parse_scenario(doc(initial_state={"vector": [[1, 0], [1, 0]]}))
+            resolve(parse_scenario(doc(initial_state={"vector": [[1, 0], [1, 0]]})))
 
     def test_measurement_at_t0_rejected(self):
         with pytest.raises(ScenarioError):
