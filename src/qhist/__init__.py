@@ -15,7 +15,6 @@ from .framework import (
 from .histories import (
     ConsistencyReport,
     Evolution,
-    History,
     HistoryFamily,
     TimeGrid,
     build_family,

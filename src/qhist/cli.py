@@ -26,6 +26,7 @@ import sys
 
 from .errors import (
     InconsistentFamilyError,
+    NotCompatibleError,
     QHistError,
     UnknownLabelError,
     ZeroProbabilityConditionError,
@@ -36,6 +37,8 @@ from .oracle import sequential_probability
 from .scenario import effective_tolerance, parse_scenario, resolve
 from .stablefacts import (
     FactQuery,
+    ObserverRecord,
+    Verdict,
     check_compatibility,
     combine_all,
     conditional_probability,
@@ -160,12 +163,17 @@ def _pair_doc(report) -> dict:
     }
 
 
-def _nway_doc(records, tol: Tolerance) -> dict:
-    """Whether all observers fold into one family, and if so its verdict."""
+def _nway_doc(records, first, tol: Tolerance, max_histories: int) -> dict:
+    """Whether all observers fold into one family, and if so its verdict.
+    The fold starts from ``first``, the report of the first two observers."""
+    not_combinable = {"combinable": False, "consistent": None, "max_offdiag": None}
+    if first.verdict is not Verdict.STABLE:
+        return not_combinable
+    merged = ObserverRecord(f"{first.observer_a}+{first.observer_b}", first.product_family_consistency.family)
     try:
-        report = consistency_check(combine_all(records, tol), tol)
-    except QHistError:
-        return {"combinable": False, "consistent": None, "max_offdiag": None}
+        report = combine_all([merged, *records[2:]], tol, max_histories)
+    except NotCompatibleError:
+        return not_combinable
     return {"combinable": True, "consistent": report.consistent, "max_offdiag": float(report.max_offdiag)}
 
 
@@ -205,10 +213,11 @@ def cmd_classify(args) -> int:
         raise QHistError("classify needs at least two observers")
     else:
         pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
-    fields = {"pairs": [_pair_doc(check_compatibility(a, b, tol)) for a, b in pairs]}
+    reports = [check_compatibility(a, b, tol, args.max_histories) for a, b in pairs]
+    fields = {"pairs": [_pair_doc(report) for report in reports]}
     if args.pair is None and len(records) >= 3:
         # beyond the pairwise test; reported as an extension
-        fields["nway"] = _nway_doc(records, tol)
+        fields["nway"] = _nway_doc(records, reports[0], tol, args.max_histories)
     _emit(args, "classify", scn, tol, fields, _classify_text)
     return EXIT_OK
 
@@ -230,20 +239,20 @@ def _conditional_text(doc) -> list[str]:
 
 def cmd_conditional(args) -> int:
     scn, records, tol = _load(args)
+    event = _parse_fact(args.event, "event")
+    given = _parse_fact(args.given, "given")
     by_name = {r.name: r for r in records}
     if args.family == "combined":
         if len(records) < 2:
             raise QHistError("--family combined needs at least two observers")
-        family = combine_all(records, tol)
+        report = combine_all(records, tol, args.max_histories)
     elif args.family in by_name:
-        family = by_name[args.family].family
+        report = consistency_check(by_name[args.family].family, tol)
     else:
         raise QHistError(f"unknown family {args.family!r} (pick an observer name or 'combined')")
-    event = _parse_fact(args.event, "event")
-    given = _parse_fact(args.given, "given")
     query = FactQuery(event=(event["time"], event["label"]), condition=(given["time"], given["label"]))
     fields = {"family": args.family, "event": event, "given": given,
-              "probability": float(conditional_probability(family, query, tol))}
+              "probability": float(conditional_probability(report, query, tol))}
     _emit(args, "conditional", scn, tol, fields, _conditional_text)
     return EXIT_OK
 
@@ -292,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=None,
                        help="set all tolerances, input checks included (default: the file's, else 1e-9)")
         p.add_argument("--max-histories", type=int, default=DEFAULT_MAX_HISTORIES,
-                       help="cap on the histories of each observer's own family; the product "
-                       "families of classify and --family combined keep the default cap")
+                       help="cap on the histories of every family: each observer's own, and the "
+                       "product families of classify and --family combined")
 
     p = sub.add_parser("validate", help="parse and resolve a scenario")
     common(p)

@@ -13,6 +13,10 @@ the rows that are exactly zero.  A zero ket adds nothing to the Gram matrix,
 so only the Gram matrix of the surviving kets is computed; a consistent
 family has at most ``dim`` of them.  ``chain_ket`` composes one history's
 operator string on its own and is kept as an independent per-history path.
+
+A history is a tuple of outcome labels, one per slot; a family's histories are
+those tuples in ``itertools.product`` order, and a solved family is its
+``ConsistencyReport``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     HistoryLimitError,
     NotAPartitionError,
     NotUnitaryError,
+    QHistError,
     UnknownHistoryError,
     UnknownLabelError,
 )
@@ -54,7 +59,6 @@ __all__ = [
     "REST_LABEL",
     "TimeGrid",
     "Evolution",
-    "History",
     "HistoryFamily",
     "ConsistencyReport",
     "build_family",
@@ -107,18 +111,6 @@ class Evolution:
 
 
 @dataclass(frozen=True, eq=False)
-class History:
-    """One outcome label (and projector) per slot time t1..tn."""
-
-    labels: tuple[str, ...]
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def label(self) -> str:
-        return ",".join(self.labels)
-
-
-@dataclass(frozen=True, eq=False)
 class HistoryFamily:
     dim: int
     grid: TimeGrid
@@ -131,42 +123,47 @@ class HistoryFamily:
         return len(self.slot_decompositions)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """The number of outcomes of each slot: the shape of the outcome tensor."""
+        return tuple(len(d) for d in self.slot_decompositions)
+
+    @property
     def n_histories(self) -> int:
         """The product of the slot sizes, counted without enumerating."""
-        return math.prod(len(d) for d in self.slot_decompositions)
+        return math.prod(self.shape)
 
     @cached_property
-    def histories(self) -> tuple[History, ...]:
-        """Every history in ``itertools.product`` order of the slot labels,
-        enumerated on first access."""
-        return tuple(
-            self.history(combo)
-            for combo in itertools.product(*(d.labels for d in self.slot_decompositions))
-        )
+    def histories(self) -> tuple[tuple[str, ...], ...]:
+        """Every history's label tuple in ``itertools.product`` order of the
+        slot labels, enumerated on first access."""
+        return tuple(itertools.product(*(d.labels for d in self.slot_decompositions)))
 
-    def history(self, labels: Iterable[str]) -> History:
+    def slot_indices(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """The position of each of a history's labels in its slot; a history
+        outside the family raises ``UnknownHistoryError``."""
         key = tuple(labels)
         decomps = self.slot_decompositions
         if len(key) != len(decomps) or any(lab not in d.labels for lab, d in zip(key, decomps)):
             raise UnknownHistoryError(f"history {key!r} is not in this family")
-        return History(labels=key, projectors=tuple(d.projector_for(lab) for d, lab in zip(decomps, key)))
+        return tuple(d.labels.index(lab) for d, lab in zip(decomps, key))
 
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Gram-matrix evidence for the pairwise orthogonality of chain kets.
 
-    ``support`` holds the flat indices (in ``labels`` order) of the chain
-    kets that are not exactly zero, and ``support_gram`` their Gram matrix;
-    every other entry of the full Gram matrix is zero.  ``gram`` is that full
-    N x N matrix, built only when it is read.
+    ``family`` is the family judged.  ``support`` holds the flat indices (in
+    ``labels`` order) of the chain kets that are not exactly zero, and
+    ``support_gram`` their Gram matrix; every other entry of the full Gram
+    matrix is zero.  ``gram`` is that full N x N matrix, built only when it
+    is read.
 
     ``probabilities`` is the Gram diagonal and is populated even when the
     family is inconsistent (flagged by ``consistent=False``); in that case the
     numbers are diagnostic only and not additive.
     """
 
-    slot_labels: tuple[tuple[str, ...], ...]
+    family: HistoryFamily
     support: np.ndarray
     support_gram: np.ndarray
     max_offdiag: float
@@ -174,9 +171,9 @@ class ConsistencyReport:
     consistent: bool
     probabilities: np.ndarray
 
-    @cached_property
+    @property
     def labels(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(itertools.product(*self.slot_labels))
+        return self.family.histories
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -187,15 +184,7 @@ class ConsistencyReport:
         return gram
 
     def probability(self, labels: Iterable[str]) -> float:
-        key = tuple(labels)
-        if len(key) != len(self.slot_labels):
-            raise UnknownHistoryError(f"history {key!r} is not in this report")
-        flat = 0
-        for lab, slot in zip(key, self.slot_labels):
-            if lab not in slot:
-                raise UnknownHistoryError(f"history {key!r} is not in this report")
-            flat = flat * len(slot) + slot.index(lab)
-        return float(self.probabilities[flat])
+        return float(self.probabilities.reshape(self.family.shape)[self.family.slot_indices(labels)])
 
 
 def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecomposition:
@@ -242,7 +231,7 @@ def _pad_to_decomposition(
         mats.append(rest)
     try:
         return make_decomposition(mats, labels, tol)
-    except Exception as exc:
+    except QHistError as exc:
         raise BadDecompositionError(f"slot is not a valid decomposition: {exc}") from exc
 
 
@@ -311,28 +300,22 @@ def _assemble_family(
     )
 
 
-def _resolve_history(family: HistoryFamily, history) -> History:
-    if isinstance(history, History):
-        return family.history(history.labels)
-    return family.history(history)
-
-
-def chain_ket(family: HistoryFamily, history) -> np.ndarray:
+def chain_ket(family: HistoryFamily, history: Iterable[str]) -> np.ndarray:
     """Pn T(tn,tn-1) ... P1 T(t1,t0) |psi0> as an unnormalized vector.
 
-    The initial condition enters as the ket itself (its projector is implicit),
-    so the operator string is composed slot by slot and applied once.
+    ``history`` is a tuple of outcome labels, one per slot.  The initial
+    condition enters as the ket itself (its projector is implicit), so the
+    operator string is composed slot by slot and applied once.
     """
-    h = _resolve_history(family, history)
     op = None
-    for ev, projector in zip(family.evolutions, h.projectors):
-        step = projector @ ev.unitary
+    for ev, decomp, k in zip(family.evolutions, family.slot_decompositions, family.slot_indices(history)):
+        step = decomp.projectors[k] @ ev.unitary
         op = step if op is None else step @ op
     return op @ family.initial_ket
 
 
-def history_probability(family: HistoryFamily, history) -> float:
-    """Squared norm of the chain ket."""
+def history_probability(family: HistoryFamily, history: Iterable[str]) -> float:
+    """Squared norm of the chain ket of a label tuple."""
     ket = chain_ket(family, history)
     return float(np.vdot(ket, ket).real)
 
@@ -383,7 +366,7 @@ def consistency_check(family: HistoryFamily, tol: Tolerance = DEFAULT_TOL) -> Co
     gram.setflags(write=False)
     support.setflags(write=False)
     return ConsistencyReport(
-        slot_labels=tuple(d.labels for d in family.slot_decompositions),
+        family=family,
         support=support,
         support_gram=gram,
         max_offdiag=max_offdiag,

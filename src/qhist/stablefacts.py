@@ -103,9 +103,16 @@ def _require_shared_scenario(a: ObserverRecord, b: ObserverRecord, tol: Toleranc
             raise MismatchedScenarioError(f"evolutions differ on {ea.start} -> {ea.end}")
 
 
-def _compatibility(
-    a: ObserverRecord, b: ObserverRecord, tol: Tolerance
-) -> tuple[CompatibilityReport, HistoryFamily | None]:
+def check_compatibility(
+    a: ObserverRecord,
+    b: ObserverRecord,
+    tol: Tolerance = DEFAULT_TOL,
+    max_histories: int = DEFAULT_MAX_HISTORIES,
+) -> CompatibilityReport:
+    """The two-condition test: slot-wise commutation, then consistency of the
+    slot-wise product family, whose histories are capped at ``max_histories``.
+    Stable iff both hold; the product family is then
+    ``report.product_family_consistency.family``."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
     per_slot = []
@@ -116,15 +123,13 @@ def _compatibility(
 
     # the slot-wise products {K_i Y_j}; they may fail to form decompositions
     # only when condition 1 already failed, and condition 2 is then skipped
-    product_family = product_report = None
+    product_report = None
     try:
         slots = [_products(da, db, tol) for da, db in zip(fa.slot_decompositions, fb.slot_decompositions)]
     except QHistError:
         pass
     else:
-        product_family = _assemble_family(
-            fa.initial_ket, fa.grid, fa.evolutions, slots, tol, DEFAULT_MAX_HISTORIES
-        )
+        product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, tol, max_histories)
         product_report = consistency_check(product_family, tol)
 
     if not condition1:
@@ -136,7 +141,7 @@ def _compatibility(
     else:
         failing = None
         verdict = Verdict.STABLE
-    report = CompatibilityReport(
+    return CompatibilityReport(
         observer_a=a.name,
         observer_b=b.name,
         per_slot_commutation=tuple(per_slot),
@@ -144,36 +149,33 @@ def _compatibility(
         verdict=verdict,
         failing_condition=failing,
     )
-    return report, (product_family if verdict is Verdict.STABLE else None)
-
-
-def check_compatibility(
-    a: ObserverRecord, b: ObserverRecord, tol: Tolerance = DEFAULT_TOL
-) -> CompatibilityReport:
-    """The two-condition test: slot-wise commutation, then consistency of the
-    slot-wise product family.  Stable iff both hold."""
-    report, _ = _compatibility(a, b, tol)
-    return report
 
 
 def combine(
-    a: ObserverRecord, b: ObserverRecord, tol: Tolerance = DEFAULT_TOL
-) -> HistoryFamily:
-    """The combined (slot-wise product) family of a Stable pair."""
-    report, family = _compatibility(a, b, tol)
-    if report.verdict is not Verdict.STABLE or family is None:
+    a: ObserverRecord,
+    b: ObserverRecord,
+    tol: Tolerance = DEFAULT_TOL,
+    max_histories: int = DEFAULT_MAX_HISTORIES,
+) -> ConsistencyReport:
+    """The consistency report of the combined (slot-wise product) family of
+    a Stable pair; its ``family`` is the combined family."""
+    report = check_compatibility(a, b, tol, max_histories)
+    if report.verdict is not Verdict.STABLE:
         raise NotCompatibleError(
             f"observers {a.name!r} and {b.name!r} fail {report.failing_condition}; "
             "their facts are relative, not stable",
             report=report,
         )
-    return family
+    return report.product_family_consistency
 
 
 def combine_all(
-    records: Sequence[ObserverRecord], tol: Tolerance = DEFAULT_TOL
-) -> HistoryFamily:
-    """Left fold of pairwise combination over two or more observers.
+    records: Sequence[ObserverRecord],
+    tol: Tolerance = DEFAULT_TOL,
+    max_histories: int = DEFAULT_MAX_HISTORIES,
+) -> ConsistencyReport:
+    """Left fold of pairwise combination over two or more observers; the
+    report of the last step's product family, which is the combined family.
 
     The n-way product family is an extension beyond the pairwise test and is
     reported as such by the CLI.
@@ -182,9 +184,9 @@ def combine_all(
         raise NotCompatibleError("need at least two observers to combine")
     acc = records[0]
     for nxt in records[1:]:
-        combined = combine(acc, nxt, tol)
-        acc = ObserverRecord(name=f"{acc.name}+{nxt.name}", family=combined)
-    return acc.family
+        report = combine(acc, nxt, tol, max_histories)
+        acc = ObserverRecord(name=f"{acc.name}+{nxt.name}", family=report.family)
+    return report
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,22 +219,20 @@ def _resolve_outcome(family: HistoryFamily, time: str, outcome, tol: Tolerance) 
 def _event_mass(report: ConsistencyReport, *events: tuple[int, str]) -> float:
     """Total probability of the histories that carry every (slot, label) of
     ``events``, summed over the other slots of the outcome tensor."""
-    index: list = [slice(None)] * len(report.slot_labels)
+    decomps = report.family.slot_decompositions
+    index: list = [slice(None)] * len(decomps)
     for slot, label in events:
-        k = report.slot_labels[slot].index(label)
+        k = decomps[slot].index(label)
         if isinstance(index[slot], int) and index[slot] != k:
             return 0.0
         index[slot] = k
-    tensor = report.probabilities.reshape([len(labels) for labels in report.slot_labels])
-    return float(tensor[tuple(index)].sum())
+    return float(report.probabilities.reshape(report.family.shape)[tuple(index)].sum())
 
 
-def _conditional(
-    family: HistoryFamily, report: ConsistencyReport, event: tuple, condition: tuple, tol: Tolerance
-) -> float:
+def _conditional(report: ConsistencyReport, event: tuple, condition: tuple, tol: Tolerance) -> float:
     """P(event | condition) from the report of a consistent family."""
-    ev = _resolve_outcome(family, event[0], event[1], tol)
-    cond = _resolve_outcome(family, condition[0], condition[1], tol)
+    ev = _resolve_outcome(report.family, event[0], event[1], tol)
+    cond = _resolve_outcome(report.family, condition[0], condition[1], tol)
     cond_mass = _event_mass(report, cond)
     if cond_mass <= tol.cons:
         raise ZeroProbabilityConditionError(
@@ -242,38 +242,37 @@ def _conditional(
 
 
 def conditional_probability(
-    family: HistoryFamily, query: FactQuery, tol: Tolerance = DEFAULT_TOL
+    report: ConsistencyReport, query: FactQuery, tol: Tolerance = DEFAULT_TOL
 ) -> float:
-    """P(event | condition) within a single consistent family.
+    """P(event | condition) within the single family ``report`` judged.
 
     Refuses inconsistent families outright: probabilities drawn from them do
     not obey the classical rules, so no number is returned.
     """
-    report = consistency_check(family, tol)
     if not report.consistent:
         raise InconsistentFamilyError(
             "single-framework rule: family is inconsistent (max off-diagonal "
             f"overlap {report.max_offdiag:.3e}), so it supports no probabilistic reasoning"
         )
-    return _conditional(family, report, query.event, query.condition, tol)
+    return _conditional(report, query.event, query.condition, tol)
 
 
 def check_total_probability_law(
-    family: HistoryFamily,
+    report: ConsistencyReport,
     event: tuple,
     partition_time: str,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TotalProbabilityCheck:
-    """P(event) vs the partition sum over outcomes at another time.
+    """P(event) vs the partition sum over outcomes at another time, inside
+    the family ``report`` judged.
 
     Inside one consistent family the law is an identity; ``holds`` allows
     10 * tol.cons of numerical slack.  Partition outcomes with probability
     at or below tol.cons are skipped (conditioning on them is undefined).
-    The family's consistency is checked once for the whole sum.
     """
-    report = consistency_check(family, tol)
     if not report.consistent:
         raise InconsistentFamilyError("total-probability law is only meaningful inside a consistent family")
+    family = report.family
     ev_time, ev_outcome = event
     ev_slot, ev_label = _resolve_outcome(family, ev_time, ev_outcome, tol)
     part_slot = family.grid.slot_index(partition_time)
@@ -285,7 +284,7 @@ def check_total_probability_law(
         mass = _event_mass(report, (part_slot, label))
         if mass <= tol.cons:
             continue
-        rhs += _conditional(family, report, (ev_time, ev_label), (partition_time, label), tol) * mass
+        rhs += _conditional(report, (ev_time, ev_label), (partition_time, label), tol) * mass
     return TotalProbabilityCheck(lhs, rhs, abs(lhs - rhs) <= 10.0 * tol.cons)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import numpy as np
@@ -33,6 +34,11 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 KET_UP = np.array([1, 0], dtype=complex)
 KET_DOWN = np.array([0, 1], dtype=complex)
+
+
+# exit code, stdout and stderr of the gallery command lines, recorded by
+# scripts/make_cli_golden.py
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "gallery_cli.json").read_text())
 
 
 def gallery(name: str) -> pathlib.Path:

@@ -53,7 +53,7 @@ def test_criterion_1_shared_x_with_commuting_t2_observables_is_stable(capsys):
         report = check_compatibility(records[0], records[1])
         assert report.verdict is Verdict.STABLE
         combined = combine(records[0], records[1])
-        assert consistency_check(combined).max_offdiag <= 1e-9
+        assert combined.max_offdiag <= 1e-9
         assert cli.main(["classify", str(gallery("stable_facts"))]) == 0
         out = capsys.readouterr().out
         assert "stable" in out
@@ -83,10 +83,11 @@ def test_criterion_3_measurement_family_conditional_is_delta():
         rng = np.random.default_rng(3)
         for n in (2, 3, 4):
             fam, _ = measurement_model(n, rng)
+            report = consistency_check(fam)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     p = conditional_probability(
-                        fam, FactQuery(event=("t1", f"s{i}"), condition=("t2", f"M{j}"))
+                        report, FactQuery(event=("t1", f"s{i}"), condition=("t2", f"M{j}"))
                     )
                     assert abs(p - (1.0 if i == j else 0.0)) <= 1e-9
 
@@ -98,7 +99,7 @@ def test_criterion_4_unresolved_states_cannot_be_queried():
         assert "s1" not in family.slot_decompositions[0].labels
         with pytest.raises(UnknownLabelError):
             conditional_probability(
-                family, FactQuery(event=("t1", "s1"), condition=("t2", "M1"))
+                consistency_check(family), FactQuery(event=("t1", "s1"), condition=("t2", "M1"))
             )
         assert cli.main(
             [
@@ -132,7 +133,7 @@ def test_criterion_5_consistent_families_obey_classical_probability():
                         continue
                     part_time = fam.grid.slot_times[part_slot]
                     for label in fam.slot_decompositions[ev_slot].labels:
-                        check = check_total_probability_law(fam, (ev_time, label), part_time)
+                        check = check_total_probability_law(report, (ev_time, label), part_time)
                         assert abs(check.lhs - check.rhs) <= 1e-8
         assert consistent >= 50  # the transported-observable half is consistent by design
 
@@ -156,10 +157,10 @@ def test_criterion_6_oracle_agrees_on_every_history():
                 families.append(build_family(random_state(rng, d), grid, evolutions, slots))
         total = 0
         for fam in families:
-            for h in fam.histories:
+            for labels in fam.histories:
                 total += 1
                 delta = abs(
-                    history_probability(fam, h) - sequential_probability(fam, h.labels)
+                    history_probability(fam, labels) - sequential_probability(fam, labels)
                 )
                 assert delta <= 1e-12
         assert total >= 10_000

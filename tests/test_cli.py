@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import qhist.histories
+import qhist.stablefacts
 from qhist import cli
 
-from helpers import CONDITION2, GALLERY_NAMES, gallery
+from helpers import CONDITION2, GALLERY_NAMES, GOLDEN, gallery
 
 
 def run(capsys, *argv):
@@ -399,6 +401,20 @@ class TestConditional:
         assert doc["family"] == "combined"
         assert doc["probability"] == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("conditional", ("--family", "combined", "--event", "t2:+z∧+x", "--given", "t1:+x∧+x")),
+            ("classify", ()),
+        ],
+    )
+    def test_history_cap_applies_to_product_families(self, capsys, command, extra):
+        # each observer's own family has 4 histories, the product family 8
+        code, out, err = run(capsys, command, str(gallery("stable_facts")), "--max-histories", "4", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "error: family would enumerate > 4 histories\n"
+
 
 class TestVerify:
     @pytest.mark.parametrize("name", GALLERY_NAMES)
@@ -457,3 +473,72 @@ class TestResourceFailure:
         assert out == ""
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
+
+
+def _four_observers(tmp_path) -> str:
+    """stable_facts with two more observers; every pair is stable, so the
+    n-way fold runs all three of its steps."""
+    doc = json.loads(gallery("stable_facts").read_text())
+    doc["name"] = "four_observers"
+    doc["observers"] += [
+        {"name": "O3", "measurements": []},
+        {"name": "O4", "measurements": [{"time": "t1", "observable": "sigma_x@1"}]},
+    ]
+    return write(tmp_path, doc)
+
+
+def _family_key(family) -> tuple:
+    """A family's content: two families with equal keys are the same family."""
+    return (
+        family.initial_ket.tobytes(),
+        tuple(ev.unitary.tobytes() for ev in family.evolutions),
+        tuple((d.labels, tuple(p.tobytes() for p in d.projectors)) for d in family.slot_decompositions),
+    )
+
+
+class TestSolveOnce:
+    """Each command evaluates each distinct family's consistency once, and
+    classify checks each distinct pair once."""
+
+    def _commands(self, tmp_path):
+        commands = [[e["command"], str(gallery(e["scenario"])), *e["args"]] for e in GOLDEN]
+        four = _four_observers(tmp_path)
+        combined = ["--family", "combined",
+                    "--event", "t2:+z∧+x∧any∧any", "--given", "t1:+x∧+x∧any∧+x"]
+        return commands + [
+            ["classify", four],
+            ["classify", four, "--json"],
+            ["classify", write(tmp_path, CONDITION2), "--json"],
+            ["conditional", four, *combined],
+            ["conditional", four, "--json", *combined],
+        ]
+
+    def test_each_family_solved_once(self, capsys, monkeypatch, tmp_path):
+        solved, pairs = [], []
+        consistency_check = qhist.histories.consistency_check
+        check_compatibility = qhist.stablefacts.check_compatibility
+
+        def counted_consistency(family, tol):
+            solved.append(_family_key(family))
+            return consistency_check(family, tol)
+
+        def counted_compatibility(a, b, *args):
+            pairs.append((_family_key(a.family), _family_key(b.family)))
+            return check_compatibility(a, b, *args)
+
+        for module in (qhist.histories, qhist.stablefacts, cli):
+            monkeypatch.setattr(module, "consistency_check", counted_consistency)
+        for module in (qhist.stablefacts, cli):
+            monkeypatch.setattr(module, "check_compatibility", counted_compatibility)
+        for argv in self._commands(tmp_path):
+            solved.clear()
+            pairs.clear()
+            cli.main(argv)
+            capsys.readouterr()
+            assert len(solved) == len(set(solved)), argv
+            assert len(pairs) == len(set(pairs)), argv
+            if "four_observers" in argv[1]:
+                # classify: six pairs, then the fold's two steps past (O1, O2);
+                # conditional: the fold's three steps
+                expected = 8 if argv[0] == "classify" else 3
+                assert len(pairs) == len(solved) == expected, argv

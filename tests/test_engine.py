@@ -1,6 +1,7 @@
 """The batched chain-ket engine behind ``consistency_check``, checked against
 per-history chain kets and the sequential Born-rule oracle."""
 
+import itertools
 import json
 
 import numpy as np
@@ -30,10 +31,10 @@ def test_engine_matches_per_history_chain_kets_and_oracle(seed, d, n_slots, kind
     fam = random_family(np.random.default_rng(seed), d, n_slots, kind=kind)
     report = consistency_check(fam)
 
-    assert report.labels == tuple(h.labels for h in fam.histories)
-    kets = np.array([chain_ket(fam, h) for h in fam.histories])
+    assert report.labels == tuple(itertools.product(*(d.labels for d in fam.slot_decompositions)))
+    kets = np.array([chain_ket(fam, labels) for labels in report.labels])
     gram = np.conjugate(kets) @ kets.T
-    oracle = np.array([sequential_probability(fam, h.labels) for h in fam.histories])
+    oracle = np.array([sequential_probability(fam, labels) for labels in report.labels])
     assert max_abs(report.probabilities - gram.diagonal().real) <= BOUND
     assert max_abs(report.probabilities - oracle) <= BOUND
     assert max_abs(report.gram - gram) <= BOUND

@@ -5,16 +5,11 @@ command, recorded by ``scripts/make_cli_golden.py``.  A difference here means
 the output changed: regenerate the file only when that is the intent.
 """
 
-import json
-import pathlib
-
 import pytest
 
 from qhist import cli
 
-from helpers import gallery
-
-GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "gallery_cli.json").read_text())
+from helpers import GOLDEN, gallery
 
 
 @pytest.mark.parametrize(

@@ -140,7 +140,7 @@ class TestCoarseGrain:
     def test_merge_nothing_is_identity(self):
         fam = xz_family()
         same = coarse_grain(fam, {})
-        assert [h.labels for h in same.histories] == [h.labels for h in fam.histories]
+        assert same.histories == fam.histories
 
     def test_merging_x_slot_restores_consistency(self):
         merged = coarse_grain(xz_family(), {"t1": [("+x", "-x")]})
@@ -219,9 +219,9 @@ class TestFamilyInvariants:
     def test_oracle_equivalence(self, rng):
         for _ in range(30):
             fam = random_family(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
-            for h in fam.histories:
+            for labels in fam.histories:
                 assert abs(
-                    history_probability(fam, h) - sequential_probability(fam, h.labels)
+                    history_probability(fam, labels) - sequential_probability(fam, labels)
                 ) < 1e-12
 
     def test_unitary_invariance_of_gram_matrix(self, rng):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qhist.stablefacts
 from qhist.errors import (
@@ -14,7 +16,7 @@ from qhist.errors import (
 )
 from qhist.framework import make_decomposition
 from qhist.histories import build_family, coarse_grain, consistency_check
-from qhist.linalg import SIGMA_X, identity
+from qhist.linalg import DEFAULT_TOL, SIGMA_X, identity
 from qhist.scenario import parse_scenario, resolve
 from qhist.stablefacts import (
     FactQuery,
@@ -34,6 +36,7 @@ from helpers import (
     measurement_model,
     pauli_decomposition,
     random_family,
+    random_scenario,
 )
 
 I2 = identity(2)
@@ -100,6 +103,40 @@ class TestCheckCompatibility:
             check_compatibility(o1, other)
 
 
+def random_pair(seed):
+    records = resolve(random_scenario(np.random.default_rng(seed)))
+    assume(len(records) == 2)
+    return records
+
+
+class TestPairProperties:
+    """Over the observer pairs of generated scenarios."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_compatibility_is_symmetric(self, seed):
+        a, b = random_pair(seed)
+        forward, backward = check_compatibility(a, b), check_compatibility(b, a)
+        assert forward.verdict is backward.verdict
+        assert forward.failing_condition == backward.failing_condition
+        products = (forward.product_family_consistency, backward.product_family_consistency)
+        assert (products[0] is None) == (products[1] is None)
+        if products[0] is not None:
+            assert products[0].max_offdiag == pytest.approx(products[1].max_offdiag, rel=1e-9, abs=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_stable_iff_combine_returns_a_consistent_report(self, seed):
+        a, b = random_pair(seed)
+        verdict = check_compatibility(a, b).verdict
+        try:
+            report = combine(a, b)
+        except NotCompatibleError:
+            assert verdict is Verdict.RELATIVE
+        else:
+            assert verdict is Verdict.STABLE and report.consistent
+
+
 class TestCondition2:
     """Slot-wise commuting observers whose product family is inconsistent."""
 
@@ -124,10 +161,9 @@ class TestCombine:
         o1, _ = stable_pair()
         trivial_slot = make_decomposition([I4], ["any"])
         passive = observer("P", [trivial_slot, trivial_slot])
-        fam = combine(o1, passive)
+        merged = combine(o1, passive)
         own = consistency_check(o1.family)
-        merged = consistency_check(fam)
-        assert len(fam.histories) == len(o1.family.histories)
+        assert len(merged.family.histories) == len(o1.family.histories)
         for (labels, p), (mlabels, mp) in zip(
             zip(own.labels, own.probabilities), zip(merged.labels, merged.probabilities)
         ):
@@ -135,19 +171,17 @@ class TestCombine:
             assert mp == pytest.approx(p, abs=1e-12)
 
     def test_stable_pair_product_family(self):
-        fam = combine(*stable_pair())
+        report = combine(*stable_pair())
         # the cross products of the shared t1 measurement vanish, leaving
         # 2 x 4 = 8 histories, four of which carry probability 1/4
-        assert len(fam.histories) == 8
-        report = consistency_check(fam)
+        assert len(report.family.histories) == 8
         assert report.consistent
         assert sorted(report.probabilities, reverse=True)[:4] == pytest.approx([0.25] * 4)
         assert float(np.sum(report.probabilities)) == pytest.approx(1.0, abs=1e-12)
 
     def test_marginalization(self):
         o1, o2 = stable_pair()
-        fam = combine(o1, o2)
-        merged = consistency_check(fam)
+        merged = combine(o1, o2)
         for record, side in ((o1, 0), (o2, 1)):
             own = consistency_check(record.family)
             for labels, p in zip(own.labels, own.probabilities):
@@ -167,8 +201,7 @@ class TestCombine:
         o1, o2 = stable_pair()
         trivial_slot = make_decomposition([I4], ["any"])
         passive = observer("P", [trivial_slot, trivial_slot])
-        fam = combine_all([o1, o2, passive])
-        assert consistency_check(fam).consistent
+        assert combine_all([o1, o2, passive]).consistent
 
 
 class TestConditionalProbability:
@@ -177,39 +210,50 @@ class TestConditionalProbability:
         for n in (2, 3, 4):
             for randomized in (False, True):
                 fam, _ = measurement_model(n, rng if randomized else None)
-                assert consistency_check(fam).consistent
+                report = consistency_check(fam)
+                assert report.consistent
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         p = conditional_probability(
-                            fam, FactQuery(event=("t1", f"s{i}"), condition=("t2", f"M{j}"))
+                            report, FactQuery(event=("t1", f"s{i}"), condition=("t2", f"M{j}"))
                         )
                         assert p == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
 
     def test_event_given_itself(self):
         fam, _ = measurement_model(2)
-        p = conditional_probability(fam, FactQuery(event=("t1", "s1"), condition=("t1", "s1")))
+        p = conditional_probability(
+            consistency_check(fam), FactQuery(event=("t1", "s1"), condition=("t1", "s1"))
+        )
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_x_persistence(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("x")])
-        p = conditional_probability(fam, FactQuery(event=("t1", "+x"), condition=("t2", "+x")))
+        p = conditional_probability(
+            consistency_check(fam), FactQuery(event=("t1", "+x"), condition=("t2", "+x"))
+        )
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_projector_valued_query(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("x")])
         plus = (I2 + SIGMA_X) / 2
-        p = conditional_probability(fam, FactQuery(event=("t1", plus), condition=("t2", plus)))
+        p = conditional_probability(
+            consistency_check(fam), FactQuery(event=("t1", plus), condition=("t2", plus))
+        )
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_inconsistent_family_refused(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("z")])
         with pytest.raises(InconsistentFamilyError):
-            conditional_probability(fam, FactQuery(event=("t2", "+z"), condition=("t1", "+x")))
+            conditional_probability(
+                consistency_check(fam), FactQuery(event=("t2", "+z"), condition=("t1", "+x"))
+            )
 
     def test_zero_probability_condition_refused(self):
         fam, _ = measurement_model(2)
         with pytest.raises(ZeroProbabilityConditionError):
-            conditional_probability(fam, FactQuery(event=("t2", "M1"), condition=("t1", "rest")))
+            conditional_probability(
+                consistency_check(fam), FactQuery(event=("t2", "M1"), condition=("t1", "rest"))
+            )
 
     def test_event_absent_from_family(self):
         # family that never resolves the s_i states at t1 cannot be asked
@@ -222,37 +266,39 @@ class TestConditionalProbability:
             [[("phi0", np.outer(fam.initial_ket, fam.initial_ket.conj()))], fam.slot_decompositions[1]],
         )
         with pytest.raises(UnknownLabelError):
-            conditional_probability(coarse, FactQuery(event=("t1", "s1"), condition=("t2", "M1")))
+            conditional_probability(
+                consistency_check(coarse), FactQuery(event=("t1", "s1"), condition=("t2", "M1"))
+            )
 
 
 class TestTotalProbabilityLaw:
     def test_coarse_grained_xz_family(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("z")])
         merged = coarse_grain(fam, {"t1": [("+x", "-x")]})
-        check = check_total_probability_law(merged, ("t2", "+z"), "t1")
+        check = check_total_probability_law(consistency_check(merged), ("t2", "+z"), "t1")
         assert check.holds
         assert check.lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_measurement_model_collapses_to_single_term(self):
         fam, amplitudes = measurement_model(2)
-        check = check_total_probability_law(fam, ("t2", "M1"), "t1")
+        check = check_total_probability_law(consistency_check(fam), ("t2", "M1"), "t1")
         assert check.holds
         assert check.lhs == pytest.approx(abs(amplitudes[0]) ** 2, abs=1e-12)
 
     def test_zero_probability_event(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("z"), pauli_decomposition("z")])
-        check = check_total_probability_law(fam, ("t2", "-z"), "t1")
+        check = check_total_probability_law(consistency_check(fam), ("t2", "-z"), "t1")
         assert check.holds and check.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_same_time_rejected(self):
         fam, _ = measurement_model(2)
         with pytest.raises(BadTimesError):
-            check_total_probability_law(fam, ("t1", "s1"), "t1")
+            check_total_probability_law(consistency_check(fam), ("t1", "s1"), "t1")
 
     def test_inconsistent_family_refused(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("z")])
         with pytest.raises(InconsistentFamilyError):
-            check_total_probability_law(fam, ("t2", "+z"), "t1")
+            check_total_probability_law(consistency_check(fam), ("t2", "+z"), "t1")
 
     def test_consistency_checked_once(self, monkeypatch):
         calls = []
@@ -263,7 +309,8 @@ class TestTotalProbabilityLaw:
 
         monkeypatch.setattr(qhist.stablefacts, "consistency_check", counted)
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("x")])
-        check = check_total_probability_law(fam, ("t2", "+x"), "t1")
+        # the law reads the report it is given and solves nothing itself
+        check = check_total_probability_law(counted(fam, DEFAULT_TOL), ("t2", "+x"), "t1")
         assert check.holds and len(calls) == 1
 
     def test_holds_for_every_pair_in_consistent_families(self, rng):
@@ -278,7 +325,7 @@ class TestTotalProbabilityLaw:
                 ev_time = fam.grid.slot_times[ev_slot]
                 part_time = fam.grid.slot_times[part_slot]
                 for label in fam.slot_decompositions[ev_slot].labels:
-                    check = check_total_probability_law(fam, (ev_time, label), part_time)
+                    check = check_total_probability_law(report, (ev_time, label), part_time)
                     assert check.holds, (check, label)
 
 
