@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -288,6 +289,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhist",

@@ -196,15 +196,14 @@ def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecompositi
 
 
 def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
-    """Accept a decomposition, a Hermitian observable, a single (labelled)
-    projector, or a list of labelled projectors; pad to completeness."""
+    """Accept a decomposition, a Hermitian observable, a single projector, or
+    a list of ``(label, projector)`` pairs (one labelled projector is a list
+    of one); pad to completeness."""
     if isinstance(slot, ProjectiveDecomposition):
         if slot.dim != dim:
             raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
         return slot
-    if isinstance(slot, tuple) and len(slot) == 2 and isinstance(slot[0], str):
-        return _pad_to_decomposition([slot], dim, tol)
-    if isinstance(slot, (list,)):
+    if isinstance(slot, list):
         return _pad_to_decomposition(list(slot), dim, tol)
     m = as_matrix(slot)
     if m.shape != (dim, dim):

@@ -122,7 +122,34 @@ class Scenario:
         return int(np.prod(self.subsystem_dims))
 
     def to_jsonable(self) -> dict:
-        return _scenario_to_jsonable(self)
+        if isinstance(self.initial_state, tuple):
+            state = list(self.initial_state) if len(self.initial_state) > 1 else self.initial_state[0]
+        else:
+            state = {"vector": _array_to_json(self.initial_state)}
+        doc = {
+            "format": FORMAT_VERSION,
+            "name": self.name,
+            "systems": list(self.subsystem_dims),
+            "initial_state": state,
+            "times": list(self.times),
+            "evolutions": [
+                ev if isinstance(ev, str) else {"matrix": _array_to_json(ev)} for ev in self.evolutions
+            ],
+            "observers": [
+                {
+                    "name": o.name,
+                    "measurements": [
+                        {"time": m.time, "observable": _observable_to_json(m.observable)}
+                        for m in o.measurements
+                    ],
+                }
+                for o in self.observers
+            ],
+        }
+        if self.tolerance_overrides:
+            overrides = self.tolerance_overrides
+            doc["tolerance"] = {f.name: overrides[f.name] for f in fields(Tolerance) if f.name in overrides}
+        return doc
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scenario):
@@ -151,33 +178,50 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _parse_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        raise ScenarioError("expected a complex number as [re, im]", path=path)
-    return complex(float(value[0]), float(value[1]))
+_REAL = (int, float)  # exact types, so that bool is rejected
+_INT_OVERFLOW = 2**1024 - 2**970  # the least integer too large for float(): it rounds past the largest double
 
 
-def _parse_vector(value, path: str) -> np.ndarray:
-    value = _expect(value, list, path, "an array of [re, im] pairs")
-    if not value:
-        raise ScenarioError("vector must be nonempty", path=path)
-    return np.array([_parse_complex(x, f"{path}[{i}]") for i, x in enumerate(value)])
+def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex vector (``shape`` is ``(total,)``) or matrix (``(total,
+    total)``) that ``value`` holds as nested ``[re, im]`` pairs, bit for bit.
 
+    Each entry is checked in one loop and the array converted by one
+    ``np.array`` call; a JSONPath is built only for the error raised.  A
+    wrong size is a DimMismatchError, any other fault a ScenarioError.
+    """
+    matrix = len(shape) == 2
+    rows = value if matrix else [value]
 
-def _parse_matrix(value, path: str) -> np.ndarray:
-    value = _expect(value, list, path, "a matrix as nested arrays of [re, im] pairs")
-    rows = [_parse_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
+    def at(*index: int) -> str:  # the JSONPath of rows[i] or rows[i][j]
+        return path + "".join(f"[{k}]" for k in index[0 if matrix else 1:])
+
+    if not isinstance(rows, list):
+        raise ScenarioError("expected a matrix as nested arrays of [re, im] pairs", path=path)
     if not rows:
         raise ScenarioError("matrix must be nonempty", path=path)
-    width = rows[0].shape[0]
     for i, row in enumerate(rows):
-        if row.shape[0] != width:
-            raise ScenarioError(f"row {i} has length {row.shape[0]}, expected {width}", path=path)
-    return np.array(rows)
+        if not isinstance(row, list):
+            raise ScenarioError("expected an array of [re, im] pairs", path=at(i))
+        if not row:
+            raise ScenarioError("vector must be nonempty", path=at(i))
+        for j, z in enumerate(row):
+            if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
+                raise ScenarioError("expected a complex number as [re, im]", path=at(i, j))
+    width = len(rows[0])
+    ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if ragged is not None:
+        raise ScenarioError(f"row {ragged} has length {len(rows[ragged])}, expected {width}", path=path)
+    size = (len(rows), width) if matrix else (width,)
+    if size != shape:
+        raise DimMismatchError(f"{path}: shape {size} does not match total dim {shape[0]}")
+    try:
+        pairs = np.array(value, dtype=np.float64)
+    except OverflowError:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, z in enumerate(row)
+                    if any(type(x) is int and abs(x) >= _INT_OVERFLOW for x in z))
+        raise ScenarioError("number does not fit an IEEE-754 double", path=at(i, j)) from None
+    return pairs.view(np.complex128).reshape(shape)
 
 
 def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
@@ -187,10 +231,7 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
     value = _expect(value, dict, path, "an operator name, {'matrix': ...}, or {'projectors': ...}")
     if "matrix" in value:
         _reject_unknown(value, {"matrix"}, path)
-        m = _parse_matrix(value["matrix"], f"{path}.matrix")
-        if m.shape != (total, total):
-            raise DimMismatchError(f"{path}.matrix: shape {m.shape} does not match total dim {total}")
-        return MatrixObservable(matrix=m)
+        return MatrixObservable(matrix=_parse_array(value["matrix"], f"{path}.matrix", (total, total)))
     if "projectors" in value:
         _reject_unknown(value, {"projectors"}, path)
         entries = _expect(value["projectors"], list, f"{path}.projectors", "an array of labelled projectors")
@@ -201,10 +242,7 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
             entry = _expect(entry, dict, epath, "an object with 'label' and 'matrix'")
             _reject_unknown(entry, {"label", "matrix"}, epath)
             labels.append(_expect(_get(entry, "label", epath), str, f"{epath}.label", "a string"))
-            m = _parse_matrix(_get(entry, "matrix", epath), f"{epath}.matrix")
-            if m.shape != (total, total):
-                raise DimMismatchError(f"{epath}.matrix: shape {m.shape} does not match total dim {total}")
-            matrices.append(m)
+            matrices.append(_parse_array(_get(entry, "matrix", epath), f"{epath}.matrix", (total, total)))
         if not labels:
             raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
         return ProjectorListObservable(labels=tuple(labels), matrices=tuple(matrices))
@@ -281,12 +319,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
         initial_state = _check_presets(tuple(state_raw), dims, "$.initial_state")
     elif isinstance(state_raw, dict):
         _reject_unknown(state_raw, {"vector"}, "$.initial_state")
-        vec = _parse_vector(_get(state_raw, "vector", "$.initial_state"), "$.initial_state.vector")
-        if vec.shape[0] != total:
-            raise DimMismatchError(
-                f"$.initial_state.vector: length {vec.shape[0]} does not match total dim {total}"
-            )
-        initial_state = vec
+        vector = _get(state_raw, "vector", "$.initial_state")
+        initial_state = _parse_array(vector, "$.initial_state.vector", (total,))
     else:
         raise ScenarioError(
             "expected a preset name, a list of preset names, or {'vector': ...}",
@@ -319,10 +353,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
                 continue
             ev = _expect(ev, dict, epath, "'identity' or {'matrix': ...}")
             _reject_unknown(ev, {"matrix"}, epath)
-            m = _parse_matrix(_get(ev, "matrix", epath), f"{epath}.matrix")
-            if m.shape != (total, total):
-                raise DimMismatchError(f"{epath}.matrix: shape {m.shape} does not match total dim {total}")
-            evolutions.append(m)
+            evolutions.append(_parse_array(_get(ev, "matrix", epath), f"{epath}.matrix", (total, total)))
         evolutions = tuple(evolutions)
     else:
         evolutions = tuple(["identity"] * n_intervals)
@@ -387,56 +418,23 @@ def _check_presets(presets: tuple[str, ...], dims: tuple[int, ...], path: str) -
 # ---------------------------------------------------------------------------
 # serialization
 
-def _complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_to_json(z) for z in row] for row in m]
+def _array_to_json(array) -> list:
+    """A complex vector or matrix as nested ``[re, im]`` pairs of floats."""
+    a = np.asarray(array, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _observable_to_json(obs):
     if isinstance(obs, NamedObservable):
         return obs.name
     if isinstance(obs, MatrixObservable):
-        return {"matrix": _matrix_to_json(obs.matrix)}
+        return {"matrix": _array_to_json(obs.matrix)}
     return {
         "projectors": [
-            {"label": label, "matrix": _matrix_to_json(m)}
+            {"label": label, "matrix": _array_to_json(m)}
             for label, m in zip(obs.labels, obs.matrices)
         ]
     }
-
-
-def _scenario_to_jsonable(s: Scenario) -> dict:
-    if isinstance(s.initial_state, tuple):
-        state = list(s.initial_state) if len(s.initial_state) > 1 else s.initial_state[0]
-    else:
-        state = {"vector": [_complex_to_json(z) for z in s.initial_state]}
-    doc = {
-        "format": FORMAT_VERSION,
-        "name": s.name,
-        "systems": list(s.subsystem_dims),
-        "initial_state": state,
-        "times": list(s.times),
-        "evolutions": [
-            ev if isinstance(ev, str) else {"matrix": _matrix_to_json(ev)} for ev in s.evolutions
-        ],
-        "observers": [
-            {
-                "name": o.name,
-                "measurements": [
-                    {"time": m.time, "observable": _observable_to_json(m.observable)}
-                    for m in o.measurements
-                ],
-            }
-            for o in s.observers
-        ],
-    }
-    if s.tolerance_overrides:
-        names = [f.name for f in fields(Tolerance)]
-        doc["tolerance"] = {k: s.tolerance_overrides[k] for k in names if k in s.tolerance_overrides}
-    return doc
 
 
 def serialize_scenario(s: Scenario) -> bytes:

@@ -59,6 +59,32 @@ class TestUsageErrors:
         assert out.startswith("usage: qhist")
 
 
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; one call leaves nothing for the next."""
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_observer_filter_does_not_carry_over(self, capsys):
+        path = str(gallery("stable_facts"))
+        code, out, _ = run(capsys, "analyze", path, "--observer", "O1")
+        assert code == 0
+        assert "observer O2" not in out
+        code, machine, _ = run(capsys, "analyze", path, "--json")
+        assert code == 0
+        assert [obs["name"] for obs in json.loads(machine)["observers"]] == ["O1", "O2"]
+
+    def test_exit_codes_after_a_good_call(self, capsys):
+        path = str(gallery("repeated_x"))
+        assert run(capsys, "validate", path)[0] == 0
+        code, out, err = run(capsys, "analyze", path, "--bogus")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: qhist")
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: qhist")
+
+
 class TestInputChecks:
     """Numeric checks run once, in ``resolve``, under the command's tolerance."""
 
@@ -163,6 +189,9 @@ class TestScenarioErrors:
              "$.observers[0].measurements[0].time"),
             (one_qubit(systems=[2, 2]), "$.initial_state"),
             (one_qubit(initial_state="up_q"), "$.initial_state[0]"),
+            (one_qubit(initial_state={"vector": [[10**400, 0], [0, 0]]}), "$.initial_state.vector[0]"),
+            (_observing({"matrix": [[[1, 0], [0, 0]], [[0, -10**400], [1, 0]]]}),
+             "$.observers[0].measurements[0].observable.matrix[1][0]"),
         ],
         ids=[
             "not_utf8", "not_an_object", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "complex_not_pair", "empty_vector",
@@ -170,7 +199,7 @@ class TestScenarioErrors:
             "evolution_shape", "empty_matrix", "observable_without_matrix_or_projectors",
             "empty_projector_list", "projector_shape",
             "pauli_factor_out_of_range", "pauli_on_qutrit", "duplicate_observer", "time_off_grid",
-            "preset_count", "unknown_preset",
+            "preset_count", "unknown_preset", "huge_int_in_vector", "huge_int_in_matrix",
         ],
     )
     def test_validate_names_the_path(self, capsys, tmp_path, doc, path):
@@ -321,6 +350,19 @@ class TestClassify:
         assert code == 0
         doc = json.loads(machine)
         assert doc["nway"]["combinable"] and doc["nway"]["consistent"]
+
+
+    def test_nway_fold_fails_after_a_stable_first_pair(self, capsys, tmp_path):
+        observers = [{"name": name, "measurements": [{"time": "t1", "observable": op}]}
+                     for name, op in (("O1", "sigma_z"), ("O2", "sigma_z"), ("O3", "sigma_x"))]
+        path = write(tmp_path, one_qubit(observers=observers))
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0
+        assert "pair O1,O2: stable" in out
+        assert out.endswith("all 3 observers: not combinable into one framework\n")
+        code, machine, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        assert json.loads(machine)["nway"] == {"combinable": False, "consistent": None, "max_offdiag": None}
 
 
 class TestConditional:

@@ -1,9 +1,15 @@
-"""Byte-for-byte CLI output of the gallery commands.
+"""Byte-for-byte CLI output of the gallery and ``observers`` commands.
 
-``golden/gallery_cli.json`` holds the exit code, stdout and stderr of each
-command, recorded by ``scripts/make_cli_golden.py``.  A difference here means
-the output changed: regenerate the file only when that is the intent.
+``golden/gallery_cli.json`` and ``golden/observers_cli.json`` hold the exit
+code, stdout and stderr of each command, recorded by
+``scripts/make_cli_golden.py``.  A difference here means the output changed:
+regenerate the files only when that is the intent.
 """
+
+import importlib.util
+import json
+import pathlib
+import sys
 
 import pytest
 
@@ -11,11 +17,38 @@ from qhist import cli
 
 from helpers import GOLDEN, gallery
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OBSERVERS_GOLDEN = json.loads((ROOT / "tests" / "golden" / "observers_cli.json").read_text())
+OBSERVERS_SEED = 1
 
-@pytest.mark.parametrize(
-    "entry", GOLDEN, ids=[" ".join([e["command"], e["scenario"], *e["args"]]) for e in GOLDEN]
-)
-def test_gallery_output_is_unchanged(capsys, entry):
-    code = cli.main([entry["command"], str(gallery(entry["scenario"])), *entry["args"]])
+
+def _ids(entries) -> list[str]:
+    return [" ".join([e["command"], e["scenario"], *e["args"]]) for e in entries]
+
+
+def _replay(capsys, entry, path) -> None:
+    code = cli.main([entry["command"], str(path), *entry["args"]])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (entry["exit"], entry["stdout"], entry["stderr"])
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=_ids(GOLDEN))
+def test_gallery_output_is_unchanged(capsys, entry):
+    _replay(capsys, entry, gallery(entry["scenario"]))
+
+
+@pytest.fixture(scope="module")
+def observers_paths(tmp_path_factory):
+    """The seed-1 ``observers`` scenarios, generated and written by ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:  # its dataclasses look the module up by name
+        mp.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+    scenarios, _ = workloads.generate("observers", OBSERVERS_SEED, ROOT)
+    return workloads.write(scenarios, tmp_path_factory.mktemp("observers"))
+
+
+@pytest.mark.parametrize("entry", OBSERVERS_GOLDEN, ids=_ids(OBSERVERS_GOLDEN))
+def test_observers_output_is_unchanged(capsys, observers_paths, entry):
+    _replay(capsys, entry, observers_paths[entry["scenario"]])

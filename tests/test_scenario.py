@@ -13,7 +13,15 @@ from qhist.errors import (
     UnknownOperatorError,
 )
 from qhist.linalg import SIGMA_Z, identity, max_abs
-from qhist.scenario import parse_scenario, resolve, serialize_scenario
+from qhist.scenario import (
+    Measurement,
+    MatrixObservable,
+    ObserverSpec,
+    Scenario,
+    parse_scenario,
+    resolve,
+    serialize_scenario,
+)
 
 from helpers import GALLERY_NAMES, gallery, random_scenario
 
@@ -196,3 +204,66 @@ class TestRoundTrip:
         data = serialize_scenario(scn)
         assert parse_scenario(data) == scn
         assert serialize_scenario(parse_scenario(data)) == data
+
+
+# finite doubles; the edges are drawn on their own so that every run meets them
+DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+BAD_NUMBERS = [True, "1", None, [1, 2, 3], 10**400]
+
+
+@st.composite
+def codec_scenarios(draw):
+    """A scenario of total dimension 1 to 4 whose vector, evolution and
+    observable matrix hold arbitrary finite doubles."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    flat = np.array(draw(st.lists(DOUBLES, min_size=2 * (d + d * d), max_size=2 * (d + d * d))))
+    vector = flat[: 2 * d].view(complex)
+    matrix = flat[2 * d:].view(complex).reshape(d, d)
+    observer = ObserverSpec(name="O1", measurements=(Measurement(time="t1", observable=MatrixObservable(matrix)),))
+    return Scenario(name="codec", subsystem_dims=(d,), initial_state=vector, times=("t0", "t1"),
+                    evolutions=(matrix,), observers=(observer,))
+
+
+class TestCodec:
+    """The numeric arrays survive a serialize/parse round trip bit for bit,
+    and a bad entry anywhere is an error naming that entry."""
+
+    @given(codec_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_round_trip_bit_for_bit(self, scn):
+        data = serialize_scenario(scn)
+        again = parse_scenario(data)
+        matrix = scn.evolutions[0].tobytes()
+        assert again.initial_state.tobytes() == scn.initial_state.tobytes()
+        assert again.evolutions[0].tobytes() == matrix
+        assert again.observers[0].measurements[0].observable.matrix.tobytes() == matrix
+        assert serialize_scenario(again) == data
+
+    @given(codec_scenarios(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bad_entry_is_named(self, scn, data):
+        document = scn.to_jsonable()
+        arrays = {
+            "$.initial_state.vector": [document["initial_state"]["vector"]],
+            "$.evolutions[0].matrix": document["evolutions"][0]["matrix"],
+            "$.observers[0].measurements[0].observable.matrix":
+                document["observers"][0]["measurements"][0]["observable"]["matrix"],
+        }
+        path = data.draw(st.sampled_from(sorted(arrays)))
+        rows = arrays[path]
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = data.draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))
+        bad = data.draw(st.sampled_from(BAD_NUMBERS))
+        part = data.draw(st.sampled_from([None, 0, 1]))  # the whole pair, or its re or im
+        if part is None:
+            rows[i][j] = bad
+        else:
+            rows[i][j][part] = bad
+        entry = f"{path}[{j}]" if path.endswith("vector") else f"{path}[{i}][{j}]"
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(json.dumps(document))
+        assert excinfo.value.path == entry
