@@ -25,7 +25,7 @@ from .errors import (
     NotOrthogonalError,
     UnknownLabelError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, identity, is_projector, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, identity, is_projector, max_abs, max_abs_each
 
 __all__ = [
     "UNDEFINED",
@@ -62,10 +62,11 @@ UNDEFINED = _UndefinedType()
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveDecomposition:
-    """Validated sample space: orthogonal projectors summing to the identity."""
+    """Validated sample space: orthogonal projectors summing to the identity,
+    stacked as one read-only complex array of shape (n, dim, dim)."""
 
     dim: int
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
     labels: tuple[str, ...]
 
     def __len__(self) -> int:
@@ -108,22 +109,20 @@ def make_decomposition(
             raise DimMismatchError(f"projector {i} has shape {p.shape}, expected ({dim}, {dim})")
         if not is_projector(p, tol):
             raise NotAProjectorError(f"element {i} ({labels[i]!r}) is not a projector")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            residual = max_abs(mats[i] @ mats[j])
-            if residual > tol.proj:
-                raise NotOrthogonalError(
-                    f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residual:.3e})"
-                )
-    completeness = max_abs(sum(mats) - identity(dim))
+    stack = np.stack(mats)
+    for i in range(len(stack) - 1):
+        residuals = max_abs_each(stack[i] @ stack[i + 1 :])
+        bad = np.flatnonzero(residuals > tol.proj)
+        if bad.size:
+            j = i + 1 + bad[0]
+            raise NotOrthogonalError(
+                f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residuals[bad[0]]:.3e})"
+            )
+    completeness = max_abs(stack.sum(axis=0) - identity(dim))
     if completeness > tol.proj:
         raise NotCompleteError(f"projectors do not sum to identity (residual {completeness:.3e})")
-    frozen = []
-    for p in mats:
-        q = p.copy()
-        q.setflags(write=False)
-        frozen.append(q)
-    return ProjectiveDecomposition(dim=dim, projectors=tuple(frozen), labels=tuple(labels))
+    stack.setflags(write=False)
+    return ProjectiveDecomposition(dim=dim, projectors=stack, labels=tuple(labels))
 
 
 def _require_projector(p, tol: Tolerance) -> np.ndarray:
@@ -165,17 +164,16 @@ def decompositions_compatible(
 ) -> CommutationCheck:
     """Check that every projector of one decomposition commutes with every
     projector of the other; reports how incompatible they are, not just whether.
+    ``worst_pair`` is the first pair (``a``'s labels, then ``b``'s) with the
+    largest residual, and None when every residual is exactly 0.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"decompositions have dims {a.dim} and {b.dim}")
-    worst = 0.0
-    worst_pair: tuple[str, str] | None = None
-    for la, p in a.items():
-        for lb, q in b.items():
-            residual = max_abs(commutator(p, q))
-            if residual > worst:
-                worst = residual
-                worst_pair = (la, lb)
+    qs = b.projectors
+    residuals = np.array([max_abs_each(p @ qs - qs @ p) for p in a.projectors])
+    i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
+    worst = float(residuals[i, j])
+    worst_pair = (a.labels[i], b.labels[j]) if worst > 0.0 else None
     return CommutationCheck(worst <= tol.comm, worst, worst_pair)
 
 
@@ -200,14 +198,12 @@ def _products(
     a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
 ) -> ProjectiveDecomposition:
     """The nonzero products PQ, labelled "p∧q", validated as a decomposition."""
-    projectors = []
-    labels = []
+    projectors, labels = [], []
     for la, p in a.items():
-        for lb, q in b.items():
-            product = p @ q
-            if max_abs(product) > tol.proj:
-                projectors.append(product)
-                labels.append(f"{la}{CONJUNCTION_JOINER}{lb}")
+        row = p @ b.projectors
+        keep = np.flatnonzero(max_abs_each(row) > tol.proj)
+        projectors.extend(row[keep])
+        labels.extend(f"{la}{CONJUNCTION_JOINER}{b.labels[j]}" for j in keep)
     return make_decomposition(projectors, labels, tol)
 
 

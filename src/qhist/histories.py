@@ -332,7 +332,7 @@ def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
     index = np.zeros(1, dtype=np.int64)
     for ev, decomp in zip(family.evolutions, family.slot_decompositions):
         n = len(decomp)
-        steps = np.stack([p @ ev.unitary for p in decomp.projectors]).reshape(n * dim, dim)
+        steps = (decomp.projectors @ ev.unitary).reshape(n * dim, dim)
         kets = (kets @ steps.T).reshape(-1, dim)
         index = (index[:, None] * n + np.arange(n)).reshape(-1)
         live = kets.any(axis=1)
@@ -398,13 +398,10 @@ def coarse_grain(
             raise NotAPartitionError(
                 f"groups {groups} do not partition slot {time!r} labels {decomp.labels}"
             )
-        order = {lab: i for i, lab in enumerate(decomp.labels)}
-        projectors = []
-        labels = []
-        for group in sorted(groups, key=lambda g: min(order[lab] for lab in g)):
-            members = sorted(group, key=lambda lab: order[lab])
-            projectors.append(sum(decomp.projector_for(lab) for lab in members))
-            labels.append(DISJUNCTION_JOINER.join(members))
+        projectors, labels = [], []
+        for group in sorted(sorted(decomp.index(lab) for lab in g) for g in groups):
+            projectors.append(decomp.projectors[group].sum(axis=0))
+            labels.append(DISJUNCTION_JOINER.join(decomp.labels[k] for k in group))
         new_slots.append(make_decomposition(projectors, labels, tol))
     unknown = set(merges) - set(family.grid.slot_times)
     if unknown:

@@ -23,6 +23,7 @@ __all__ = [
     "as_matrix",
     "as_ket",
     "max_abs",
+    "max_abs_each",
     "tensor_product",
     "dagger",
     "is_hermitian",
@@ -97,6 +98,11 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def max_abs_each(stack: np.ndarray) -> np.ndarray:
+    """``max_abs`` of each matrix of an (n, d, d) stack."""
+    return np.abs(stack).max(axis=(-2, -1))
+
+
 def _require_square(m) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -146,9 +152,13 @@ def hermitian_eigenprojectors(
 ) -> list[tuple[float, np.ndarray]]:
     """Spectral decomposition of a Hermitian matrix into distinct eigenprojectors.
 
-    Eigenvalues closer than ``tol.herm`` are merged into one cluster whose
-    projector is the sum of the clustered spectral projectors (this is what
-    makes degenerate observables like the identity come out as one projector).
+    Ascending neighbours closer than ``tol.herm`` are chained into one cluster
+    whose projector is the sum of the clustered spectral projectors (this is
+    what makes degenerate observables like the identity come out as one
+    projector), and whose value is the mean of its eigenvalues.  The chain
+    compares neighbours, not the cluster's first eigenvalue, so a cluster can
+    span more than ``tol.herm``: under the default 1e-9, diag(0, 0.9e-9,
+    1.8e-9, 1) gives a rank-3 cluster at 9e-10 and a rank-1 cluster at 1.
     Returned ascending by eigenvalue.
     """
     h = _require_square(h)

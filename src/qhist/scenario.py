@@ -119,7 +119,7 @@ class Scenario:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.subsystem_dims))
+        return math.prod(self.subsystem_dims)
 
     def to_jsonable(self) -> dict:
         if isinstance(self.initial_state, tuple):
@@ -298,7 +298,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
             raise ScenarioError("factor dimension must be a positive integer", path=f"$.systems[{i}]")
         dims.append(d)
     dims = tuple(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > DEFAULT_MAX_DIM:
         raise DimMismatchError(f"$.systems: total dim {total} exceeds cap {DEFAULT_MAX_DIM}")
 

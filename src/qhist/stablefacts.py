@@ -13,7 +13,7 @@ asking them of an inconsistent family is refused, not answered.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .histories import (
     _assemble_family,
     consistency_check,
 )
-from .linalg import DEFAULT_TOL, Tolerance, commutator, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, max_abs, max_abs_each
 
 __all__ = [
     "ObserverRecord",
@@ -210,9 +210,10 @@ def _resolve_outcome(family: HistoryFamily, time: str, outcome, tol: Tolerance) 
         decomp.index(outcome)
         return slot, outcome
     target = np.asarray(outcome, dtype=complex)
-    for label, projector in decomp.items():
-        if projector.shape == target.shape and max_abs(projector - target) <= tol.proj:
-            return slot, label
+    if target.shape == decomp.projectors.shape[1:]:
+        hits = np.flatnonzero(max_abs_each(decomp.projectors - target) <= tol.proj)
+        if hits.size:
+            return slot, decomp.labels[hits[0]]
     raise UnknownLabelError(f"no projector at {time!r} matches the given operator")
 
 
@@ -304,11 +305,6 @@ def information_preserved(
     transport = None
     for ev in family.evolutions[rec + 1 : lat + 1]:
         transport = ev.unitary if transport is None else ev.unitary @ transport
-    record_decomp = family.slot_decompositions[rec]
-    later_decomp = family.slot_decompositions[lat]
-    for q in later_decomp.projectors:
-        pulled = transport.conj().T @ q @ transport
-        for p in record_decomp.projectors:
-            if max_abs(commutator(pulled, p)) > tol.comm:
-                return False
-    return True
+    later = family.slot_decompositions[lat]
+    pulled = replace(later, projectors=transport.conj().T @ later.projectors @ transport)
+    return decompositions_compatible(family.slot_decompositions[rec], pulled, tol).compatible

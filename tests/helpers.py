@@ -7,9 +7,26 @@ import pathlib
 
 import numpy as np
 
-from qhist.framework import ProjectiveDecomposition, make_decomposition
+from qhist.errors import (
+    DimMismatchError,
+    DuplicateLabelError,
+    NotAProjectorError,
+    NotCompleteError,
+    NotOrthogonalError,
+)
+from qhist.framework import CommutationCheck, ProjectiveDecomposition, make_decomposition
 from qhist.histories import HistoryFamily, build_family
-from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
+from qhist.linalg import (
+    DEFAULT_TOL,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Tolerance,
+    commutator,
+    identity,
+    is_projector,
+    max_abs,
+)
 from qhist.scenario import (
     Measurement,
     MatrixObservable,
@@ -127,6 +144,81 @@ def _block_decomposition(
         projectors.append(block @ block.conj().T)
         labels.append(f"b{k}")
     return make_decomposition(projectors, labels)
+
+
+# Reference loops: one projector pair at a time, as the package computed these
+# before each decomposition became one array.  tests/test_framework.py holds
+# the row products to them.
+
+def reference_compatible(
+    a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance = DEFAULT_TOL
+) -> CommutationCheck:
+    """``decompositions_compatible``: the first pair with the largest residual."""
+    worst = 0.0
+    worst_pair = None
+    for la, p in a.items():
+        for lb, q in b.items():
+            residual = max_abs(commutator(p, q))
+            if residual > worst:
+                worst, worst_pair = residual, (la, lb)
+    return CommutationCheck(worst <= tol.comm, worst, worst_pair)
+
+
+def reference_products(
+    a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance = DEFAULT_TOL
+) -> tuple[list[np.ndarray], list[str]]:
+    """The nonzero products PQ and their labels "p∧q", in row-major order."""
+    projectors, labels = [], []
+    for la, p in a.items():
+        for lb, q in b.items():
+            product = p @ q
+            if max_abs(product) > tol.proj:
+                projectors.append(product)
+                labels.append(f"{la}∧{lb}")
+    return projectors, labels
+
+
+def reference_information_preserved(
+    family: HistoryFamily, record_time: str, later_time: str, tol: Tolerance = DEFAULT_TOL
+) -> bool:
+    """Every later projector, pulled back, commutes with every record projector."""
+    rec = family.grid.slot_index(record_time)
+    lat = family.grid.slot_index(later_time)
+    transport = None
+    for ev in family.evolutions[rec + 1 : lat + 1]:
+        transport = ev.unitary if transport is None else ev.unitary @ transport
+    for q in family.slot_decompositions[lat].projectors:
+        pulled = transport.conj().T @ q @ transport
+        for p in family.slot_decompositions[rec].projectors:
+            if max_abs(commutator(pulled, p)) > tol.comm:
+                return False
+    return True
+
+
+def reference_decomposition_error(
+    projectors: list[np.ndarray], labels: list[str], tol: Tolerance = DEFAULT_TOL
+) -> tuple[type, tuple[int, ...]] | None:
+    """The error ``make_decomposition`` raises and the indices it names, or
+    None for a valid decomposition: labels, then each element's shape and
+    projector check, then each pair's orthogonality, then completeness."""
+    seen: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if label in seen:
+            return DuplicateLabelError, (i, seen[label])
+        seen[label] = i
+    dim = projectors[0].shape[0]
+    for i, p in enumerate(projectors):
+        if p.shape != (dim, dim):
+            return DimMismatchError, (i,)
+        if not is_projector(p, tol):
+            return NotAProjectorError, (i,)
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            if max_abs(projectors[i] @ projectors[j]) > tol.proj:
+                return NotOrthogonalError, (i, j)
+    if max_abs(sum(projectors) - identity(dim)) > tol.proj:
+        return NotCompleteError, ()
+    return None
 
 
 def random_family(

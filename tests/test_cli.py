@@ -167,6 +167,7 @@ class TestScenarioErrors:
             (one_qubit(initial_state=5), "$.initial_state"),
             (one_qubit(systems=[]), "$.systems"),
             (one_qubit(systems=[0]), "$.systems[0]"),
+            (one_qubit(systems=[2**32, 2**32]), "$.systems"),
             (one_qubit(initial_state={"vector": [[1, 0, 0], [0, 0]]}), "$.initial_state.vector[0]"),
             (one_qubit(initial_state={"vector": []}), "$.initial_state.vector"),
             (one_qubit(initial_state={"vector": [[1, 0]]}), "$.initial_state.vector"),
@@ -194,7 +195,7 @@ class TestScenarioErrors:
              "$.observers[0].measurements[0].observable.matrix[1][0]"),
         ],
         ids=[
-            "not_utf8", "not_an_object", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "complex_not_pair", "empty_vector",
+            "not_utf8", "not_an_object", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "total_dim_wraps_int64", "complex_not_pair", "empty_vector",
             "vector_wrong_length", "ragged_rows", "one_time", "duplicate_times", "evolution_count",
             "evolution_shape", "empty_matrix", "observable_without_matrix_or_projectors",
             "empty_projector_list", "projector_shape",

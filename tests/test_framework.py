@@ -1,3 +1,7 @@
+import itertools
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from qhist.errors import (
     NotAProjectorError,
     NotCompleteError,
     NotOrthogonalError,
+    QHistError,
 )
 from qhist.framework import (
     UNDEFINED,
@@ -21,8 +26,19 @@ from qhist.framework import (
     refine_all,
 )
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity, max_abs, tensor_product
+from qhist.stablefacts import information_preserved
 
-from helpers import pauli_decomposition, random_decomposition
+from helpers import (
+    coordinate_decomposition,
+    pauli_decomposition,
+    random_decomposition,
+    random_family,
+    random_unitary,
+    reference_compatible,
+    reference_decomposition_error,
+    reference_information_preserved,
+    reference_products,
+)
 
 I2 = identity(2)
 P_UP = np.diag([1.0, 0.0]).astype(complex)
@@ -56,9 +72,18 @@ class TestMakeDecomposition:
             make_decomposition([P_UP, P_DOWN], ["same", "same"])
 
     def test_projectors_are_frozen(self):
-        d = make_decomposition([P_UP, P_DOWN], ["a", "b"])
+        up, down = P_UP.copy(), P_DOWN.copy()
+        d = make_decomposition([up, down], ["a", "b"])
+        assert isinstance(d.projectors, np.ndarray) and d.projectors.shape == (2, 2, 2)
+        assert not d.projectors.flags.writeable
         with pytest.raises(ValueError):
             d.projectors[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            d.projectors[1, 1, 1] = 0.0
+        # the stack is a copy: writing to the caller's matrices leaves it alone
+        up[0, 0] = 0.5
+        down[1, 1] = 0.5
+        assert np.array_equal(d.projectors, np.stack([P_UP, P_DOWN]))
 
 
 class TestConjunction:
@@ -199,3 +224,159 @@ class TestRefine:
         assert len(first) == len(second)
         for p in first.projectors:
             assert any(max_abs(p - q) < 1e-12 for q in second.projectors)
+
+
+# the indices each make_decomposition error names, read back from its message
+NAMED_INDICES = {
+    DuplicateLabelError: r"at index (\d+) repeats index (\d+)",
+    DimMismatchError: r"^projector (\d+) has shape",
+    NotAProjectorError: r"^element (\d+) ",
+    NotOrthogonalError: r"^projectors (\d+) and (\d+) are not orthogonal",
+    NotCompleteError: r"^projectors do not sum to identity",
+}
+
+PERTURBATIONS = ("halve", "skew", "duplicate", "drop", "reshape", "relabel", "rotate")
+
+
+def _perturb(rng: np.random.Generator, mats: list, labels: list, kind: str) -> None:
+    """Break the list ``mats``/``labels`` in place in one of the ways of ``PERTURBATIONS``."""
+    k = int(rng.integers(len(mats)))
+    d = mats[k].shape[0]
+    if kind == "halve":  # not idempotent
+        mats[k] = 0.5 * mats[k]
+    elif kind == "skew":  # not Hermitian
+        mats[k] = mats[k] + 1e-3 * np.triu(np.ones((d, d)), 1)
+    elif kind == "duplicate":  # a second copy is not orthogonal to the first
+        at = int(rng.integers(len(mats) + 1))
+        mats.insert(at, mats[k].copy())
+        labels.insert(at, f"copy{len(labels)}")
+    elif kind == "drop" and len(mats) > 1:  # incomplete
+        del mats[k], labels[k]
+    elif kind == "reshape":
+        mats[k] = identity(d + 1)
+    elif kind == "relabel":
+        labels[k] = labels[int(rng.integers(len(labels)))]
+    elif kind == "rotate":  # a projector, but onto a random ray
+        v = random_unitary(rng, d)[:, 0]
+        mats[k] = np.outer(v, v.conj())
+
+
+@st.composite
+def decomposition_pairs(draw):
+    """Two decompositions of one dimension: Pauli pairs (whose residuals tie),
+    random bases, coordinate groupings (products exactly zero), a
+    decomposition with a coarsening of itself, or with itself."""
+    kind = draw(st.sampled_from(["pauli", "random", "coordinate", "coarsening", "self"]))
+    if kind == "pauli":
+        dims = draw(st.sampled_from([(2,), (2, 2)]))
+        return tuple(
+            pauli_decomposition(draw(st.sampled_from("xyz")), draw(st.integers(1, len(dims))), dims)
+            for _ in range(2)
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 12))
+    if kind == "random":
+        return random_decomposition(rng, d), random_decomposition(rng, d)
+    if kind == "coordinate":
+        return coordinate_decomposition(rng, d), coordinate_decomposition(rng, d)
+    a = random_decomposition(rng, d)
+    if kind == "self":
+        return a, a
+    cut = int(rng.integers(1, len(a) + 1))
+    groups = [a.projectors[:cut], a.projectors[cut:]] if cut < len(a) else [a.projectors]
+    return a, make_decomposition([g.sum(axis=0) for g in groups], [f"g{k}" for k in range(len(groups))])
+
+
+class TestRowProductsMatchPairLoops:
+    """Each row product against the per-pair loop it replaced (``helpers.reference_*``)."""
+
+    @given(decomposition_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_compatibility(self, pair):
+        a, b = pair
+        check = decompositions_compatible(a, b)
+        expected = reference_compatible(a, b)
+        assert check.compatible == expected.compatible
+        assert check.max_residual == expected.max_residual  # bit for bit
+        assert check.worst_pair == expected.worst_pair
+
+    def test_tied_residuals_report_the_first_pair(self):
+        check = decompositions_compatible(pauli_decomposition("z"), pauli_decomposition("x"))
+        assert check.worst_pair == ("+z", "+x")
+        check = decompositions_compatible(pauli_decomposition("z"), pauli_decomposition("z"))
+        assert check.max_residual == 0.0 and check.worst_pair is None
+
+    @given(decomposition_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_refine(self, pair):
+        a, b = pair
+        if not reference_compatible(a, b).compatible:
+            with pytest.raises(IncompatibleFrameworksError):
+                refine(a, b)
+            return
+        projectors, labels = reference_products(a, b)
+        expected_error = reference_decomposition_error(projectors, labels)
+        if expected_error is not None:
+            with pytest.raises(expected_error[0]):
+                refine(a, b)
+            return
+        refined = refine(a, b)
+        assert refined.labels == tuple(labels)
+        assert np.array_equal(refined.projectors, np.stack(projectors))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.sampled_from(["generic", "repeated", "basis"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_information_preserved(self, seed, d, kind):
+        family = random_family(np.random.default_rng(seed), d, 3, kind)
+        for record, later in itertools.combinations(family.grid.slot_times, 2):
+            got = information_preserved(family, record, later)
+            assert got == reference_information_preserved(family, record, later)
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(PERTURBATIONS), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_make_decomposition_errors(self, seed, perturbations):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        base = (random_decomposition if rng.random() < 0.5 else coordinate_decomposition)(rng, d)
+        mats = [np.array(p) for p in base.projectors]
+        labels = list(base.labels)
+        for kind in perturbations:
+            _perturb(rng, mats, labels, kind)
+        expected = reference_decomposition_error(mats, labels)
+        if expected is None:
+            assert make_decomposition(mats, labels).labels == tuple(labels)
+            return
+        with pytest.raises(QHistError) as info:
+            make_decomposition(mats, labels)
+        cls, indices = expected
+        assert type(info.value) is cls
+        named = re.search(NAMED_INDICES[cls], str(info.value))
+        assert named is not None and tuple(int(g) for g in named.groups()) == indices
+
+
+class TestMemory:
+    """No step forms all n x m products at once: with n = 32 rank-one
+    projectors at d = 32, an (n, n, d, d) complex array alone is 16 MiB."""
+
+    LIMIT = 8 * 2**20
+
+    def _peak(self, fn) -> int:
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    def test_rank_one_decomposition(self, rng):
+        a = random_decomposition(rng, 32, n_blocks=32)
+        mats, labels = list(a.projectors), list(a.labels)
+        assert len(a) == 32
+        assert self._peak(lambda: make_decomposition(mats, labels)) < self.LIMIT
+        assert self._peak(lambda: refine(a, a)) < self.LIMIT

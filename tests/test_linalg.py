@@ -135,6 +135,14 @@ class TestEigenprojectors:
         assert abs(value - 1.0) < 1e-12
         assert np.allclose(projector, I2)
 
+    def test_close_neighbours_chain_into_one_cluster(self):
+        # each gap (0.9e-9) is under tol.herm, so the three small eigenvalues
+        # form one cluster 1.8e-9 wide, valued at their mean
+        pairs = hermitian_eigenprojectors(np.diag([0.0, 0.9e-9, 1.8e-9, 1.0]).astype(complex))
+        assert [v for v, _ in pairs] == [pytest.approx(9e-10, rel=1e-12), 1.0]
+        assert max_abs(pairs[0][1] - np.diag([1, 1, 1, 0])) < 1e-12
+        assert max_abs(pairs[1][1] - np.diag([0, 0, 0, 1])) < 1e-12
+
     def test_sigma_x(self):
         pairs = hermitian_eigenprojectors(SIGMA_X)
         assert np.allclose(pairs[0][1], (I2 - SIGMA_X) / 2)
