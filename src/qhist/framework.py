@@ -90,8 +90,13 @@ def make_decomposition(
 ) -> ProjectiveDecomposition:
     """Validate and assemble a projective decomposition.
 
-    Raises ``NotAProjectorError`` / ``NotOrthogonalError`` / ``NotCompleteError``
-    / ``DuplicateLabelError``, each naming the offending index.
+    The checks run in this order, each over the whole (n, d, d) stack at
+    once: the labels, each element's shape and projector property (Hermitian
+    within ``tol.herm``, idempotent within ``tol.proj``), the orthogonality
+    of each pair, then completeness.  The error raised is the first the
+    per-element order meets: ``DuplicateLabelError``, ``DimMismatchError`` or
+    ``NotAProjectorError`` naming the first offending index,
+    ``NotOrthogonalError`` naming the first pair, or ``NotCompleteError``.
     """
     mats = [as_matrix(p) for p in projectors]
     if not mats:
@@ -104,12 +109,18 @@ def make_decomposition(
         if label in seen:
             raise DuplicateLabelError(f"label {label!r} at index {i} repeats index {seen[label]}")
         seen[label] = i
-    for i, p in enumerate(mats):
-        if p.shape != (dim, dim):
-            raise DimMismatchError(f"projector {i} has shape {p.shape}, expected ({dim}, {dim})")
-        if not is_projector(p, tol):
-            raise NotAProjectorError(f"element {i} ({labels[i]!r}) is not a projector")
-    stack = np.stack(mats)
+    # the elements before the first of another shape are checked as one stack
+    n_square = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
+    stack = np.stack(mats[:n_square]) if n_square else np.empty((0, dim, dim), dtype=complex)
+    hermitian = max_abs_each(stack - stack.conj().swapaxes(-2, -1)) <= tol.herm
+    idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
+    bad = np.flatnonzero(~(hermitian & idempotent))
+    if bad.size:
+        i = int(bad[0])
+        raise NotAProjectorError(f"element {i} ({labels[i]!r}) is not a projector")
+    if n_square < len(mats):
+        i = n_square
+        raise DimMismatchError(f"projector {i} has shape {mats[i].shape}, expected ({dim}, {dim})")
     for i in range(len(stack) - 1):
         residuals = max_abs_each(stack[i] @ stack[i + 1 :])
         bad = np.flatnonzero(residuals > tol.proj)

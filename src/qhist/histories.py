@@ -220,7 +220,7 @@ def _pad_to_decomposition(
 ) -> ProjectiveDecomposition:
     labels = [lab for lab, _ in labelled]
     mats = [as_matrix(m) for _, m in labelled]
-    rest = identity(dim) - sum(mats)
+    rest = identity(dim) - np.sum(mats, axis=0)
     if max_abs(rest) > tol.proj:
         if REST_LABEL in labels:
             raise BadDecompositionError(

@@ -55,6 +55,7 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+_EPS = float(np.finfo(float).eps)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -82,14 +83,22 @@ def as_matrix(value) -> np.ndarray:
 
 
 def as_ket(value, tol: Tolerance | None = None) -> np.ndarray:
-    """Coerce to a complex vector; with ``tol`` set, require normalization."""
+    """Coerce to a complex vector; with ``tol`` set, require normalization.
+
+    ``<k|k>`` may miss 1 by ``max(tol.norm, d * eps)``: summing ``d`` squares
+    rounds by up to about ``d`` machine epsilons, so a tolerance of 0 still
+    accepts a ket normalized as well as doubles allow, such as a product of
+    ``plus_x`` presets.
+    """
     k = np.asarray(value, dtype=complex)
     if k.ndim != 1 or k.shape[0] < 1:
         raise DimMismatchError(f"expected a vector, got shape {k.shape}")
     if not np.all(np.isfinite(k)):
         raise ValueError("ket amplitudes must be finite")
-    if tol is not None and abs(np.vdot(k, k).real - 1.0) > tol.norm:
-        raise ValueError(f"ket is not normalized: <k|k> = {float(np.vdot(k, k).real)!r}")
+    if tol is not None:
+        norm2 = float(np.vdot(k, k).real)
+        if abs(norm2 - 1.0) > max(tol.norm, k.shape[0] * _EPS):
+            raise ValueError(f"ket is not normalized: <k|k> = {norm2!r}")
     return k
 
 
@@ -165,11 +174,9 @@ def hermitian_eigenprojectors(
     if max_abs(h - h.conj().T) > tol.herm:
         raise NotHermitianError(f"matrix is not Hermitian within {tol.herm}")
     eigenvalues, vectors = np.linalg.eigh(h)
+    cuts = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol.herm) + 1).tolist(), len(eigenvalues)]
     out: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for k in range(1, len(eigenvalues) + 1):
-        if k == len(eigenvalues) or eigenvalues[k] - eigenvalues[k - 1] > tol.herm:
-            block = vectors[:, start:k]
-            out.append((float(np.mean(eigenvalues[start:k])), block @ block.conj().T))
-            start = k
+    for start, stop in zip(cuts, cuts[1:]):
+        block = vectors[:, start:stop]
+        out.append((float(np.mean(eigenvalues[start:stop])), block @ block.conj().T))
     return out

@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -452,11 +453,23 @@ def effective_tolerance(s: Scenario, override: Tolerance | None = None) -> Toler
     return replace(DEFAULT_TOL, **s.tolerance_overrides)
 
 
-def _embed(op: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Operator on the 1-based ``factor``, tensored with identities elsewhere."""
+def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Each operator of an (n, k, k) stack on the 1-based ``factor``,
+    tensored with identities elsewhere, by broadcasting the whole stack.
+
+    Entry for entry this is ``kron(kron(1_left, op), 1_right)``, sign of zero
+    included: each side's identity multiplies in, in that order, only when
+    that side is larger than 1, since a product with a complex 1 can turn
+    -0.0 into +0.0.
+    """
+    n, k = ops.shape[:2]
     left, right = math.prod(dims[: factor - 1]), math.prod(dims[factor:])
-    out = op if left == 1 else np.kron(identity(left), op)
-    return out if right == 1 else np.kron(out, identity(right))
+    out = ops[:, None, :, None, None, :, None]  # axes (n, left, k, right, left, k, right)
+    if left > 1:
+        out = identity(left)[:, None, None, :, None, None] * out
+    if right > 1:
+        out = out * identity(right)[:, None, None, :]
+    return out.reshape(n, left * k * right, left * k * right)
 
 
 def _measurement_key(spec) -> object:
@@ -481,10 +494,8 @@ def _decomposition(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDeco
         return _coerce_slot([(TRIVIAL_LABEL, identity(total))], total, tol)
     base, _, factor = key.partition("@")
     op, axis = _PAULI_OPS[base]
-    plus = (identity(2) + op) / 2.0
-    minus = (identity(2) - op) / 2.0
-    pairs = [(f"+{axis}", _embed(plus, int(factor), dims)), (f"-{axis}", _embed(minus, int(factor), dims))]
-    return _coerce_slot(pairs, total, tol)
+    qubit = np.stack((identity(2) + op, identity(2) - op)) / 2.0
+    return _coerce_slot(list(zip((f"+{axis}", f"-{axis}"), _embed(qubit, int(factor), dims))), total, tol)
 
 
 @contextlib.contextmanager
@@ -498,11 +509,12 @@ def _located(path: str):
 
 
 def _initial_ket(s: Scenario) -> np.ndarray:
+    """The explicit vector, or the presets' product state: the outer product
+    folded from a leading 1, which multiplies the amplitudes as ``np.kron``
+    would, bit for bit."""
     if isinstance(s.initial_state, tuple):
-        ket = np.eye(1, dtype=complex)[0]
-        for preset in s.initial_state:
-            ket = np.kron(ket, _QUBIT_PRESETS[preset])
-        return ket
+        presets = [_QUBIT_PRESETS[p] for p in s.initial_state]
+        return reduce(np.multiply.outer, presets, np.ones(1, dtype=complex)).ravel()
     return np.array(s.initial_state, dtype=complex)
 
 
@@ -518,7 +530,9 @@ def resolve(
     are checked once for all observers, and each distinct measurement (a
     Pauli on one factor, the identity or trivial slot, or one observable
     object) becomes one validated decomposition that every slot measuring it
-    shares.  Every error starts with a JSONPath: the initial state's (raised
+    shares.  A Pauli's two projectors are embedded as one stack, and
+    ``make_decomposition`` checks each decomposition's projectors as one
+    stack.  Every error starts with a JSONPath: the initial state's (raised
     as a ScenarioError), the evolution's, or the first measurement's to use
     the decomposition; the others keep their type.
     The sharing is local to this call: nothing is kept between calls.

@@ -146,9 +146,10 @@ def _block_decomposition(
     return make_decomposition(projectors, labels)
 
 
-# Reference loops: one projector pair at a time, as the package computed these
-# before each decomposition became one array.  tests/test_framework.py holds
-# the row products to them.
+# Reference loops: one projector pair (or one eigenvalue) at a time, as the
+# package computed these before they became array operations.
+# tests/test_framework.py holds the row products to them, tests/test_linalg.py
+# the eigenvalue clustering.
 
 def reference_compatible(
     a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance = DEFAULT_TOL
@@ -219,6 +220,20 @@ def reference_decomposition_error(
     if max_abs(sum(projectors) - identity(dim)) > tol.proj:
         return NotCompleteError, ()
     return None
+
+
+def reference_eigenprojectors(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
+    """``hermitian_eigenprojectors`` one eigenvalue at a time: a cluster ends
+    where the gap to the next eigenvalue exceeds ``tol.herm``."""
+    eigenvalues, vectors = np.linalg.eigh(h)
+    out = []
+    start = 0
+    for k in range(1, len(eigenvalues) + 1):
+        if k == len(eigenvalues) or eigenvalues[k] - eigenvalues[k - 1] > tol.herm:
+            block = vectors[:, start:k]
+            out.append((float(np.mean(eigenvalues[start:k])), block @ block.conj().T))
+            start = k
+    return out
 
 
 def random_family(

@@ -130,6 +130,24 @@ class TestInputChecks:
         assert out == ""
         assert err.startswith("error: $.initial_state.vector: ")
 
+    def test_tolerance_0_accepts_a_preset_product_state(self, capsys):
+        # the plus_x presets' <k|k> misses 1 by two ulp, the rounding of the sum
+        code, out, err = run(capsys, "validate", str(gallery("stable_facts")), "--tolerance", "0")
+        assert (code, err) == (0, "")
+        assert out.startswith("ok: ")
+
+    def test_tolerance_0_keeps_the_projector_checks_exact(self, capsys):
+        code, out, err = run(capsys, "validate", str(gallery("measurement_fam2")), "--tolerance", "0")
+        assert (code, out) == (1, "")
+        assert "element 0 ('phi0') is not a projector" in err
+
+    @pytest.mark.parametrize("tolerance", ["1e-12", "0"])
+    def test_norm_beyond_rounding_rejected(self, capsys, tmp_path, tolerance):
+        path = write(tmp_path, one_qubit(initial_state={"vector": [[1.0000000002 ** 0.5, 0], [0, 0]]}))
+        code, out, err = run(capsys, "validate", path, "--tolerance", tolerance)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.initial_state.vector: ket is not normalized: <k|k> = 1.00000000")
+
     @pytest.mark.parametrize(
         "fields, flags, path",
         [

@@ -67,6 +67,20 @@ class TestMakeDecomposition:
         with pytest.raises(NotAProjectorError, match="1"):
             make_decomposition([P_UP, SIGMA_X], ["a", "b"])
 
+    @pytest.mark.parametrize(
+        "mats, error, message",
+        [
+            ([0.5 * I2, identity(3)], NotAProjectorError, "element 0 "),
+            ([P_UP, identity(3), 0.5 * I2], DimMismatchError, "projector 1 has shape"),
+            ([np.ones((2, 3)), 0.5 * I2], DimMismatchError, "projector 0 has shape"),
+        ],
+        ids=["projector_before_shape", "shape_before_projector", "shape_at_index_0"],
+    )
+    def test_first_failing_element_is_named(self, mats, error, message):
+        # the stacked checks raise what the per-element order meets first
+        with pytest.raises(error, match=message):
+            make_decomposition(mats, [f"p{i}" for i in range(len(mats))])
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabelError):
             make_decomposition([P_UP, P_DOWN], ["same", "same"])

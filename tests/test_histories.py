@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhist.errors import (
     HistoryLimitError,
@@ -7,6 +9,7 @@ from qhist.errors import (
     NotUnitaryError,
     UnknownHistoryError,
 )
+from qhist.framework import make_decomposition
 from qhist.histories import (
     TimeGrid,
     build_family,
@@ -225,8 +228,6 @@ class TestFamilyInvariants:
                 ) < 1e-12
 
     def test_unitary_invariance_of_gram_matrix(self, rng):
-        from qhist.framework import make_decomposition
-
         for _ in range(10):
             d = int(rng.integers(2, 5))
             fam = random_family(rng, d, 2)
@@ -244,3 +245,27 @@ class TestFamilyInvariants:
             )
             g2 = consistency_check(rotated).gram
             assert max_abs(g1 - g2) < 1e-9
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.sampled_from(["generic", "repeated", "single", "basis"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_verdict_and_probabilities_survive_a_change_of_basis(seed, d, n_slots, kind):
+    # W|psi0>, W U W^dagger and W P W^dagger describe the same physics
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, d, n_slots, kind)
+    w = random_unitary(rng, d)
+    rotated = build_family(
+        w @ fam.initial_ket,
+        fam.grid,
+        [w @ ev.unitary @ w.conj().T for ev in fam.evolutions],
+        [make_decomposition(w @ dec.projectors @ w.conj().T, dec.labels) for dec in fam.slot_decompositions],
+    )
+    before, after = consistency_check(fam), consistency_check(rotated)
+    assert after.consistent == before.consistent
+    assert max_abs(after.probabilities - before.probabilities) <= 1e-12
+    assert abs(after.max_offdiag - before.max_offdiag) <= 1e-12

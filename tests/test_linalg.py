@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhist.errors import DimMismatchError, NotHermitianError
 from qhist.linalg import (
@@ -17,7 +19,7 @@ from qhist.linalg import (
     tensor_product,
 )
 
-from helpers import random_unitary
+from helpers import random_unitary, reference_eigenprojectors
 
 I2 = identity(2)
 
@@ -142,6 +144,27 @@ class TestEigenprojectors:
         assert [v for v, _ in pairs] == [pytest.approx(9e-10, rel=1e-12), 1.0]
         assert max_abs(pairs[0][1] - np.diag([1, 1, 1, 0])) < 1e-12
         assert max_abs(pairs[1][1] - np.diag([0, 0, 0, 1])) < 1e-12
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["under", "over", "wide"]), min_size=1, max_size=7),
+        st.sampled_from([1e-9, 1e-6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_cuts_match_the_per_eigenvalue_loop(self, seed, gaps, herm):
+        # runs of gaps just under and just over tol.herm, planted in a random basis
+        rng = np.random.default_rng(seed)
+        width = {"under": herm * (1 - 1e-3), "over": herm * (1 + 1e-3), "wide": 0.5}
+        spectrum = np.cumsum([rng.uniform(-1, 1), *(width[g] for g in gaps)])
+        u = random_unitary(rng, len(spectrum))
+        h = u @ np.diag(spectrum) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        tol = Tolerance(herm=herm)
+        got, expected = hermitian_eigenprojectors(h, tol), reference_eigenprojectors(h, tol)
+        assert len(got) == len(expected) == 1 + sum(g != "under" for g in gaps)
+        for (value, projector), (ref_value, ref_projector) in zip(got, expected):
+            assert value == ref_value
+            assert projector.tobytes() == ref_projector.tobytes()
 
     def test_sigma_x(self):
         pairs = hermitian_eigenprojectors(SIGMA_X)

@@ -1,6 +1,7 @@
 """``scenario.resolve``: embedded projectors, one decomposition per distinct
 measurement within a call, evolutions checked once, and unchanged errors."""
 
+import itertools
 import json
 from dataclasses import replace
 from functools import reduce
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhist.histories
+import qhist.scenario
 from qhist.errors import BadDecompositionError, DimMismatchError, NotHermitianError, NotUnitaryError
 from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
@@ -62,6 +64,32 @@ def test_named_projectors_match_a_per_factor_kron_fold(dims):
         for sign, label in ((1, f"+{axis}"), (-1, f"-{axis}")):
             expected = kron_fold((np.eye(2) + sign * PAULI[axis]) / 2, factor, dims)
             assert np.array_equal(decomp.projector_for(label), expected), (dims, label)
+
+
+@given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=6).filter(lambda ds: np.prod(ds) <= 64))
+@settings(max_examples=60, deadline=None)
+def test_named_projectors_match_a_per_factor_kron_fold_bit_for_bit(dims):
+    # tobytes tells -0.0 from +0.0, which np.array_equal does not
+    names = ["identity"] + [f"sigma_{axis}@{k}" for k, d in enumerate(dims, 1) if d == 2 for axis in "xyz"]
+    scn = scenario(dims, ["identity"], [observer(n, {"t1": NamedObservable(n)}) for n in names])
+    records = resolve(scn)
+    assert records[0].family.slot_decompositions[0].projectors.tobytes() == identity(int(np.prod(dims))).tobytes()
+    for name, record in zip(names[1:], records[1:]):
+        axis, factor = name[len("sigma_")], int(name.partition("@")[2])
+        decomp = record.family.slot_decompositions[0]
+        for sign, label in ((1, f"+{axis}"), (-1, f"-{axis}")):
+            expected = kron_fold((np.eye(2) + sign * PAULI[axis]) / 2, factor, dims)
+            assert decomp.projector_for(label).tobytes() == expected.tobytes(), (dims, label)
+
+
+def test_preset_ket_matches_a_kron_fold_bit_for_bit():
+    presets = qhist.scenario._QUBIT_PRESETS
+    for n in (1, 2, 3):
+        for names in itertools.product(presets, repeat=n):
+            scn = replace(scenario((2,) * n, ["identity"], [observer("A", {})]), initial_state=names)
+            (record,) = resolve(scn)
+            expected = reduce(np.kron, [presets[p] for p in names], np.eye(1, dtype=complex)[0])
+            assert record.family.initial_ket.tobytes() == expected.tobytes(), names
 
 
 def four_observers() -> Scenario:
