@@ -1,0 +1,173 @@
+"""Run alternating benchmark pairs of two source trees and judge a claimed gain.
+
+    python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload observers \\
+        --seeds 2-11 --claim observers:classify_ms.p50 --out BENCH_10.json
+
+For each workload and each seed in the inclusive range, the script runs
+``python3 <tree>/perfbench/run.py --workload W --seed S --seconds N`` once in
+each tree, one after the other, where N is ``run_seconds`` of the change
+tree's ``BENCHMARK.json``.  The parent runs first on even seeds and the
+change on odd ones, so that a drift in machine speed falls on both sides.
+Each tree runs its own ``perfbench/`` against its own ``src/``; this script
+only reads them and ``BENCHMARK.json``, which also names the end-to-end
+metrics and whether lower or higher is better.
+
+It prints, per workload and metric, both sides' medians and quartiles (the
+inclusive method of ``statistics.quantiles``), the ratio of the medians and
+the number of pairs in which the change was better.  A gain counts when the
+change is better in at least nine pairs of ten and the gap between the
+medians, in the better direction, is larger than the parent's interquartile
+range; each ``--claim WORKLOAD:METRIC`` is judged that way, and a claim on
+a metric that is not end-to-end or on a workload not run is refused before
+anything runs.  ``--out`` writes the runs and the summary as JSON, in the
+layout of ``BENCH_9.json``, with the command that made it (the two trees
+written as PARENT_TREE and CHANGE_TREE).  The exit code is 0 when every run
+is correct, no command failed and every claim is met, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+WIN_SHARE = 0.9  # nine pairs of ten
+
+
+def _seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def _parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=pathlib.Path, help="source tree of the parent commit")
+    p.add_argument("change", type=pathlib.Path, help="source tree of the change")
+    p.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
+    p.add_argument("--seeds", type=_seeds, required=True, help="inclusive range A-B")
+    p.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                   help="a metric whose gain is claimed on a workload")
+    p.add_argument("--out", type=pathlib.Path, help="write the runs and summary here")
+    return p.parse_args(argv)
+
+
+def _command(args) -> str:
+    """The command line that makes the same file, the trees left as names."""
+    words = ["python3", "scripts/bench_pairs.py", "PARENT_TREE", "CHANGE_TREE"]
+    words += [w for workload in args.workload for w in ("--workload", workload)]
+    words += ["--seeds", f"{args.seeds[0]}-{args.seeds[-1]}"]
+    words += [w for claim in args.claim for w in ("--claim", claim)]
+    if args.out:
+        words += ["--out", str(args.out)]
+    return " ".join(words)
+
+
+def run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run: its JSON result and the machine line it printed."""
+    argv = [sys.executable, str(tree.resolve() / "perfbench" / "run.py"),
+            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    machine = next((json.loads(line.partition(" ")[2]) for line in lines if line.startswith("machine: ")), {})
+    return json.loads(lines[-1]), machine
+
+
+def summarize(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
+    def quartiles(xs):
+        q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
+        return q1, q3
+
+    (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
+    pm, cm = statistics.median(parent), statistics.median(change)
+    better = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    return {
+        "change_better_pairs": better,
+        "change_median": cm,
+        "change_over_parent": cm / pm if pm else None,
+        "change_q1": c1,
+        "change_q3": c3,
+        "pairs": len(parent),
+        "parent_median": pm,
+        "parent_q1": p1,
+        "parent_q3": p3,
+    }
+
+
+def gain(summary: dict, lower_is_better: bool) -> bool:
+    """The change wins at least nine pairs of ten and its median beats the
+    parent's by more than the parent's interquartile range."""
+    gap = summary["parent_median"] - summary["change_median"]
+    if not lower_is_better:
+        gap = -gap
+    wins = summary["change_better_pairs"] >= WIN_SHARE * summary["pairs"]
+    return wins and gap > summary["parent_q3"] - summary["parent_q1"]
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    claims = {tuple(c.split(":", 1)) for c in args.claim}
+    unknown = [c for c in args.claim
+               if ":" not in c or c.split(":", 1)[0] not in args.workload or c.split(":", 1)[1] not in lower]
+    if unknown:
+        raise SystemExit(f"not WORKLOAD:METRIC of a workload run and an end-to-end metric: {', '.join(unknown)}")
+    seconds = spec["run_seconds"]
+    doc = {
+        "about": f"Alternating pairs: each seed ran python3 perfbench/run.py --workload W --seed S "
+                 f"--seconds {seconds} once in each tree, the parent first on even seeds and the change "
+                 f"first on odd ones. 'runs' holds each run's end-to-end metrics, 'summary' each "
+                 f"metric's medians, quartiles (inclusive method) and the pairs the change won.",
+        "command": _command(args),
+        "machine": {},
+        "pairs": {},
+    }
+    ok = True
+    for workload in args.workload:
+        runs = {"change": {}, "parent": {}}
+        failed = {"change": 0, "parent": 0}
+        correct = True
+        for seed in args.seeds:
+            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+            for side in order:
+                tree = args.parent if side == "parent" else args.change
+                result, machine = run(tree, workload, seed, seconds)
+                doc["machine"] = doc["machine"] or machine
+                runs[side][str(seed)] = {name: m["value"] for name, m in sorted(result["metrics"].items())}
+                failed[side] += result["failed"]
+                correct = correct and result["correct"]
+                print(f"{workload} seed {seed} {side}: correct={result['correct']} failed={result['failed']}",
+                      flush=True)
+        summary = {}
+        seeds = [str(s) for s in args.seeds]
+        print(f"\n{workload}: {'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} "
+              f"{'q1-q3':>21} {'ratio':>6} wins")
+        for name in sorted(lower):
+            parent = [runs["parent"][s][name] for s in seeds]
+            change = [runs["change"][s][name] for s in seeds]
+            summary[name] = s = summarize(parent, change, lower[name])
+            claimed = (workload, name) in claims
+            verdict = ("claim met" if gain(s, lower[name]) else "claim NOT met") if claimed else ""
+            print(f"{workload}: {name:18} "
+                  f"{s['parent_median']:11.5g} {s['parent_q1']:10.5g}-{s['parent_q3']:<10.5g} "
+                  f"{s['change_median']:11.5g} {s['change_q1']:10.5g}-{s['change_q3']:<10.5g} "
+                  f"{s['change_over_parent']:6.3f} {s['change_better_pairs']}/{s['pairs']} {verdict}")
+            ok = ok and (not claimed or gain(s, lower[name]))
+        ok = ok and correct and not any(failed.values())
+        doc["pairs"][workload] = {"all_correct": correct, "failed": failed, "runs": runs,
+                                  "seeds": list(args.seeds), "summary": summary}
+    if args.out:
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,42 +85,73 @@ class ProjectiveDecomposition:
         return self.projectors[self.index(label)]
 
 
+def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The elements converted to complex: the leading ones of shape (d, d) as
+    one (k, d, d) stack (a copy), and the rest as matrices, the first of which
+    has another shape.  ``d`` is ``dim``, or the first element's row count.
+
+    The usual input costs one conversion and one finiteness check.  Only when
+    either fails does each element go through ``as_matrix``, which raises the
+    error of the first element that is not a finite matrix.
+    """
+    try:
+        stack = np.array(projectors, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # elements of different shapes, or not numbers
+        stack = np.empty(0)
+    square = stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2] and dim in (None, stack.shape[1])
+    if square and np.isfinite(stack).all():
+        return stack, []
+    mats = [as_matrix(p) for p in projectors]
+    if dim is None:
+        dim = mats[0].shape[0] if mats else 0
+    k = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
+    head = np.stack(mats[:k]) if k else np.empty((0, dim, dim), dtype=complex)
+    return head, mats[k:]
+
+
 def make_decomposition(
-    projectors: Sequence, labels: Sequence[str], tol: Tolerance = DEFAULT_TOL
+    projectors: Sequence | np.ndarray,
+    labels: Sequence[str],
+    tol: Tolerance = DEFAULT_TOL,
+    dim: int | None = None,
 ) -> ProjectiveDecomposition:
     """Validate and assemble a projective decomposition.
 
-    The checks run in this order, each over the whole (n, d, d) stack at
-    once: the labels, each element's shape and projector property (Hermitian
-    within ``tol.herm``, idempotent within ``tol.proj``), the orthogonality
-    of each pair, then completeness.  The error raised is the first the
-    per-element order meets: ``DuplicateLabelError``, ``DimMismatchError`` or
-    ``NotAProjectorError`` naming the first offending index,
-    ``NotOrthogonalError`` naming the first pair, or ``NotCompleteError``.
+    ``projectors`` is a sequence of matrices or an (n, d, d) stack; either is
+    converted to one complex stack, a copy, so later writes to the input do
+    not reach the decomposition.  Each element must be ``dim`` x ``dim``, or
+    the first element's shape when ``dim`` is None.  The checks run in this
+    order, each over the whole stack at once: the labels, each element's
+    shape and projector property (Hermitian within ``tol.herm``, idempotent
+    within ``tol.proj``), the orthogonality of each pair, then completeness.
+    The error raised is the first the per-element order meets: ``as_matrix``'s
+    error for the first element that is not a finite matrix,
+    ``DuplicateLabelError``, ``DimMismatchError`` or ``NotAProjectorError``
+    naming the first offending index, ``NotOrthogonalError`` naming the first
+    pair, or ``NotCompleteError``.
     """
-    mats = [as_matrix(p) for p in projectors]
-    if not mats:
+    stack, misfits = _stacked(projectors, dim)
+    n = len(stack) + len(misfits)
+    if not n:
         raise NotCompleteError("a decomposition needs at least one projector")
-    dim = mats[0].shape[0]
-    if len(labels) != len(mats):
-        raise DuplicateLabelError(f"{len(mats)} projectors but {len(labels)} labels")
+    dim = stack.shape[1]
+    if len(labels) != n:
+        raise DuplicateLabelError(f"{n} projectors but {len(labels)} labels")
     seen: dict[str, int] = {}
     for i, label in enumerate(labels):
         if label in seen:
             raise DuplicateLabelError(f"label {label!r} at index {i} repeats index {seen[label]}")
         seen[label] = i
     # the elements before the first of another shape are checked as one stack
-    n_square = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-    stack = np.stack(mats[:n_square]) if n_square else np.empty((0, dim, dim), dtype=complex)
     hermitian = max_abs_each(stack - stack.conj().swapaxes(-2, -1)) <= tol.herm
     idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
     bad = np.flatnonzero(~(hermitian & idempotent))
     if bad.size:
         i = int(bad[0])
         raise NotAProjectorError(f"element {i} ({labels[i]!r}) is not a projector")
-    if n_square < len(mats):
-        i = n_square
-        raise DimMismatchError(f"projector {i} has shape {mats[i].shape}, expected ({dim}, {dim})")
+    if misfits:
+        i = len(stack)
+        raise DimMismatchError(f"projector {i} has shape {misfits[0].shape}, expected ({dim}, {dim})")
     for i in range(len(stack) - 1):
         residuals = max_abs_each(stack[i] @ stack[i + 1 :])
         bad = np.flatnonzero(residuals > tol.proj)
@@ -209,13 +240,13 @@ def _products(
     a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
 ) -> ProjectiveDecomposition:
     """The nonzero products PQ, labelled "p∧q", validated as a decomposition."""
-    projectors, labels = [], []
+    rows, labels = [], []
     for la, p in a.items():
         row = p @ b.projectors
         keep = np.flatnonzero(max_abs_each(row) > tol.proj)
-        projectors.extend(row[keep])
+        rows.append(row[keep])
         labels.extend(f"{la}{CONJUNCTION_JOINER}{b.labels[j]}" for j in keep)
-    return make_decomposition(projectors, labels, tol)
+    return make_decomposition(np.concatenate(rows), labels, tol)
 
 
 def refine_all(

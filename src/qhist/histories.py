@@ -40,7 +40,7 @@ from .errors import (
     UnknownHistoryError,
     UnknownLabelError,
 )
-from .framework import DISJUNCTION_JOINER, ProjectiveDecomposition, make_decomposition
+from .framework import DISJUNCTION_JOINER, ProjectiveDecomposition, _stacked, make_decomposition
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -204,32 +204,47 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
             raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
         return slot
     if isinstance(slot, list):
-        return _pad_to_decomposition(list(slot), dim, tol)
+        return _pad_to_decomposition([lab for lab, _ in slot], [m for _, m in slot], dim, tol)
     m = as_matrix(slot)
     if m.shape != (dim, dim):
         raise DimMismatchError(f"slot operator has shape {m.shape}, expected ({dim}, {dim})")
     if is_projector(m, tol):
-        return _pad_to_decomposition([("p", m)], dim, tol)
+        return _pad_to_decomposition(["p"], m[None], dim, tol)
     if is_hermitian(m, tol):
         return _eigen_decomposition(m, tol)
     raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
 
 
 def _pad_to_decomposition(
-    labelled: list[tuple[str, np.ndarray]], dim: int, tol: Tolerance
+    labels: Sequence[str], projectors, dim: int, tol: Tolerance
 ) -> ProjectiveDecomposition:
-    labels = [lab for lab, _ in labelled]
-    mats = [as_matrix(m) for _, m in labelled]
-    rest = identity(dim) - np.sum(mats, axis=0)
-    if max_abs(rest) > tol.proj:
-        if REST_LABEL in labels:
-            raise BadDecompositionError(
-                f"label {REST_LABEL!r} is reserved for the complement padding"
-            )
-        labels.append(REST_LABEL)
-        mats.append(rest)
+    """The decomposition of labelled projectors (a sequence of matrices or an
+    (n, dim, dim) stack), padded with the complement labelled "rest" when
+    they do not sum to the identity.
+
+    The projectors are converted and stacked once, that stack is summed once
+    for the padding, and ``make_decomposition`` runs every check on it.  An
+    element that is not a finite matrix raises ``as_matrix``'s error; any
+    other fault, a wrong shape included, is a ``BadDecompositionError`` that
+    wraps the error ``make_decomposition`` raises for it.  A slot with an
+    element of the wrong shape is not padded, so that error names the first
+    fault in element order, which may come before the misfit.
+    """
+    labels = list(labels)
+    stack, misfits = _stacked(projectors, dim)
+    if misfits:
+        stack = projectors
+    else:
+        rest = identity(dim) - stack.sum(axis=0)
+        if max_abs(rest) > tol.proj:
+            if REST_LABEL in labels:
+                raise BadDecompositionError(
+                    f"label {REST_LABEL!r} is reserved for the complement padding"
+                )
+            labels.append(REST_LABEL)
+            stack = np.concatenate((stack, rest[None]))
     try:
-        return make_decomposition(mats, labels, tol)
+        return make_decomposition(stack, labels, tol, dim)
     except QHistError as exc:
         raise BadDecompositionError(f"slot is not a valid decomposition: {exc}") from exc
 

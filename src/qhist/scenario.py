@@ -30,11 +30,12 @@ from .errors import (
 from .framework import ProjectiveDecomposition
 from .histories import (
     DEFAULT_MAX_HISTORIES,
+    Evolution,
     TimeGrid,
     _assemble_family,
     _checked_evolution,
-    _coerce_slot,
     _eigen_decomposition,
+    _pad_to_decomposition,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -42,6 +43,7 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     Tolerance,
+    _frozen,
     as_ket,
     identity,
 )
@@ -78,6 +80,12 @@ _QUBIT_PRESETS = {
 
 # (matrix, axis letter); eigenvalue +1 gets the "+" label
 _PAULI_OPS = {"sigma_x": (SIGMA_X, "x"), "sigma_y": (SIGMA_Y, "y"), "sigma_z": (SIGMA_Z, "z")}
+
+# each Pauli's read-only stack of qubit projectors ((1 + sigma)/2, (1 - sigma)/2)
+_QUBIT_PROJECTORS = {
+    base: _frozen(np.stack((identity(2) + op, identity(2) - op)) / 2.0)
+    for base, (op, _) in _PAULI_OPS.items()
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,13 +497,14 @@ def _decomposition(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDeco
     if isinstance(key, MatrixObservable):
         return _eigen_decomposition(key.matrix, tol)
     if isinstance(key, ProjectorListObservable):
-        return _coerce_slot(list(zip(key.labels, key.matrices)), total, tol)
+        return _pad_to_decomposition(key.labels, key.matrices, total, tol)
     if key == "identity":
-        return _coerce_slot([(TRIVIAL_LABEL, identity(total))], total, tol)
+        return _pad_to_decomposition([TRIVIAL_LABEL], identity(total)[None], total, tol)
     base, _, factor = key.partition("@")
-    op, axis = _PAULI_OPS[base]
-    qubit = np.stack((identity(2) + op, identity(2) - op)) / 2.0
-    return _coerce_slot(list(zip((f"+{axis}", f"-{axis}"), _embed(qubit, int(factor), dims))), total, tol)
+    axis = _PAULI_OPS[base][1]
+    return _pad_to_decomposition(
+        [f"+{axis}", f"-{axis}"], _embed(_QUBIT_PROJECTORS[base], int(factor), dims), total, tol
+    )
 
 
 @contextlib.contextmanager
@@ -526,15 +535,16 @@ def resolve(
     """Expand named operators and presets; build one family per observer.
 
     ``parse_scenario`` checks the document's structure.  Here, under the
-    effective tolerance, the initial ket (norm included) and the evolutions
-    are checked once for all observers, and each distinct measurement (a
-    Pauli on one factor, the identity or trivial slot, or one observable
-    object) becomes one validated decomposition that every slot measuring it
-    shares.  A Pauli's two projectors are embedded as one stack, and
-    ``make_decomposition`` checks each decomposition's projectors as one
-    stack.  Every error starts with a JSONPath: the initial state's (raised
-    as a ScenarioError), the evolution's, or the first measurement's to use
-    the decomposition; the others keep their type.
+    effective tolerance, the initial ket (norm included) is checked once for
+    all observers, and so is each distinct evolution: every ``"identity"``
+    interval shares one checked read-only unitary.  Each distinct
+    measurement (a Pauli on one factor, the identity or trivial slot, or one
+    observable object) becomes one validated decomposition that every slot
+    measuring it shares.  A Pauli's two projectors are embedded from a
+    module-level qubit stack as one stack, which is converted, summed and
+    checked once.  Every error starts with a JSONPath: the initial state's
+    (raised as a ScenarioError), the evolution's, or the first measurement's
+    to use the decomposition; the others keep their type.
     The sharing is local to this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
@@ -550,10 +560,14 @@ def resolve(
     if len(s.evolutions) != len(grid.slot_times):
         raise DimMismatchError(f"$.evolutions: expected {len(grid.slot_times)} evolutions, got {len(s.evolutions)}")
     evolutions = []
+    unitaries: dict[object, np.ndarray] = {}  # "identity", or an interval's index
     for k, ev in enumerate(s.evolutions):
-        with _located(f"$.evolutions[{k}].matrix"):
-            u = None if isinstance(ev, str) else ev
-            evolutions.append(_checked_evolution(grid, k, u, s.total_dim, tol))
+        key = ev if isinstance(ev, str) else k
+        if key not in unitaries:
+            with _located(f"$.evolutions[{k}].matrix"):
+                u = None if isinstance(ev, str) else ev
+                unitaries[key] = _checked_evolution(grid, k, u, s.total_dim, tol).unitary
+        evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
     decomps: dict[object, ProjectiveDecomposition] = {}
     records = []
     for i, obs in enumerate(s.observers):

@@ -200,8 +200,11 @@ def reference_decomposition_error(
     projectors: list[np.ndarray], labels: list[str], tol: Tolerance = DEFAULT_TOL
 ) -> tuple[type, tuple[int, ...]] | None:
     """The error ``make_decomposition`` raises and the indices it names, or
-    None for a valid decomposition: labels, then each element's shape and
-    projector check, then each pair's orthogonality, then completeness."""
+    None for a valid decomposition: a non-finite entry (a ``ValueError`` that
+    names no index), labels, then each element's shape and projector check,
+    then each pair's orthogonality, then completeness."""
+    if not all(np.isfinite(p).all() for p in projectors):
+        return ValueError, ()
     seen: dict[str, int] = {}
     for i, label in enumerate(labels):
         if label in seen:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhist.errors import (
@@ -240,6 +240,16 @@ class TestRefine:
             assert any(max_abs(p - q) < 1e-12 for q in second.projectors)
 
 
+def _outcome(projectors, labels) -> tuple:
+    """What ``make_decomposition`` gives: its labels and projector bytes, or
+    its error's type and message."""
+    try:
+        decomp = make_decomposition(projectors, labels)
+    except (QHistError, ValueError) as exc:
+        return type(exc), str(exc)
+    return decomp.labels, decomp.projectors.tobytes()
+
+
 # the indices each make_decomposition error names, read back from its message
 NAMED_INDICES = {
     DuplicateLabelError: r"at index (\d+) repeats index (\d+)",
@@ -247,9 +257,10 @@ NAMED_INDICES = {
     NotAProjectorError: r"^element (\d+) ",
     NotOrthogonalError: r"^projectors (\d+) and (\d+) are not orthogonal",
     NotCompleteError: r"^projectors do not sum to identity",
+    ValueError: r"^matrix entries must be finite$",
 }
 
-PERTURBATIONS = ("halve", "skew", "duplicate", "drop", "reshape", "relabel", "rotate")
+PERTURBATIONS = ("halve", "skew", "duplicate", "drop", "reshape", "relabel", "rotate", "nan", "truncate")
 
 
 def _perturb(rng: np.random.Generator, mats: list, labels: list, kind: str) -> None:
@@ -259,7 +270,7 @@ def _perturb(rng: np.random.Generator, mats: list, labels: list, kind: str) -> N
     if kind == "halve":  # not idempotent
         mats[k] = 0.5 * mats[k]
     elif kind == "skew":  # not Hermitian
-        mats[k] = mats[k] + 1e-3 * np.triu(np.ones((d, d)), 1)
+        mats[k] = mats[k] + 1e-3 * np.triu(np.ones(mats[k].shape), 1)
     elif kind == "duplicate":  # a second copy is not orthogonal to the first
         at = int(rng.integers(len(mats) + 1))
         mats.insert(at, mats[k].copy())
@@ -273,6 +284,11 @@ def _perturb(rng: np.random.Generator, mats: list, labels: list, kind: str) -> N
     elif kind == "rotate":  # a projector, but onto a random ray
         v = random_unitary(rng, d)[:, 0]
         mats[k] = np.outer(v, v.conj())
+    elif kind == "nan":  # not a finite matrix
+        mats[k] = mats[k].copy()
+        mats[k][int(rng.integers(d)), int(rng.integers(mats[k].shape[1]))] = np.nan
+    elif kind == "truncate":  # every element loses its last column: one shape, not square
+        mats[:] = [m[:, :-1] if m.shape[1] > 1 else m for m in mats]
 
 
 @st.composite
@@ -352,6 +368,9 @@ class TestRowProductsMatchPairLoops:
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(PERTURBATIONS), max_size=3))
     @settings(max_examples=150, deadline=None)
+    @example(seed=1, perturbations=[])
+    @example(seed=1, perturbations=["nan"])
+    @example(seed=2, perturbations=["truncate"])
     def test_make_decomposition_errors(self, seed, perturbations):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 7))
@@ -360,15 +379,22 @@ class TestRowProductsMatchPairLoops:
         labels = list(base.labels)
         for kind in perturbations:
             _perturb(rng, mats, labels, kind)
+        got = _outcome(mats, labels)
+        if len({m.shape for m in mats}) == 1:
+            # the same input as one (n, d, d) array gives the same result
+            stack = np.array(mats)
+            assert _outcome(stack, labels) == got
         expected = reference_decomposition_error(mats, labels)
         if expected is None:
-            assert make_decomposition(mats, labels).labels == tuple(labels)
+            assert got[0] == tuple(labels)
+            # the decomposition is a copy: later writes to the input miss it
+            decomp = make_decomposition(stack, labels)
+            stack[...] = 7.0
+            assert decomp.projectors.tobytes() == got[1]
             return
-        with pytest.raises(QHistError) as info:
-            make_decomposition(mats, labels)
         cls, indices = expected
-        assert type(info.value) is cls
-        named = re.search(NAMED_INDICES[cls], str(info.value))
+        assert got[0] is cls
+        named = re.search(NAMED_INDICES[cls], got[1])
         assert named is not None and tuple(int(g) for g in named.groups()) == indices
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhist.errors import (
+    BadDecompositionError,
+    DimMismatchError,
+    DuplicateLabelError,
     HistoryLimitError,
     NotAPartitionError,
+    NotAProjectorError,
     NotUnitaryError,
     UnknownHistoryError,
 )
@@ -63,6 +67,37 @@ class TestBuildFamily:
     def test_non_unitary_evolution_rejected(self):
         with pytest.raises(NotUnitaryError):
             build_family(KET_UP, ["t0", "t1"], [np.array([[1, 1], [0, 1]])], [DZ])
+
+    @pytest.mark.parametrize(
+        "slot, named",
+        [
+            ([("a", np.diag([1, 0]).astype(complex)), ("b", identity(4))], "projector 0 has shape (2, 2)"),
+            ([("a", identity(3))], "projector 0 has shape (3, 3)"),
+            ([("a", identity(4)), ("b", np.ones((4, 3)))], "projector 1 has shape (4, 3)"),
+        ],
+        ids=["2x2_before_4x4", "lone_3x3", "4x3_after_4x4"],
+    )
+    def test_mis_shaped_list_element_is_named(self, slot, named):
+        ket = identity(4)[0]
+        with pytest.raises(BadDecompositionError) as info:
+            build_family(ket, ["t0", "t1"], [None], [slot])
+        assert str(info.value) == f"slot is not a valid decomposition: {named}, expected (4, 4)"
+        assert type(info.value.__cause__) is DimMismatchError
+
+    @pytest.mark.parametrize(
+        "slot, cause, named",
+        [
+            ([("a", 0.5 * identity(4)), ("b", identity(3))], NotAProjectorError, "element 0 ('a') is not a projector"),
+            ([("a", identity(4)), ("a", identity(3))], DuplicateLabelError, "label 'a' at index 1 repeats index 0"),
+        ],
+        ids=["non_projector_before_3x3", "repeated_label_with_3x3"],
+    )
+    def test_fault_before_a_misfit_is_named_first(self, slot, cause, named):
+        ket = identity(4)[0]
+        with pytest.raises(BadDecompositionError) as info:
+            build_family(ket, ["t0", "t1"], [None], [slot])
+        assert str(info.value) == f"slot is not a valid decomposition: {named}"
+        assert type(info.value.__cause__) is cause
 
     def test_history_cap(self):
         with pytest.raises(HistoryLimitError):
@@ -269,3 +304,50 @@ def test_verdict_and_probabilities_survive_a_change_of_basis(seed, d, n_slots, k
     assert after.consistent == before.consistent
     assert max_abs(after.probabilities - before.probabilities) <= 1e-12
     assert abs(after.max_offdiag - before.max_offdiag) <= 1e-12
+
+
+def _consistent_report(seed, d, n_slots, kind):
+    report = consistency_check(random_family(np.random.default_rng(seed), d, n_slots, kind))
+    assume(report.consistent)
+    return report
+
+
+FAMILIES = (
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.sampled_from(["generic", "repeated", "single", "basis"]),
+)
+
+
+@given(*FAMILIES)
+@settings(max_examples=100, deadline=None)
+def test_consistent_family_probabilities_sum_to_one_and_gram_is_psd(seed, d, n_slots, kind):
+    report = _consistent_report(seed, d, n_slots, kind)
+    # sum p = |sum of chain kets|^2 - (off-diagonal overlaps), and the chain
+    # kets sum to the evolved initial ket
+    m = len(report.support)
+    assert abs(report.probabilities.sum() - 1.0) <= 1e-12 + m * (m - 1) * report.max_offdiag
+    gram = report.support_gram
+    assert max_abs(gram - gram.conj().T) <= 1e-12
+    assert np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() >= -1e-12
+
+
+@given(*FAMILIES, st.data())
+@settings(max_examples=100, deadline=None)
+def test_coarse_graining_keeps_a_family_consistent(seed, d, n_slots, kind, data):
+    report = _consistent_report(seed, d, n_slots, kind)
+    fam = report.family
+    merges = {}
+    for time, decomp in zip(fam.grid.slot_times, fam.slot_decompositions):
+        if data.draw(st.booleans(), label=f"merge at {time}"):
+            # a random partition of the slot's labels into groups
+            n = len(decomp)
+            group_of = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            groups = {}
+            for label, g in zip(decomp.labels, group_of):
+                groups.setdefault(g, []).append(label)
+            merges[time] = list(groups.values())
+    coarse = consistency_check(coarse_grain(fam, merges))
+    assert coarse.consistent
+    assert abs(coarse.probabilities.sum() - report.probabilities.sum()) <= 1e-12

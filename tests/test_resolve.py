@@ -124,8 +124,9 @@ def test_each_distinct_measurement_is_validated_once(monkeypatch):
     counted("make_decomposition")
     counted("is_unitary")
     records = resolve(four_observers())
-    # trivial/identity, sigma_z@1, sigma_x@2, the matrix and the projector list
-    assert calls == {"make_decomposition": 5, "is_unitary": 3}
+    # trivial/identity, sigma_z@1, sigma_x@2, the matrix and the projector list;
+    # the identity evolution and CNOT
+    assert calls == {"make_decomposition": 5, "is_unitary": 2}
     a, b, c, d = (r.family.slot_decompositions for r in records)
     assert a[0] is b[0] and a[2] is c[2] and b[1] is d[1]
     assert a[1] is d[0] is d[2]

@@ -14,13 +14,14 @@ from qhist.errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from qhist.framework import make_decomposition
+from qhist.framework import _products, decompositions_compatible, make_decomposition
 from qhist.histories import build_family, coarse_grain, consistency_check
 from qhist.linalg import DEFAULT_TOL, SIGMA_X, identity
 from qhist.scenario import parse_scenario, resolve
 from qhist.stablefacts import (
     FactQuery,
     ObserverRecord,
+    SlotCommutation,
     Verdict,
     check_compatibility,
     check_total_probability_law,
@@ -135,6 +136,68 @@ class TestPairProperties:
             assert verdict is Verdict.RELATIVE
         else:
             assert verdict is Verdict.STABLE and report.consistent
+
+
+def repeating_observers() -> dict[str, ObserverRecord]:
+    """O1 and O4 of the ``observers`` benchmark workload on three qubits.
+    ``resolve`` gives each distinct measurement one decomposition, so their
+    five slot pairs are three distinct pairs: (z@1, y@3) three times,
+    (x@2, x@1) and (x@2, y@3)."""
+    def measurements(*names):
+        return [{"time": f"t{k}", "observable": name} for k, name in enumerate(names, 1)]
+
+    doc = {
+        "format": 1,
+        "name": "repeating_slot_pairs",
+        "systems": [2, 2, 2],
+        "initial_state": ["up_z", "plus_x", "plus_y"],
+        "times": [f"t{k}" for k in range(6)],
+        "observers": [
+            {"name": "O1", "measurements": measurements(*["sigma_z@1", "sigma_x@2"] * 2, "sigma_z@1")},
+            {"name": "O4", "measurements": measurements("sigma_y@3", "sigma_x@1", *["sigma_y@3"] * 3)},
+        ],
+    }
+    return {r.name: r for r in resolve(parse_scenario(json.dumps(doc)))}
+
+
+class TestRepeatedSlotPairs:
+    """Observers whose slots pair the same two decompositions more than once."""
+
+    @pytest.mark.parametrize(
+        "names, distinct, verdict",
+        [(("O1", "O4"), 3, "condition2"), (("O4", "O1"), 3, "condition2"), (("O1", "O1"), 2, None)],
+        ids=["O1-O4", "O4-O1", "O1-O1"],
+    )
+    def test_report_equals_a_per_slot_reference(self, names, distinct, verdict):
+        records = repeating_observers()
+        a, b = (records[n] for n in names)
+        report = check_compatibility(a, b)
+        pairs = list(zip(a.family.slot_decompositions, b.family.slot_decompositions))
+        assert len(pairs) == 5 and len({(id(da), id(db)) for da, db in pairs}) == distinct
+
+        # the same report, one slot at a time
+        expected = []
+        for time, (da, db) in zip(a.family.grid.slot_times, pairs):
+            check = decompositions_compatible(da, db)
+            expected.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
+        assert report.per_slot_commutation == tuple(expected)
+        assert report.failing_condition == verdict
+        fam = a.family
+        reference = consistency_check(
+            build_family(
+                fam.initial_ket,
+                fam.grid,
+                [ev.unitary for ev in fam.evolutions],
+                [_products(da, db, DEFAULT_TOL) for da, db in pairs],
+            )
+        )
+        got = report.product_family_consistency
+        for mine, theirs in zip(got.family.slot_decompositions, reference.family.slot_decompositions):
+            assert mine.labels == theirs.labels
+            assert mine.projectors.tobytes() == theirs.projectors.tobytes()
+        assert np.array_equal(got.support, reference.support)
+        assert got.probabilities.tobytes() == reference.probabilities.tobytes()
+        assert (got.max_offdiag, got.consistent) == (reference.max_offdiag, reference.consistent)
 
 
 class TestCondition2:
