@@ -10,7 +10,6 @@ from .framework import (
     make_decomposition,
     negation,
     refine,
-    refine_all,
 )
 from .histories import (
     ConsistencyReport,

@@ -25,6 +25,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .errors import (
     InconsistentFamilyError,
     NotCompatibleError,
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .histories import DEFAULT_MAX_HISTORIES, consistency_check
 from .linalg import Tolerance
-from .oracle import sequential_probability
+from .oracle import sequential_probabilities
 from .scenario import effective_tolerance, parse_scenario, resolve
 from .stablefacts import (
     FactQuery,
@@ -259,7 +261,12 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Check the probabilities ``analyze`` reports against the oracle."""
+    """Check the probabilities ``analyze`` reports against the oracle.
+
+    The oracle walks each family's tree of history prefixes with one
+    evolve-and-project per prefix and shares no code with ``histories``.
+    The worst history is the first maximal discrepancy, observers in order.
+    """
     scn, records, tol = _load(args)
     if not records:
         raise QHistError("scenario has no observers; nothing to verify")
@@ -268,17 +275,19 @@ def cmd_verify(args) -> int:
     total = 0
     for record in records:
         report = consistency_check(record.family, tol)
-        for labels, p in zip(report.labels, report.probabilities):
-            total += 1
-            delta = abs(float(p) - sequential_probability(record.family, labels))
-            if delta > worst:
-                worst = delta
-                worst_at = (record.name, labels)
+        deltas = np.abs(report.probabilities - sequential_probabilities(record.family))
+        total += deltas.size
+        i = int(np.argmax(deltas))
+        if deltas[i] > worst:
+            worst = float(deltas[i])
+            worst_at = (record, i)
     if worst > ORACLE_BOUND:
-        name, labels = worst_at
+        record, i = worst_at
+        decomps = record.family.slot_decompositions
+        labels = [d.labels[k] for d, k in zip(decomps, np.unravel_index(i, record.family.shape))]
         print(
             f"oracle discrepancy {_fmt(worst)} > {_fmt(ORACLE_BOUND)} at observer "
-            f"{name}, history {','.join(labels)}",
+            f"{record.name}, history {','.join(labels)}",
             file=sys.stderr,
         )
         return EXIT_ORACLE

@@ -11,7 +11,6 @@ only compatible decompositions may be refined into a common one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "negation",
     "decompositions_compatible",
     "refine",
-    "refine_all",
 ]
 
 CONJUNCTION_JOINER = "∧"  # "∧", used for refined labels
@@ -247,12 +245,3 @@ def _products(
         rows.append(row[keep])
         labels.extend(f"{la}{CONJUNCTION_JOINER}{b.labels[j]}" for j in keep)
     return make_decomposition(np.concatenate(rows), labels, tol)
-
-
-def refine_all(
-    decompositions: Sequence[ProjectiveDecomposition], tol: Tolerance = DEFAULT_TOL
-) -> ProjectiveDecomposition:
-    """Left fold of pairwise refinement over one or more decompositions."""
-    if not decompositions:
-        raise IncompatibleFrameworksError("nothing to refine")
-    return reduce(lambda acc, d: refine(acc, d, tol), decompositions)

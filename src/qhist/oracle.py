@@ -2,10 +2,14 @@
 
 ``sequential_probability`` reimplements the Born rule as a plain state
 propagation: evolve the vector, project it, never normalize, and read the
-final squared norm, one history at a time.  It deliberately shares no code
-with ``histories`` (whose ``chain_ket`` composes the operator string and
-whose ``consistency_check`` propagates all histories as one batch);
-agreement between them is the suite's strongest cross-check.
+final squared norm, one history at a time.  ``sequential_probabilities``
+runs the same steps for a whole family as a walk of the tree of history
+prefixes, with one evolve-and-project per prefix, so siblings share their
+parent's evolved state; it gives the same bits as ``sequential_probability``
+history by history.  Both deliberately share no code with ``histories``
+(whose ``chain_ket`` composes the operator string and whose
+``consistency_check`` propagates all histories as one batch); agreement
+between them is the suite's strongest cross-check.
 
 ``exhaustive_additivity_scan`` probes the operational meaning of consistency:
 for every pairwise merge of two outcomes at one slot it compares the merged
@@ -33,6 +37,7 @@ __all__ = [
     "OutcomeSequence",
     "AdditivityViolation",
     "sequential_probability",
+    "sequential_probabilities",
     "exhaustive_additivity_scan",
 ]
 
@@ -53,6 +58,32 @@ def sequential_probability(family: HistoryFamily, seq: Sequence[str]) -> float:
         projector = decomp.projector_for(label)
         state = projector @ (ev.unitary @ state)
     return float(np.vdot(state, state).real)
+
+
+def sequential_probabilities(family: HistoryFamily) -> np.ndarray:
+    """Every history's probability, in ``itertools.product`` order of the
+    slot labels, by a depth-first walk of the tree of history prefixes.
+
+    Each node runs the step of ``sequential_probability``: the parent's
+    state is evolved once, and each child projects that evolved state.  The
+    walk keeps an explicit stack, so the number of slots is not bounded by
+    the recursion limit.
+    """
+    steps = [(ev.unitary, d.projectors) for ev, d in zip(family.evolutions, family.slot_decompositions)]
+    out = np.empty(family.n_histories)
+    # (depth, flat index of the prefix among prefixes of its depth, state)
+    stack = [(0, 0, np.array(family.initial_ket, dtype=complex))]
+    while stack:
+        depth, index, state = stack.pop()
+        if depth == len(steps):
+            out[index] = np.vdot(state, state).real
+            continue
+        unitary, projectors = steps[depth]
+        evolved = unitary @ state
+        n = len(projectors)
+        for k in range(n):
+            stack.append((depth + 1, index * n + k, projectors[k] @ evolved))
+    return out
 
 
 @dataclass(frozen=True)

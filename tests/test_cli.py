@@ -485,15 +485,40 @@ class TestVerify:
         assert "ok" in out
 
     def test_fault_injection_detected(self, capsys, monkeypatch):
-        from qhist.oracle import sequential_probability
+        from qhist.oracle import sequential_probabilities
 
-        def corrupted(family, seq):
-            return sequential_probability(family, seq) + 1e-6
+        def corrupted(family):
+            return sequential_probabilities(family) + 1e-6
 
-        monkeypatch.setattr(cli, "sequential_probability", corrupted)
+        monkeypatch.setattr(cli, "sequential_probabilities", corrupted)
         code, _, err = run(capsys, "verify", str(gallery("repeated_x")))
         assert code == 4
         assert "discrepancy" in err
+
+    @pytest.mark.parametrize("index, labels", [(1, "+x,-x"), (2, "-x,+x")])
+    def test_fault_in_one_history_of_a_later_observer_is_named(
+        self, capsys, monkeypatch, index, labels
+    ):
+        # stable_facts' O2 measures x at t1 and at t2; its flat history order
+        # is (+x,+x), (+x,-x), (-x,+x), (-x,-x).  Only O2's oracle is corrupted,
+        # so O1's tiny discrepancies must not hide it.
+        from qhist.oracle import sequential_probabilities
+
+        calls = []
+
+        def corrupted(family):
+            probs = sequential_probabilities(family)
+            calls.append(family)
+            if len(calls) == 2:
+                probs[index] += 1e-6
+            return probs
+
+        monkeypatch.setattr(cli, "sequential_probabilities", corrupted)
+        code, out, err = run(capsys, "verify", str(gallery("stable_facts")))
+        assert len(calls) == 2
+        assert code == 4
+        assert out == ""
+        assert err.rstrip("\n").endswith(f"at observer O2, history {labels}")
 
     def test_no_observers_is_input_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"

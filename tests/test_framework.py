@@ -23,7 +23,6 @@ from qhist.framework import (
     make_decomposition,
     negation,
     refine,
-    refine_all,
 )
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity, max_abs, tensor_product
 from qhist.stablefacts import information_preserved
@@ -233,8 +232,8 @@ class TestRefine:
             [np.diag([1, 1, 0, 0]).astype(complex), np.diag([0, 0, 1, 1]).astype(complex)],
             ["top", "bottom"],
         )
-        first = refine_all([a, b, c])
-        second = refine_all([c, b, a])
+        first = refine(refine(a, b), c)
+        second = refine(refine(c, b), a)
         assert len(first) == len(second)
         for p in first.projectors:
             assert any(max_abs(p - q) < 1e-12 for q in second.projectors)

@@ -2,11 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhist.errors import SizeCapError, UnknownLabelError
 from qhist.histories import build_family, consistency_check
+from qhist.framework import make_decomposition
 from qhist.linalg import identity
-from qhist.oracle import exhaustive_additivity_scan, sequential_probability
+from qhist.oracle import (
+    exhaustive_additivity_scan,
+    sequential_probabilities,
+    sequential_probability,
+)
 
 from helpers import KET_UP, pauli_decomposition, random_family
 
@@ -39,6 +46,34 @@ class TestSequentialProbability:
         fam = build_family(KET_UP, GRID, [I2, I2], [DX, DZ])
         with pytest.raises(UnknownLabelError):
             sequential_probability(fam, ("+x", "+q"))
+
+
+class TestSequentialProbabilities:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=2, max_value=4),
+        n_slots=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(["generic", "repeated", "single", "basis"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_per_sequence_oracle_bit_for_bit(self, seed, d, n_slots, kind):
+        fam = random_family(np.random.default_rng(seed), d, n_slots, kind=kind)
+        expected = [
+            sequential_probability(fam, seq)
+            for seq in itertools.product(*(dec.labels for dec in fam.slot_decompositions))
+        ]
+        assert np.array_equal(sequential_probabilities(fam), expected)
+
+    def test_deep_family_needs_no_recursion(self):
+        # 1500 one-outcome slots: deeper than the default recursion limit
+        n_slots = 1500
+        whole = make_decomposition([I2], ["all"])
+        fam = build_family(
+            KET_UP, [f"t{k}" for k in range(n_slots + 1)], [I2] * n_slots, [whole] * n_slots
+        )
+        probs = sequential_probabilities(fam)
+        assert probs.shape == (1,)
+        assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAdditivityScan:
