@@ -1,0 +1,122 @@
+"""Record the CLI's output on the benchmark workloads, as golden files or digests.
+
+    PYTHONPATH=src python3 scripts/cli_golden.py golden [--out DIR]
+    PYTHONPATH=src python3 scripts/cli_golden.py digests
+
+Each command line of a workload in ``perfbench/workloads.py`` runs through
+``qhist.cli.main``, each report command in both renderings (with and
+without ``--json``); ``perfbench/`` is only read.
+
+``golden`` writes two files to DIR, by default ``tests/golden``, which
+``tests/test_golden.py`` replays: ``gallery_cli.json`` holds the gallery
+workload (every shipped scenario through validate, analyze and verify, the
+classify calls and the conditional queries), and ``observers_cli.json`` the
+seed-1 ``observers`` workload, whose two generated scenarios are written to
+a temporary directory first; its entries name a scenario by its workload key
+(``all``, ``stable``).  Each entry keeps the exit code, stdout and stderr.
+Regenerate them only when a change means to alter the output.
+
+``digests`` prints one line per distinct seed-1 command line of
+``gallery``, ``observers``, ``deep_chain`` and ``wide_dense``: the
+workload, the argv with the scenario directory stripped, and the sha256 of
+the exit code, stdout and stderr.  Commands marked ``known_defect`` are
+skipped.  Two source trees print the same lines exactly when the CLI prints
+the same bytes on every one of these command lines:
+
+    diff <(PYTHONPATH=<other tree>/src python3 scripts/cli_golden.py digests) \\
+         <(PYTHONPATH=src python3 scripts/cli_golden.py digests)
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import random
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import gallery, generate, write  # noqa: E402
+from qhist import cli  # noqa: E402
+
+REPORTS = ("analyze", "classify", "conditional")
+OBSERVERS_SEED = 1
+DIGEST_WORKLOADS = ("gallery", "observers", "deep_chain", "wide_dense")
+DIGEST_SEED = 1
+
+
+def command_lines(cmds) -> list[tuple[str, str, tuple[str, ...]]]:
+    """Each distinct (command, scenario, args) of the workload and its other rendering."""
+    lines = set()
+    for cmd in cmds:
+        lines.add((cmd.kind, cmd.scenario, cmd.args))
+        if cmd.kind in REPORTS:
+            other = [a for a in cmd.args if a != "--json"]
+            if "--json" not in cmd.args:
+                other.append("--json")
+            lines.add((cmd.kind, cmd.scenario, tuple(other)))
+    return sorted(lines)
+
+
+def record(command: str, scenario: str, path: pathlib.Path, args: tuple[str, ...]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), *args])
+    return {"command": command, "scenario": scenario, "args": list(args),
+            "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def shipped(scenarios) -> dict[str, pathlib.Path]:
+    """The gallery's scenario files, by workload key."""
+    return {key: ROOT / "scenarios" / f"{key}.json" for key in scenarios}
+
+
+def write_golden(out: pathlib.Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+
+    def dump(name: str, cmds, paths: dict[str, pathlib.Path]) -> None:
+        entries = [record(command, scenario, paths[scenario], args)
+                   for command, scenario, args in command_lines(cmds)]
+        (out / name).write_text(json.dumps(entries, indent=1, ensure_ascii=True) + "\n")
+        print(f"wrote {len(entries)} command lines to {out / name}")
+
+    scenarios, cmds = gallery(random.Random(0), ROOT)
+    dump("gallery_cli.json", cmds, shipped(scenarios))
+    scenarios, cmds = generate("observers", OBSERVERS_SEED, ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        dump("observers_cli.json", cmds, write(scenarios, pathlib.Path(tmp)))
+
+
+def print_digests() -> None:
+    for workload in DIGEST_WORKLOADS:
+        scenarios, cmds = generate(workload, DIGEST_SEED, ROOT)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = shipped(scenarios) if workload == "gallery" else write(scenarios, pathlib.Path(tmp))
+            for command, scenario, args in command_lines([c for c in cmds if not c.known_defect]):
+                entry = record(command, scenario, paths[scenario], args)
+                blob = json.dumps([entry["exit"], entry["stdout"], entry["stderr"]]).encode()
+                argv = " ".join([command, paths[scenario].name, *args])
+                print(f"{workload} {argv} {hashlib.sha256(blob).hexdigest()}", flush=True)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="output", required=True)
+    golden = sub.add_parser("golden", help="write the golden files")
+    golden.add_argument("--out", type=pathlib.Path, default=ROOT / "tests" / "golden")
+    sub.add_parser("digests", help="print one digest per command line")
+    args = parser.parse_args(argv)
+    if args.output == "golden":
+        write_golden(args.out)
+    else:
+        print_digests()
+
+
+if __name__ == "__main__":
+    main()

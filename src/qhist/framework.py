@@ -10,6 +10,8 @@ only compatible decompositions may be refined into a common one.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,6 +24,7 @@ from .errors import (
     NotAProjectorError,
     NotCompleteError,
     NotOrthogonalError,
+    QHistError,
     UnknownLabelError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, identity, is_projector, max_abs, max_abs_each
@@ -88,16 +91,16 @@ def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.nd
     one (k, d, d) stack (a copy), and the rest as matrices, the first of which
     has another shape.  ``d`` is ``dim``, or the first element's row count.
 
-    The usual input costs one conversion and one finiteness check.  Only when
-    either fails does each element go through ``as_matrix``, which raises the
-    error of the first element that is not a finite matrix.
+    The usual input costs one conversion; ``_validate_stacks`` checks its
+    finiteness.  Only when the conversion gives no such stack does each
+    element go through ``as_matrix``, which raises the error of the first
+    element that is not a finite matrix.
     """
     try:
         stack = np.array(projectors, dtype=complex)
     except (TypeError, ValueError, OverflowError):  # elements of different shapes, or not numbers
         stack = np.empty(0)
-    square = stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2] and dim in (None, stack.shape[1])
-    if square and np.isfinite(stack).all():
+    if stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2] and dim in (None, stack.shape[1]):
         return stack, []
     mats = [as_matrix(p) for p in projectors]
     if dim is None:
@@ -105,6 +108,144 @@ def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.nd
     k = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
     head = np.stack(mats[:k]) if k else np.empty((0, dim, dim), dtype=complex)
     return head, mats[k:]
+
+
+def _label_error(n: int, labels: Sequence[str]) -> QHistError | None:
+    """The error for ``n`` elements under ``labels``: none, a count that differs, or a repeat."""
+    if not n:
+        return NotCompleteError("a decomposition needs at least one projector")
+    if len(labels) != n:
+        return DuplicateLabelError(f"{n} projectors but {len(labels)} labels")
+    seen: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if label in seen:
+            return DuplicateLabelError(f"label {label!r} at index {i} repeats index {seen[label]}")
+        seen[label] = i
+    return None
+
+
+def _block_rows(n: int, m: int) -> int:
+    """Rows per block of an n x m table of matrix products: a block holds at
+    most n + m products, as many matrices as its two operand stacks."""
+    return max(1, (n + m) // m)
+
+
+def _runs(big: np.ndarray, sizes: Sequence[int], offsets: Sequence[int], count: int):
+    """Each run of consecutive stacks of one size n among the first ``count``
+    held in ``big`` from ``offsets``: its first stack, and a (stacks, n, d, d)
+    view of it."""
+    k = 0
+    while k < count:
+        end = next((e for e in range(k, count) if sizes[e] != sizes[k]), count)
+        yield k, big[offsets[k] : offsets[end]].reshape(end - k, sizes[k], *big.shape[1:])
+        k = end
+
+
+def _orthogonality_fault(run: np.ndarray, tol: Tolerance) -> tuple[int, int, int, float] | None:
+    """The first pair (stack s, i < j), in that order, of a (stacks, n, d, d)
+    run whose product exceeds ``tol.proj``, with its residual, or None.
+
+    Element i of every stack times a block of its elements after i is one
+    broadcast product of views: no operand is copied, and a block holds at
+    most half the run's elements, so the products and their moduli together
+    stay within the run's size.
+    """
+    n = run.shape[1]
+    width = max(1, n // 2)
+    residuals = np.zeros((len(run), n, n))
+    for i in range(n - 1):
+        for j in range(i + 1, n, width):
+            residuals[:, i, j : j + width] = max_abs_each(run[:, i : i + 1] @ run[:, j : j + width])
+    bad = np.argwhere(residuals > tol.proj)
+    if not len(bad):
+        return None
+    s, i, j = bad[0].tolist()
+    return s, i, j, residuals[s, i, j]
+
+
+def _validate_stacks(
+    stacks: Sequence[np.ndarray],
+    labels: Sequence[Sequence[str]],
+    tol: Tolerance,
+    misfits: Sequence[list] = (),
+) -> tuple[list[ProjectiveDecomposition], Exception | None]:
+    """Validate complex (n, dim, dim) stacks of one ``dim`` as decompositions,
+    all in one pass.
+
+    ``labels`` holds each stack's labels and ``misfits``, when given, each
+    stack's elements of another shape (``_stacked``'s second result).  The
+    stacks are the caller's to give up: the decompositions hold read-only
+    views of them, or of their concatenation.  Each of ``make_decomposition``'s
+    checks runs once over the concatenation, in its order: finiteness, the
+    labels, each element's projector property, the misfits, orthogonality,
+    then completeness.  Each stage checks only the stacks before the first
+    fault found so far, so the error is the one that validating the stacks
+    one at a time would raise first.
+
+    Orthogonality and completeness go by runs of consecutive stacks of one
+    size (``_runs``): orthogonality by ``_orthogonality_fault``, and
+    completeness by one sum over each run's elements' axis, which adds them
+    in the order ``sum(axis=0)`` adds one stack's (``np.add.reduceat`` adds
+    them in another).
+
+    Returns the decompositions of the stacks before the first faulty one, and
+    that one's error (None when every stack is valid).
+    """
+    if not stacks:
+        return [], None
+    sizes = [len(s) for s in stacks]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    big = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    dim = big.shape[1]
+    faulty, error = len(stacks), None
+
+    def locate(e) -> tuple[int, int]:  # (stack, index in it) of element e
+        k = bisect.bisect_right(offsets, e) - 1
+        return k, int(e) - offsets[k]
+
+    if not np.isfinite(big).all():
+        bad = np.flatnonzero(~np.isfinite(big).all(axis=(1, 2)))
+        faulty, error = locate(bad[0])[0], ValueError("matrix entries must be finite")
+    for k in range(faulty):
+        label_error = _label_error(sizes[k] + len(misfits[k] if misfits else ()), labels[k])
+        if label_error is not None:
+            faulty, error = k, label_error
+            break
+    if not faulty:
+        return [], error
+    head = big[: offsets[faulty]]
+    hermitian = max_abs_each(head - head.conj().swapaxes(-2, -1)) <= tol.herm
+    idempotent = max_abs_each(head @ head - head) <= tol.proj
+    bad = np.flatnonzero(~(hermitian & idempotent))
+    if bad.size:
+        k, i = locate(bad[0])
+        faulty, error = k, NotAProjectorError(f"element {i} ({labels[k][i]!r}) is not a projector")
+    k = next((k for k in range(faulty) if misfits and misfits[k]), None)
+    if k is not None:
+        shape = misfits[k][0].shape
+        faulty, error = k, DimMismatchError(f"projector {sizes[k]} has shape {shape}, expected ({dim}, {dim})")
+    for first, run in _runs(big, sizes, offsets, faulty):
+        found = _orthogonality_fault(run, tol)
+        if found is not None:
+            s, i, j, residual = found
+            faulty, error = first + s, NotOrthogonalError(
+                f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residual:.3e})"
+            )
+            break
+    if faulty:
+        sums = np.concatenate([run.sum(axis=1) for _, run in _runs(big, sizes, offsets, faulty)])
+        residuals = max_abs_each(sums - identity(dim))
+        bad = np.flatnonzero(residuals > tol.proj)
+        if bad.size:
+            faulty, error = int(bad[0]), NotCompleteError(
+                f"projectors do not sum to identity (residual {residuals[bad[0]]:.3e})"
+            )
+    big.setflags(write=False)
+    decomps = [
+        ProjectiveDecomposition(dim=dim, projectors=big[offsets[k] : offsets[k + 1]], labels=tuple(labels[k]))
+        for k in range(faulty)
+    ]
+    return decomps, error
 
 
 def make_decomposition(
@@ -118,51 +259,22 @@ def make_decomposition(
     ``projectors`` is a sequence of matrices or an (n, d, d) stack; either is
     converted to one complex stack, a copy, so later writes to the input do
     not reach the decomposition.  Each element must be ``dim`` x ``dim``, or
-    the first element's shape when ``dim`` is None.  The checks run in this
-    order, each over the whole stack at once: the labels, each element's
-    shape and projector property (Hermitian within ``tol.herm``, idempotent
-    within ``tol.proj``), the orthogonality of each pair, then completeness.
-    The error raised is the first the per-element order meets: ``as_matrix``'s
-    error for the first element that is not a finite matrix,
-    ``DuplicateLabelError``, ``DimMismatchError`` or ``NotAProjectorError``
-    naming the first offending index, ``NotOrthogonalError`` naming the first
-    pair, or ``NotCompleteError``.
+    the first element's shape when ``dim`` is None.  The checks are those of
+    ``_validate_stacks``, of which this is the one-stack case, each over the
+    whole stack at once: the labels, each element's shape and projector
+    property (Hermitian within ``tol.herm``, idempotent within ``tol.proj``),
+    the orthogonality of each pair, then completeness.  The error raised is
+    the first the per-element order meets: ``as_matrix``'s error for the
+    first element that is not a finite matrix, ``DuplicateLabelError``,
+    ``DimMismatchError`` or ``NotAProjectorError`` naming the first offending
+    index, ``NotOrthogonalError`` naming the first pair, or
+    ``NotCompleteError``.
     """
     stack, misfits = _stacked(projectors, dim)
-    n = len(stack) + len(misfits)
-    if not n:
-        raise NotCompleteError("a decomposition needs at least one projector")
-    dim = stack.shape[1]
-    if len(labels) != n:
-        raise DuplicateLabelError(f"{n} projectors but {len(labels)} labels")
-    seen: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        if label in seen:
-            raise DuplicateLabelError(f"label {label!r} at index {i} repeats index {seen[label]}")
-        seen[label] = i
-    # the elements before the first of another shape are checked as one stack
-    hermitian = max_abs_each(stack - stack.conj().swapaxes(-2, -1)) <= tol.herm
-    idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
-    bad = np.flatnonzero(~(hermitian & idempotent))
-    if bad.size:
-        i = int(bad[0])
-        raise NotAProjectorError(f"element {i} ({labels[i]!r}) is not a projector")
-    if misfits:
-        i = len(stack)
-        raise DimMismatchError(f"projector {i} has shape {misfits[0].shape}, expected ({dim}, {dim})")
-    for i in range(len(stack) - 1):
-        residuals = max_abs_each(stack[i] @ stack[i + 1 :])
-        bad = np.flatnonzero(residuals > tol.proj)
-        if bad.size:
-            j = i + 1 + bad[0]
-            raise NotOrthogonalError(
-                f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residuals[bad[0]]:.3e})"
-            )
-    completeness = max_abs(stack.sum(axis=0) - identity(dim))
-    if completeness > tol.proj:
-        raise NotCompleteError(f"projectors do not sum to identity (residual {completeness:.3e})")
-    stack.setflags(write=False)
-    return ProjectiveDecomposition(dim=dim, projectors=stack, labels=tuple(labels))
+    decomps, error = _validate_stacks([stack], [labels], tol, [misfits])
+    if error is not None:
+        raise error
+    return decomps[0]
 
 
 def _require_projector(p, tol: Tolerance) -> np.ndarray:
@@ -209,8 +321,11 @@ def decompositions_compatible(
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"decompositions have dims {a.dim} and {b.dim}")
-    qs = b.projectors
-    residuals = np.array([max_abs_each(p @ qs - qs @ p) for p in a.projectors])
+    p, q = a.projectors, b.projectors
+    step = _block_rows(len(p), len(q))
+    residuals = np.concatenate(
+        [max_abs_each(p[r : r + step, None] @ q - q @ p[r : r + step, None]) for r in range(0, len(p), step)]
+    )
     i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[i, j])
     worst_pair = (a.labels[i], b.labels[j]) if worst > 0.0 else None
@@ -237,11 +352,32 @@ def refine(
 def _products(
     a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
 ) -> ProjectiveDecomposition:
-    """The nonzero products PQ, labelled "p∧q", validated as a decomposition."""
-    rows, labels = [], []
-    for la, p in a.items():
-        row = p @ b.projectors
-        keep = np.flatnonzero(max_abs_each(row) > tol.proj)
-        rows.append(row[keep])
-        labels.extend(f"{la}{CONJUNCTION_JOINER}{b.labels[j]}" for j in keep)
-    return make_decomposition(np.concatenate(rows), labels, tol)
+    """The nonzero products PQ, labelled "p∧q", validated as a decomposition:
+    the one-pair case of ``_products_each``."""
+    return _products_each([(a, b)], tol)[0]
+
+
+def _products_each(
+    pairs: Sequence[tuple[ProjectiveDecomposition, ProjectiveDecomposition]], tol: Tolerance
+) -> list[ProjectiveDecomposition]:
+    """For each pair (a, b) of one dimension, the nonzero products PQ in
+    row-major order, labelled "p∧q", validated by one ``_validate_stacks``
+    call; raises the first faulty pair's error.  The products are formed in
+    blocks of rows (``_block_rows``), and only the nonzero ones are kept."""
+    stacks, labels = [], []
+    for a, b in pairs:
+        p, q = a.projectors, b.projectors
+        step = _block_rows(len(p), len(q))
+        kept, names = [], []
+        for r in range(0, len(p), step):
+            block = p[r : r + step, None] @ q
+            keep = max_abs_each(block) > tol.proj
+            kept.append(block[keep])
+            rows, cols = np.nonzero(keep)
+            names.extend(f"{a.labels[r + i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(rows, cols))
+        stacks.append(np.concatenate(kept))
+        labels.append(names)
+    decomps, error = _validate_stacks(stacks, labels, tol)
+    if error is not None:
+        raise error
+    return decomps

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,13 @@ from .errors import (
     UnknownHistoryError,
     UnknownLabelError,
 )
-from .framework import DISJUNCTION_JOINER, ProjectiveDecomposition, _stacked, make_decomposition
+from .framework import (
+    DISJUNCTION_JOINER,
+    ProjectiveDecomposition,
+    _stacked,
+    _validate_stacks,
+    make_decomposition,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -187,12 +193,62 @@ class ConsistencyReport:
         return float(self.probabilities.reshape(self.family.shape)[self.family.slot_indices(labels)])
 
 
-def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecomposition:
+class _Slot(NamedTuple):
+    """A slot's projectors stacked and labelled, not yet validated."""
+
+    stack: np.ndarray
+    labels: list[str]
+    misfits: list  # the elements after ``stack`` of another shape
+    padded: bool  # a fault of a padded slot is a BadDecompositionError
+
+
+def _eigen_slot(m: np.ndarray, tol: Tolerance) -> _Slot:
     """Eigenprojectors of a Hermitian observable, labelled ``ev{k}={value}``
     in ascending order of eigenvalue."""
     pairs = hermitian_eigenprojectors(m, tol)
     labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
-    return make_decomposition([p for _, p in pairs], labels, tol)
+    return _Slot(np.array([p for _, p in pairs], dtype=complex), labels, [], False)
+
+
+def _padded_slot(labels: Sequence[str], projectors, dim: int, tol: Tolerance) -> _Slot:
+    """Labelled projectors (a sequence of matrices or an (n, dim, dim)
+    stack), converted and stacked once, padded with the complement labelled
+    "rest" when they do not sum to the identity.
+
+    An element that is not a finite matrix of two axes raises ``as_matrix``'s
+    error here, or, when the elements form one stack, at validation.  A slot
+    with an element of the wrong shape or a non-finite entry is not padded,
+    so that validation names the first fault in element order, which may
+    come before the misfit.
+    """
+    labels = list(labels)
+    stack, misfits = _stacked(projectors, dim)
+    if not misfits and np.isfinite(stack).all():
+        rest = identity(dim) - stack.sum(axis=0)
+        if max_abs(rest) > tol.proj:
+            if REST_LABEL in labels:
+                raise BadDecompositionError(
+                    f"label {REST_LABEL!r} is reserved for the complement padding"
+                )
+            labels.append(REST_LABEL)
+            stack = np.concatenate((stack, rest[None]))
+    return _Slot(stack, labels, misfits, True)
+
+
+def _validate_slots(
+    slots: Sequence[_Slot], tol: Tolerance
+) -> tuple[list[ProjectiveDecomposition], Exception | None]:
+    """``_validate_stacks`` over built slots: the decompositions before the
+    first faulty slot, and its error, which for a padded slot is a
+    ``BadDecompositionError`` wrapping the fault (a non-finite entry stays
+    the ``ValueError`` it is)."""
+    decomps, error = _validate_stacks(
+        [s.stack for s in slots], [s.labels for s in slots], tol, [s.misfits for s in slots]
+    )
+    if isinstance(error, QHistError) and slots[len(decomps)].padded:
+        cause, error = error, BadDecompositionError(f"slot is not a valid decomposition: {error}")
+        error.__cause__ = cause
+    return decomps, error
 
 
 def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
@@ -204,49 +260,21 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
             raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
         return slot
     if isinstance(slot, list):
-        return _pad_to_decomposition([lab for lab, _ in slot], [m for _, m in slot], dim, tol)
-    m = as_matrix(slot)
-    if m.shape != (dim, dim):
-        raise DimMismatchError(f"slot operator has shape {m.shape}, expected ({dim}, {dim})")
-    if is_projector(m, tol):
-        return _pad_to_decomposition(["p"], m[None], dim, tol)
-    if is_hermitian(m, tol):
-        return _eigen_decomposition(m, tol)
-    raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
-
-
-def _pad_to_decomposition(
-    labels: Sequence[str], projectors, dim: int, tol: Tolerance
-) -> ProjectiveDecomposition:
-    """The decomposition of labelled projectors (a sequence of matrices or an
-    (n, dim, dim) stack), padded with the complement labelled "rest" when
-    they do not sum to the identity.
-
-    The projectors are converted and stacked once, that stack is summed once
-    for the padding, and ``make_decomposition`` runs every check on it.  An
-    element that is not a finite matrix raises ``as_matrix``'s error; any
-    other fault, a wrong shape included, is a ``BadDecompositionError`` that
-    wraps the error ``make_decomposition`` raises for it.  A slot with an
-    element of the wrong shape is not padded, so that error names the first
-    fault in element order, which may come before the misfit.
-    """
-    labels = list(labels)
-    stack, misfits = _stacked(projectors, dim)
-    if misfits:
-        stack = projectors
+        built = _padded_slot([lab for lab, _ in slot], [m for _, m in slot], dim, tol)
     else:
-        rest = identity(dim) - stack.sum(axis=0)
-        if max_abs(rest) > tol.proj:
-            if REST_LABEL in labels:
-                raise BadDecompositionError(
-                    f"label {REST_LABEL!r} is reserved for the complement padding"
-                )
-            labels.append(REST_LABEL)
-            stack = np.concatenate((stack, rest[None]))
-    try:
-        return make_decomposition(stack, labels, tol, dim)
-    except QHistError as exc:
-        raise BadDecompositionError(f"slot is not a valid decomposition: {exc}") from exc
+        m = as_matrix(slot)
+        if m.shape != (dim, dim):
+            raise DimMismatchError(f"slot operator has shape {m.shape}, expected ({dim}, {dim})")
+        if is_projector(m, tol):
+            built = _padded_slot(["p"], m[None], dim, tol)
+        elif is_hermitian(m, tol):
+            built = _eigen_slot(m, tol)
+        else:
+            raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
+    decomps, error = _validate_slots([built], tol)
+    if error is not None:
+        raise error
+    return decomps[0]
 
 
 def build_family(

@@ -27,15 +27,16 @@ from .errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
-from .framework import ProjectiveDecomposition
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     Evolution,
     TimeGrid,
     _assemble_family,
     _checked_evolution,
-    _eigen_decomposition,
-    _pad_to_decomposition,
+    _eigen_slot,
+    _padded_slot,
+    _Slot,
+    _validate_slots,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -491,20 +492,19 @@ def _measurement_key(spec) -> object:
     return spec
 
 
-def _decomposition(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition:
-    """The validated decomposition of one ``_measurement_key``."""
+def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot:
+    """The stacked, not yet validated projectors of one ``_measurement_key``."""
     total = math.prod(dims)
     if isinstance(key, MatrixObservable):
-        return _eigen_decomposition(key.matrix, tol)
+        return _eigen_slot(key.matrix, tol)
     if isinstance(key, ProjectorListObservable):
-        return _pad_to_decomposition(key.labels, key.matrices, total, tol)
+        return _padded_slot(key.labels, key.matrices, total, tol)
     if key == "identity":
-        return _pad_to_decomposition([TRIVIAL_LABEL], identity(total)[None], total, tol)
+        return _padded_slot([TRIVIAL_LABEL], identity(total)[None], total, tol)
     base, _, factor = key.partition("@")
     axis = _PAULI_OPS[base][1]
-    return _pad_to_decomposition(
-        [f"+{axis}", f"-{axis}"], _embed(_QUBIT_PROJECTORS[base], int(factor), dims), total, tol
-    )
+    projectors = _embed(_QUBIT_PROJECTORS[base], int(factor), dims)
+    return _padded_slot([f"+{axis}", f"-{axis}"], projectors, total, tol)
 
 
 @contextlib.contextmanager
@@ -539,12 +539,17 @@ def resolve(
     all observers, and so is each distinct evolution: every ``"identity"``
     interval shares one checked read-only unitary.  Each distinct
     measurement (a Pauli on one factor, the identity or trivial slot, or one
-    observable object) becomes one validated decomposition that every slot
-    measuring it shares.  A Pauli's two projectors are embedded from a
-    module-level qubit stack as one stack, which is converted, summed and
-    checked once.  Every error starts with a JSONPath: the initial state's
-    (raised as a ScenarioError), the evolution's, or the first measurement's
-    to use the decomposition; the others keep their type.
+    observable object) becomes one decomposition that every slot measuring
+    it shares.  Their stacks are built in order of first use (a Pauli's two
+    projectors embedded from a module-level qubit stack, a matrix's
+    eigenprojectors, a projector list padded with "rest") and validated
+    together by one ``_validate_stacks`` pass; a stack that cannot be built
+    stops the building, and the stacks before it are validated first, so the
+    error raised is the one met first in observer and slot order, a history
+    cap of an earlier observer included.  Every error starts with a
+    JSONPath: the initial state's (raised as a ScenarioError), the
+    evolution's, or the first measurement's to use the decomposition; the
+    others keep their type.
     The sharing is local to this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
@@ -568,18 +573,32 @@ def resolve(
                 u = None if isinstance(ev, str) else ev
                 unitaries[key] = _checked_evolution(grid, k, u, s.total_dim, tol).unitary
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
-    decomps: dict[object, ProjectiveDecomposition] = {}
-    records = []
-    for i, obs in enumerate(s.observers):
+    keys: dict[object, int] = {}  # each distinct measurement, in order of first use
+    uses = []  # per observer, per slot: (key index, measurement index)
+    for obs in s.observers:
         by_time = {m.time: (j, m.observable) for j, m in enumerate(obs.measurements)}
-        slots = []
+        uses.append([])
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
-            key = _measurement_key(spec)
-            if key not in decomps:
+            uses[-1].append((keys.setdefault(_measurement_key(spec), len(keys)), j))
+    built, error = [], None
+    for key in keys:
+        try:
+            built.append(_measurement_slot(key, s.subsystem_dims, tol))
+        except (QHistError, ValueError) as exc:
+            error = exc
+            break
+    decomps, fault = _validate_slots(built, tol)
+    if fault is not None:
+        error = fault
+    records = []
+    for i, obs in enumerate(s.observers):
+        slots = []
+        for k, j in uses[i]:
+            if k == len(decomps):
                 with _located(f"$.observers[{i}].measurements[{j}].observable"):
-                    decomps[key] = _decomposition(key, s.subsystem_dims, tol)
-            slots.append(decomps[key])
+                    raise error
+            slots.append(decomps[k])
         family = _assemble_family(ket, grid, tuple(evolutions), slots, tol, max_histories)
         records.append(ObserverRecord(name=obs.name, family=family))
     return records

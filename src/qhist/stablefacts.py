@@ -27,7 +27,7 @@ from .errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from .framework import CommutationCheck, _products, decompositions_compatible
+from .framework import CommutationCheck, _products_each, decompositions_compatible
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     ConsistencyReport,
@@ -91,15 +91,19 @@ class CompatibilityReport:
 
 
 def _require_shared_scenario(a: ObserverRecord, b: ObserverRecord, tol: Tolerance) -> None:
+    """Equal dims and grids, and initial kets and unitaries equal within
+    tolerance.  An array is not compared with itself: the difference of a
+    checked (finite) array with itself is exactly 0, and the records of one
+    ``resolve`` share their ket and unitaries."""
     fa, fb = a.family, b.family
     if fa.dim != fb.dim:
         raise MismatchedScenarioError(f"dims differ: {fa.dim} vs {fb.dim}")
     if fa.grid.labels != fb.grid.labels:
         raise MismatchedScenarioError(f"grids differ: {fa.grid.labels} vs {fb.grid.labels}")
-    if max_abs(fa.initial_ket - fb.initial_ket) > tol.norm:
+    if fa.initial_ket is not fb.initial_ket and max_abs(fa.initial_ket - fb.initial_ket) > tol.norm:
         raise MismatchedScenarioError("initial kets differ")
     for ea, eb in zip(fa.evolutions, fb.evolutions):
-        if max_abs(ea.unitary - eb.unitary) > tol.herm:
+        if ea.unitary is not eb.unitary and max_abs(ea.unitary - eb.unitary) > tol.herm:
             raise MismatchedScenarioError(f"evolutions differ on {ea.start} -> {ea.end}")
 
 
@@ -121,11 +125,15 @@ def check_compatibility(
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
     condition1 = all(sc.commutes for sc in per_slot)
 
-    # the slot-wise products {K_i Y_j}; they may fail to form decompositions
-    # only when condition 1 already failed, and condition 2 is then skipped
+    # the slot-wise products {K_i Y_j}, validated in one pass; they may fail to
+    # form decompositions only when condition 1 already failed, and condition 2
+    # is then skipped.  Which slot fails does not matter, so the first slot
+    # that does not commute, where products usually fail, is tried alone first.
+    pairs = list(zip(fa.slot_decompositions, fb.slot_decompositions))
     product_report = None
     try:
-        slots = [_products(da, db, tol) for da, db in zip(fa.slot_decompositions, fb.slot_decompositions)]
+        _products_each([pair for pair, sc in zip(pairs, per_slot) if not sc.commutes][:1], tol)
+        slots = _products_each(pairs, tol)
     except QHistError:
         pass
     else:

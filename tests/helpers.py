@@ -54,7 +54,7 @@ KET_DOWN = np.array([0, 1], dtype=complex)
 
 
 # exit code, stdout and stderr of the gallery command lines, recorded by
-# scripts/make_cli_golden.py
+# scripts/cli_golden.py golden
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "gallery_cli.json").read_text())
 
 

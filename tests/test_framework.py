@@ -18,13 +18,16 @@ from qhist.errors import (
 )
 from qhist.framework import (
     UNDEFINED,
+    _orthogonality_fault,
+    _stacked,
+    _validate_stacks,
     conjunction,
     decompositions_compatible,
     make_decomposition,
     negation,
     refine,
 )
-from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity, max_abs, tensor_product
+from qhist.linalg import DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, Tolerance, identity, max_abs, tensor_product
 from qhist.stablefacts import information_preserved
 
 from helpers import (
@@ -239,11 +242,11 @@ class TestRefine:
             assert any(max_abs(p - q) < 1e-12 for q in second.projectors)
 
 
-def _outcome(projectors, labels) -> tuple:
+def _outcome(projectors, labels, dim=None) -> tuple:
     """What ``make_decomposition`` gives: its labels and projector bytes, or
     its error's type and message."""
     try:
-        decomp = make_decomposition(projectors, labels)
+        decomp = make_decomposition(projectors, labels, dim=dim)
     except (QHistError, ValueError) as exc:
         return type(exc), str(exc)
     return decomp.labels, decomp.projectors.tobytes()
@@ -397,6 +400,100 @@ class TestRowProductsMatchPairLoops:
         assert named is not None and tuple(int(g) for g in named.groups()) == indices
 
 
+def _named(error) -> tuple[type, tuple[int, ...]]:
+    """An error's type and the indices its message names."""
+    named = re.search(NAMED_INDICES[type(error)], str(error))
+    assert named is not None
+    return type(error), tuple(int(g) for g in named.groups())
+
+
+class TestStackedValidation:
+    """``_validate_stacks`` over several stacks against ``make_decomposition``
+    on each in turn."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.lists(st.sampled_from(PERTURBATIONS), max_size=2), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(seed=3, perturbations=[[], ["halve"], ["duplicate"]])
+    @example(seed=4, perturbations=[["drop"], ["rotate"]])
+    @example(seed=5, perturbations=[[], ["reshape"], ["nan", "truncate"]])
+    def test_same_decompositions_and_first_error(self, seed, perturbations):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        inputs = []
+        for kinds in perturbations:
+            base = (random_decomposition if rng.random() < 0.5 else coordinate_decomposition)(rng, d)
+            mats, labels = [np.array(p) for p in base.projectors], list(base.labels)
+            for kind in kinds:
+                _perturb(rng, mats, labels, kind)
+            inputs.append((mats, labels))
+
+        # one make_decomposition call per input, up to the first error
+        expected_decomps, expected_error = [], None
+        for mats, labels in inputs:
+            got = _outcome(mats, labels, dim=d)
+            if isinstance(got[0], type):
+                expected_error = got
+                break
+            expected_decomps.append(got)
+
+        # the inputs converted in order (a conversion error stops there), then one pass
+        stacks, misfits, stop = [], [], None
+        for mats, _ in inputs:
+            try:
+                head, rest = _stacked(mats, d)
+            except (QHistError, ValueError) as exc:
+                stop = exc
+                break
+            stacks.append(head)
+            misfits.append(rest)
+        decomps, error = _validate_stacks(stacks, [labels for _, labels in inputs], DEFAULT_TOL, misfits)
+        error = error or stop
+        assert [(dec.labels, dec.projectors.tobytes()) for dec in decomps] == expected_decomps
+        assert (None if error is None else (type(error), str(error))) == expected_error
+        assert all(not dec.projectors.flags.writeable for dec in decomps)
+
+        # the first faulty input, against the per-pair reference
+        if error is not None:
+            mats, labels = inputs[len(decomps)]
+            reference = reference_decomposition_error(mats, labels)
+            if mats[0].shape == (d, d):  # the reference's dimension is its first element's
+                assert _named(error) == reference
+
+    def test_completeness_residual_is_that_of_sum_axis_0(self):
+        """At a ``proj`` tolerance equal to the largest completeness residual,
+        computed as ``stack.sum(axis=0)`` adds, every stack passes; one ulp
+        below it, that stack fails.  An adding order that differs in the last
+        bit fails one of the two."""
+        used = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            stacks = [random_decomposition(rng, 8, n_blocks=8).projectors.copy() for _ in range(3)]
+            residuals = [max_abs(s.sum(axis=0) - identity(8)) for s in stacks]
+            k = int(np.argmax(residuals))
+            others = max(
+                max(max_abs(p @ p - p), max((max_abs(p @ q) for q in s[i + 1 :]), default=0.0))
+                for s in stacks
+                for i, p in enumerate(s)
+            )
+            if others >= residuals[k]:
+                continue
+            used += 1
+            labels = [[f"b{i}" for i in range(8)]] * 3
+            edge = Tolerance(herm=1e-3, proj=residuals[k])
+            decomps, error = _validate_stacks([s.copy() for s in stacks], labels, edge)
+            assert error is None and len(decomps) == 3
+            below = Tolerance(herm=1e-3, proj=float(np.nextafter(residuals[k], 0.0)))
+            decomps, error = _validate_stacks([s.copy() for s in stacks], labels, below)
+            assert isinstance(error, NotCompleteError) and len(decomps) == k
+        assert used >= 5
+
+    def test_no_stacks(self):
+        assert _validate_stacks([], [], DEFAULT_TOL) == ([], None)
+
+
 class TestMemory:
     """No step forms all n x m products at once: with n = 32 rank-one
     projectors at d = 32, an (n, n, d, d) complex array alone is 16 MiB."""
@@ -419,3 +516,9 @@ class TestMemory:
         assert len(a) == 32
         assert self._peak(lambda: make_decomposition(mats, labels)) < self.LIMIT
         assert self._peak(lambda: refine(a, a)) < self.LIMIT
+
+    @pytest.mark.parametrize("d, n, stacks", [(32, 32, 1), (16, 4, 8)], ids=["32x32", "8x4_at_16"])
+    def test_orthogonality_check_stays_within_its_stacks(self, rng, d, n, stacks):
+        run = np.stack([random_decomposition(rng, d, n_blocks=n).projectors for _ in range(stacks)])
+        assert _orthogonality_fault(run, DEFAULT_TOL) is None
+        assert self._peak(lambda: _orthogonality_fault(run, DEFAULT_TOL)) <= run.nbytes

@@ -2,8 +2,8 @@
 
 ``golden/gallery_cli.json`` and ``golden/observers_cli.json`` hold the exit
 code, stdout and stderr of each command, recorded by
-``scripts/make_cli_golden.py``.  A difference here means the output changed:
-regenerate the files only when that is the intent.
+``scripts/cli_golden.py golden``.  A difference here means the output
+changed: regenerate the files only when that is the intent.
 """
 
 import importlib.util
@@ -52,3 +52,12 @@ def observers_paths(tmp_path_factory):
 @pytest.mark.parametrize("entry", OBSERVERS_GOLDEN, ids=_ids(OBSERVERS_GOLDEN))
 def test_observers_output_is_unchanged(capsys, observers_paths, entry):
     _replay(capsys, entry, observers_paths[entry["scenario"]])
+
+
+def test_the_golden_script_reproduces_both_files(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("cli_golden", ROOT / "scripts" / "cli_golden.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.write_golden(tmp_path)
+    for name in ("gallery_cli.json", "observers_cli.json"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes(), name

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import qhist.histories
 import qhist.scenario
-from qhist.errors import BadDecompositionError, DimMismatchError, NotHermitianError, NotUnitaryError
+from qhist.errors import (
+    BadDecompositionError,
+    DimMismatchError,
+    HistoryLimitError,
+    NotHermitianError,
+    NotUnitaryError,
+)
 from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
 from qhist.scenario import (
@@ -110,23 +116,27 @@ def four_observers() -> Scenario:
 
 
 def test_each_distinct_measurement_is_validated_once(monkeypatch):
-    calls = {"make_decomposition": 0, "is_unitary": 0}
+    calls = {"_validate_stacks": 0, "is_unitary": 0}
+    validated = []  # the number of stacks of each validator call
 
     def counted(name):
         original = getattr(qhist.histories, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "_validate_stacks":
+                validated.append(len(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(qhist.histories, name, wrapper)
 
-    counted("make_decomposition")
+    counted("_validate_stacks")
     counted("is_unitary")
     records = resolve(four_observers())
-    # trivial/identity, sigma_z@1, sigma_x@2, the matrix and the projector list;
-    # the identity evolution and CNOT
-    assert calls == {"make_decomposition": 5, "is_unitary": 2}
+    # one pass over trivial/identity, sigma_z@1, sigma_x@2, the matrix and the
+    # projector list; the identity evolution and CNOT
+    assert calls == {"_validate_stacks": 1, "is_unitary": 2}
+    assert validated == [5]
     a, b, c, d = (r.family.slot_decompositions for r in records)
     assert a[0] is b[0] and a[2] is c[2] and b[1] is d[1]
     assert a[1] is d[0] is d[2]
@@ -177,6 +187,46 @@ def test_decomposition_error_names_the_first_measurement_using_it():
     )
     with pytest.raises(NotHermitianError, match=r"^\$\.observers\[1\]\.measurements\[0\]\.observable: "):
         resolve(scn)
+
+
+# faulty observables on one qubit: two that fail validation, and one whose
+# eigenprojectors cannot be built
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+UP = np.diag([1, 0]).astype(complex)
+FAULTY = {
+    "not_orthogonal": ProjectorListObservable(("+x", "up"), (PLUS, UP)),
+    "not_a_projector": ProjectorListObservable(("half",), (0.5 * identity(2),)),
+    "not_hermitian": MatrixObservable(np.array([[0, 1], [0, 0]], dtype=complex)),
+}
+
+
+def _error(scn, **kwargs) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        resolve(scn, **kwargs)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(FAULTY, 2)))
+def test_the_first_fault_in_observer_order_is_reported(first, second):
+    """With two faulty observables, the error is the one the first alone raises."""
+    a = observer("A", {"t1": NamedObservable("sigma_z"), "t2": FAULTY[first]})
+    b = observer("B", {"t1": FAULTY[second]})
+    both = _error(scenario((2,), ["identity", "identity"], [a, b]))
+    alone = _error(scenario((2,), ["identity", "identity"], [a]))
+    assert both == alone
+    assert both[1].startswith("$.observers[0].measurements[1].observable: ")
+    assert (both[0] is BadDecompositionError) == (first != "not_hermitian")
+
+
+@pytest.mark.parametrize("fault", list(FAULTY))
+def test_a_history_cap_before_a_fault_is_reported_first(fault):
+    capped = observer("A", {"t1": NamedObservable("sigma_z"), "t2": NamedObservable("sigma_x")})
+    faulty = observer("B", {"t1": FAULTY[fault]})
+    scn = scenario((2,), ["identity", "identity"], [capped, faulty])
+    assert _error(scn, max_histories=3)[0] is HistoryLimitError
+    assert _error(replace(scn, observers=(faulty, capped)), max_histories=3) == _error(
+        replace(scn, observers=(faulty,))
+    )
 
 
 def test_threshold_scales_with_a_diagonal_above_one():

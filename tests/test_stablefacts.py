@@ -11,6 +11,7 @@ from qhist.errors import (
     InconsistentFamilyError,
     MismatchedScenarioError,
     NotCompatibleError,
+    QHistError,
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
@@ -412,3 +413,93 @@ class TestInformationPreserved:
             information_preserved(fam, "t2", "t1")
         with pytest.raises(BadTimesError):
             information_preserved(fam, "t0", "t2")
+
+
+class TestProductSlotsInOnePass:
+    """``check_compatibility`` validates every slot's products in one pass."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_product_family_equals_a_per_slot_reference(self, seed):
+        a, b = random_pair(seed)
+        pairs = list(zip(a.family.slot_decompositions, b.family.slot_decompositions))
+        try:
+            expected = [_products(da, db, DEFAULT_TOL) for da, db in pairs]
+        except QHistError:
+            expected = None
+        product = check_compatibility(a, b).product_family_consistency
+        if expected is None:
+            assert product is None
+            return
+        got = product.family.slot_decompositions
+        assert [d.labels for d in got] == [d.labels for d in expected]
+        assert [d.projectors.tobytes() for d in got] == [d.projectors.tobytes() for d in expected]
+
+    def test_records_of_one_resolve_compare_no_arrays(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qhist.stablefacts, "max_abs", lambda a: calls.append(a) or 0.0)
+        a, b, _ = resolve(parse_scenario(json.dumps(CONDITION2)))
+        check_compatibility(a, b)
+        assert calls == []
+        o1, o2 = stable_pair()  # built separately: equal arrays, other objects
+        check_compatibility(o1, o2)
+        assert len(calls) == 1 + len(o1.family.evolutions)
+
+
+def _pauli_scenario(n_qubits: int, presets: list[str], observers: list[list]) -> dict:
+    times = [f"t{k}" for k in range(len(observers[0]) + 1)]
+    return {
+        "format": 1,
+        "name": "pauli_observers",
+        "systems": [2] * n_qubits,
+        "initial_state": presets,
+        "times": times,
+        "observers": [
+            {
+                "name": f"O{i + 1}",
+                "measurements": [
+                    {"time": t, "observable": f"sigma_{slot[0]}@{slot[1]}"}
+                    for t, slot in zip(times[1:], slots)
+                    if slot is not None
+                ],
+            }
+            for i, slots in enumerate(observers)
+        ],
+    }
+
+
+@st.composite
+def pauli_observers(draw):
+    """3-4 observers measuring random Paulis (or nothing) at 1-3 slots of 1-3 qubits."""
+    n_qubits = draw(st.integers(1, 3))
+    n_slots = draw(st.integers(1, 3))
+    slot = st.one_of(st.none(), st.tuples(st.sampled_from("xyz"), st.integers(1, n_qubits)))
+    observers = draw(st.lists(st.lists(slot, min_size=n_slots, max_size=n_slots), min_size=3, max_size=4))
+    presets = draw(st.lists(st.sampled_from(["up_z", "down_z", "plus_x", "minus_x", "plus_y", "minus_y"]),
+                            min_size=n_qubits, max_size=n_qubits))
+    order = draw(st.permutations(range(len(observers))))
+    return _pauli_scenario(n_qubits, presets, observers), order
+
+
+def _fold(records):
+    try:
+        return combine_all(records)
+    except NotCompatibleError:
+        return None
+
+
+class TestCombineOrder:
+    """The n-way fold of ``combine_all`` does not depend on the observers' order."""
+
+    @given(pauli_observers())
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_observers_keeps_the_combined_family(self, drawn):
+        doc, order = drawn
+        records = resolve(parse_scenario(json.dumps(doc)))
+        first, other = _fold(records), _fold([records[i] for i in order])
+        assert (first is None) == (other is None)
+        if first is None:
+            return
+        for da, db in zip(first.family.slot_decompositions, other.family.slot_decompositions):
+            assert sorted(p.tobytes() for p in da.projectors) == sorted(p.tobytes() for p in db.projectors)
+        assert abs(first.max_offdiag - other.max_offdiag) <= 1e-12
