@@ -7,14 +7,15 @@ Each command line of a workload in ``perfbench/workloads.py`` runs through
 ``qhist.cli.main``, each report command in both renderings (with and
 without ``--json``); ``perfbench/`` is only read.
 
-``golden`` writes two files to DIR, by default ``tests/golden``, which
-``tests/test_golden.py`` replays: ``gallery_cli.json`` holds the gallery
+``golden`` writes three files to DIR, by default ``tests/golden``, which
+``tests/test_golden.py`` checks: ``gallery_cli.json`` holds the gallery
 workload (every shipped scenario through validate, analyze and verify, the
 classify calls and the conditional queries), and ``observers_cli.json`` the
 seed-1 ``observers`` workload, whose two generated scenarios are written to
 a temporary directory first; its entries name a scenario by its workload key
 (``all``, ``stable``).  Each entry keeps the exit code, stdout and stderr.
-Regenerate them only when a change means to alter the output.
+``digests.txt`` holds the lines ``digests`` prints.  Regenerate them only
+when a change means to alter the output.
 
 ``digests`` prints one line per distinct seed-1 command line of
 ``gallery``, ``observers``, ``deep_chain`` and ``wide_dense``: the
@@ -91,6 +92,10 @@ def write_golden(out: pathlib.Path) -> None:
     scenarios, cmds = generate("observers", OBSERVERS_SEED, ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         dump("observers_cli.json", cmds, write(scenarios, pathlib.Path(tmp)))
+    digests = out / "digests.txt"
+    with open(digests, "w") as fh, contextlib.redirect_stdout(fh):
+        print_digests()
+    print(f"wrote {len(digests.read_text().splitlines())} digests to {digests}")
 
 
 def print_digests() -> None:

@@ -20,7 +20,6 @@ from .histories import (
     chain_ket,
     coarse_grain,
     consistency_check,
-    history_probability,
 )
 from .linalg import (
     DEFAULT_TOL,

@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
                 "threshold": float(report.threshold),
                 "histories": [
                     {"labels": list(labels), "probability": float(p)}
-                    for labels, p in zip(report.labels, report.probabilities)
+                    for labels, p in zip(record.family.histories, report.probabilities)
                 ],
             }
         )
@@ -298,6 +298,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    cap = int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 @functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -311,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="scenario JSON file")
         p.add_argument("--tolerance", type=float, default=None,
                        help="set all tolerances, input checks included (default: the file's, else 1e-9)")
-        p.add_argument("--max-histories", type=int, default=DEFAULT_MAX_HISTORIES,
+        p.add_argument("--max-histories", type=positive_int, default=DEFAULT_MAX_HISTORIES,
                        help="cap on the histories of every family: each observer's own, and the "
                        "product families of classify and --family combined")
 

@@ -9,10 +9,12 @@ when all pairs of chain kets are orthogonal.
 
 ``consistency_check`` propagates every chain ket at once, level by level: a
 batch of prefix kets is evolved, split by the slot's projectors, and rid of
-the rows that are exactly zero.  A zero ket adds nothing to the Gram matrix,
-so only the Gram matrix of the surviving kets is computed; a consistent
-family has at most ``dim`` of them.  ``chain_ket`` composes one history's
-operator string on its own and is kept as an independent per-history path.
+the rows that are exactly zero.  A zero ket is orthogonal to every ket, so
+the report keeps only the surviving kets (a consistent family has at most
+``dim`` of them); their Gram matrix is formed once, by ``_overlaps``, read
+for the probabilities and the largest overlap, and not kept.  ``chain_ket``
+composes one history's operator string on its own and is kept as an
+independent per-history path.
 
 A history is a tuple of outcome labels, one per slot; a family's histories are
 those tuples in ``itertools.product`` order, and a solved family is its
@@ -69,7 +71,6 @@ __all__ = [
     "ConsistencyReport",
     "build_family",
     "chain_ket",
-    "history_probability",
     "consistency_check",
     "coarse_grain",
 ]
@@ -156,38 +157,27 @@ class HistoryFamily:
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
-    """Gram-matrix evidence for the pairwise orthogonality of chain kets.
+    """The surviving chain kets of a family, and the verdict on their overlaps.
 
-    ``family`` is the family judged.  ``support`` holds the flat indices (in
-    ``labels`` order) of the chain kets that are not exactly zero, and
-    ``support_gram`` their Gram matrix; every other entry of the full Gram
-    matrix is zero.  ``gram`` is that full N x N matrix, built only when it
-    is read.
+    ``family`` is the family judged.  ``kets`` holds, as read-only rows, the
+    chain kets that are not exactly zero, and ``support`` their flat history
+    indices (ascending, in ``HistoryFamily.histories`` order); every other
+    chain ket is zero.  ``max_offdiag`` is the largest overlap magnitude
+    between two of them.
 
-    ``probabilities`` is the Gram diagonal and is populated even when the
-    family is inconsistent (flagged by ``consistent=False``); in that case the
-    numbers are diagnostic only and not additive.
+    ``probabilities`` is the diagonal of the kets' Gram matrix, zero off
+    ``support``, and is populated even when the family is inconsistent
+    (flagged by ``consistent=False``); in that case the numbers are
+    diagnostic only and not additive.
     """
 
     family: HistoryFamily
+    kets: np.ndarray
     support: np.ndarray
-    support_gram: np.ndarray
     max_offdiag: float
     threshold: float
     consistent: bool
     probabilities: np.ndarray
-
-    @property
-    def labels(self) -> tuple[tuple[str, ...], ...]:
-        return self.family.histories
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        n = len(self.probabilities)
-        gram = np.zeros((n, n), dtype=complex)
-        gram[np.ix_(self.support, self.support)] = self.support_gram
-        gram.setflags(write=False)
-        return gram
 
     def probability(self, labels: Iterable[str]) -> float:
         return float(self.probabilities.reshape(self.family.shape)[self.family.slot_indices(labels)])
@@ -356,12 +346,6 @@ def chain_ket(family: HistoryFamily, history: Iterable[str]) -> np.ndarray:
     return op @ family.initial_ket
 
 
-def history_probability(family: HistoryFamily, history: Iterable[str]) -> float:
-    """Squared norm of the chain ket of a label tuple."""
-    ket = chain_ket(family, history)
-    return float(np.vdot(ket, ket).real)
-
-
 def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
     """The chain kets that are not exactly zero, as rows, and their flat
     history indices (ascending, in ``itertools.product`` order).
@@ -383,34 +367,39 @@ def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
     return kets, index
 
 
-def consistency_check(family: HistoryFamily, tol: Tolerance = DEFAULT_TOL) -> ConsistencyReport:
-    """Gram matrix of the nonzero chain kets, the probabilities, and the verdict.
+def _overlaps(kets: np.ndarray) -> tuple[np.ndarray, float]:
+    """The diagonal of the Gram matrix of ``kets`` (rows) and its largest
+    off-diagonal magnitude; the only place an m x m array is formed.
 
-    The family is consistent when the largest off-diagonal magnitude does not
-    exceed ``tol.cons`` relative to the largest diagonal entry (floored at 1),
-    i.e. the criterion is the full complex overlap, not just its real part.
-    Overlaps with an exactly-zero chain ket are exactly zero, so the maximum
-    is taken over the surviving kets only.
+    The diagonal is read from the same product as the overlaps: a row-norm
+    formula rounds differently in the last bit on most rows.
+    """
+    gram = np.conjugate(kets) @ kets.T
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    return gram.diagonal().real, float(np.max(off, initial=0.0))
+
+
+def consistency_check(family: HistoryFamily, tol: Tolerance = DEFAULT_TOL) -> ConsistencyReport:
+    """The nonzero chain kets, the probabilities, and the verdict.
+
+    The family is consistent when the largest off-diagonal magnitude of the
+    kets' Gram matrix does not exceed ``tol.cons`` relative to the largest
+    diagonal entry (floored at 1), i.e. the criterion is the full complex
+    overlap, not just its real part.  Overlaps with an exactly-zero chain ket
+    are exactly zero, so the maximum is taken over the surviving kets only.
     """
     kets, support = _surviving_kets(family)
-    gram = np.conjugate(kets) @ kets.T
-    diag = gram.diagonal().real
+    diag, max_offdiag = _overlaps(kets)
     probabilities = np.zeros(family.n_histories)
     probabilities[support] = diag
-    if len(support) > 1:
-        off = np.abs(gram)
-        np.fill_diagonal(off, 0.0)
-        max_offdiag = float(np.max(off))
-    else:
-        max_offdiag = 0.0
-    scale = max(1.0, float(np.max(diag, initial=0.0)))
-    threshold = tol.cons * scale
-    gram.setflags(write=False)
+    threshold = tol.cons * max(1.0, float(np.max(diag, initial=0.0)))
+    kets.setflags(write=False)
     support.setflags(write=False)
     return ConsistencyReport(
         family=family,
+        kets=kets,
         support=support,
-        support_gram=gram,
         max_offdiag=max_offdiag,
         threshold=threshold,
         consistent=max_offdiag <= threshold,

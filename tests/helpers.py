@@ -15,7 +15,7 @@ from qhist.errors import (
     NotOrthogonalError,
 )
 from qhist.framework import CommutationCheck, ProjectiveDecomposition, make_decomposition
-from qhist.histories import HistoryFamily, build_family
+from qhist.histories import ConsistencyReport, HistoryFamily, build_family, chain_ket
 from qhist.linalg import (
     DEFAULT_TOL,
     SIGMA_X,
@@ -102,6 +102,22 @@ def pauli_decomposition(axis: str, factor: int = 1, dims: tuple[int, ...] = (2,)
         [embed(plus, factor, dims), embed(minus, factor, dims)],
         [f"+{axis}", f"-{axis}"],
     )
+
+
+def full_gram(report: ConsistencyReport) -> np.ndarray:
+    """The N x N Gram matrix of every chain ket of the report's family, in
+    ``HistoryFamily.histories`` order: the surviving kets' overlaps on
+    ``report.support``, zero elsewhere."""
+    n = report.family.n_histories
+    gram = np.zeros((n, n), dtype=complex)
+    gram[np.ix_(report.support, report.support)] = np.conjugate(report.kets) @ report.kets.T
+    return gram
+
+
+def chain_ket_probability(family: HistoryFamily, labels) -> float:
+    """The squared norm of one history's chain ket, composed on its own by ``chain_ket``."""
+    ket = chain_ket(family, labels)
+    return float(np.vdot(ket, ket).real)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 from qhist import cli
 from qhist.errors import UnknownLabelError
-from qhist.histories import build_family, coarse_grain, consistency_check, history_probability
+from qhist.histories import build_family, coarse_grain, consistency_check
 from qhist.oracle import sequential_probability
 from qhist.scenario import parse_scenario, resolve, serialize_scenario
 from qhist.stablefacts import (
@@ -26,6 +26,8 @@ from qhist.stablefacts import (
 
 from helpers import (
     GALLERY_NAMES,
+    chain_ket_probability,
+    full_gram,
     gallery,
     measurement_model,
     random_decomposition,
@@ -160,7 +162,7 @@ def test_criterion_6_oracle_agrees_on_every_history():
             for labels in fam.histories:
                 total += 1
                 delta = abs(
-                    history_probability(fam, labels) - sequential_probability(fam, labels)
+                    chain_ket_probability(fam, labels) - sequential_probability(fam, labels)
                 )
                 assert delta <= 1e-12
         assert total >= 10_000
@@ -172,9 +174,9 @@ def test_criterion_7_zxz_gram_overlap_is_one_quarter():
         records = resolve(parse_scenario(gallery("zxz_inconsistent").read_bytes()))
         report = consistency_check(records[0].family)
         assert not report.consistent
-        i = report.labels.index(("+x", "+z"))
-        j = report.labels.index(("-x", "+z"))
-        assert abs(report.gram[i, j]) == pytest.approx(0.25, abs=1e-12)
+        i = report.family.histories.index(("+x", "+z"))
+        j = report.family.histories.index(("-x", "+z"))
+        assert abs(full_gram(report)[i, j]) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_criterion_8_merging_the_x_slot_restores_consistency():

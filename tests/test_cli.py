@@ -53,6 +53,16 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("usage: qhist")
 
+    @pytest.mark.parametrize("command", ["validate", "analyze", "verify"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_history_cap_below_1_is_a_usage_error(self, capsys, command, cap):
+        code, out, err = run(capsys, command, str(gallery("repeated_x")), "--max-histories", cap)
+        assert code == 1  # an input error for every command (docs/report.md)
+        assert out == ""
+        assert err.startswith("usage: qhist")
+        assert f"argument --max-histories: must be at least 1, got {cap}" in err
+        assert "Traceback" not in err and "would enumerate" not in err
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -14,7 +14,7 @@ from qhist.linalg import max_abs
 from qhist.oracle import sequential_probability
 from qhist.scenario import parse_scenario, resolve
 
-from helpers import random_family
+from helpers import full_gram, random_family
 
 BOUND = 1e-12
 N_SLOTS_DEEP = 15
@@ -31,13 +31,16 @@ def test_engine_matches_per_history_chain_kets_and_oracle(seed, d, n_slots, kind
     fam = random_family(np.random.default_rng(seed), d, n_slots, kind=kind)
     report = consistency_check(fam)
 
-    assert report.labels == tuple(itertools.product(*(d.labels for d in fam.slot_decompositions)))
-    kets = np.array([chain_ket(fam, labels) for labels in report.labels])
+    assert fam.histories == tuple(itertools.product(*(d.labels for d in fam.slot_decompositions)))
+    kets = np.array([chain_ket(fam, labels) for labels in fam.histories])
+    for row, i in zip(report.kets, report.support):
+        assert max_abs(row - kets[i]) <= BOUND
+    assert not np.delete(kets, report.support, axis=0).any()
     gram = np.conjugate(kets) @ kets.T
-    oracle = np.array([sequential_probability(fam, labels) for labels in report.labels])
+    oracle = np.array([sequential_probability(fam, labels) for labels in fam.histories])
     assert max_abs(report.probabilities - gram.diagonal().real) <= BOUND
     assert max_abs(report.probabilities - oracle) <= BOUND
-    assert max_abs(report.gram - gram) <= BOUND
+    assert max_abs(full_gram(report) - gram) <= BOUND
 
     off = np.abs(gram)
     np.fill_diagonal(off, 0.0)

@@ -1,9 +1,11 @@
-"""Byte-for-byte CLI output of the gallery and ``observers`` commands.
+"""Byte-for-byte CLI output of the benchmark workloads' commands.
 
 ``golden/gallery_cli.json`` and ``golden/observers_cli.json`` hold the exit
-code, stdout and stderr of each command, recorded by
-``scripts/cli_golden.py golden``.  A difference here means the output
-changed: regenerate the files only when that is the intent.
+code, stdout and stderr of each gallery and ``observers`` command, and
+``golden/digests.txt`` one digest of each command line of every workload,
+``deep_chain`` and ``wide_dense`` included; ``scripts/cli_golden.py golden``
+records all three.  A difference here means the output changed: regenerate
+the files only when that is the intent.
 """
 
 import importlib.util
@@ -54,10 +56,23 @@ def test_observers_output_is_unchanged(capsys, observers_paths, entry):
     _replay(capsys, entry, observers_paths[entry["scenario"]])
 
 
-def test_the_golden_script_reproduces_both_files(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def rewritten(tmp_path_factory) -> pathlib.Path:
+    """The golden files as ``scripts/cli_golden.py golden`` writes them now."""
     spec = importlib.util.spec_from_file_location("cli_golden", ROOT / "scripts" / "cli_golden.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.write_golden(tmp_path)
+    out = tmp_path_factory.mktemp("golden")
+    script.write_golden(out)
+    return out
+
+
+def test_the_golden_script_reproduces_both_files(rewritten):
     for name in ("gallery_cli.json", "observers_cli.json"):
-        assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes(), name
+        assert (rewritten / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes(), name
+
+
+def test_digests_of_every_workload_are_unchanged(rewritten):
+    # the digests print_digests prints; deep_chain and wide_dense are pinned here only
+    name = "digests.txt"
+    assert (rewritten / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()

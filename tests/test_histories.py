@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,12 +22,20 @@ from qhist.histories import (
     chain_ket,
     coarse_grain,
     consistency_check,
-    history_probability,
 )
 from qhist.linalg import SIGMA_X, SIGMA_Z, identity, max_abs
 from qhist.oracle import sequential_probability
 
-from helpers import KET_UP, pauli_decomposition, random_family, random_unitary
+from helpers import (
+    KET_UP,
+    chain_ket_probability,
+    full_gram,
+    pauli_decomposition,
+    random_decomposition,
+    random_family,
+    random_state,
+    random_unitary,
+)
 
 I2 = identity(2)
 GRID = ["t0", "t1", "t2"]
@@ -131,14 +141,19 @@ class TestChainKet:
 
 
 class TestHistoryProbability:
+    # a history's probability as the report gives it and as its chain ket's squared norm
+    @staticmethod
+    def probabilities(fam, labels):
+        return consistency_check(fam).probability(labels), chain_ket_probability(fam, labels)
+
     def test_certain_repeat(self):
-        assert history_probability(zz_family(), ("+z", "+z")) == pytest.approx(1.0)
+        assert self.probabilities(zz_family(), ("+z", "+z")) == pytest.approx((1.0, 1.0))
 
     def test_x_then_z(self):
-        assert history_probability(xz_family(), ("+x", "+z")) == pytest.approx(0.25, abs=1e-12)
+        assert self.probabilities(xz_family(), ("+x", "+z")) == pytest.approx((0.25, 0.25), abs=1e-12)
 
     def test_x_then_x(self):
-        assert history_probability(xx_family(), ("+x", "+x")) == pytest.approx(0.5, abs=1e-12)
+        assert self.probabilities(xx_family(), ("+x", "+x")) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 class TestConsistencyCheck:
@@ -146,15 +161,15 @@ class TestConsistencyCheck:
         report = consistency_check(xx_family())
         assert report.consistent
         expected = {("+x", "+x"): 0.5, ("+x", "-x"): 0.0, ("-x", "+x"): 0.0, ("-x", "-x"): 0.5}
-        for labels, p in zip(report.labels, report.probabilities):
+        for labels, p in zip(report.family.histories, report.probabilities):
             assert p == pytest.approx(expected[labels], abs=1e-12)
 
     def test_x_then_z_is_inconsistent_with_quarter_overlap(self):
         report = consistency_check(xz_family())
         assert not report.consistent
-        i = report.labels.index(("+x", "+z"))
-        j = report.labels.index(("-x", "+z"))
-        assert abs(report.gram[i, j]) == pytest.approx(0.25, abs=1e-12)
+        i = report.family.histories.index(("+x", "+z"))
+        j = report.family.histories.index(("-x", "+z"))
+        assert abs(full_gram(report)[i, j]) == pytest.approx(0.25, abs=1e-12)
 
     def test_single_slot_always_consistent(self, rng):
         for _ in range(20):
@@ -163,7 +178,7 @@ class TestConsistencyCheck:
 
     def test_gram_is_hermitian(self, rng):
         fam = random_family(rng, 3, 2)
-        g = consistency_check(fam).gram
+        g = full_gram(consistency_check(fam))
         assert max_abs(g - g.conj().T) == 0.0
 
 
@@ -220,10 +235,10 @@ class TestFamilyInvariants:
             merged = coarse_grain(fam, {slot_time: [labels[:2], *[(l,) for l in labels[2:]]]})
             fine = consistency_check(fam)
             coarse = consistency_check(merged)
-            for clabels, cp in zip(coarse.labels, coarse.probabilities):
+            for clabels, cp in zip(merged.histories, coarse.probabilities):
                 mass = sum(
                     fp
-                    for flabels, fp in zip(fine.labels, fine.probabilities)
+                    for flabels, fp in zip(fam.histories, fine.probabilities)
                     if flabels[1:] == clabels[1:] and flabels[0] in clabels[0].split("∨")
                 )
                 assert abs(cp - mass) < 1e-9
@@ -241,10 +256,11 @@ class TestFamilyInvariants:
             if report.consistent:
                 continue
             real_single_slot = False
-            for i in range(len(report.labels)):
-                for j in range(i + 1, len(report.labels)):
-                    differs = [a != b for a, b in zip(report.labels[i], report.labels[j])]
-                    if sum(differs) == 1 and abs(report.gram[i, j].real) > 1e-7:
+            histories, gram = fam.histories, full_gram(report)
+            for i in range(len(histories)):
+                for j in range(i + 1, len(histories)):
+                    differs = [a != b for a, b in zip(histories[i], histories[j])]
+                    if sum(differs) == 1 and abs(gram[i, j].real) > 1e-7:
                         real_single_slot = True
             if not real_single_slot:
                 continue
@@ -259,14 +275,14 @@ class TestFamilyInvariants:
             fam = random_family(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
             for labels in fam.histories:
                 assert abs(
-                    history_probability(fam, labels) - sequential_probability(fam, labels)
+                    chain_ket_probability(fam, labels) - sequential_probability(fam, labels)
                 ) < 1e-12
 
     def test_unitary_invariance_of_gram_matrix(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 5))
             fam = random_family(rng, d, 2)
-            g1 = consistency_check(fam).gram
+            g1 = full_gram(consistency_check(fam))
             u = random_unitary(rng, d)
             slots = [
                 make_decomposition(
@@ -278,7 +294,7 @@ class TestFamilyInvariants:
             rotated = build_family(
                 u.conj().T @ fam.initial_ket, fam.grid, evolutions, slots
             )
-            g2 = consistency_check(rotated).gram
+            g2 = full_gram(consistency_check(rotated))
             assert max_abs(g1 - g2) < 1e-9
 
 
@@ -328,9 +344,42 @@ def test_consistent_family_probabilities_sum_to_one_and_gram_is_psd(seed, d, n_s
     # kets sum to the evolved initial ket
     m = len(report.support)
     assert abs(report.probabilities.sum() - 1.0) <= 1e-12 + m * (m - 1) * report.max_offdiag
-    gram = report.support_gram
+    gram = np.conjugate(report.kets) @ report.kets.T
     assert max_abs(gram - gram.conj().T) <= 1e-12
     assert np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() >= -1e-12
+
+
+@given(*FAMILIES)
+@settings(max_examples=100, deadline=None)
+def test_probabilities_are_the_gram_diagonal_of_the_kets(seed, d, n_slots, kind):
+    # the diagonal of the kets' own Gram product, to the bit; row norms round
+    # differently in the last bit, which would move the CLI's bytes
+    report = consistency_check(random_family(np.random.default_rng(seed), d, n_slots, kind))
+    diagonal = (np.conjugate(report.kets) @ report.kets.T).diagonal().real
+    assert report.probabilities[report.support].tobytes() == diagonal.tobytes()
+    assert not np.delete(report.probabilities, report.support).any()
+    row_norms = np.einsum("ij,ij->i", np.conjugate(report.kets), report.kets).real
+    assert max_abs(row_norms - diagonal) <= 1e-12
+
+
+def test_a_report_holds_its_kets_and_no_gram_matrix(rng):
+    # six dense 4-outcome slots at d=8: N = 4096 histories, nearly all of
+    # whose chain kets survive, so an m x m matrix would dwarf the kets
+    d, n_slots = 8, 6
+    fam = build_family(
+        random_state(rng, d),
+        [f"t{k}" for k in range(n_slots + 1)],
+        [random_unitary(rng, d) for _ in range(n_slots)],
+        [random_decomposition(rng, d, n_blocks=4) for _ in range(n_slots)],
+    )
+    report = consistency_check(fam)
+    n, m = fam.n_histories, len(report.support)
+    assert n == 4096 and m > 64 * d
+    assert report.kets.shape == (m, d) and not report.kets.flags.writeable
+    arrays = [getattr(report, f.name) for f in dataclasses.fields(report)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert all(a.shape[-2:] != (m, m) for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 16 * m * d + 8 * n + 8 * m
 
 
 @given(*FAMILIES, st.data())

@@ -15,7 +15,7 @@ from qhist.oracle import (
     sequential_probability,
 )
 
-from helpers import KET_UP, pauli_decomposition, random_family
+from helpers import KET_UP, full_gram, pauli_decomposition, random_family
 
 I2 = identity(2)
 GRID = ["t0", "t1", "t2"]
@@ -113,9 +113,9 @@ class TestAdditivityScan:
         fam = build_family(KET_UP, GRID, [I2, I2], [DY, DX])
         report = consistency_check(fam)
         assert not report.consistent
-        i = report.labels.index(("+y", "+x"))
-        j = report.labels.index(("-y", "+x"))
-        overlap = report.gram[i, j]
+        i = fam.histories.index(("+y", "+x"))
+        j = fam.histories.index(("-y", "+x"))
+        overlap = full_gram(report)[i, j]
         assert abs(overlap.real) < 1e-12
         assert abs(overlap.imag) == pytest.approx(0.25, abs=1e-12)
         assert exhaustive_additivity_scan(fam) == []

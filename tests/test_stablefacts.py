@@ -229,7 +229,7 @@ class TestCombine:
         own = consistency_check(o1.family)
         assert len(merged.family.histories) == len(o1.family.histories)
         for (labels, p), (mlabels, mp) in zip(
-            zip(own.labels, own.probabilities), zip(merged.labels, merged.probabilities)
+            zip(own.family.histories, own.probabilities), zip(merged.family.histories, merged.probabilities)
         ):
             assert mlabels == tuple(f"{l}∧any" for l in labels)
             assert mp == pytest.approx(p, abs=1e-12)
@@ -248,10 +248,10 @@ class TestCombine:
         merged = combine(o1, o2)
         for record, side in ((o1, 0), (o2, 1)):
             own = consistency_check(record.family)
-            for labels, p in zip(own.labels, own.probabilities):
+            for labels, p in zip(own.family.histories, own.probabilities):
                 mass = sum(
                     mp
-                    for mlabels, mp in zip(merged.labels, merged.probabilities)
+                    for mlabels, mp in zip(merged.family.histories, merged.probabilities)
                     if tuple(l.split("∧")[side] for l in mlabels) == labels
                 )
                 assert mass == pytest.approx(p, abs=1e-9)
