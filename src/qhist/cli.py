@@ -37,7 +37,7 @@ from .errors import (
 from .histories import DEFAULT_MAX_HISTORIES, consistency_check
 from .linalg import Tolerance
 from .oracle import sequential_probabilities
-from .scenario import effective_tolerance, parse_scenario, resolve
+from .scenario import COMBINED_FAMILY, effective_tolerance, parse_scenario, resolve
 from .stablefacts import (
     FactQuery,
     ObserverRecord,
@@ -245,7 +245,7 @@ def cmd_conditional(args) -> int:
     event = _parse_fact(args.event, "event")
     given = _parse_fact(args.given, "given")
     by_name = {r.name: r for r in records}
-    if args.family == "combined":
+    if args.family == COMBINED_FAMILY:
         if len(records) < 2:
             raise QHistError("--family combined needs at least two observers")
         report = combine_all(records, tol, args.max_histories)

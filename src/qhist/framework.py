@@ -6,6 +6,8 @@ projectors is defined only when they commute; otherwise it is the
 distinguished value ``UNDEFINED`` (a result of the three-valued logic, not a
 failure).  Two decompositions are compatible when all cross pairs commute;
 only compatible decompositions may be refined into a common one.
+Compatibility, refinement and the two-condition test read one table of
+products PQ per pair of decompositions (``_pair_products``).
 """
 
 from __future__ import annotations
@@ -311,6 +313,37 @@ class CommutationCheck(NamedTuple):
     worst_pair: tuple[str, str] | None
 
 
+def _pair_products(
+    a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
+) -> tuple[CommutationCheck, np.ndarray, list[str]]:
+    """The table of products PQ of two decompositions, each formed once:
+    ``decompositions_compatible``'s check, and the nonzero products in
+    row-major order with their labels "p∧q", not yet validated as a
+    decomposition.
+
+    The products are formed in blocks of rows (``_block_rows``).  Each
+    block's residuals max|PQ - QP| multiply QP afresh rather than take it as
+    (PQ)†, which equals QP only for exactly Hermitian operands.
+    """
+    if a.dim != b.dim:
+        raise DimMismatchError(f"decompositions have dims {a.dim} and {b.dim}")
+    p, q = a.projectors, b.projectors
+    step = _block_rows(len(p), len(q))
+    residuals, kept, names = np.empty((len(p), len(q))), [], []
+    for r in range(0, len(p), step):
+        block = p[r : r + step, None] @ q
+        residuals[r : r + step] = max_abs_each(block - q @ p[r : r + step, None])
+        keep = max_abs_each(block) > tol.proj
+        kept.append(block[keep])
+        rows, cols = np.nonzero(keep)
+        names.extend(f"{a.labels[r + i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(rows, cols))
+    i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
+    worst = float(residuals[i, j])
+    worst_pair = (a.labels[i], b.labels[j]) if worst > 0.0 else None
+    stack = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    return CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, names
+
+
 def decompositions_compatible(
     a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance = DEFAULT_TOL
 ) -> CommutationCheck:
@@ -319,17 +352,7 @@ def decompositions_compatible(
     ``worst_pair`` is the first pair (``a``'s labels, then ``b``'s) with the
     largest residual, and None when every residual is exactly 0.
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"decompositions have dims {a.dim} and {b.dim}")
-    p, q = a.projectors, b.projectors
-    step = _block_rows(len(p), len(q))
-    residuals = np.concatenate(
-        [max_abs_each(p[r : r + step, None] @ q - q @ p[r : r + step, None]) for r in range(0, len(p), step)]
-    )
-    i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
-    worst = float(residuals[i, j])
-    worst_pair = (a.labels[i], b.labels[j]) if worst > 0.0 else None
-    return CommutationCheck(worst <= tol.comm, worst, worst_pair)
+    return _pair_products(a, b, tol)[0]
 
 
 def refine(
@@ -340,44 +363,13 @@ def refine(
     Keeps every nonzero product PQ, labelled "p∧q"; zero products span empty
     subspaces and are dropped.
     """
-    check = decompositions_compatible(a, b, tol)
+    check, stack, labels = _pair_products(a, b, tol)
     if not check.compatible:
         raise IncompatibleFrameworksError(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
-    return _products(a, b, tol)
-
-
-def _products(
-    a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
-) -> ProjectiveDecomposition:
-    """The nonzero products PQ, labelled "p∧q", validated as a decomposition:
-    the one-pair case of ``_products_each``."""
-    return _products_each([(a, b)], tol)[0]
-
-
-def _products_each(
-    pairs: Sequence[tuple[ProjectiveDecomposition, ProjectiveDecomposition]], tol: Tolerance
-) -> list[ProjectiveDecomposition]:
-    """For each pair (a, b) of one dimension, the nonzero products PQ in
-    row-major order, labelled "p∧q", validated by one ``_validate_stacks``
-    call; raises the first faulty pair's error.  The products are formed in
-    blocks of rows (``_block_rows``), and only the nonzero ones are kept."""
-    stacks, labels = [], []
-    for a, b in pairs:
-        p, q = a.projectors, b.projectors
-        step = _block_rows(len(p), len(q))
-        kept, names = [], []
-        for r in range(0, len(p), step):
-            block = p[r : r + step, None] @ q
-            keep = max_abs_each(block) > tol.proj
-            kept.append(block[keep])
-            rows, cols = np.nonzero(keep)
-            names.extend(f"{a.labels[r + i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(rows, cols))
-        stacks.append(np.concatenate(kept))
-        labels.append(names)
-    decomps, error = _validate_stacks(stacks, labels, tol)
+    decomps, error = _validate_stacks([stack], [labels], tol)
     if error is not None:
         raise error
-    return decomps
+    return decomps[0]

@@ -165,10 +165,10 @@ class ConsistencyReport:
     chain ket is zero.  ``max_offdiag`` is the largest overlap magnitude
     between two of them.
 
-    ``probabilities`` is the diagonal of the kets' Gram matrix, zero off
-    ``support``, and is populated even when the family is inconsistent
-    (flagged by ``consistent=False``); in that case the numbers are
-    diagnostic only and not additive.
+    ``probabilities`` (read-only) is the diagonal of the kets' Gram matrix,
+    zero off ``support``, and is populated even when the family is
+    inconsistent (flagged by ``consistent=False``); in that case the numbers
+    are diagnostic only and not additive.
     """
 
     family: HistoryFamily
@@ -394,8 +394,8 @@ def consistency_check(family: HistoryFamily, tol: Tolerance = DEFAULT_TOL) -> Co
     probabilities = np.zeros(family.n_histories)
     probabilities[support] = diag
     threshold = tol.cons * max(1.0, float(np.max(diag, initial=0.0)))
-    kets.setflags(write=False)
-    support.setflags(write=False)
+    for array in (kets, support, probabilities):
+        array.setflags(write=False)
     return ConsistencyReport(
         family=family,
         kets=kets,

@@ -69,6 +69,7 @@ FORMAT_VERSION = 1
 DEFAULT_MAX_DIM = 64
 
 TRIVIAL_LABEL = "any"
+COMBINED_FAMILY = "combined"  # `conditional --family` name of the n-way fold; no observer may take it
 
 _QUBIT_PRESETS = {
     "up_z": np.array([1, 0], dtype=complex),
@@ -289,6 +290,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
         raise ScenarioParseError(
             f"invalid JSON: {exc.msg}", path=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError:
+        raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from None
     doc = _expect(doc, dict, "$", "a JSON object")
     _reject_unknown(
         doc,
@@ -376,6 +379,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
         obs = _expect(obs, dict, opath, "an object")
         _reject_unknown(obs, {"name", "measurements"}, opath)
         oname = _expect(_get(obs, "name", opath), str, f"{opath}.name", "a string")
+        if oname == COMBINED_FAMILY:
+            raise ScenarioError(f"observer name {oname!r} is reserved", path=f"{opath}.name")
         if oname in seen_names:
             raise ScenarioError(f"duplicate observer name {oname!r}", path=f"{opath}.name")
         seen_names.add(oname)

@@ -191,6 +191,7 @@ class TestScenarioErrors:
         [
             (b'{"name": "\xff"}', "$"),
             (b"[]", "$"),
+            (b"[" * 200000, "$"),
             ({k: v for k, v in one_qubit().items() if k != "times"}, "$"),
             (one_qubit(initial_state=5), "$.initial_state"),
             (one_qubit(systems=[]), "$.systems"),
@@ -214,6 +215,7 @@ class TestScenarioErrors:
             (_observing("sigma_z@1", systems=[3], initial_state={"vector": [[1, 0], [0, 0], [0, 0]]}),
              "$.observers[0].measurements[0].observable"),
             (one_qubit(observers=[{"name": "O1", "measurements": []}] * 2), "$.observers[1].name"),
+            (one_qubit(observers=[{"name": n, "measurements": []} for n in ("B", "combined")]), "$.observers[1].name"),
             (one_qubit(observers=[{"name": "O1", "measurements": [{"time": "t9", "observable": "sigma_z"}]}]),
              "$.observers[0].measurements[0].time"),
             (one_qubit(systems=[2, 2]), "$.initial_state"),
@@ -223,11 +225,12 @@ class TestScenarioErrors:
              "$.observers[0].measurements[0].observable.matrix[1][0]"),
         ],
         ids=[
-            "not_utf8", "not_an_object", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "total_dim_wraps_int64", "complex_not_pair", "empty_vector",
+            "not_utf8", "not_an_object", "nested_too_deeply", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "total_dim_wraps_int64", "complex_not_pair", "empty_vector",
             "vector_wrong_length", "ragged_rows", "one_time", "duplicate_times", "evolution_count",
             "evolution_shape", "empty_matrix", "observable_without_matrix_or_projectors",
             "empty_projector_list", "projector_shape",
-            "pauli_factor_out_of_range", "pauli_on_qutrit", "duplicate_observer", "time_off_grid",
+            "pauli_factor_out_of_range", "pauli_on_qutrit", "duplicate_observer", "reserved_observer_name",
+            "time_off_grid",
             "preset_count", "unknown_preset", "huge_int_in_vector", "huge_int_in_matrix",
         ],
     )

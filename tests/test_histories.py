@@ -25,11 +25,13 @@ from qhist.histories import (
 )
 from qhist.linalg import SIGMA_X, SIGMA_Z, identity, max_abs
 from qhist.oracle import sequential_probability
+from qhist.scenario import parse_scenario, resolve
 
 from helpers import (
     KET_UP,
     chain_ket_probability,
     full_gram,
+    gallery,
     pauli_decomposition,
     random_decomposition,
     random_family,
@@ -360,6 +362,15 @@ def test_probabilities_are_the_gram_diagonal_of_the_kets(seed, d, n_slots, kind)
     assert not np.delete(report.probabilities, report.support).any()
     row_norms = np.einsum("ij,ij->i", np.conjugate(report.kets), report.kets).real
     assert max_abs(row_norms - diagonal) <= 1e-12
+
+
+def test_a_report_is_read_only():
+    (record,) = resolve(parse_scenario(gallery("zxz_inconsistent").read_bytes()))
+    report = consistency_check(record.family)
+    assert not report.consistent
+    for array in (report.kets, report.support, report.probabilities):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_a_report_holds_its_kets_and_no_gram_matrix(rng):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qhist.framework
 import qhist.stablefacts
 from qhist.errors import (
     BadTimesError,
@@ -15,7 +17,7 @@ from qhist.errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from qhist.framework import _products, decompositions_compatible, make_decomposition
+from qhist.framework import decompositions_compatible, make_decomposition
 from qhist.histories import build_family, coarse_grain, consistency_check
 from qhist.linalg import DEFAULT_TOL, SIGMA_X, identity
 from qhist.scenario import parse_scenario, resolve
@@ -39,6 +41,7 @@ from helpers import (
     pauli_decomposition,
     random_family,
     random_scenario,
+    reference_products,
 )
 
 I2 = identity(2)
@@ -189,7 +192,7 @@ class TestRepeatedSlotPairs:
                 fam.initial_ket,
                 fam.grid,
                 [ev.unitary for ev in fam.evolutions],
-                [_products(da, db, DEFAULT_TOL) for da, db in pairs],
+                [make_decomposition(*reference_products(da, db)) for da, db in pairs],
             )
         )
         got = report.product_family_consistency
@@ -424,7 +427,7 @@ class TestProductSlotsInOnePass:
         a, b = random_pair(seed)
         pairs = list(zip(a.family.slot_decompositions, b.family.slot_decompositions))
         try:
-            expected = [_products(da, db, DEFAULT_TOL) for da, db in pairs]
+            expected = [make_decomposition(*reference_products(da, db)) for da, db in pairs]
         except QHistError:
             expected = None
         product = check_compatibility(a, b).product_family_consistency
@@ -434,6 +437,26 @@ class TestProductSlotsInOnePass:
         got = product.family.slot_decompositions
         assert [d.labels for d in got] == [d.labels for d in expected]
         assert [d.projectors.tobytes() for d in got] == [d.projectors.tobytes() for d in expected]
+
+    def test_each_slot_is_multiplied_once(self, monkeypatch):
+        calls = []
+
+        def pair_products(da, db, tol):
+            calls.append((da, db))
+            return qhist.framework._pair_products(da, db, tol)
+
+        def compatible(*args):
+            raise AssertionError("check_compatibility multiplied a slot pair twice")
+
+        monkeypatch.setattr(qhist.stablefacts, "_pair_products", pair_products)
+        monkeypatch.setattr(qhist.stablefacts, "decompositions_compatible", compatible)
+        verdicts = []
+        for a, b in itertools.combinations(resolve(parse_scenario(json.dumps(CONDITION2))), 2):
+            calls.clear()
+            verdicts.append(check_compatibility(a, b).failing_condition)
+            pairs = list(zip(a.family.slot_decompositions, b.family.slot_decompositions))
+            assert [(id(da), id(db)) for da, db in calls] == [(id(da), id(db)) for da, db in pairs]
+        assert verdicts == ["condition2", "condition1", None]
 
     def test_records_of_one_resolve_compare_no_arrays(self, monkeypatch):
         calls = []
