@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 
@@ -132,7 +133,10 @@ def cmd_analyze(args) -> int:
                 "threshold": float(report.threshold),
                 "histories": [
                     {"labels": list(labels), "probability": float(p)}
-                    for labels, p in zip(record.family.histories, report.probabilities)
+                    for labels, p in zip(
+                        itertools.product(*(d.labels for d in record.family.slot_decompositions)),
+                        report.probabilities,
+                    )
                 ],
             }
         )
@@ -264,8 +268,10 @@ def cmd_verify(args) -> int:
     """Check the probabilities ``analyze`` reports against the oracle.
 
     The oracle walks each family's tree of history prefixes with one
-    evolve-and-project per prefix and shares no code with ``histories``.
-    The worst history is the first maximal discrepancy, observers in order.
+    evolve-and-project per nonzero prefix and shares no code with
+    ``histories``.  Every history is compared, those below an exactly-zero
+    prefix too (0 against 0).  The worst history is the first maximal
+    discrepancy, observers in order.
     """
     scn, records, tol = _load(args)
     if not records:

@@ -315,11 +315,11 @@ class CommutationCheck(NamedTuple):
 
 def _pair_products(
     a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
-) -> tuple[CommutationCheck, np.ndarray, list[str]]:
+) -> tuple[CommutationCheck, np.ndarray, np.ndarray]:
     """The table of products PQ of two decompositions, each formed once:
-    ``decompositions_compatible``'s check, and the nonzero products in
-    row-major order with their labels "p∧q", not yet validated as a
-    decomposition.
+    ``decompositions_compatible``'s check, the nonzero products in row-major
+    order, not yet validated as a decomposition, and the (len(a), len(b))
+    mask of the products kept, from which ``_product_labels`` names them.
 
     The products are formed in blocks of rows (``_block_rows``).  Each
     block's residuals max|PQ - QP| multiply QP afresh rather than take it as
@@ -329,19 +329,22 @@ def _pair_products(
         raise DimMismatchError(f"decompositions have dims {a.dim} and {b.dim}")
     p, q = a.projectors, b.projectors
     step = _block_rows(len(p), len(q))
-    residuals, kept, names = np.empty((len(p), len(q))), [], []
+    residuals, keep, kept = np.empty((len(p), len(q))), np.empty((len(p), len(q)), dtype=bool), []
     for r in range(0, len(p), step):
         block = p[r : r + step, None] @ q
         residuals[r : r + step] = max_abs_each(block - q @ p[r : r + step, None])
-        keep = max_abs_each(block) > tol.proj
-        kept.append(block[keep])
-        rows, cols = np.nonzero(keep)
-        names.extend(f"{a.labels[r + i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(rows, cols))
+        keep[r : r + step] = max_abs_each(block) > tol.proj
+        kept.append(block[keep[r : r + step]])
     i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[i, j])
     worst_pair = (a.labels[i], b.labels[j]) if worst > 0.0 else None
     stack = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    return CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, names
+    return CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, keep
+
+
+def _product_labels(a: ProjectiveDecomposition, b: ProjectiveDecomposition, keep: np.ndarray) -> list[str]:
+    """The labels "p∧q" of the products ``_pair_products`` kept, in its order."""
+    return [f"{a.labels[i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(*np.nonzero(keep))]
 
 
 def decompositions_compatible(
@@ -363,13 +366,13 @@ def refine(
     Keeps every nonzero product PQ, labelled "p∧q"; zero products span empty
     subspaces and are dropped.
     """
-    check, stack, labels = _pair_products(a, b, tol)
+    check, stack, keep = _pair_products(a, b, tol)
     if not check.compatible:
         raise IncompatibleFrameworksError(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
-    decomps, error = _validate_stacks([stack], [labels], tol)
+    decomps, error = _validate_stacks([stack], [_product_labels(a, b, keep)], tol)
     if error is not None:
         raise error
     return decomps[0]

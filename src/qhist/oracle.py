@@ -5,8 +5,11 @@ propagation: evolve the vector, project it, never normalize, and read the
 final squared norm, one history at a time.  ``sequential_probabilities``
 runs the same steps for a whole family as a walk of the tree of history
 prefixes, with one evolve-and-project per prefix, so siblings share their
-parent's evolved state; it gives the same bits as ``sequential_probability``
-history by history.  Both deliberately share no code with ``histories``
+parent's evolved state.  It expands only prefixes whose state is nonzero:
+every extension of an exactly-zero state is exactly zero, so the leaves of a
+skipped subtree keep the 0.0 the full walk would write, and the walk gives
+the same bits as the unpruned ``sequential_probability`` history by history,
+zero subtrees included.  Both deliberately share no code with ``histories``
 (whose ``chain_ket`` composes the operator string and whose
 ``consistency_check`` propagates all histories as one batch); agreement
 between them is the suite's strongest cross-check.
@@ -65,18 +68,28 @@ def sequential_probabilities(family: HistoryFamily) -> np.ndarray:
     slot labels, by a depth-first walk of the tree of history prefixes.
 
     Each node runs the step of ``sequential_probability``: the parent's
-    state is evolved once, and each child projects that evolved state.  The
-    walk keeps an explicit stack, so the number of slots is not bounded by
-    the recursion limit.
+    state is evolved once, and each child projects that evolved state.  A
+    proper prefix whose state is exactly zero is not expanded, and its
+    subtree's leaves keep the 0.0 they start with: the evolutions and
+    projectors are finite, so each extension of a zero state is zero, and
+    its squared norm is +0.0, the value the full walk would write.  Leaves
+    are not tested; a zero leaf's squared norm is written as computed.  In
+    exact arithmetic a consistent family has at most d nonzero prefixes per
+    level, every truncation of it being consistent too, so its walk costs
+    O(d * total outcomes) rather than O(histories); a dense family costs
+    what the full walk does.  The walk keeps an explicit stack, so the
+    number of slots is not bounded by the recursion limit.
     """
     steps = [(ev.unitary, d.projectors) for ev, d in zip(family.evolutions, family.slot_decompositions)]
-    out = np.empty(family.n_histories)
+    out = np.zeros(family.n_histories)
     # (depth, flat index of the prefix among prefixes of its depth, state)
     stack = [(0, 0, np.array(family.initial_ket, dtype=complex))]
     while stack:
         depth, index, state = stack.pop()
         if depth == len(steps):
             out[index] = np.vdot(state, state).real
+            continue
+        if not np.count_nonzero(state):  # cheaper than state.any() on a short vector
             continue
         unitary, projectors = steps[depth]
         evolved = unitary @ state

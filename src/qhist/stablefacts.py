@@ -26,7 +26,7 @@ from .errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from .framework import _pair_products, _validate_stacks, decompositions_compatible
+from .framework import _pair_products, _product_labels, _validate_stacks, decompositions_compatible
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     ConsistencyReport,
@@ -118,22 +118,27 @@ def check_compatibility(
     ``report.product_family_consistency.family``."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
-    per_slot, stacks, labels = [], [], []
-    for time, da, db in zip(fa.grid.slot_times, fa.slot_decompositions, fb.slot_decompositions):
-        check, stack, names = _pair_products(da, db, tol)
+    pairs = list(zip(fa.slot_decompositions, fb.slot_decompositions))
+    per_slot, stacks, keeps = [], [], []
+    for time, (da, db) in zip(fa.grid.slot_times, pairs):
+        check, stack, keep = _pair_products(da, db, tol)
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
         stacks.append(stack)
-        labels.append(names)
+        keeps.append(keep)
     condition1 = all(sc.commutes for sc in per_slot)
 
     # the slot-wise products {K_i Y_j}, validated in one pass; they may fail to
     # form decompositions only when condition 1 already failed, and condition 2
     # is then skipped.  Which slot fails does not matter, so the first slot
     # that does not commute, where products usually fail, is tried alone first.
+    # A slot's products are labelled only when they are validated.
+    def labels(k: int) -> list[str]:
+        return _product_labels(*pairs[k], keeps[k])
+
     first = [k for k, sc in enumerate(per_slot) if not sc.commutes][:1]
-    _, error = _validate_stacks([stacks[k] for k in first], [labels[k] for k in first], tol)
+    _, error = _validate_stacks([stacks[k] for k in first], [labels(k) for k in first], tol)
     if error is None:
-        slots, error = _validate_stacks(stacks, labels, tol)
+        slots, error = _validate_stacks(stacks, [labels(k) for k in range(len(stacks))], tol)
     product_report = None
     if error is None:
         product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, tol, max_histories)

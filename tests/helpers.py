@@ -260,9 +260,12 @@ def random_family(
 ) -> HistoryFamily:
     """kind: 'generic' (usually inconsistent for n_slots > 1), 'repeated'
     (same observable transported through the evolutions: always consistent),
-    'single' (one slot: always consistent), or 'basis' (mostly
+    'single' (one slot: always consistent), 'basis' (mostly
     coordinate-basis slots, each evolution the identity or random: repeated
-    bases across identity steps make chain kets vanish exactly)."""
+    bases across identity steps make chain kets vanish exactly), or 'eigen'
+    ('basis' whose first evolution is the identity, first slot a coordinate
+    decomposition and initial ket in one of its blocks: every other outcome
+    at the first slot has an exactly zero chain ket)."""
     if kind == "single":
         n_slots = 1
     grid = ["t0"] + [f"t{k + 1}" for k in range(n_slots)]
@@ -280,12 +283,17 @@ def random_family(
                     base.labels,
                 )
             )
-    elif kind == "basis":
+    elif kind in ("basis", "eigen"):
         evolutions = [identity(d) if rng.random() < 0.6 else u for u in evolutions]
         slots = [
             coordinate_decomposition(rng, d) if rng.random() < 0.75 else random_decomposition(rng, d)
             for _ in range(n_slots)
         ]
+        if kind == "eigen":
+            evolutions[0] = identity(d)
+            slots[0] = coordinate_decomposition(rng, d)
+            ket = slots[0].projectors[rng.integers(len(slots[0]))] @ ket
+            ket = ket / np.linalg.norm(ket)
     else:
         slots = [random_decomposition(rng, d) for _ in range(n_slots)]
     return build_family(ket, grid, evolutions, slots)

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from qhist import cli
+from qhist.histories import HistoryFamily
 
 from helpers import GOLDEN, gallery
 
@@ -54,6 +55,17 @@ def observers_paths(tmp_path_factory):
 @pytest.mark.parametrize("entry", OBSERVERS_GOLDEN, ids=_ids(OBSERVERS_GOLDEN))
 def test_observers_output_is_unchanged(capsys, observers_paths, entry):
     _replay(capsys, entry, observers_paths[entry["scenario"]])
+
+
+def test_no_command_enumerates_histories(capsys, monkeypatch, observers_paths):
+    def refuse(family):
+        raise AssertionError("the CLI read HistoryFamily.histories")
+
+    monkeypatch.setattr(HistoryFamily, "histories", property(refuse))
+    for entry in GOLDEN:
+        _replay(capsys, entry, gallery(entry["scenario"]))
+    for entry in OBSERVERS_GOLDEN:
+        _replay(capsys, entry, observers_paths[entry["scenario"]])
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qhist.errors import SizeCapError, UnknownLabelError
 from qhist.histories import build_family, consistency_check
-from qhist.framework import make_decomposition
+from qhist.framework import ProjectiveDecomposition, make_decomposition
 from qhist.linalg import identity
 from qhist.oracle import (
     exhaustive_additivity_scan,
@@ -53,7 +54,7 @@ class TestSequentialProbabilities:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         d=st.integers(min_value=2, max_value=4),
         n_slots=st.integers(min_value=1, max_value=4),
-        kind=st.sampled_from(["generic", "repeated", "single", "basis"]),
+        kind=st.sampled_from(["generic", "repeated", "single", "basis", "eigen"]),
     )
     @settings(max_examples=100, deadline=None)
     def test_walk_matches_per_sequence_oracle_bit_for_bit(self, seed, d, n_slots, kind):
@@ -62,7 +63,29 @@ class TestSequentialProbabilities:
             sequential_probability(fam, seq)
             for seq in itertools.product(*(dec.labels for dec in fam.slot_decompositions))
         ]
-        assert np.array_equal(sequential_probabilities(fam), expected)
+        # bytes, not values: a -0.0 where the reference has +0.0 fails too
+        assert sequential_probabilities(fam).tobytes() == np.array(expected).tobytes()
+
+    def test_walk_expands_only_nonzero_prefixes(self):
+        # sigma_z 16 times from up_z: 65536 histories, one of them nonzero
+        n_slots = 16
+        fam = build_family(
+            KET_UP, [f"t{k}" for k in range(n_slots + 1)], [I2] * n_slots, [DZ] * n_slots
+        )
+        projections = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                projections.append(1)
+                return np.asarray(self) @ other
+
+        counted = ProjectiveDecomposition(dim=2, projectors=DZ.projectors.view(Counted), labels=DZ.labels)
+        probs = sequential_probabilities(dataclasses.replace(fam, slot_decompositions=(counted,) * n_slots))
+        # each level expands the one nonzero prefix into its two children
+        assert len(projections) == 2 * n_slots
+        assert probs.shape == (2**n_slots,)
+        assert probs[0] == 1.0
+        assert not probs[1:].any()
 
     def test_deep_family_needs_no_recursion(self):
         # 1500 one-outcome slots: deeper than the default recursion limit

@@ -458,6 +458,26 @@ class TestProductSlotsInOnePass:
             assert [(id(da), id(db)) for da, db in calls] == [(id(da), id(db)) for da, db in pairs]
         assert verdicts == ["condition2", "condition1", None]
 
+    def test_a_slot_is_labelled_only_when_validated(self, monkeypatch):
+        labelled = []
+
+        def product_labels(da, db, keep):
+            labelled.append((id(da), id(db)))
+            return qhist.framework._product_labels(da, db, keep)
+
+        monkeypatch.setattr(qhist.stablefacts, "_product_labels", product_labels)
+        for a, b in itertools.combinations(resolve(parse_scenario(json.dumps(CONDITION2))), 2):
+            labelled.clear()
+            report = check_compatibility(a, b)
+            pairs = [(id(da), id(db)) for da, db in zip(a.family.slot_decompositions, b.family.slot_decompositions)]
+            if report.failing_condition == "condition1":
+                # the first slot that does not commute fails alone; no other slot is labelled
+                first = next(k for k, sc in enumerate(report.per_slot_commutation) if not sc.commutes)
+                assert report.product_family_consistency is None
+                assert labelled == [pairs[first]]
+            else:
+                assert labelled == pairs
+
     def test_records_of_one_resolve_compare_no_arrays(self, monkeypatch):
         calls = []
         monkeypatch.setattr(qhist.stablefacts, "max_abs", lambda a: calls.append(a) or 0.0)
