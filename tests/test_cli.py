@@ -1,6 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qhist.histories
 import qhist.stablefacts
@@ -559,6 +563,78 @@ class TestDeterminism:
         second = run(capsys, command, str(gallery("stable_facts")), "--json")
         assert first == second
         json.loads(first[1])
+
+
+def stdlib_dumps(doc) -> str:
+    """The encoding ``cli._dumps`` reproduces."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
+
+
+# lone surrogates, control characters, quotes, backslashes and non-ASCII,
+# on top of whatever st.characters draws
+CHARS = st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')
+TEXT = st.text(CHARS, max_size=8)
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | FLOATS
+    | FLOATS.map(np.float64)
+    | TEXT
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, inner, max_size=4)
+        # json sorts the keys before writing them: one key type per dict, as mixed types do not sort
+        | st.sampled_from([st.integers(), FLOATS, st.booleans(), st.none()]).flatmap(
+            lambda keys: st.dictionaries(keys, inner, max_size=4)
+        )
+    ),
+    max_leaves=24,
+)
+
+
+WRAP = {"list": lambda x: [x, 0], "tuple": lambda x: (x,), "dict": lambda x: {"k": x, "a": []}}
+
+
+def nest(leaf, kinds):
+    """``leaf`` wrapped in one container per entry of ``kinds``, innermost first."""
+    for kind in kinds:
+        leaf = WRAP[kind](leaf)
+    return leaf
+
+
+class TestDumps:
+    """``cli._dumps`` writes the bytes of the stdlib encoder it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TREES)
+    @example({})
+    @example([[], {}, (), [{}]])
+    @example([{None: 1}, {True: 2, 3: 3}, {1.5: 0, -math.inf: 1}, {"b": [1e308, -0.0, 5e-324]}])
+    def test_matches_the_stdlib_encoder(self, doc):
+        assert cli._dumps(doc) == stdlib_dumps(doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(LEAVES, st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=40))
+    @example("\ud800", ["dict", "list", "tuple"] * 13 + ["dict"])
+    def test_deep_nesting(self, leaf, kinds):
+        doc = nest(leaf, kinds)
+        assert cli._dumps(doc) == stdlib_dumps(doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(TREES, st.sampled_from([object(), 1j, np.int64(1), b"x", frozenset([1])]))
+    def test_rejects_what_the_stdlib_rejects(self, doc, bad):
+        for wrapped in ({"a": doc, "b": bad}, [doc, bad], [doc, {bad: doc}]):
+            with pytest.raises(TypeError):
+                stdlib_dumps(wrapped)
+            with pytest.raises(TypeError):
+                cli._dumps(wrapped)
 
 
 class TestResourceFailure:

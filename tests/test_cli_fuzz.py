@@ -4,8 +4,9 @@ Every command runs on ``helpers.random_scenario`` documents at the default
 tolerance and at ``--tolerance 0``, and each report command in both
 renderings.  Whatever the input, the exit code is one the contract in
 ``docs/report.md`` allows the command, no traceback reaches stderr, the
-``--json`` output parses, and every number the text shows is one of the
-JSON's numbers rounded as the text rounds them.
+``--json`` output parses and is what Python's ``json.dumps`` writes for the
+parsed document, and every number the text shows is one of the JSON's
+numbers rounded as the text rounds them.
 """
 
 import json
@@ -102,6 +103,7 @@ def test_every_command_keeps_the_contract(capsys, tmp_path, seed):
             assert bool(out) == bool(json_out), argv
             if json_out:
                 doc = json.loads(json_out)
+                assert json_out == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n", argv
                 assert doc["report_version"] == 1 and doc["command"] == command
                 assert text_numbers_not_in_json(out, doc) == [], (argv, out)
 

@@ -8,6 +8,7 @@ records all three.  A difference here means the output changed: regenerate
 the files only when that is the intent.
 """
 
+import gc
 import importlib.util
 import json
 import pathlib
@@ -66,6 +67,21 @@ def test_no_command_enumerates_histories(capsys, monkeypatch, observers_paths):
         _replay(capsys, entry, gallery(entry["scenario"]))
     for entry in OBSERVERS_GOLDEN:
         _replay(capsys, entry, observers_paths[entry["scenario"]])
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=_ids(GOLDEN))
+def test_a_command_leaves_no_cyclic_garbage(entry):
+    # a reference cycle outlives its command until a full collection, and the
+    # peak memory of a long run grows with it; the argparse tree, built once
+    # per process, is the one cycle a command may leave
+    cli._build_parser()
+    gc.disable()
+    try:
+        gc.collect()
+        cli.main([entry["command"], str(gallery(entry["scenario"])), *entry["args"]])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")
