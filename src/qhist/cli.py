@@ -415,9 +415,13 @@ def cmd_verify(args) -> int:
 
 
 def positive_int(text: str) -> int:
+    """A ``--max-histories`` cap: at least 1 and below 2**63, since a
+    family's flat history indices are int64."""
     cap = int(text)
     if cap < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    if cap >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be below 2**63 (history indices are int64), got {cap}")
     return cap
 
 
@@ -435,8 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=None,
                        help="set all tolerances, input checks included (default: the file's, else 1e-9)")
         p.add_argument("--max-histories", type=positive_int, default=DEFAULT_MAX_HISTORIES,
-                       help="cap on the histories of every family: each observer's own, and the "
-                       "product families of classify and --family combined")
+                       help="cap on the number of histories of every family: each observer's own, and "
+                       "the product families of classify and --family combined (1 to 2**63 - 1; it "
+                       "bounds the count, not the memory a command uses)")
 
     p = sub.add_parser("validate", help="parse and resolve a scenario")
     common(p)

@@ -7,6 +7,7 @@ the package builds on.  All tolerance checks use the max-abs-entry norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,8 +69,12 @@ SIGMA_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
+@functools.lru_cache(maxsize=16)
 def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+    """The complex ``dim`` x ``dim`` identity, read-only and shared: one
+    array per dimension, the 16 most recently asked for kept.  Callers only
+    read it; one that needs to write takes a copy."""
+    return _frozen(np.eye(dim, dtype=complex))
 
 
 def as_matrix(value) -> np.ndarray:

@@ -11,6 +11,7 @@ expands named operators and presets into concrete history families, one
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -27,6 +28,7 @@ from .errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
+from .framework import _stacked
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     Evolution,
@@ -189,16 +191,37 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
-_REAL = (int, float)  # exact types, so that bool is rejected
+_REAL = frozenset((int, float))  # exact types, so that bool is rejected
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer too large for float(): it rounds past the largest double
+
+
+def _flat_numbers(rows: list) -> list | None:
+    """The numbers of ``rows``, nonempty arrays of ``[re, im]`` pairs of
+    exact ints and floats, as one flat list in row-major order; None when
+    some entry is not of that form.
+
+    Each test is one C-level scan over a flattened list, with no Python
+    loop per entry.
+    """
+    if set(map(type, rows)) != {list} or not all(rows):
+        return None
+    pairs = list(itertools.chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    return flat if set(map(type, flat)) <= _REAL else None
 
 
 def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
     """The complex vector (``shape`` is ``(total,)``) or matrix (``(total,
     total)``) that ``value`` holds as nested ``[re, im]`` pairs, bit for bit.
 
-    Each entry is checked in one loop and the array converted by one
-    ``np.array`` call; a JSONPath is built only for the error raised.  A
+    The entries are checked by ``_flat_numbers`` and their flat list
+    converted by one ``np.array`` call: flattening and converting cost about
+    half what converting the nested lists does, since numpy then has no
+    shape to discover.
+    Only when the check fails does a loop walk the entries, to name the
+    first faulty one; a JSONPath is built only for the error raised.  A
     wrong size is a DimMismatchError, any other fault a ScenarioError.
     """
     matrix = len(shape) == 2
@@ -211,14 +234,16 @@ def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
         raise ScenarioError("expected a matrix as nested arrays of [re, im] pairs", path=path)
     if not rows:
         raise ScenarioError("matrix must be nonempty", path=path)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ScenarioError("expected an array of [re, im] pairs", path=at(i))
-        if not row:
-            raise ScenarioError("vector must be nonempty", path=at(i))
-        for j, z in enumerate(row):
-            if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
-                raise ScenarioError("expected a complex number as [re, im]", path=at(i, j))
+    flat = _flat_numbers(rows)
+    if flat is None:
+        for i, row in enumerate(rows):  # the same tests, one entry at a time
+            if type(row) is not list:
+                raise ScenarioError("expected an array of [re, im] pairs", path=at(i))
+            if not row:
+                raise ScenarioError("vector must be nonempty", path=at(i))
+            for j, z in enumerate(row):
+                if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
+                    raise ScenarioError("expected a complex number as [re, im]", path=at(i, j))
     width = len(rows[0])
     ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
     if ragged is not None:
@@ -227,7 +252,7 @@ def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
     if size != shape:
         raise DimMismatchError(f"{path}: shape {size} does not match total dim {shape[0]}")
     try:
-        pairs = np.array(value, dtype=np.float64)
+        pairs = np.array(flat, dtype=np.float64)
     except OverflowError:
         i, j = next((i, j) for i, row in enumerate(rows) for j, z in enumerate(row)
                     if any(type(x) is int and abs(x) >= _INT_OVERFLOW for x in z))
@@ -498,18 +523,26 @@ def _measurement_key(spec) -> object:
 
 
 def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot:
-    """The stacked, not yet validated projectors of one ``_measurement_key``."""
+    """The stacked, not yet validated projectors of one ``_measurement_key``.
+
+    Only a projector list may need the "rest" pad, so only it goes through
+    ``_padded_slot``.  The trivial slot is the shared read-only identity, and
+    a Pauli's (1 ± sigma)/2 sum to the identity exactly; both are still
+    validated as padded slots.  A Pauli on a factor that is not a qubit
+    (possible only in a hand-built ``Scenario``) embeds to the wrong shape,
+    which ``_stacked`` keeps as misfits for validation to name.
+    """
     total = math.prod(dims)
     if isinstance(key, MatrixObservable):
         return _eigen_slot(key.matrix, tol)
     if isinstance(key, ProjectorListObservable):
         return _padded_slot(key.labels, key.matrices, total, tol)
     if key == "identity":
-        return _padded_slot([TRIVIAL_LABEL], identity(total)[None], total, tol)
+        return _Slot(identity(total)[None], [TRIVIAL_LABEL], [], True)
     base, _, factor = key.partition("@")
     axis = _PAULI_OPS[base][1]
-    projectors = _embed(_QUBIT_PROJECTORS[base], int(factor), dims)
-    return _padded_slot([f"+{axis}", f"-{axis}"], projectors, total, tol)
+    stack, misfits = _stacked(_embed(_QUBIT_PROJECTORS[base], int(factor), dims), total)
+    return _Slot(stack, [f"+{axis}", f"-{axis}"], misfits, True)
 
 
 @contextlib.contextmanager
@@ -546,9 +579,11 @@ def resolve(
     measurement (a Pauli on one factor, the identity or trivial slot, or one
     observable object) becomes one decomposition that every slot measuring
     it shares.  Their stacks are built in order of first use (a Pauli's two
-    projectors embedded from a module-level qubit stack, a matrix's
-    eigenprojectors, a projector list padded with "rest") and validated
-    together by one ``_validate_stacks`` pass; a stack that cannot be built
+    projectors embedded from a module-level qubit stack, the trivial slot's
+    shared read-only identity, a matrix's eigenprojectors, a projector list
+    padded with "rest" when it falls short of the identity; only the list is
+    tested for the pad, see ``_measurement_slot``) and validated together by
+    one ``_validate_stacks`` pass; a stack that cannot be built
     stops the building, and the stacks before it are validated first, so the
     error raised is the one met first in observer and slot order, a history
     cap of an earlier observer included.  Every error starts with a

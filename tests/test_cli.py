@@ -67,6 +67,23 @@ class TestUsageErrors:
         assert f"argument --max-histories: must be at least 1, got {cap}" in err
         assert "Traceback" not in err and "would enumerate" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "analyze", "verify"])
+    @pytest.mark.parametrize("cap", [str(2**63), str(2**70)])
+    def test_history_cap_from_2_to_the_63_is_a_usage_error(self, capsys, command, cap):
+        # flat history indices are int64; a 64-slot sigma_z chain under a cap
+        # of 2**70 passed validate, then failed analyze inside numpy
+        code, out, err = run(capsys, command, str(gallery("repeated_x")), "--max-histories", cap)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: qhist")
+        assert f"argument --max-histories: must be below 2**63 (history indices are int64), got {cap}" in err
+        assert "Traceback" not in err
+
+    def test_history_cap_just_below_2_to_the_63_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "validate", str(gallery("repeated_x")), "--max-histories", str(2**63 - 1))
+        assert code == 0
+        assert out.startswith("ok: ")
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

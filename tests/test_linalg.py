@@ -39,6 +39,26 @@ class TestTolerance:
         assert tol.proj == 1e-6 and tol.cons == 1e-6
 
 
+class TestIdentity:
+    """One read-only identity per dimension, shared by every caller."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 64])
+    def test_is_the_complex_identity(self, dim):
+        eye = identity(dim)
+        assert eye.dtype == complex
+        assert eye.tobytes() == np.eye(dim, dtype=complex).tobytes()
+        assert identity(dim) is eye
+
+    def test_writing_to_it_raises(self):
+        eye = identity(3)
+        assert not eye.flags.writeable
+        with pytest.raises(ValueError):
+            eye[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            eye += 1
+        assert eye.tobytes() == np.eye(3, dtype=complex).tobytes()
+
+
 class TestTensorProduct:
     def test_identity_case(self):
         assert np.array_equal(tensor_product(I2, I2), identity(4))

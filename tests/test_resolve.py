@@ -20,6 +20,7 @@ from qhist.errors import (
     NotHermitianError,
     NotUnitaryError,
 )
+from qhist.framework import make_decomposition
 from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
 from qhist.scenario import (
@@ -86,6 +87,36 @@ def test_named_projectors_match_a_per_factor_kron_fold_bit_for_bit(dims):
         for sign, label in ((1, f"+{axis}"), (-1, f"-{axis}")):
             expected = kron_fold((np.eye(2) + sign * PAULI[axis]) / 2, factor, dims)
             assert decomp.projector_for(label).tobytes() == expected.tobytes(), (dims, label)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+@pytest.mark.parametrize("axis", "xyz")
+def test_a_pauli_slot_is_its_two_projectors_and_no_rest(axis, factor):
+    """A named Pauli is (1 ± sigma)/2 embedded, which sums to the identity
+    exactly: the slot has no "rest" pad, and its projectors are those
+    ``make_decomposition`` builds from the Kronecker embedding, bit for bit."""
+    dims = (2, 2, 2, 2)
+    scn = scenario(dims, ["identity"], [observer("A", {"t1": NamedObservable(f"sigma_{axis}@{factor}")})])
+    (record,) = resolve(scn)
+    decomp = record.family.slot_decompositions[0]
+    labels = (f"+{axis}", f"-{axis}")
+    assert decomp.labels == labels
+    expected = make_decomposition(
+        [kron_fold((identity(2) + sign * PAULI[axis]) / 2.0, factor, dims) for sign in (1, -1)], labels
+    )
+    assert decomp.projectors.tobytes() == expected.projectors.tobytes()
+
+
+def test_a_pauli_on_a_factor_that_is_not_a_qubit_is_a_bad_decomposition():
+    # parse_scenario refuses this; a hand-built Scenario reaches resolve, where
+    # sigma_z on the 3-dim factor embeds to 4x4 in a 6-dim space
+    scn = scenario((3, 2), ["identity"], [observer("A", {"t1": NamedObservable("sigma_z@1")})])
+    with pytest.raises(BadDecompositionError) as info:
+        resolve(scn)
+    message = str(info.value)
+    assert message.startswith("$.observers[0].measurements[0].observable: ")
+    assert message.endswith("projector 0 has shape (4, 4), expected (6, 6)")
+    assert isinstance(info.value.__cause__, DimMismatchError)
 
 
 def test_preset_ket_matches_a_kron_fold_bit_for_bit():

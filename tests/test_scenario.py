@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from qhist.scenario import (
     MatrixObservable,
     ObserverSpec,
     Scenario,
+    _INT_OVERFLOW,
+    _parse_array,
     parse_scenario,
     resolve,
     serialize_scenario,
@@ -213,6 +216,12 @@ DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 BAD_NUMBERS = [True, "1", None, [1, 2, 3], 10**400]
+# JSON integers that convert: beyond 2**53 (rounded), beyond int64, up to the
+# largest below _INT_OVERFLOW; the edges are drawn on their own
+INTEGERS = st.one_of(
+    st.sampled_from([0, -1, 2**53 + 1, -(2**53) - 3, 2**63, -(2**64) - 1, _INT_OVERFLOW - 1, 1 - _INT_OVERFLOW]),
+    st.integers(min_value=1 - _INT_OVERFLOW, max_value=_INT_OVERFLOW - 1),
+)
 
 
 @st.composite
@@ -226,6 +235,19 @@ def codec_scenarios(draw):
     observer = ObserverSpec(name="O1", measurements=(Measurement(time="t1", observable=MatrixObservable(matrix)),))
     return Scenario(name="codec", subsystem_dims=(d,), initial_state=vector, times=("t0", "t1"),
                     evolutions=(matrix,), observers=(observer,))
+
+
+@st.composite
+def mixed_arrays(draw):
+    """A vector or matrix of dimension 1 to 4 as [re, im] pairs that mix JSON
+    integers and floats, with its shape."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.sampled_from([(d,), (d, d)]))
+    size = 2 * math.prod(shape)
+    numbers = draw(st.lists(st.one_of(INTEGERS, DOUBLES), min_size=size, max_size=size))
+    pairs = [numbers[k : k + 2] for k in range(0, size, 2)]
+    value = pairs if len(shape) == 1 else [pairs[r * d : (r + 1) * d] for r in range(d)]
+    return json.loads(json.dumps(value)), shape
 
 
 class TestCodec:
@@ -267,3 +289,22 @@ class TestCodec:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(json.dumps(document))
         assert excinfo.value.path == entry
+
+    @given(mixed_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_entries_convert_as_numpy_does(self, array):
+        value, shape = array
+        expected = np.array(value, dtype=np.float64).view(np.complex128).reshape(shape)
+        assert _parse_array(value, "$.m", shape).tobytes() == expected.tobytes()
+
+    @given(mixed_arrays(), st.sampled_from([_INT_OVERFLOW, -_INT_OVERFLOW, 2**1024]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_an_integer_too_large_for_a_double_is_named(self, array, big, data):
+        value, shape = array
+        rows = value if len(shape) == 2 else [value]
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = data.draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))
+        rows[i][j][data.draw(st.sampled_from([0, 1]))] = big
+        with pytest.raises(ScenarioError, match="does not fit an IEEE-754 double") as excinfo:
+            _parse_array(value, "$.m", shape)
+        assert excinfo.value.path == (f"$.m[{i}][{j}]" if len(shape) == 2 else f"$.m[{j}]")
