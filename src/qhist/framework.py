@@ -1,13 +1,18 @@
 """Quantum sample spaces: projective decompositions of the identity.
 
 A decomposition is the quantum analogue of a partition of phase space:
-mutually orthogonal projectors summing to the identity.  Conjunction of two
-projectors is defined only when they commute; otherwise it is the
-distinguished value ``UNDEFINED`` (a result of the three-valued logic, not a
-failure).  Two decompositions are compatible when all cross pairs commute;
-only compatible decompositions may be refined into a common one.
-Compatibility, refinement and the two-condition test read one table of
-products PQ per pair of decompositions (``_pair_products``).
+mutually orthogonal projectors summing to the identity.  This is the one
+module that turns projectors into decompositions: an observable's
+eigenprojectors, or labelled projectors padded with their complement
+"rest", are stacked as a ``_Slot`` and validated, many slots in one pass,
+by ``_validate_stacks``.
+
+Conjunction of two projectors is defined only when they commute; otherwise
+it is the distinguished value ``UNDEFINED`` (a result of the three-valued
+logic, not a failure).  Two decompositions are compatible when all cross
+pairs commute; only compatible decompositions may be refined into a common
+one.  Compatibility, refinement and the two-condition test read one table
+of products PQ per pair of decompositions (``_pair_products``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    BadDecompositionError,
     DimMismatchError,
     DuplicateLabelError,
     IncompatibleFrameworksError,
@@ -29,7 +35,18 @@ from .errors import (
     QHistError,
     UnknownLabelError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, identity, is_projector, max_abs, max_abs_each
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    commutator,
+    hermitian_eigenprojectors,
+    identity,
+    is_hermitian,
+    is_projector,
+    max_abs,
+    max_abs_each,
+)
 
 __all__ = [
     "UNDEFINED",
@@ -44,6 +61,7 @@ __all__ = [
 
 CONJUNCTION_JOINER = "∧"  # "∧", used for refined labels
 DISJUNCTION_JOINER = "∨"  # "∨", used for coarse-grained labels
+REST_LABEL = "rest"  # the complement that pads an incomplete projector list
 
 
 class _UndefinedType:
@@ -86,6 +104,15 @@ class ProjectiveDecomposition:
 
     def projector_for(self, label: str) -> np.ndarray:
         return self.projectors[self.index(label)]
+
+
+class _Slot(NamedTuple):
+    """A decomposition's projectors stacked and labelled, not yet validated."""
+
+    stack: np.ndarray  # complex, (n, dim, dim)
+    labels: Sequence[str]
+    misfits: Sequence = ()  # the elements after ``stack`` of another shape
+    padded: bool = False  # a fault of a padded slot is a BadDecompositionError
 
 
 def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -166,23 +193,20 @@ def _orthogonality_fault(run: np.ndarray, tol: Tolerance) -> tuple[int, int, int
 
 
 def _validate_stacks(
-    stacks: Sequence[np.ndarray],
-    labels: Sequence[Sequence[str]],
-    tol: Tolerance,
-    misfits: Sequence[list] = (),
+    slots: Sequence[_Slot], tol: Tolerance
 ) -> tuple[list[ProjectiveDecomposition], Exception | None]:
-    """Validate complex (n, dim, dim) stacks of one ``dim`` as decompositions,
-    all in one pass.
+    """Validate slots whose stacks have one ``dim`` as decompositions, all in
+    one pass.
 
-    ``labels`` holds each stack's labels and ``misfits``, when given, each
-    stack's elements of another shape (``_stacked``'s second result).  The
-    stacks are the caller's to give up: the decompositions hold read-only
+    The stacks are the caller's to give up: the decompositions hold read-only
     views of them, or of their concatenation.  Each of ``make_decomposition``'s
     checks runs once over the concatenation, in its order: finiteness, the
     labels, each element's projector property, the misfits, orthogonality,
-    then completeness.  Each stage checks only the stacks before the first
-    fault found so far, so the error is the one that validating the stacks
-    one at a time would raise first.
+    then completeness.  Each stage checks only the slots before the first
+    fault found so far, so the error is the one that validating the slots
+    one at a time would raise first.  A padded slot's fault is raised as a
+    ``BadDecompositionError`` caused by it (a non-finite entry stays the
+    ``ValueError`` it is).
 
     Orthogonality and completeness go by runs of consecutive stacks of one
     size (``_runs``): orthogonality by ``_orthogonality_fault``, and
@@ -190,18 +214,18 @@ def _validate_stacks(
     in the order ``sum(axis=0)`` adds one stack's (``np.add.reduceat`` adds
     them in another).
 
-    Returns the decompositions of the stacks before the first faulty one, and
-    that one's error (None when every stack is valid).
+    Returns the decompositions of the slots before the first faulty one, and
+    that one's error (None when every slot is valid).
     """
-    if not stacks:
+    if not slots:
         return [], None
-    sizes = [len(s) for s in stacks]
+    sizes = [len(s.stack) for s in slots]
     offsets = list(itertools.accumulate(sizes, initial=0))
-    big = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    big = slots[0].stack if len(slots) == 1 else np.concatenate([s.stack for s in slots])
     dim = big.shape[1]
-    faulty, error = len(stacks), None
+    faulty, error = len(slots), None
 
-    def locate(e) -> tuple[int, int]:  # (stack, index in it) of element e
+    def locate(e) -> tuple[int, int]:  # (slot, index in its stack) of element e
         k = bisect.bisect_right(offsets, e) - 1
         return k, int(e) - offsets[k]
 
@@ -209,22 +233,21 @@ def _validate_stacks(
         bad = np.flatnonzero(~np.isfinite(big).all(axis=(1, 2)))
         faulty, error = locate(bad[0])[0], ValueError("matrix entries must be finite")
     for k in range(faulty):
-        label_error = _label_error(sizes[k] + len(misfits[k] if misfits else ()), labels[k])
+        label_error = _label_error(sizes[k] + len(slots[k].misfits), slots[k].labels)
         if label_error is not None:
             faulty, error = k, label_error
             break
-    if not faulty:
-        return [], error
-    head = big[: offsets[faulty]]
-    hermitian = max_abs_each(head - head.conj().swapaxes(-2, -1)) <= tol.herm
-    idempotent = max_abs_each(head @ head - head) <= tol.proj
-    bad = np.flatnonzero(~(hermitian & idempotent))
-    if bad.size:
-        k, i = locate(bad[0])
-        faulty, error = k, NotAProjectorError(f"element {i} ({labels[k][i]!r}) is not a projector")
-    k = next((k for k in range(faulty) if misfits and misfits[k]), None)
+    if faulty:  # else the head is empty, and may have dim 0, which the reductions refuse
+        head = big[: offsets[faulty]]
+        hermitian = max_abs_each(head - head.conj().swapaxes(-2, -1)) <= tol.herm
+        idempotent = max_abs_each(head @ head - head) <= tol.proj
+        bad = np.flatnonzero(~(hermitian & idempotent))
+        if bad.size:
+            k, i = locate(bad[0])
+            faulty, error = k, NotAProjectorError(f"element {i} ({slots[k].labels[i]!r}) is not a projector")
+    k = next((k for k in range(faulty) if slots[k].misfits), None)
     if k is not None:
-        shape = misfits[k][0].shape
+        shape = slots[k].misfits[0].shape
         faulty, error = k, DimMismatchError(f"projector {sizes[k]} has shape {shape}, expected ({dim}, {dim})")
     for first, run in _runs(big, sizes, offsets, faulty):
         found = _orthogonality_fault(run, tol)
@@ -244,10 +267,21 @@ def _validate_stacks(
             )
     big.setflags(write=False)
     decomps = [
-        ProjectiveDecomposition(dim=dim, projectors=big[offsets[k] : offsets[k + 1]], labels=tuple(labels[k]))
+        ProjectiveDecomposition(dim=dim, projectors=big[offsets[k] : offsets[k + 1]], labels=tuple(slots[k].labels))
         for k in range(faulty)
     ]
+    if isinstance(error, QHistError) and slots[faulty].padded:
+        cause, error = error, BadDecompositionError(f"slot is not a valid decomposition: {error}")
+        error.__cause__ = cause
     return decomps, error
+
+
+def _validated(slot: _Slot, tol: Tolerance) -> ProjectiveDecomposition:
+    """The decomposition of one slot, or its ``_validate_stacks`` error raised."""
+    decomps, error = _validate_stacks([slot], tol)
+    if error is not None:
+        raise error
+    return decomps[0]
 
 
 def make_decomposition(
@@ -273,10 +307,59 @@ def make_decomposition(
     ``NotCompleteError``.
     """
     stack, misfits = _stacked(projectors, dim)
-    decomps, error = _validate_stacks([stack], [labels], tol, [misfits])
-    if error is not None:
-        raise error
-    return decomps[0]
+    return _validated(_Slot(stack, labels, misfits), tol)
+
+
+def _eigen_slot(m: np.ndarray, tol: Tolerance) -> _Slot:
+    """Eigenprojectors of a Hermitian observable, labelled ``ev{k}={value}``
+    in ascending order of eigenvalue."""
+    pairs = hermitian_eigenprojectors(m, tol)
+    labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
+    return _Slot(np.array([p for _, p in pairs], dtype=complex), labels)
+
+
+def _padded_slot(labels: Sequence[str], projectors, dim: int, tol: Tolerance) -> _Slot:
+    """Labelled projectors (a sequence of matrices or an (n, dim, dim)
+    stack), converted and stacked once, padded with the complement labelled
+    "rest" when they do not sum to the identity.
+
+    An element that is not a finite matrix of two axes raises ``as_matrix``'s
+    error here, or, when the elements form one stack, at validation.  An
+    empty list, a slot with an element of the wrong shape and one with a
+    non-finite entry are not padded, so that validation names the first
+    fault in element order (for the empty list, ``NotCompleteError``).
+    """
+    labels = list(labels)
+    stack, misfits = _stacked(projectors, dim)
+    if len(stack) and not misfits and np.isfinite(stack).all():
+        rest = identity(dim) - stack.sum(axis=0)
+        if max_abs(rest) > tol.proj:
+            if REST_LABEL in labels:
+                raise BadDecompositionError(f"label {REST_LABEL!r} is reserved for the complement padding")
+            labels.append(REST_LABEL)
+            stack = np.concatenate((stack, rest[None]))
+    return _Slot(stack, labels, misfits, padded=True)
+
+
+def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
+    """A ``build_family`` slot as a validated decomposition of dim ``dim``: a
+    decomposition as it is, a Hermitian observable's eigenprojectors, or a
+    single projector or a list of ``(label, projector)`` pairs (one labelled
+    projector is a list of one) padded to completeness by ``_padded_slot``."""
+    if isinstance(slot, ProjectiveDecomposition):
+        if slot.dim != dim:
+            raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
+        return slot
+    if isinstance(slot, list):
+        return _validated(_padded_slot([lab for lab, _ in slot], [m for _, m in slot], dim, tol), tol)
+    m = as_matrix(slot)
+    if m.shape != (dim, dim):
+        raise DimMismatchError(f"slot operator has shape {m.shape}, expected ({dim}, {dim})")
+    if is_projector(m, tol):
+        return _validated(_padded_slot(["p"], m[None], dim, tol), tol)
+    if is_hermitian(m, tol):
+        return _validated(_eigen_slot(m, tol), tol)
+    raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
 
 
 def _require_projector(p, tol: Tolerance) -> np.ndarray:
@@ -372,7 +455,4 @@ def refine(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
-    decomps, error = _validate_stacks([stack], [_product_labels(a, b, keep)], tol)
-    if error is not None:
-        raise error
-    return decomps[0]
+    return _validated(_Slot(stack, _product_labels(a, b, keep)), tol)

@@ -1,11 +1,13 @@
 """Time-graded history families, chain kets, probabilities, and the consistency check.
 
 A family fixes an initial ket at t0, a unitary evolution per time interval,
-and a projective decomposition per later time slot.  Each history picks one
-outcome label per slot; its chain ket is the initial ket pushed through the
-alternating evolve/project string, and its probability is the squared norm of
-that chain ket.  The family supports classical probabilistic reasoning exactly
-when all pairs of chain kets are orthogonal.
+and a projective decomposition per later time slot; ``framework`` builds and
+validates the decompositions, and this module assembles families from
+validated ones.  Each history picks one outcome label per slot; its chain
+ket is the initial ket pushed through the alternating evolve/project string,
+and its probability is the squared norm of that chain ket.  The family
+supports classical probabilistic reasoning exactly when all pairs of chain
+kets are orthogonal.
 
 ``consistency_check`` propagates every chain ket at once, level by level: a
 batch of prefix kets is evolved, split by the slot's projectors, and rid of
@@ -27,44 +29,24 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
-    BadDecompositionError,
     BadTimesError,
     DimMismatchError,
     HistoryLimitError,
     NotAPartitionError,
     NotUnitaryError,
-    QHistError,
     UnknownHistoryError,
     UnknownLabelError,
 )
-from .framework import (
-    DISJUNCTION_JOINER,
-    ProjectiveDecomposition,
-    _stacked,
-    _validate_stacks,
-    make_decomposition,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_ket,
-    as_matrix,
-    hermitian_eigenprojectors,
-    identity,
-    is_hermitian,
-    is_projector,
-    is_unitary,
-    max_abs,
-)
+from .framework import DISJUNCTION_JOINER, ProjectiveDecomposition, _coerce_slot, make_decomposition
+from .linalg import DEFAULT_TOL, Tolerance, as_ket, as_matrix, identity, is_unitary
 
 __all__ = [
     "DEFAULT_MAX_HISTORIES",
-    "REST_LABEL",
     "TimeGrid",
     "Evolution",
     "HistoryFamily",
@@ -76,7 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_HISTORIES = 10**6
-REST_LABEL = "rest"
 
 
 @dataclass(frozen=True)
@@ -183,90 +164,6 @@ class ConsistencyReport:
         return float(self.probabilities.reshape(self.family.shape)[self.family.slot_indices(labels)])
 
 
-class _Slot(NamedTuple):
-    """A slot's projectors stacked and labelled, not yet validated."""
-
-    stack: np.ndarray
-    labels: list[str]
-    misfits: list  # the elements after ``stack`` of another shape
-    padded: bool  # a fault of a padded slot is a BadDecompositionError
-
-
-def _eigen_slot(m: np.ndarray, tol: Tolerance) -> _Slot:
-    """Eigenprojectors of a Hermitian observable, labelled ``ev{k}={value}``
-    in ascending order of eigenvalue."""
-    pairs = hermitian_eigenprojectors(m, tol)
-    labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
-    return _Slot(np.array([p for _, p in pairs], dtype=complex), labels, [], False)
-
-
-def _padded_slot(labels: Sequence[str], projectors, dim: int, tol: Tolerance) -> _Slot:
-    """Labelled projectors (a sequence of matrices or an (n, dim, dim)
-    stack), converted and stacked once, padded with the complement labelled
-    "rest" when they do not sum to the identity.
-
-    An element that is not a finite matrix of two axes raises ``as_matrix``'s
-    error here, or, when the elements form one stack, at validation.  A slot
-    with an element of the wrong shape or a non-finite entry is not padded,
-    so that validation names the first fault in element order, which may
-    come before the misfit.
-    """
-    labels = list(labels)
-    stack, misfits = _stacked(projectors, dim)
-    if not misfits and np.isfinite(stack).all():
-        rest = identity(dim) - stack.sum(axis=0)
-        if max_abs(rest) > tol.proj:
-            if REST_LABEL in labels:
-                raise BadDecompositionError(
-                    f"label {REST_LABEL!r} is reserved for the complement padding"
-                )
-            labels.append(REST_LABEL)
-            stack = np.concatenate((stack, rest[None]))
-    return _Slot(stack, labels, misfits, True)
-
-
-def _validate_slots(
-    slots: Sequence[_Slot], tol: Tolerance
-) -> tuple[list[ProjectiveDecomposition], Exception | None]:
-    """``_validate_stacks`` over built slots: the decompositions before the
-    first faulty slot, and its error, which for a padded slot is a
-    ``BadDecompositionError`` wrapping the fault (a non-finite entry stays
-    the ``ValueError`` it is)."""
-    decomps, error = _validate_stacks(
-        [s.stack for s in slots], [s.labels for s in slots], tol, [s.misfits for s in slots]
-    )
-    if isinstance(error, QHistError) and slots[len(decomps)].padded:
-        cause, error = error, BadDecompositionError(f"slot is not a valid decomposition: {error}")
-        error.__cause__ = cause
-    return decomps, error
-
-
-def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
-    """Accept a decomposition, a Hermitian observable, a single projector, or
-    a list of ``(label, projector)`` pairs (one labelled projector is a list
-    of one); pad to completeness."""
-    if isinstance(slot, ProjectiveDecomposition):
-        if slot.dim != dim:
-            raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
-        return slot
-    if isinstance(slot, list):
-        built = _padded_slot([lab for lab, _ in slot], [m for _, m in slot], dim, tol)
-    else:
-        m = as_matrix(slot)
-        if m.shape != (dim, dim):
-            raise DimMismatchError(f"slot operator has shape {m.shape}, expected ({dim}, {dim})")
-        if is_projector(m, tol):
-            built = _padded_slot(["p"], m[None], dim, tol)
-        elif is_hermitian(m, tol):
-            built = _eigen_slot(m, tol)
-        else:
-            raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
-    decomps, error = _validate_slots([built], tol)
-    if error is not None:
-        raise error
-    return decomps[0]
-
-
 def build_family(
     initial_ket,
     grid,
@@ -277,14 +174,15 @@ def build_family(
 ) -> HistoryFamily:
     """Assemble a history family from an initial ket, evolutions, and slots.
 
-    Each input is validated here, once: the ket's norm, each evolution's
-    unitarity (``_checked_evolution``), then each slot (``_assemble_family``).
-    Observables become eigenprojector decompositions and incomplete slots are
-    padded with the complement projector labelled "rest"; a
-    ``ProjectiveDecomposition`` was validated when it was made and is used as
-    it is.  The number of histories, the product of the slot sizes, is capped
-    at ``max_histories``; the histories are enumerated only when
-    ``HistoryFamily.histories`` is read.
+    Each input is validated here, once, in this order: the ket's norm, the
+    number of evolutions and each one's unitarity (``_checked_evolution``),
+    the number of slots, then each slot, which ``framework._coerce_slot``
+    turns into a decomposition: an observable into its eigenprojectors, a
+    projector or a list of labelled ones padded with the complement
+    projector labelled "rest"; a ``ProjectiveDecomposition`` was validated
+    when it was made and is used as it is.  The number of histories, the
+    product of the slot sizes, is capped at ``max_histories``; the histories
+    are enumerated only when ``HistoryFamily.histories`` is read.
     """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(tuple(grid))
@@ -293,7 +191,10 @@ def build_family(
     if len(evolutions) != len(grid.labels) - 1:
         raise DimMismatchError(f"expected {len(grid.labels) - 1} evolutions, got {len(evolutions)}")
     evs = tuple(_checked_evolution(grid, k, ev, psi0.shape[0], tol) for k, ev in enumerate(evolutions))
-    return _assemble_family(psi0, grid, evs, slots, tol, max_histories)
+    if len(slots) != len(evs):
+        raise DimMismatchError(f"expected {len(evs)} slots, got {len(slots)}")
+    decomps = [_coerce_slot(slot, psi0.shape[0], tol) for slot in slots]
+    return _assemble_family(psi0, grid, evs, decomps, max_histories)
 
 
 def _checked_evolution(grid: TimeGrid, k: int, ev, dim: int, tol: Tolerance) -> Evolution:
@@ -312,15 +213,12 @@ def _assemble_family(
     psi0: np.ndarray,
     grid: TimeGrid,
     evolutions: tuple[Evolution, ...],
-    slots: Sequence,
-    tol: Tolerance,
+    decomps: Sequence[ProjectiveDecomposition],
     max_histories: int,
 ) -> HistoryFamily:
-    """The family over an already checked read-only ket and evolutions:
-    coerce the slots, then check the history count."""
-    if len(slots) != len(evolutions):
-        raise DimMismatchError(f"expected {len(evolutions)} slots, got {len(slots)}")
-    decomps = tuple(_coerce_slot(slot, psi0.shape[0], tol) for slot in slots)
+    """The family over an already checked read-only ket and evolutions and
+    validated decompositions, one per evolution, once its history count is
+    checked."""
     if math.prod(len(d) for d in decomps) > max_histories:
         raise HistoryLimitError(f"family would enumerate > {max_histories} histories")
     return HistoryFamily(
@@ -328,7 +226,7 @@ def _assemble_family(
         grid=grid,
         initial_ket=psi0,
         evolutions=evolutions,
-        slot_decompositions=decomps,
+        slot_decompositions=tuple(decomps),
     )
 
 
@@ -438,6 +336,4 @@ def coarse_grain(
     unknown = set(merges) - set(family.grid.slot_times)
     if unknown:
         raise UnknownLabelError(f"merge times {sorted(unknown)} are not slot times")
-    return _assemble_family(
-        family.initial_ket, family.grid, family.evolutions, new_slots, tol, max_histories
-    )
+    return _assemble_family(family.initial_ket, family.grid, family.evolutions, new_slots, max_histories)

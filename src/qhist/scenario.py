@@ -28,18 +28,8 @@ from .errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
-from .framework import _stacked
-from .histories import (
-    DEFAULT_MAX_HISTORIES,
-    Evolution,
-    TimeGrid,
-    _assemble_family,
-    _checked_evolution,
-    _eigen_slot,
-    _padded_slot,
-    _Slot,
-    _validate_slots,
-)
+from .framework import _eigen_slot, _padded_slot, _Slot, _stacked, _validate_stacks
+from .histories import DEFAULT_MAX_HISTORIES, Evolution, TimeGrid, _assemble_family, _checked_evolution
 from .linalg import (
     DEFAULT_TOL,
     SIGMA_X,
@@ -323,7 +313,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
         {"format", "name", "systems", "initial_state", "times", "evolutions", "observers", "tolerance"},
         "$",
     )
-    if _get(doc, "format", "$") != FORMAT_VERSION:
+    version = _get(doc, "format", "$")
+    if type(version) is not int or version != FORMAT_VERSION:  # True and 1.0 equal 1 but are not ints
         raise ScenarioError(f"unsupported format {doc['format']!r}, expected {FORMAT_VERSION}", path="$.format")
     name = _expect(_get(doc, "name", "$"), str, "$.name", "a string")
 
@@ -538,11 +529,11 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot:
     if isinstance(key, ProjectorListObservable):
         return _padded_slot(key.labels, key.matrices, total, tol)
     if key == "identity":
-        return _Slot(identity(total)[None], [TRIVIAL_LABEL], [], True)
+        return _Slot(identity(total)[None], [TRIVIAL_LABEL], padded=True)
     base, _, factor = key.partition("@")
     axis = _PAULI_OPS[base][1]
     stack, misfits = _stacked(_embed(_QUBIT_PROJECTORS[base], int(factor), dims), total)
-    return _Slot(stack, [f"+{axis}", f"-{axis}"], misfits, True)
+    return _Slot(stack, [f"+{axis}", f"-{axis}"], misfits, padded=True)
 
 
 @contextlib.contextmanager
@@ -578,15 +569,17 @@ def resolve(
     interval shares one checked read-only unitary.  Each distinct
     measurement (a Pauli on one factor, the identity or trivial slot, or one
     observable object) becomes one decomposition that every slot measuring
-    it shares.  Their stacks are built in order of first use (a Pauli's two
-    projectors embedded from a module-level qubit stack, the trivial slot's
-    shared read-only identity, a matrix's eigenprojectors, a projector list
-    padded with "rest" when it falls short of the identity; only the list is
-    tested for the pad, see ``_measurement_slot``) and validated together by
-    one ``_validate_stacks`` pass; a stack that cannot be built
-    stops the building, and the stacks before it are validated first, so the
-    error raised is the one met first in observer and slot order, a history
-    cap of an earlier observer included.  Every error starts with a
+    it shares.  Their ``framework._Slot`` stacks are built in order of first
+    use (a Pauli's two projectors embedded from a module-level qubit stack,
+    the trivial slot's shared read-only identity, a matrix's
+    eigenprojectors, a projector list padded with "rest" when it falls short
+    of the identity; only the list is tested for the pad, see
+    ``_measurement_slot``) and validated together by one
+    ``framework._validate_stacks`` pass, which raises the fault of any slot
+    but a matrix's as a ``BadDecompositionError``.  A stack that cannot be
+    built stops the building, and the stacks before it are validated first,
+    so the error raised is the one met first in observer and slot order, a
+    history cap of an earlier observer included.  Every error starts with a
     JSONPath: the initial state's (raised as a ScenarioError), the
     evolution's, or the first measurement's to use the decomposition; the
     others keep their type.
@@ -628,7 +621,7 @@ def resolve(
         except (QHistError, ValueError) as exc:
             error = exc
             break
-    decomps, fault = _validate_slots(built, tol)
+    decomps, fault = _validate_stacks(built, tol)
     if fault is not None:
         error = fault
     records = []
@@ -639,6 +632,6 @@ def resolve(
                 with _located(f"$.observers[{i}].measurements[{j}].observable"):
                     raise error
             slots.append(decomps[k])
-        family = _assemble_family(ket, grid, tuple(evolutions), slots, tol, max_histories)
+        family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)
         records.append(ObserverRecord(name=obs.name, family=family))
     return records

@@ -26,7 +26,7 @@ from .errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from .framework import _pair_products, _product_labels, _validate_stacks, decompositions_compatible
+from .framework import _pair_products, _product_labels, _Slot, _validate_stacks, decompositions_compatible
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     ConsistencyReport,
@@ -132,16 +132,16 @@ def check_compatibility(
     # is then skipped.  Which slot fails does not matter, so the first slot
     # that does not commute, where products usually fail, is tried alone first.
     # A slot's products are labelled only when they are validated.
-    def labels(k: int) -> list[str]:
-        return _product_labels(*pairs[k], keeps[k])
+    def slot(k: int) -> _Slot:
+        return _Slot(stacks[k], _product_labels(*pairs[k], keeps[k]))
 
     first = [k for k, sc in enumerate(per_slot) if not sc.commutes][:1]
-    _, error = _validate_stacks([stacks[k] for k in first], [labels(k) for k in first], tol)
+    _, error = _validate_stacks([slot(k) for k in first], tol)
     if error is None:
-        slots, error = _validate_stacks(stacks, [labels(k) for k in range(len(stacks))], tol)
+        slots, error = _validate_stacks([slot(k) for k in range(len(stacks))], tol)
     product_report = None
     if error is None:
-        product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, tol, max_histories)
+        product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, max_histories)
         product_report = consistency_check(product_family, tol)
 
     if not condition1:

@@ -19,6 +19,7 @@ from qhist.errors import (
 from qhist.framework import (
     UNDEFINED,
     _orthogonality_fault,
+    _Slot,
     _stacked,
     _validate_stacks,
     conjunction,
@@ -86,6 +87,10 @@ class TestMakeDecomposition:
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabelError):
             make_decomposition([P_UP, P_DOWN], ["same", "same"])
+
+    def test_more_projectors_than_labels_rejected(self):
+        with pytest.raises(DuplicateLabelError, match="2 projectors but 1 labels"):
+            make_decomposition([P_UP, P_DOWN], ["only"])
 
     def test_projectors_are_frozen(self):
         up, down = P_UP.copy(), P_DOWN.copy()
@@ -208,6 +213,14 @@ class TestRefine:
     def test_incompatible_rejected(self):
         with pytest.raises(IncompatibleFrameworksError):
             refine(pauli_decomposition("z"), pauli_decomposition("x"))
+
+    def test_products_that_fail_validation_are_refused(self):
+        # bases 1e-4 apart commute within comm=1e-3, yet their products are not Hermitian
+        theta = 1e-4
+        v, w = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+        tilted = make_decomposition([np.outer(v, v), np.outer(w, w)], ["v", "w"])
+        with pytest.raises(NotAProjectorError, match=r"element 0 \('\+z∧v'\) is not a projector"):
+            refine(pauli_decomposition("z"), tilted, Tolerance(comm=1e-3))
 
     def test_size_bounds_and_parenthood(self, rng):
         for _ in range(10):
@@ -408,7 +421,7 @@ def _named(error) -> tuple[type, tuple[int, ...]]:
 
 
 class TestStackedValidation:
-    """``_validate_stacks`` over several stacks against ``make_decomposition``
+    """``_validate_stacks`` over several slots against ``make_decomposition``
     on each in turn."""
 
     @given(
@@ -440,16 +453,15 @@ class TestStackedValidation:
             expected_decomps.append(got)
 
         # the inputs converted in order (a conversion error stops there), then one pass
-        stacks, misfits, stop = [], [], None
-        for mats, _ in inputs:
+        slots, stop = [], None
+        for mats, labels in inputs:
             try:
                 head, rest = _stacked(mats, d)
             except (QHistError, ValueError) as exc:
                 stop = exc
                 break
-            stacks.append(head)
-            misfits.append(rest)
-        decomps, error = _validate_stacks(stacks, [labels for _, labels in inputs], DEFAULT_TOL, misfits)
+            slots.append(_Slot(head, labels, rest))
+        decomps, error = _validate_stacks(slots, DEFAULT_TOL)
         error = error or stop
         assert [(dec.labels, dec.projectors.tobytes()) for dec in decomps] == expected_decomps
         assert (None if error is None else (type(error), str(error))) == expected_error
@@ -481,17 +493,17 @@ class TestStackedValidation:
             if others >= residuals[k]:
                 continue
             used += 1
-            labels = [[f"b{i}" for i in range(8)]] * 3
+            labels = [f"b{i}" for i in range(8)]
             edge = Tolerance(herm=1e-3, proj=residuals[k])
-            decomps, error = _validate_stacks([s.copy() for s in stacks], labels, edge)
+            decomps, error = _validate_stacks([_Slot(s.copy(), labels) for s in stacks], edge)
             assert error is None and len(decomps) == 3
             below = Tolerance(herm=1e-3, proj=float(np.nextafter(residuals[k], 0.0)))
-            decomps, error = _validate_stacks([s.copy() for s in stacks], labels, below)
+            decomps, error = _validate_stacks([_Slot(s.copy(), labels) for s in stacks], below)
             assert isinstance(error, NotCompleteError) and len(decomps) == k
         assert used >= 5
 
     def test_no_stacks(self):
-        assert _validate_stacks([], [], DEFAULT_TOL) == ([], None)
+        assert _validate_stacks([], DEFAULT_TOL) == ([], None)
 
 
 class TestMemory:

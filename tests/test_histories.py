@@ -12,6 +12,7 @@ from qhist.errors import (
     HistoryLimitError,
     NotAPartitionError,
     NotAProjectorError,
+    NotCompleteError,
     NotUnitaryError,
     UnknownHistoryError,
 )
@@ -114,6 +115,45 @@ class TestBuildFamily:
     def test_history_cap(self):
         with pytest.raises(HistoryLimitError):
             build_family(KET_UP, GRID, [I2, I2], [DX, DZ], max_histories=3)
+
+    def test_an_empty_projector_list_is_not_padded(self):
+        # nothing to pad: the empty list is refused as make_decomposition([], []) is
+        with pytest.raises(BadDecompositionError, match="needs at least one projector") as info:
+            build_family(KET_UP, ["t0", "t1"], [I2], [[]])
+        assert type(info.value.__cause__) is NotCompleteError
+
+    @pytest.mark.parametrize(
+        "slot, error, message",
+        [
+            (random_decomposition(np.random.default_rng(0), 3), DimMismatchError,
+             r"slot decomposition has dim 3, expected 2"),
+            (identity(3), DimMismatchError, r"slot operator has shape \(3, 3\), expected \(2, 2\)"),
+            (np.array([[0, 1], [0, 0]], dtype=complex), BadDecompositionError,
+             "slot operator is neither a projector nor Hermitian"),
+            ([("rest", (I2 + SIGMA_Z) / 2)], BadDecompositionError,
+             "label 'rest' is reserved for the complement padding"),
+            ([("a", np.full((2, 2), np.nan))], ValueError, "^matrix entries must be finite$"),  # not wrapped
+        ],
+        ids=["decomposition_of_another_dim", "operator_of_another_shape", "neither_projector_nor_hermitian",
+             "rest_label_in_an_incomplete_list", "non_finite_entry"],
+    )
+    def test_a_slot_that_cannot_be_coerced(self, slot, error, message):
+        with pytest.raises(error, match=message):
+            build_family(KET_UP, ["t0", "t1"], [I2], [slot])
+
+    @pytest.mark.parametrize(
+        "evolutions, slots, message",
+        [
+            ([I2, I2], [DZ], r"expected 1 evolutions, got 2"),
+            ([identity(3)], [DZ], r"evolution 0 has shape \(3, 3\), expected \(2, 2\)"),
+            ([I2], [DZ, DZ], r"expected 1 slots, got 2"),
+            ([I2], [identity(3), DZ], r"expected 1 slots, got 2"),  # checked before any slot
+        ],
+        ids=["evolution_count", "evolution_shape", "slot_count", "slot_count_before_a_bad_slot"],
+    )
+    def test_counts_and_shapes_must_match_the_grid(self, evolutions, slots, message):
+        with pytest.raises(DimMismatchError, match=message):
+            build_family(KET_UP, ["t0", "t1"], evolutions, slots)
 
     def test_grid_needs_two_times(self):
         from qhist.errors import BadTimesError

@@ -17,6 +17,7 @@ from qhist.errors import (
     BadDecompositionError,
     DimMismatchError,
     HistoryLimitError,
+    NotCompleteError,
     NotHermitianError,
     NotUnitaryError,
 )
@@ -150,8 +151,8 @@ def test_each_distinct_measurement_is_validated_once(monkeypatch):
     calls = {"_validate_stacks": 0, "is_unitary": 0}
     validated = []  # the number of stacks of each validator call
 
-    def counted(name):
-        original = getattr(qhist.histories, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -159,10 +160,10 @@ def test_each_distinct_measurement_is_validated_once(monkeypatch):
                 validated.append(len(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(qhist.histories, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("_validate_stacks")
-    counted("is_unitary")
+    counted(qhist.scenario, "_validate_stacks")  # where resolve calls the validator
+    counted(qhist.histories, "is_unitary")
     records = resolve(four_observers())
     # one pass over trivial/identity, sigma_z@1, sigma_x@2, the matrix and the
     # projector list; the identity evolution and CNOT
@@ -207,6 +208,15 @@ def test_non_orthogonal_projector_list_raises():
     scn = scenario((2,), ["identity"], [observer("A", {"t1": bad})])
     with pytest.raises(BadDecompositionError):
         resolve(scn)
+
+
+def test_an_empty_projector_list_is_refused_with_its_path():
+    # parse_scenario refuses the empty list; a hand-built one is refused here, not padded
+    scn = scenario((2,), ["identity"], [observer("A", {"t1": ProjectorListObservable((), ())})])
+    with pytest.raises(BadDecompositionError, match=r"^\$\.observers\[0\]\.measurements\[0\]\.observable: ") as info:
+        resolve(scn)
+    assert "needs at least one projector" in str(info.value)
+    assert type(info.value.__cause__) is NotCompleteError
 
 
 def test_decomposition_error_names_the_first_measurement_using_it():

@@ -67,8 +67,12 @@ class TestParse:
             parse_scenario(doc(comment="not allowed"))
 
     def test_wrong_format_version(self):
-        with pytest.raises(ScenarioError):
-            parse_scenario(doc(format=2))
+        # only the int 1 is format 1: a bool or a float equal to 1 is refused, as in every other field
+        for version in (2, True, 1.0, "1"):
+            with pytest.raises(ScenarioError) as excinfo:
+                parse_scenario(doc(format=version))
+            assert excinfo.value.path == "$.format"
+            assert str(excinfo.value) == f"$.format: unsupported format {version!r}, expected 1"
 
     def test_invalid_json_reports_location(self):
         with pytest.raises(ScenarioParseError) as excinfo:
