@@ -19,10 +19,14 @@ change is better in at least nine pairs of ten and the gap between the
 medians, in the better direction, is larger than the parent's interquartile
 range; each ``--claim WORKLOAD:METRIC`` is judged that way, and a claim on
 a metric that is not end-to-end or on a workload not run is refused before
-anything runs.  ``--out`` writes the runs and the summary as JSON, in the
-layout of ``BENCH_9.json``, with the command that made it (the two trees
-written as PARENT_TREE and CHANGE_TREE).  The exit code is 0 when every run
-is correct, no command failed and every claim is met, else 1.
+anything runs.  Every metric whose change median is worse than the parent's
+by more than its ``bound`` in ``BENCHMARK.json`` (a share of the parent's
+median) is flagged as a regression.  ``--out`` writes the runs and the
+summary as JSON, in the layout of ``BENCH_9.json``, with the command that
+made it (the two trees written as PARENT_TREE and CHANGE_TREE) and each
+workload's regressed metrics.  The exit code is 0 when every run is
+correct, no command failed, no metric regressed and every claim is met,
+else 1.
 """
 
 from __future__ import annotations
@@ -111,10 +115,20 @@ def gain(summary: dict, lower_is_better: bool) -> bool:
     return wins and gap > summary["parent_q3"] - summary["parent_q1"]
 
 
+def regressed(summary: dict, lower_is_better: bool, bound: float) -> bool:
+    """The change's median is worse than the parent's by more than ``bound``
+    times the parent's median."""
+    worse = summary["change_median"] - summary["parent_median"]
+    if not lower_is_better:
+        worse = -worse
+    return worse > bound * abs(summary["parent_median"])
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     claims = {tuple(c.split(":", 1)) for c in args.claim}
     unknown = [c for c in args.claim
                if ":" not in c or c.split(":", 1)[0] not in args.workload or c.split(":", 1)[1] not in lower]
@@ -146,7 +160,7 @@ def main(argv=None) -> int:
                 correct = correct and result["correct"]
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} failed={result['failed']}",
                       flush=True)
-        summary = {}
+        summary, worse = {}, []
         seeds = [str(s) for s in args.seeds]
         print(f"\n{workload}: {'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} "
               f"{'q1-q3':>21} {'ratio':>6} wins")
@@ -156,13 +170,16 @@ def main(argv=None) -> int:
             summary[name] = s = summarize(parent, change, lower[name])
             claimed = (workload, name) in claims
             verdict = ("claim met" if gain(s, lower[name]) else "claim NOT met") if claimed else ""
+            if regressed(s, lower[name], bounds[name]):
+                worse.append(name)
+                verdict = f"{verdict} WORSE than the {bounds[name]:g} bound".lstrip()
             print(f"{workload}: {name:18} "
                   f"{s['parent_median']:11.5g} {s['parent_q1']:10.5g}-{s['parent_q3']:<10.5g} "
                   f"{s['change_median']:11.5g} {s['change_q1']:10.5g}-{s['change_q3']:<10.5g} "
                   f"{s['change_over_parent']:6.3f} {s['change_better_pairs']}/{s['pairs']} {verdict}")
             ok = ok and (not claimed or gain(s, lower[name]))
-        ok = ok and correct and not any(failed.values())
-        doc["pairs"][workload] = {"all_correct": correct, "failed": failed, "runs": runs,
+        ok = ok and correct and not any(failed.values()) and not worse
+        doc["pairs"][workload] = {"all_correct": correct, "failed": failed, "regressed": worse, "runs": runs,
                                   "seeds": list(args.seeds), "summary": summary}
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

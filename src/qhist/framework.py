@@ -345,12 +345,17 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
     """A ``build_family`` slot as a validated decomposition of dim ``dim``: a
     decomposition as it is, a Hermitian observable's eigenprojectors, or a
     single projector or a list of ``(label, projector)`` pairs (one labelled
-    projector is a list of one) padded to completeness by ``_padded_slot``."""
+    projector is a list of one) padded to completeness by ``_padded_slot``.
+    A list element that is not a pair (a tuple or list of two) whose label
+    is a ``str`` raises ``BadDecompositionError`` naming its index."""
     if isinstance(slot, ProjectiveDecomposition):
         if slot.dim != dim:
             raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
         return slot
     if isinstance(slot, list):
+        for i, pair in enumerate(slot):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[0], str)):
+                raise BadDecompositionError(f"slot element {i} is not a (str label, projector) pair")
         return _validated(_padded_slot([lab for lab, _ in slot], [m for _, m in slot], dim, tol), tol)
     m = as_matrix(slot)
     if m.shape != (dim, dim):

@@ -11,10 +11,12 @@ kets are orthogonal.
 
 ``consistency_check`` propagates every chain ket at once, level by level: a
 batch of prefix kets is evolved, split by the slot's projectors, and rid of
-the rows that are exactly zero.  A zero ket is orthogonal to every ket, so
-the report keeps only the surviving kets (a consistent family has at most
-``dim`` of them); their Gram matrix is formed once, by ``_overlaps``, read
-for the probabilities and the largest overlap, and not kept.  ``chain_ket``
+the rows that are exactly zero.  Each distinct (decomposition, unitary) pair
+of objects forms its step, the projectors times the unitary, once per call,
+and the levels that repeat it reuse it.  A zero ket is orthogonal to every
+ket, so the report keeps only the surviving kets (a consistent family has at
+most ``dim`` of them); their Gram matrix is formed once, by ``_overlaps``,
+read for the probabilities and the largest overlap, and not kept.  ``chain_ket``
 composes one history's operator string on its own and is kept as an
 independent per-history path.
 
@@ -251,14 +253,22 @@ def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
     One level per slot: every prefix ket is evolved and projected by each of
     the slot's projectors in one matrix product, and the rows that come out
     exactly zero are dropped, since every extension of a zero prefix is zero.
+    A level's step, the slot's projectors times the interval's unitary, is
+    formed once per distinct (decomposition, unitary) pair of objects in the
+    call; levels that repeat a pair reuse it.
     """
     dim = family.dim
     kets = family.initial_ket[None, :]
     index = np.zeros(1, dtype=np.int64)
+    # the family holds every decomposition and unitary for the whole call, so an id is a key
+    steps: dict[tuple[int, int], np.ndarray] = {}
     for ev, decomp in zip(family.evolutions, family.slot_decompositions):
         n = len(decomp)
-        steps = (decomp.projectors @ ev.unitary).reshape(n * dim, dim)
-        kets = (kets @ steps.T).reshape(-1, dim)
+        key = (id(decomp), id(ev.unitary))
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = (decomp.projectors @ ev.unitary).reshape(n * dim, dim).T
+        kets = (kets @ step).reshape(-1, dim)
         index = (index[:, None] * n + np.arange(n)).reshape(-1)
         live = kets.any(axis=1)
         kets, index = kets[live], index[live]

@@ -115,32 +115,43 @@ def check_compatibility(
     """The two-condition test: slot-wise commutation, then consistency of the
     slot-wise product family, whose histories are capped at ``max_histories``.
     Stable iff both hold; the product family is then
-    ``report.product_family_consistency.family``."""
+    ``report.product_family_consistency.family``.
+
+    Slots that pair the same two decomposition objects (``resolve`` gives each
+    distinct measurement one) share one product table per call: each distinct
+    pair is multiplied, labelled and validated once, in order of first use,
+    and its slots share one product decomposition.  ``per_slot_commutation``
+    still has a row per slot."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
-    pairs = list(zip(fa.slot_decompositions, fb.slot_decompositions))
-    per_slot, stacks, keeps = [], [], []
-    for time, (da, db) in zip(fa.grid.slot_times, pairs):
-        check, stack, keep = _pair_products(da, db, tol)
+    # a decomposition hashes by identity (eq=False), and the families hold
+    # every one for the whole call, so a slot's pair of them is a key
+    slot_pairs = list(zip(fa.slot_decompositions, fb.slot_decompositions))
+    products = {pair: _pair_products(*pair, tol) for pair in dict.fromkeys(slot_pairs)}
+    per_slot = []
+    for time, pair in zip(fa.grid.slot_times, slot_pairs):
+        check = products[pair][0]
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
-        stacks.append(stack)
-        keeps.append(keep)
     condition1 = all(sc.commutes for sc in per_slot)
 
-    # the slot-wise products {K_i Y_j}, validated in one pass; they may fail to
-    # form decompositions only when condition 1 already failed, and condition 2
-    # is then skipped.  Which slot fails does not matter, so the first slot
-    # that does not commute, where products usually fail, is tried alone first.
-    # A slot's products are labelled only when they are validated.
-    def slot(k: int) -> _Slot:
-        return _Slot(stacks[k], _product_labels(*pairs[k], keeps[k]))
+    # the products {K_i Y_j} of each distinct pair, validated in one pass; they
+    # may fail to form decompositions only when condition 1 already failed,
+    # and condition 2 is then skipped.  Which slot fails does not matter, so
+    # the pair of the first slot that does not commute, where products usually
+    # fail, is tried alone first.  A pair's products are labelled only when
+    # they are validated.
+    def slot(pair) -> _Slot:
+        _, stack, keep = products[pair]
+        return _Slot(stack, _product_labels(*pair, keep))
 
-    first = [k for k, sc in enumerate(per_slot) if not sc.commutes][:1]
-    _, error = _validate_stacks([slot(k) for k in first], tol)
+    first = [pair for pair, sc in zip(slot_pairs, per_slot) if not sc.commutes][:1]
+    _, error = _validate_stacks([slot(pair) for pair in first], tol)
     if error is None:
-        slots, error = _validate_stacks([slot(k) for k in range(len(stacks))], tol)
+        decomps, error = _validate_stacks([slot(pair) for pair in products], tol)
     product_report = None
     if error is None:
+        product_of = dict(zip(products, decomps))
+        slots = [product_of[pair] for pair in slot_pairs]
         product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, max_histories)
         product_report = consistency_check(product_family, tol)
 

@@ -1,7 +1,9 @@
-"""``scripts/bench_pairs.py``: the claim rule and the refusals made before
-anything runs.  No benchmark is run here."""
+"""``scripts/bench_pairs.py``: the claim rule, the regression bound and the
+refusals made before anything runs.  No benchmark is run here; the runs a
+test needs are made up."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -50,3 +52,41 @@ def test_recorded_command_parses_back_to_the_same_arguments():
     command = bench_pairs._command(bench_pairs._parse_args(argv)).split()
     assert command[:2] == ["python3", "scripts/bench_pairs.py"]
     assert command[4:] == argv[2:]
+
+
+@pytest.mark.parametrize(
+    "parent, change, lower_is_better, bound, worse",
+    [
+        ([1.0] * 10, [1.3] * 10, True, 0.25, True),  # 30 % slower
+        ([1.0] * 10, [1.2] * 10, True, 0.25, False),  # 20 % slower, inside the bound
+        ([1.0] * 10, [0.5] * 10, True, 0.25, False),  # faster
+        ([40.0] * 10, [42.5] * 10, True, 0.05, True),  # 6.25 % more memory
+        ([40.0] * 10, [41.5] * 10, True, 0.05, False),  # 3.75 % more memory
+        ([1.0] * 10, [0.7] * 10, False, 0.25, True),  # higher is better: 30 % lower
+        ([1.0] * 10, [1.3] * 10, False, 0.25, False),  # higher is better: higher
+    ],
+    ids=["slower_past_bound", "slower_inside_bound", "faster", "memory_past_bound", "memory_inside_bound",
+         "higher_better_past_bound", "higher_better_improved"],
+)
+def test_a_median_worse_than_the_bound_is_a_regression(parent, change, lower_is_better, bound, worse):
+    summary = bench_pairs.summarize(parent, change, lower_is_better)
+    assert bench_pairs.regressed(summary, lower_is_better, bound) is worse
+
+
+@pytest.mark.parametrize("slower, code", [(1.3, 1), (1.2, 0)], ids=["past_bound", "inside_bound"])
+def test_a_regression_fails_the_run(slower, code, monkeypatch, capsys, tmp_path):
+    """Made-up runs: every metric reads 1.0 in both trees, except the
+    change's ``wall_s``, whose bound in ``BENCHMARK.json`` is 0.25."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run(tree, workload, seed, seconds):
+        value = {n: slower if n == "wall_s" and tree == ROOT else 1.0 for n in names}
+        return {"metrics": {n: {"value": v} for n, v in value.items()}, "failed": 0, "correct": True}, {}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path), str(ROOT), "--workload", "observers", "--seeds", "2-11", "--out", str(out)]
+    assert bench_pairs.main(argv) == code
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
+    assert ("WORSE than the 0.25 bound" in printed[0]) is bool(code)
+    assert json.loads(out.read_text())["pairs"]["observers"]["regressed"] == (["wall_s"] if code else [])

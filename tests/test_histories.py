@@ -123,6 +123,20 @@ class TestBuildFamily:
         assert type(info.value.__cause__) is NotCompleteError
 
     @pytest.mark.parametrize(
+        "slot, index",
+        [
+            ([("a", (I2 + SIGMA_Z) / 2), (1, (I2 - SIGMA_Z) / 2)], 1),
+            ([("a",)], 0),
+            ([("a", I2, 3)], 0),
+        ],
+        ids=["int_label", "one_tuple", "three_tuple"],
+    )
+    def test_a_list_element_that_is_not_a_labelled_pair_is_named(self, slot, index):
+        with pytest.raises(BadDecompositionError) as info:
+            build_family(KET_UP, ["t0", "t1"], [I2], [slot])
+        assert str(info.value) == f"slot element {index} is not a (str label, projector) pair"
+
+    @pytest.mark.parametrize(
         "slot, error, message",
         [
             (random_decomposition(np.random.default_rng(0), 3), DimMismatchError,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -17,8 +18,16 @@ from qhist.errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from qhist.framework import decompositions_compatible, make_decomposition
-from qhist.histories import build_family, coarse_grain, consistency_check
+from qhist.framework import ProjectiveDecomposition, decompositions_compatible, make_decomposition
+from qhist.histories import (
+    Evolution,
+    HistoryFamily,
+    TimeGrid,
+    _surviving_kets,
+    build_family,
+    coarse_grain,
+    consistency_check,
+)
 from qhist.linalg import DEFAULT_TOL, SIGMA_X, identity
 from qhist.scenario import parse_scenario, resolve
 from qhist.stablefacts import (
@@ -37,10 +46,14 @@ from qhist.stablefacts import (
 from helpers import (
     CONDITION2,
     KET_UP,
+    coordinate_decomposition,
     measurement_model,
     pauli_decomposition,
+    random_decomposition,
     random_family,
     random_scenario,
+    random_state,
+    random_unitary,
     reference_products,
 )
 
@@ -202,6 +215,89 @@ class TestRepeatedSlotPairs:
         assert np.array_equal(got.support, reference.support)
         assert got.probabilities.tobytes() == reference.probabilities.tobytes()
         assert (got.max_offdiag, got.consistent) == (reference.max_offdiag, reference.consistent)
+
+
+def pooled_pair(seed: int) -> tuple[list[ObserverRecord], list[ObserverRecord]]:
+    """Two observers whose slots are drawn from a pool of 2-3 decompositions
+    (coordinate ones commute, so some pairs pass condition 1) under
+    evolutions drawn from a pool of two unitaries: once with the pool's
+    objects shared between slots, once with every slot and evolution an
+    unshared copy of the same arrays."""
+    rng = np.random.default_rng(seed)
+    dim, n_slots = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    pool = [
+        coordinate_decomposition(rng, dim) if rng.random() < 0.5 else random_decomposition(rng, dim)
+        for _ in range(int(rng.integers(2, 4)))
+    ]
+    unitaries = [identity(dim), random_unitary(rng, dim)]
+    ket = random_state(rng, dim)
+    grid = TimeGrid(tuple(f"t{k}" for k in range(n_slots + 1)))
+    picks = {"A": rng.integers(len(pool), size=n_slots), "B": rng.integers(len(pool), size=n_slots)}
+    steps = rng.integers(len(unitaries), size=n_slots)
+
+    def records(shared: bool) -> list[ObserverRecord]:
+        def slot(i):
+            return pool[i] if shared else ProjectiveDecomposition(dim, pool[i].projectors.copy(), pool[i].labels)
+
+        def unitary(u):
+            return unitaries[u] if shared else unitaries[u].copy()
+
+        evolutions = tuple(Evolution(grid.labels[k], grid.labels[k + 1], unitary(u)) for k, u in enumerate(steps))
+        return [
+            ObserverRecord(name, HistoryFamily(dim, grid, ket, evolutions, tuple(slot(i) for i in chosen)))
+            for name, chosen in picks.items()
+        ]
+
+    return records(True), records(False)
+
+
+def assert_same_report(got, expected):
+    assert got.kets.tobytes() == expected.kets.tobytes()
+    assert got.support.tobytes() == expected.support.tobytes()
+    assert got.probabilities.tobytes() == expected.probabilities.tobytes()
+    assert got.max_offdiag == expected.max_offdiag
+
+
+class TestRepeatedSteps:
+    """Levels and slot pairs that repeat the same objects reuse one product per call."""
+
+    def test_each_distinct_step_is_formed_once(self):
+        family = repeating_observers()["O1"].family
+        formed = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                formed.append(other)
+                return np.asarray(self) @ other
+
+        copies = {}
+        for d in family.slot_decompositions:
+            copies.setdefault(id(d), dataclasses.replace(d, projectors=d.projectors.view(Counted)))
+        counted = dataclasses.replace(
+            family, slot_decompositions=tuple(copies[id(d)] for d in family.slot_decompositions)
+        )
+        kets, support = _surviving_kets(counted)
+        assert family.n_slots == 5 and len({id(ev.unitary) for ev in family.evolutions}) == 1
+        assert len(formed) == 2
+        expected = _surviving_kets(family)
+        assert (kets.tobytes(), support.tobytes()) == (expected[0].tobytes(), expected[1].tobytes())
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_objects_give_the_bytes_of_unshared_copies(self, seed):
+        shared, copies = pooled_pair(seed)
+        for mine, theirs in zip(shared, copies):
+            assert_same_report(consistency_check(mine.family), consistency_check(theirs.family))
+        got, expected = check_compatibility(*shared), check_compatibility(*copies)
+        assert got.per_slot_commutation == expected.per_slot_commutation
+        assert got.failing_condition == expected.failing_condition
+        got, expected = got.product_family_consistency, expected.product_family_consistency
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert_same_report(got, expected)
+            for mine, theirs in zip(got.family.slot_decompositions, expected.family.slot_decompositions):
+                assert mine.labels == theirs.labels
+                assert mine.projectors.tobytes() == theirs.projectors.tobytes()
 
 
 class TestCondition2:
@@ -418,8 +514,14 @@ class TestInformationPreserved:
             information_preserved(fam, "t0", "t2")
 
 
+def distinct_pairs(a: ObserverRecord, b: ObserverRecord) -> list[tuple[int, int]]:
+    """The ids of the distinct slot pairs of two records, in order of first use."""
+    pairs = zip(a.family.slot_decompositions, b.family.slot_decompositions)
+    return list(dict.fromkeys((id(da), id(db)) for da, db in pairs))
+
+
 class TestProductSlotsInOnePass:
-    """``check_compatibility`` validates every slot's products in one pass."""
+    """``check_compatibility`` validates every distinct slot pair's products in one pass."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -450,13 +552,14 @@ class TestProductSlotsInOnePass:
 
         monkeypatch.setattr(qhist.stablefacts, "_pair_products", pair_products)
         monkeypatch.setattr(qhist.stablefacts, "decompositions_compatible", compatible)
-        verdicts = []
+        verdicts, multiplied = [], []
         for a, b in itertools.combinations(resolve(parse_scenario(json.dumps(CONDITION2))), 2):
             calls.clear()
             verdicts.append(check_compatibility(a, b).failing_condition)
-            pairs = list(zip(a.family.slot_decompositions, b.family.slot_decompositions))
-            assert [(id(da), id(db)) for da, db in calls] == [(id(da), id(db)) for da, db in pairs]
+            assert [(id(da), id(db)) for da, db in calls] == distinct_pairs(a, b)
+            multiplied.append(len(calls))
         assert verdicts == ["condition2", "condition1", None]
+        assert multiplied == [2, 3, 3]  # A/B pairs (z, trivial) at t1 and t3
 
     def test_a_slot_is_labelled_only_when_validated(self, monkeypatch):
         labelled = []
@@ -476,7 +579,7 @@ class TestProductSlotsInOnePass:
                 assert report.product_family_consistency is None
                 assert labelled == [pairs[first]]
             else:
-                assert labelled == pairs
+                assert labelled == distinct_pairs(a, b)
 
     def test_records_of_one_resolve_compare_no_arrays(self, monkeypatch):
         calls = []
