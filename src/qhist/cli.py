@@ -11,7 +11,10 @@ Exit codes are a stable contract:
 
 ``main`` alone turns an exception into an exit code and a line on stderr.
 ``analyze``, ``classify`` and ``conditional`` each build one dict of report
-fields, printed as the ``--json`` document or rendered from it as text.
+fields, printed as the ``--json`` document or rendered from it as text.  The
+rows of an ``analyze`` family are one ``_Rows`` object, the labels of its
+slots and its probability array, which writes every row in both renderings
+without a dict or a label tuple per history.
 
 Verdicts themselves ("relative") are results, never failures.  JSON output is
 deterministic: identical inputs and flags give byte-identical bytes.  The
@@ -161,11 +164,53 @@ def _write(o, out: list, nl: str) -> None:
                     emit(sep + text)
             sep = "," + inner
         emit(nl + "]")
+    elif type(o) is _Rows:
+        o.write(out, nl)
     else:
         text = _scalar(o)
         if text is None:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
         emit(text)
+
+
+class _Rows:
+    """One family's ``analyze`` rows, a history each in flat order: its
+    labels, one per slot, and its probability.  ``write`` puts them in a
+    JSON document as the list of ``{"labels": [...], "probability": p}``
+    dicts that json would write, and ``lines`` renders them as text; neither
+    builds a dict, a label tuple or a float per history.  Not a tuple or a
+    list, which ``_write`` would take for a list of values."""
+
+    __slots__ = ("slot_labels", "probabilities")
+
+    def __init__(self, slot_labels, probabilities: np.ndarray):
+        self.slot_labels = slot_labels  # one or more slots, each with one or more labels
+        self.probabilities = probabilities
+
+    def _runs(self, convert, first: str, sep: str, last: str):
+        """Each history's labels through ``convert``, joined by ``sep``,
+        between ``first`` and ``last``: each slot's labels are converted
+        once, and a history's run is one join over their product."""
+        pieces = [[sep + convert(label) for label in labels] for labels in self.slot_labels]
+        pieces[0] = [first + convert(label) for label in self.slot_labels[0]]
+        pieces[-1] = [piece + last for piece in pieces[-1]]
+        return map("".join, itertools.product(*pieces))
+
+    def write(self, out: list, nl: str) -> None:
+        """Append the rows' JSON to ``out``, as ``_write`` would a list that starts on ``nl``."""
+        row, key, label = nl + "  ", nl + "    ", nl + "      "
+        texts = list(map(float.__repr__, self.probabilities.tolist()))
+        if not np.isfinite(self.probabilities).all():
+            texts = [_NONFINITE.get(text, text) for text in texts]
+        runs = self._runs(_escape, "{" + key + '"labels": [' + label, "," + label,
+                          key + "]," + key + '"probability": ')
+        out += ("[" + row, (row + "}," + row).join(map(str.__add__, runs, texts)), row + "}" + nl + "]")
+
+    def lines(self):
+        """The rows as ``analyze`` prints them: the labels joined by commas,
+        then the probability as ``_fmt`` writes it."""
+        texts = map("{:.12g}".format, self.probabilities.tolist())
+        return map(str.__add__, self._runs(str, "  ", ",", "  "), texts)
 
 
 def _fmt(x: float) -> str:
@@ -223,7 +268,7 @@ def _analyze_text(doc) -> list[str]:
             f"observer {obs['name']}: {_verdict(obs['consistent'])} "
             f"(max off-diagonal {_fmt(obs['max_offdiag'])}, threshold {_fmt(obs['threshold'])})"
         )
-        lines += [f"  {','.join(h['labels'])}  {_fmt(h['probability'])}" for h in obs["histories"]]
+        lines += obs["histories"].lines()
     return lines
 
 
@@ -241,13 +286,7 @@ def cmd_analyze(args) -> int:
                 "consistent": report.consistent,
                 "max_offdiag": float(report.max_offdiag),
                 "threshold": float(report.threshold),
-                "histories": [
-                    {"labels": list(labels), "probability": float(p)}
-                    for labels, p in zip(
-                        itertools.product(*(d.labels for d in record.family.slot_decompositions)),
-                        report.probabilities,
-                    )
-                ],
+                "histories": _Rows([d.labels for d in record.family.slot_decompositions], report.probabilities),
             }
         )
     _emit(args, "analyze", scn, tol, {"observers": observers}, _analyze_text)

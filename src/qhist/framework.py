@@ -239,7 +239,11 @@ def _validate_stacks(
             break
     if faulty:  # else the head is empty, and may have dim 0, which the reductions refuse
         head = big[: offsets[faulty]]
-        hermitian = max_abs_each(head - head.conj().swapaxes(-2, -1)) <= tol.herm
+        # head - head^dagger, formed in one contiguous copy of the transpose:
+        # a strided conjugate-transpose operand costs more than the subtraction
+        skew = head.swapaxes(-2, -1).copy()
+        np.conjugate(skew, out=skew)
+        hermitian = max_abs_each(np.subtract(head, skew, out=skew)) <= tol.herm
         idempotent = max_abs_each(head @ head - head) <= tol.proj
         bad = np.flatnonzero(~(hermitian & idempotent))
         if bad.size:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -340,6 +342,36 @@ class TestAnalyze:
         assert code == 1
         assert "nobody" in err
 
+    def test_observer_flags_list_in_scenario_order(self, capsys):
+        flags = ("--observer", "O2", "--observer", "O1")
+        code, out, _ = run(capsys, "analyze", str(gallery("stable_facts")), *flags)
+        assert code == 0
+        assert out.index("observer O1:") < out.index("observer O2:")
+        code, out, _ = run(capsys, "analyze", str(gallery("stable_facts")), *flags, "--json")
+        assert code == 0
+        assert [obs["name"] for obs in json.loads(out)["observers"]] == ["O1", "O2"]
+
+    def test_rows_of_a_14_slot_chain(self, capsys, tmp_path):
+        """16384 rows: the JSON is the stdlib's bytes, and the text lists the same rows."""
+        times = [f"t{k}" for k in range(15)]
+        path = write(tmp_path, one_qubit(
+            name="sz_chain_14", times=times,
+            observers=[{"name": "O1", "measurements": [{"time": t, "observable": "sigma_z"} for t in times[1:]]}],
+        ))
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        expected = stdlib_dumps(doc) + "\n"
+        same = out == expected  # a bare bool: pytest would diff the two 1 MB strings line by line
+        assert same, f"the bytes differ from offset {len(os.path.commonprefix([out, expected]))}"
+        rows = doc["observers"][0]["histories"]
+        assert len(rows) == 2**14
+        assert rows[0] == {"labels": ["+z"] * 14, "probability": 1.0}
+        assert sum(row["probability"] for row in rows) == 1.0
+        code, text, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert text.splitlines()[2:] == [f"  {','.join(row['labels'])}  {row['probability']:.12g}" for row in rows]
+
 
 class TestClassify:
     def test_stable(self, capsys):
@@ -652,6 +684,47 @@ class TestDumps:
                 stdlib_dumps(wrapped)
             with pytest.raises(TypeError):
                 cli._dumps(wrapped)
+
+
+SLOT_LABELS = st.lists(st.lists(TEXT, min_size=1, max_size=3), min_size=1, max_size=4)
+
+
+@st.composite
+def analyze_rows(draw):
+    """Slot labels and one probability per history, as an ``analyze`` family has them."""
+    slots = draw(SLOT_LABELS)
+    n = math.prod(map(len, slots))
+    probabilities = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+    probabilities.setflags(write=False)
+    return slots, probabilities
+
+
+def analyze_doc(histories) -> dict:
+    return {"report_version": 1, "command": "analyze", "scenario": "s", "tolerance": {"cons": 1e-9},
+            "observers": [{"name": "O1", "consistent": True, "max_offdiag": 0.0, "threshold": 1e-9,
+                           "histories": histories}]}
+
+
+class TestAnalyzeRows:
+    """``cli._Rows`` writes what one dict per history gave."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(analyze_rows(), st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=6))
+    @example(([["+z", "-z"], ["any"]], np.array([1.0, math.nan])), [])
+    def test_json_matches_dict_rows(self, rows, kinds):
+        slots, probabilities = rows
+        dict_rows = [{"labels": list(labels), "probability": float(p)}
+                     for labels, p in zip(itertools.product(*slots), probabilities)]
+        doc = nest(analyze_doc(cli._Rows(slots, probabilities)), kinds)
+        assert cli._dumps(doc) == stdlib_dumps(nest(analyze_doc(dict_rows), kinds))
+
+    @settings(max_examples=100, deadline=None)
+    @given(analyze_rows())
+    def test_text_matches_dict_rows(self, rows):
+        slots, probabilities = rows
+        assert list(cli._Rows(slots, probabilities).lines()) == [
+            f"  {','.join(labels)}  {cli._fmt(p)}" for labels, p in zip(itertools.product(*slots), probabilities)
+        ]
 
 
 class TestResourceFailure:
