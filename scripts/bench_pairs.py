@@ -10,7 +10,10 @@ tree's ``BENCHMARK.json``.  The parent runs first on even seeds and the
 change on odd ones, so that a drift in machine speed falls on both sides.
 Each tree runs its own ``perfbench/`` against its own ``src/``; this script
 only reads them and ``BENCHMARK.json``, which also names the end-to-end
-metrics and whether lower or higher is better.
+metrics and whether lower or higher is better.  Each tree's runs share a
+``PYTHONPYCACHEPREFIX`` of their own, an empty temporary directory made at
+the tree's first run and removed at exit, so that no run reads bytecode
+left in a tree's ``__pycache__``, which may be stale against its sources.
 
 It prints, per workload and metric, both sides' medians and quartiles (the
 inclusive method of ``statistics.quantiles``), the ratio of the medians and
@@ -32,11 +35,16 @@ else 1.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import json
+import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 WIN_SHARE = 0.9  # nine pairs of ten
 
@@ -72,11 +80,21 @@ def _command(args) -> str:
     return " ".join(words)
 
 
+@functools.cache
+def _pycache_prefix(tree: pathlib.Path) -> str:
+    """The bytecode directory of every run of ``tree``: made empty once per
+    invocation, removed at exit."""
+    path = tempfile.mkdtemp(prefix="bench_pairs_pycache_")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
 def run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One benchmark run: its JSON result and the machine line it printed."""
     argv = [sys.executable, str(tree.resolve() / "perfbench" / "run.py"),
             "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": _pycache_prefix(tree.resolve())}
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")

@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -221,16 +222,23 @@ def _verdict(consistent: bool) -> str:
     return "consistent" if consistent else "inconsistent"
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout.  If the reader closed the pipe, the rest is
+    dropped: stdout then points at ``os.devnull``, so the flush at shutdown
+    cannot raise again, and the command returns its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, command: str, scn, tol: Tolerance, fields: dict, text) -> None:
     """Print one report.  With ``--json``, the document: the header every
     command shares, then the command's ``fields``; else the lines ``text``
     renders from that same document."""
     doc = {"report_version": REPORT_VERSION, "command": command, "scenario": scn.name,
            "tolerance": dataclasses.asdict(tol), **fields}
-    if args.json:
-        print(_dumps(doc))
-    else:
-        print("\n".join(text(doc)))
+    _print(_dumps(doc) if args.json else "\n".join(text(doc)))
 
 
 def _load(args) -> tuple:
@@ -256,8 +264,8 @@ def _pick(records, names) -> list:
 def cmd_validate(args) -> int:
     scn, records, _ = _load(args)
     total = sum(r.family.n_histories for r in records)
-    print(f"ok: scenario {scn.name!r}, dim {scn.total_dim}, "
-          f"{len(records)} observer(s), {total} histories")
+    _print(f"ok: scenario {scn.name!r}, dim {scn.total_dim}, "
+           f"{len(records)} observer(s), {total} histories")
     return EXIT_OK
 
 
@@ -446,7 +454,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ORACLE
-    print(
+    _print(
         f"ok: scenario {scn.name!r}, {total} histories cross-checked, "
         f"worst discrepancy {_fmt(worst)}"
     )

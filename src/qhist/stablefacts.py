@@ -77,8 +77,10 @@ class CompatibilityReport:
     """Evidence for the two-condition test between a pair of observers.
 
     ``product_family_consistency`` is None when the slot products were not
-    well-formed decompositions (possible only when condition 1 already
-    failed), in which case condition 2 is marked skipped rather than failed.
+    well-formed decompositions, in which case condition 2 is marked skipped
+    rather than failed.  That happens when condition 1 failed, or when
+    ``tol.comm`` is looser than ``tol.herm`` or ``tol.proj``: products of
+    projectors that commute within ``comm`` need not be projectors within those.
     """
 
     observer_a: str
@@ -135,11 +137,11 @@ def check_compatibility(
     condition1 = all(sc.commutes for sc in per_slot)
 
     # the products {K_i Y_j} of each distinct pair, validated in one pass; they
-    # may fail to form decompositions only when condition 1 already failed,
-    # and condition 2 is then skipped.  Which slot fails does not matter, so
-    # the pair of the first slot that does not commute, where products usually
-    # fail, is tried alone first.  A pair's products are labelled only when
-    # they are validated.
+    # may fail to form decompositions when condition 1 failed, or when comm is
+    # looser than herm or proj, and condition 2 is then skipped.  Which slot
+    # fails does not matter, so the pair of the first slot that does not
+    # commute, where products usually fail, is tried alone first.  A pair's
+    # products are labelled only when they are validated.
     def slot(pair) -> _Slot:
         _, stack, keep = products[pair]
         return _Slot(stack, _product_labels(*pair, keep))

@@ -4,7 +4,9 @@ test needs are made up."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import types
 
 import pytest
 
@@ -90,3 +92,30 @@ def test_a_regression_fails_the_run(slower, code, monkeypatch, capsys, tmp_path)
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
     assert ("WORSE than the 0.25 bound" in printed[0]) is bool(code)
     assert json.loads(out.read_text())["pairs"]["observers"]["regressed"] == (["wall_s"] if code else [])
+
+
+def test_each_tree_runs_with_its_own_fresh_pycache_prefix(monkeypatch, tmp_path):
+    """Faked runs: each tree's bytecode goes to one directory for all its
+    runs, empty when the first run starts, distinct from the other tree's
+    and outside both trees, so stale ``__pycache__`` in a tree is never read."""
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((pathlib.Path(cwd), prefix, sorted(os.listdir(prefix))))
+        (prefix / f"run{len(seen)}.pyc").touch()  # what a run leaves there
+        return types.SimpleNamespace(returncode=0, stdout='{"metrics": {}}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for seed in range(4):
+        for side in ("parent", "change") if seed % 2 == 0 else ("change", "parent"):
+            bench_pairs.run(trees[side], "observers", seed, 1.0)
+    prefixes = {side: {prefix for cwd, prefix, _ in seen if cwd == tree} for side, tree in trees.items()}
+    assert all(len(p) == 1 for p in prefixes.values())
+    (parent,), (change,) = prefixes.values()
+    assert parent != change
+    for prefix in (parent, change):
+        assert all(tree.resolve() not in prefix.resolve().parents for tree in trees.values())
+        first = next(listing for _, p, listing in seen if p == prefix)
+        assert first == []

@@ -2,6 +2,9 @@ import itertools
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -417,6 +420,24 @@ class TestClassify:
         assert doc["pairs"][0]["product_consistency"]["max_offdiag"] == pytest.approx(0.25, abs=1e-12)
         assert doc["nway"] == {"combinable": False, "consistent": None, "max_offdiag": None}
 
+    def test_loose_comm_skips_condition2_although_every_slot_commutes(self, capsys, tmp_path):
+        """comm 1e-3 passes a z axis tilted by 1e-5 rad as commuting with
+        sigma_z (residual 5e-6), but their products are not projectors
+        within proj 1e-9, so condition 2 is skipped, not evaluated."""
+        tilt = 1e-5
+        tilted = [[math.cos(tilt), math.sin(tilt)], [math.sin(tilt), -math.cos(tilt)]]
+        observers = [{"name": "A", "measurements": [{"time": "t1", "observable": "sigma_z"}]},
+                     {"name": "B", "measurements": [{"time": "t1", "observable": {"matrix": cmatrix(tilted)}}]}]
+        path = write(tmp_path, one_qubit(tolerance={"comm": 1e-3}, observers=observers))
+        code, out, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        (pair,) = json.loads(out)["pairs"]
+        (slot,) = pair["slots"]
+        assert slot["commutes"]
+        assert slot["max_residual"] == pytest.approx(5e-6, rel=1e-6)
+        assert (pair["verdict"], pair["failing_condition"]) == ("relative", "condition2")
+        assert pair["product_consistency"] is None
+
     def test_unknown_pair_member(self, capsys):
         code, _, err = run(capsys, "classify", str(gallery("stable_facts")), "--pair", "O1", "nobody")
         assert code == 1
@@ -738,6 +759,41 @@ class TestResourceFailure:
         assert out == ""
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("analyze", "CHAIN", "--json"), 0),  # 16384 rows: the pipe closes mid-document
+            (("analyze", "CHAIN"), 0),
+            (("analyze", str(gallery("zxz_inconsistent"))), 2),
+            (("classify", str(gallery("stable_facts")), "--json"), 0),
+            (("verify", "CHAIN"), 0),
+            (("validate", "CHAIN"), 0),
+        ],
+        ids=["analyze_json", "analyze_text", "analyze_inconsistent", "classify_json", "verify", "validate"],
+    )
+    def test_closed_pipe_ends_quietly_with_the_command_code(self, tmp_path, argv, code):
+        """``qhist ... | head -c 0``: the reader is gone before the first write."""
+        times = [f"t{k}" for k in range(15)]
+        chain = write(tmp_path, one_qubit(
+            name="sz_chain_14", times=times,
+            observers=[{"name": "O1", "measurements": [{"time": t, "observable": "sigma_z"} for t in times[1:]]}],
+        ))
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qhist.cli", *(chain if a == "CHAIN" else a for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code  # docs/report.md: the command's own code
+        assert proc.stderr == b""
 
 
 def _four_observers(tmp_path) -> str:

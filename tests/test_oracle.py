@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhist.errors import SizeCapError, UnknownLabelError
-from qhist.histories import build_family, consistency_check
-from qhist.framework import ProjectiveDecomposition, make_decomposition
-from qhist.linalg import identity
+from qhist.histories import build_family, coarse_grain, consistency_check
+from qhist.framework import DISJUNCTION_JOINER, ProjectiveDecomposition, make_decomposition
+from qhist.linalg import DEFAULT_TOL, identity
 from qhist.oracle import (
+    MAX_MERGE_LABELS,
+    AdditivityViolation,
     exhaustive_additivity_scan,
     sequential_probabilities,
     sequential_probability,
 )
 
-from helpers import KET_UP, full_gram, pauli_decomposition, random_family
+from helpers import KET_UP, full_gram, pauli_decomposition, random_decomposition, random_family, random_state
 
 I2 = identity(2)
 GRID = ["t0", "t1", "t2"]
@@ -99,7 +101,54 @@ class TestSequentialProbabilities:
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_scan(family, tol=DEFAULT_TOL):
+    """The additivity scan one context at a time: three
+    ``sequential_probability`` calls per context, per merge and per slot."""
+    violations = []
+    decomps = family.slot_decompositions
+    for s, (time, decomp) in enumerate(zip(family.grid.slot_times, decomps)):
+        other_labels = [d.labels for k, d in enumerate(decomps) if k != s]
+        for l1, l2 in itertools.combinations(decomp.labels, 2):
+            groups = [(l1, l2)] + [(lab,) for lab in decomp.labels if lab not in (l1, l2)]
+            coarse = coarse_grain(family, {time: groups}, tol)
+            merged = DISJUNCTION_JOINER.join((l1, l2))
+            for context in itertools.product(*other_labels):
+                coarse_p = sequential_probability(coarse, context[:s] + (merged,) + context[s:])
+                fine_sum = sequential_probability(family, context[:s] + (l1,) + context[s:])
+                fine_sum += sequential_probability(family, context[:s] + (l2,) + context[s:])
+                if abs(coarse_p - fine_sum) > 10.0 * tol.cons:
+                    violations.append(AdditivityViolation(time, (l1, l2), context, coarse_p, fine_sum))
+    return violations
+
+
+def assert_same_violations(found, expected):
+    assert found == expected
+    # bits, not values: a -0.0 where the reference has +0.0 fails too
+    bits = [(v.coarse_probability.hex(), v.fine_sum.hex()) for v in found]
+    assert bits == [(v.coarse_probability.hex(), v.fine_sum.hex()) for v in expected]
+
+
 class TestAdditivityScan:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=2, max_value=4),
+        n_slots=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(["generic", "repeated", "single", "basis", "eigen"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scan_matches_per_history_reference(self, seed, d, n_slots, kind):
+        fam = random_family(np.random.default_rng(seed), d, n_slots, kind=kind)
+        assert_same_violations(exhaustive_additivity_scan(fam), reference_scan(fam))
+
+    def test_slot_of_max_merge_labels_matches_reference(self, rng):
+        d = MAX_MERGE_LABELS
+        slots = [random_decomposition(rng, d, d), random_decomposition(rng, d, 3)]
+        fam = build_family(random_state(rng, d), ["t0", "t1", "t2"], [identity(d)] * 2, slots)
+        assert len(fam.slot_decompositions[0]) == MAX_MERGE_LABELS
+        violations = exhaustive_additivity_scan(fam)
+        assert violations  # the last slot merges additively; the first does not
+        assert_same_violations(violations, reference_scan(fam))
+
     def test_consistent_family_is_clean(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [DX, DX])
         assert exhaustive_additivity_scan(fam) == []
