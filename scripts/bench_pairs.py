@@ -24,12 +24,16 @@ range; each ``--claim WORKLOAD:METRIC`` is judged that way, and a claim on
 a metric that is not end-to-end or on a workload not run is refused before
 anything runs.  Every metric whose change median is worse than the parent's
 by more than its ``bound`` in ``BENCHMARK.json`` (a share of the parent's
-median) is flagged as a regression.  ``--out`` writes the runs and the
-summary as JSON, in the layout of ``BENCH_9.json``, with the command that
-made it (the two trees written as PARENT_TREE and CHANGE_TREE) and each
-workload's regressed metrics.  The exit code is 0 when every run is
-correct, no command failed, no metric regressed and every claim is met,
-else 1.
+median) is flagged as a regression.  A metric is flagged unresolved when
+the parent's or the change's interquartile range exceeds its ``bound``
+times the parent's median, unless every change run beats every parent run:
+the runs then spread too widely to tell a shift of the bound, and its
+verdict says little.  ``--out`` writes the runs and the summary as JSON, in
+the layout of ``BENCH_9.json``, with the command that made it (the two
+trees written as PARENT_TREE and CHANGE_TREE) and each workload's regressed
+and unresolved metrics.  The exit code is 0 when every run is correct, no
+command failed, no metric regressed and every claim is met, else 1; an
+unresolved metric does not change it.
 """
 
 from __future__ import annotations
@@ -142,6 +146,16 @@ def regressed(summary: dict, lower_is_better: bool, bound: float) -> bool:
     return worse > bound * abs(summary["parent_median"])
 
 
+def unresolved(summary: dict, parent: list[float], change: list[float], lower_is_better: bool, bound: float) -> bool:
+    """Either side's interquartile range exceeds ``bound`` times the
+    parent's median, and some change run does not beat every parent run."""
+    spread = max(summary["parent_q3"] - summary["parent_q1"], summary["change_q3"] - summary["change_q1"])
+    if spread <= bound * abs(summary["parent_median"]):
+        return False
+    apart = max(change) < min(parent) if lower_is_better else min(change) > max(parent)
+    return not apart
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -178,7 +192,7 @@ def main(argv=None) -> int:
                 correct = correct and result["correct"]
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} failed={result['failed']}",
                       flush=True)
-        summary, worse = {}, []
+        summary, worse, spread = {}, [], []
         seeds = [str(s) for s in args.seeds]
         print(f"\n{workload}: {'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} "
               f"{'q1-q3':>21} {'ratio':>6} wins")
@@ -191,6 +205,9 @@ def main(argv=None) -> int:
             if regressed(s, lower[name], bounds[name]):
                 worse.append(name)
                 verdict = f"{verdict} WORSE than the {bounds[name]:g} bound".lstrip()
+            if unresolved(s, parent, change, lower[name], bounds[name]):
+                spread.append(name)
+                verdict = f"{verdict} unresolved: a quartile range exceeds the {bounds[name]:g} bound".lstrip()
             print(f"{workload}: {name:18} "
                   f"{s['parent_median']:11.5g} {s['parent_q1']:10.5g}-{s['parent_q3']:<10.5g} "
                   f"{s['change_median']:11.5g} {s['change_q1']:10.5g}-{s['change_q3']:<10.5g} "
@@ -198,7 +215,7 @@ def main(argv=None) -> int:
             ok = ok and (not claimed or gain(s, lower[name]))
         ok = ok and correct and not any(failed.values()) and not worse
         doc["pairs"][workload] = {"all_correct": correct, "failed": failed, "regressed": worse, "runs": runs,
-                                  "seeds": list(args.seeds), "summary": summary}
+                                  "seeds": list(args.seeds), "summary": summary, "unresolved": spread}
     if args.out:
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0 if ok else 1

@@ -2,10 +2,11 @@
 
 A decomposition is the quantum analogue of a partition of phase space:
 mutually orthogonal projectors summing to the identity.  This is the one
-module that turns projectors into decompositions: an observable's
-eigenprojectors, or labelled projectors padded with their complement
-"rest", are stacked as a ``_Slot`` and validated, many slots in one pass,
-by ``_validate_stacks``.
+module that validates decompositions: an observable's eigenprojectors, or
+labelled projectors padded with their complement "rest", are stacked as a
+``_Slot`` and validated, many slots in one pass, by ``_validate_stacks``.
+(``scenario.resolve`` builds the exact named ones, the identity and each
+Pauli's (1 ± sigma)/2, without validating them.)
 
 Conjunction of two projectors is defined only when they commute; otherwise
 it is the distinguished value ``UNDEFINED`` (a result of the three-valued
@@ -62,6 +63,14 @@ __all__ = [
 CONJUNCTION_JOINER = "∧"  # "∧", used for refined labels
 DISJUNCTION_JOINER = "∨"  # "∨", used for coarse-grained labels
 REST_LABEL = "rest"  # the complement that pads an incomplete projector list
+
+
+def _joiner_in(label: str) -> str | None:
+    """The first joiner that ``label`` contains, or None.  A given label may
+    contain neither: products ("p∧q") and merged outcomes ("a∨b") are
+    labelled with them, and two products whose labels join to the same text
+    would be taken for a repeated label."""
+    return next((j for j in (CONJUNCTION_JOINER, DISJUNCTION_JOINER) if j in label), None)
 
 
 class _UndefinedType:
@@ -351,7 +360,8 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
     single projector or a list of ``(label, projector)`` pairs (one labelled
     projector is a list of one) padded to completeness by ``_padded_slot``.
     A list element that is not a pair (a tuple or list of two) whose label
-    is a ``str`` raises ``BadDecompositionError`` naming its index."""
+    is a ``str``, or whose label contains a joiner (``_joiner_in``), raises
+    ``BadDecompositionError`` naming its index."""
     if isinstance(slot, ProjectiveDecomposition):
         if slot.dim != dim:
             raise DimMismatchError(f"slot decomposition has dim {slot.dim}, expected {dim}")
@@ -360,6 +370,9 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
         for i, pair in enumerate(slot):
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[0], str)):
                 raise BadDecompositionError(f"slot element {i} is not a (str label, projector) pair")
+            joiner = _joiner_in(pair[0])
+            if joiner is not None:
+                raise BadDecompositionError(f"slot element {i}: label {pair[0]!r} contains the joiner {joiner!r}")
         return _validated(_padded_slot([lab for lab, _ in slot], [m for _, m in slot], dim, tol), tol)
     m = as_matrix(slot)
     if m.shape != (dim, dim):

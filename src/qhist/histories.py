@@ -177,11 +177,13 @@ def build_family(
     """Assemble a history family from an initial ket, evolutions, and slots.
 
     Each input is validated here, once, in this order: the ket's norm, the
-    number of evolutions and each one's unitarity (``_checked_evolution``),
-    the number of slots, then each slot, which ``framework._coerce_slot``
-    turns into a decomposition: an observable into its eigenprojectors, a
-    projector or a list of labelled ones padded with the complement
-    projector labelled "rest"; a ``ProjectiveDecomposition`` was validated
+    number of evolutions and each one's unitarity (``_checked_evolution``;
+    None, the identity, is exact), the number of slots, then each slot,
+    which ``framework._coerce_slot`` turns into a decomposition: an
+    observable into its eigenprojectors, a projector or a list of labelled
+    ones padded with the complement projector labelled "rest" (a list's
+    labels may not contain "∧" or "∨", which the engine's product and
+    coarse-grained labels join with); a ``ProjectiveDecomposition`` was validated
     when it was made and is used as it is.  The number of histories, the
     product of the slot sizes, is capped at ``max_histories``; the histories
     are enumerated only when ``HistoryFamily.histories`` is read.
@@ -200,11 +202,13 @@ def build_family(
 
 
 def _checked_evolution(grid: TimeGrid, k: int, ev, dim: int, tol: Tolerance) -> Evolution:
-    """The read-only unitary of interval ``k`` of ``grid`` (None: the identity)."""
+    """The read-only unitary of interval ``k`` of ``grid``, a copy made for
+    this call.  None is the identity, which is exact and so is not checked;
+    any other evolution must be a unitary matrix of dim ``dim``."""
     u = identity(dim) if ev is None else as_matrix(ev.unitary if isinstance(ev, Evolution) else ev)
     if u.shape != (dim, dim):
         raise DimMismatchError(f"evolution {k} has shape {u.shape}, expected ({dim}, {dim})")
-    if not is_unitary(u, tol):
+    if ev is not None and not is_unitary(u, tol):
         raise NotUnitaryError(f"evolution {k} ({grid.labels[k]} -> {grid.labels[k + 1]}) is not unitary")
     u = u.copy()
     u.setflags(write=False)

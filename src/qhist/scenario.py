@@ -28,7 +28,7 @@ from .errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
-from .framework import _eigen_slot, _padded_slot, _Slot, _stacked, _validate_stacks
+from .framework import ProjectiveDecomposition, _eigen_slot, _joiner_in, _padded_slot, _Slot, _stacked, _validate_stacks
 from .histories import DEFAULT_MAX_HISTORIES, Evolution, TimeGrid, _assemble_family, _checked_evolution
 from .linalg import (
     DEFAULT_TOL,
@@ -267,7 +267,11 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
             epath = f"{path}.projectors[{i}]"
             entry = _expect(entry, dict, epath, "an object with 'label' and 'matrix'")
             _reject_unknown(entry, {"label", "matrix"}, epath)
-            labels.append(_expect(_get(entry, "label", epath), str, f"{epath}.label", "a string"))
+            label = _expect(_get(entry, "label", epath), str, f"{epath}.label", "a string")
+            joiner = _joiner_in(label)
+            if joiner is not None:
+                raise ScenarioError(f"label {label!r} contains the joiner {joiner!r}", path=f"{epath}.label")
+            labels.append(label)
             matrices.append(_parse_array(_get(entry, "matrix", epath), f"{epath}.matrix", (total, total)))
         if not labels:
             raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
@@ -275,17 +279,24 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
     raise UnknownFieldError("observable object needs 'matrix' or 'projectors'", path=path)
 
 
+def _factor_index(suffix: str) -> int | None:
+    """The factor an ``@k`` suffix names when it is ASCII digits, else None
+    (``str.isdigit`` also passes "²", which ``int`` refuses, and "１")."""
+    return int(suffix) if suffix.isascii() and suffix.isdigit() else None
+
+
 def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
     base, _, suffix = name.partition("@")
     if base not in _PAULI_OPS and base != "identity":
         raise UnknownOperatorError(f"unknown operator {name!r}", path=path)
     if suffix:
-        if not suffix.isdigit() or not 1 <= int(suffix) <= len(dims):
+        factor = _factor_index(suffix)
+        if factor is None or not 1 <= factor <= len(dims):
             raise UnknownOperatorError(
                 f"subsystem index in {name!r} must be 1..{len(dims)}", path=path
             )
-        if base in _PAULI_OPS and dims[int(suffix) - 1] != 2:
-            raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[int(suffix) - 1]}")
+        if base in _PAULI_OPS and dims[factor - 1] != 2:
+            raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[factor - 1]}")
     elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
         raise DimMismatchError(
             f"{path}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
@@ -485,7 +496,8 @@ def effective_tolerance(s: Scenario, override: Tolerance | None = None) -> Toler
 
 def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
     """Each operator of an (n, k, k) stack on the 1-based ``factor``,
-    tensored with identities elsewhere, by broadcasting the whole stack.
+    tensored with identities elsewhere, by broadcasting the whole stack, as
+    a new array.
 
     Entry for entry this is ``kron(kron(1_left, op), 1_right)``, sign of zero
     included: each side's identity multiplies in, in that order, only when
@@ -494,6 +506,8 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
     """
     n, k = ops.shape[:2]
     left, right = math.prod(dims[: factor - 1]), math.prod(dims[factor:])
+    if left == right == 1:
+        return ops.copy()
     out = ops[:, None, :, None, None, :, None]  # axes (n, left, k, right, left, k, right)
     if left > 1:
         out = identity(left)[:, None, None, :, None, None] * out
@@ -504,24 +518,33 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
 
 def _measurement_key(spec) -> object:
     """What a slot's decomposition depends on: ``"identity"`` for the trivial
-    slot and every identity, ``"sigma_z@3"`` for a Pauli, else the observable."""
+    slot and every identity, ``"sigma_z@3"`` for a Pauli (``"sigma_z@03"``
+    too), else the observable."""
     if spec is None:
         return "identity"
-    if isinstance(spec, NamedObservable):
-        base, _, suffix = spec.name.partition("@")
-        return "identity" if base == "identity" else f"{base}@{suffix or 1}"
-    return spec
+    if not isinstance(spec, NamedObservable):
+        return spec
+    base, _, suffix = spec.name.partition("@")
+    if base == "identity":
+        return "identity"
+    factor = _factor_index(suffix or "1")
+    return f"{base}@{suffix if factor is None else factor}"  # a hand-built bad suffix fails to build
 
 
-def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot:
-    """The stacked, not yet validated projectors of one ``_measurement_key``.
+def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition | _Slot:
+    """The decomposition of one named ``_measurement_key``, or the stacked,
+    not yet validated projectors of any other.
 
-    Only a projector list may need the "rest" pad, so only it goes through
-    ``_padded_slot``.  The trivial slot is the shared read-only identity, and
-    a Pauli's (1 ± sigma)/2 sum to the identity exactly; both are still
-    validated as padded slots.  A Pauli on a factor that is not a qubit
-    (possible only in a hand-built ``Scenario``) embeds to the wrong shape,
-    which ``_stacked`` keeps as misfits for validation to name.
+    The trivial slot (the identity) and a Pauli's (1 ± sigma)/2 embedded on
+    a qubit factor are exact by construction: their entries are 0, 1, ±1/2
+    and ±i/2, multiplied only by exact 0s and 1s, so every residual
+    validation would compute is exactly 0.  They are returned as
+    decompositions over a read-only stack built for this call, unvalidated;
+    ``tests/test_resolve.py`` checks the constants instead.  A Pauli on a
+    factor that is not a qubit (possible only in a hand-built ``Scenario``)
+    embeds to the wrong shape, which ``_stacked`` keeps as misfits for
+    validation to name.  Only a projector list may need the "rest" pad, so
+    only it goes through ``_padded_slot``.
     """
     total = math.prod(dims)
     if isinstance(key, MatrixObservable):
@@ -529,11 +552,15 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot:
     if isinstance(key, ProjectorListObservable):
         return _padded_slot(key.labels, key.matrices, total, tol)
     if key == "identity":
-        return _Slot(identity(total)[None], [TRIVIAL_LABEL], padded=True)
+        return ProjectiveDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
     base, _, factor = key.partition("@")
     axis = _PAULI_OPS[base][1]
-    stack, misfits = _stacked(_embed(_QUBIT_PROJECTORS[base], int(factor), dims), total)
-    return _Slot(stack, [f"+{axis}", f"-{axis}"], misfits, padded=True)
+    labels = (f"+{axis}", f"-{axis}")
+    embedded = _embed(_QUBIT_PROJECTORS[base], int(factor), dims)
+    if embedded.shape[1:] == (total, total):
+        return ProjectiveDecomposition(total, _frozen(embedded), labels)
+    stack, misfits = _stacked(embedded, total)
+    return _Slot(stack, labels, misfits, padded=True)
 
 
 @contextlib.contextmanager
@@ -564,25 +591,26 @@ def resolve(
     """Expand named operators and presets; build one family per observer.
 
     ``parse_scenario`` checks the document's structure.  Here, under the
-    effective tolerance, the initial ket (norm included) is checked once for
-    all observers, and so is each distinct evolution: every ``"identity"``
-    interval shares one checked read-only unitary.  Each distinct
-    measurement (a Pauli on one factor, the identity or trivial slot, or one
-    observable object) becomes one decomposition that every slot measuring
-    it shares.  Their ``framework._Slot`` stacks are built in order of first
-    use (a Pauli's two projectors embedded from a module-level qubit stack,
-    the trivial slot's shared read-only identity, a matrix's
-    eigenprojectors, a projector list padded with "rest" when it falls short
-    of the identity; only the list is tested for the pad, see
-    ``_measurement_slot``) and validated together by one
-    ``framework._validate_stacks`` pass, which raises the fault of any slot
-    but a matrix's as a ``BadDecompositionError``.  A stack that cannot be
-    built stops the building, and the stacks before it are validated first,
-    so the error raised is the one met first in observer and slot order, a
-    history cap of an earlier observer included.  Every error starts with a
-    JSONPath: the initial state's (raised as a ScenarioError), the
-    evolution's, or the first measurement's to use the decomposition; the
-    others keep their type.
+    effective tolerance, what the file supplies is checked: the initial ket
+    (norm included), once for all observers, each distinct evolution matrix,
+    and each distinct observable object.  Every ``"identity"`` interval
+    shares one read-only identity, which is exact and not checked.  Each
+    distinct measurement (a Pauli on one factor, the identity or trivial
+    slot, or one observable object) becomes one decomposition that every
+    slot measuring it shares.  They are built in order of first use (see
+    ``_measurement_slot``): a named one as its exact decomposition, any
+    other as a ``framework._Slot`` stack (a matrix's eigenprojectors, a
+    projector list padded with "rest" when it falls short of the identity,
+    or a Pauli that misfits the system's shape).  Those stacks are validated
+    together by one ``framework._validate_stacks`` pass, in key order, which
+    raises the fault of any slot but a matrix's as a
+    ``BadDecompositionError``.  A stack that cannot be built stops the
+    building, and the stacks before it are validated first, so the error
+    raised is the one met first in observer and slot order, a history cap of
+    an earlier observer included.  Every error starts with a JSONPath: the
+    initial state's (raised as a ScenarioError), the evolution's, or the
+    first measurement's to use the decomposition; the others keep their
+    type.
     The sharing is local to this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
@@ -614,15 +642,19 @@ def resolve(
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
             uses[-1].append((keys.setdefault(_measurement_key(spec), len(keys)), j))
-    built, error = [], None
+    decomps, error = [], None  # per key: its decomposition, or the _Slot still to validate
     for key in keys:
         try:
-            built.append(_measurement_slot(key, s.subsystem_dims, tol))
+            decomps.append(_measurement_slot(key, s.subsystem_dims, tol))
         except (QHistError, ValueError) as exc:
             error = exc
             break
-    decomps, fault = _validate_stacks(built, tol)
+    pending = [k for k, slot in enumerate(decomps) if isinstance(slot, _Slot)]
+    validated, fault = _validate_stacks([decomps[k] for k in pending], tol)
+    for k, decomp in zip(pending, validated):
+        decomps[k] = decomp
     if fault is not None:
+        del decomps[pending[len(validated)] :]
         error = fault
     records = []
     for i, obs in enumerate(s.observers):

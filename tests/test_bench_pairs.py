@@ -119,3 +119,45 @@ def test_each_tree_runs_with_its_own_fresh_pycache_prefix(monkeypatch, tmp_path)
         assert all(tree.resolve() not in prefix.resolve().parents for tree in trees.values())
         first = next(listing for _, p, listing in seen if p == prefix)
         assert first == []
+
+
+WIDE = [0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.4, 1.6, 1.8]  # median 1.0, quartiles 0.725-1.35
+
+
+@pytest.mark.parametrize(
+    "parent, change, lower_is_better, bound, flagged",
+    [
+        (PARENT, [1.0] * 10, True, 0.25, False),  # both ranges inside 0.25 of the median
+        (PARENT, [1.0] * 10, True, 0.1, True),  # the parent's range, 0.175, exceeds 0.1
+        ([1.0] * 10, WIDE, True, 0.25, True),  # the change's range, 0.625, exceeds 0.25
+        ([1.0] * 10, [0.9 * x for x in WIDE], True, 0.25, True),  # one change run beats no parent run
+        ([2.0] * 10, WIDE, True, 0.25, False),  # every change run beats every parent run
+        (WIDE, [x + 2.0 for x in WIDE], True, 0.25, True),  # every change run is worse
+        (WIDE, [x + 2.0 for x in WIDE], False, 0.25, False),  # higher is better: every change run wins
+    ],
+    ids=["ranges_inside_bound", "parent_range_past_bound", "change_range_past_bound", "overlapping_runs",
+         "change_beats_every_parent_run", "change_loses_every_run", "higher_better_wins_every_run"],
+)
+def test_a_quartile_range_past_the_bound_is_unresolved(parent, change, lower_is_better, bound, flagged):
+    summary = bench_pairs.summarize(parent, change, lower_is_better)
+    assert bench_pairs.unresolved(summary, parent, change, lower_is_better, bound) is flagged
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["wide_parent", "tight_parent"])
+def test_an_unresolved_metric_is_printed_and_recorded_but_does_not_fail_the_run(wide, monkeypatch, capsys, tmp_path):
+    """Made-up runs: every metric reads 1.0 in both trees, except the
+    parent's ``wall_s``, which spreads as ``WIDE`` when ``wide``."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run(tree, workload, seed, seconds):
+        spread = WIDE[seed - 2] if wide and tree != ROOT else 1.0
+        value = {n: spread if n == "wall_s" else 1.0 for n in names}
+        return {"metrics": {n: {"value": v} for n, v in value.items()}, "failed": 0, "correct": True}, {}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path), str(ROOT), "--workload", "observers", "--seeds", "2-11", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
+    assert ("unresolved" in printed[0]) is wide
+    assert json.loads(out.read_text())["pairs"]["observers"]["unresolved"] == (["wall_s"] if wide else [])

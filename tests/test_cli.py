@@ -156,6 +156,12 @@ class TestInputChecks:
         assert err.startswith("error: $.observers[0].measurements[0].observable: ")
 
 
+    def test_a_superscript_factor_suffix_names_its_measurement(self, capsys, tmp_path):
+        observers = [{"name": "O1", "measurements": [{"time": "t1", "observable": "sigma_z@²"}]}]
+        code, out, err = run(capsys, "validate", write(tmp_path, one_qubit(observers=observers)))
+        assert (code, out) == (1, "")
+        assert err == "error: $.observers[0].measurements[0].observable: subsystem index in 'sigma_z@²' must be 1..1\n"
+
     def test_initial_ket_norm_checked_under_command_tolerance(self, capsys, tmp_path):
         path = write(tmp_path, one_qubit(initial_state={"vector": [[1.000001, 0], [0, 0]]}))
         code, out, _ = run(capsys, "validate", path, "--tolerance", "1e-4")
@@ -374,6 +380,47 @@ class TestAnalyze:
         code, text, _ = run(capsys, "analyze", path)
         assert code == 0
         assert text.splitlines()[2:] == [f"  {','.join(row['labels'])}  {row['probability']:.12g}" for row in rows]
+
+
+def _two_slot_lists(first: tuple[str, str], second: tuple[str, str]) -> dict:
+    """Two qubits from plus_x, plus_x; O1 measures the first qubit's z and
+    O2 the second's, each as a list of two diagonal projectors."""
+
+    def diag(*entries):
+        return cmatrix(np.diag(entries))
+
+    def slot(labels, diagonals):
+        projectors = [{"label": label, "matrix": diag(*d)} for label, d in zip(labels, diagonals)]
+        return [{"time": "t1", "observable": {"projectors": projectors}}]
+
+    return {
+        "format": 1,
+        "name": "two_slot_lists",
+        "systems": [2, 2],
+        "initial_state": ["plus_x", "plus_x"],
+        "times": ["t0", "t1"],
+        "observers": [
+            {"name": "O1", "measurements": slot(first, [(1, 1, 0, 0), (0, 0, 1, 1)])},
+            {"name": "O2", "measurements": slot(second, [(1, 0, 1, 0), (0, 1, 0, 1)])},
+        ],
+    }
+
+
+class TestJoinerLabels:
+    """A given label may not contain a joiner: with labels p, p∧q and q∧r, r
+    two products were both labelled p∧q∧r, and a stable pair read relative."""
+
+    def test_plain_labels_are_stable(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "classify", write(tmp_path, _two_slot_lists(("p", "s"), ("u", "r"))))
+        assert code == 0
+        assert "pair O1,O2: stable" in out
+        assert "product family: consistent" in out
+
+    def test_joined_labels_are_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "classify", write(tmp_path, _two_slot_lists(("p", "p∧q"), ("q∧r", "r"))))
+        assert (code, out) == (1, "")
+        assert err == ("error: $.observers[0].measurements[0].observable.projectors[1].label: "
+                       "label 'p∧q' contains the joiner '∧'\n")
 
 
 class TestClassify:

@@ -136,6 +136,13 @@ class TestBuildFamily:
             build_family(KET_UP, ["t0", "t1"], [I2], [slot])
         assert str(info.value) == f"slot element {index} is not a (str label, projector) pair"
 
+    @pytest.mark.parametrize("label, joiner", [("p∧q", "∧"), ("a∨b", "∨"), ("∨∧", "∧")])
+    def test_a_list_label_with_a_joiner_is_named(self, label, joiner):
+        slot = [("up", (I2 + SIGMA_Z) / 2), (label, (I2 - SIGMA_Z) / 2)]
+        with pytest.raises(BadDecompositionError) as info:
+            build_family(KET_UP, ["t0", "t1"], [I2], [slot])
+        assert str(info.value) == f"slot element 1: label {label!r} contains the joiner {joiner!r}"
+
     @pytest.mark.parametrize(
         "slot, error, message",
         [

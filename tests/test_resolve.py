@@ -3,6 +3,7 @@ measurement within a call, evolutions checked once, and unchanged errors."""
 
 import itertools
 import json
+import math
 from dataclasses import replace
 from functools import reduce
 
@@ -21,9 +22,9 @@ from qhist.errors import (
     NotHermitianError,
     NotUnitaryError,
 )
-from qhist.framework import make_decomposition
+from qhist.framework import ProjectiveDecomposition, _Slot, _validate_stacks, make_decomposition
 from qhist.histories import consistency_check
-from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, identity
+from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Tolerance, identity, is_unitary, max_abs
 from qhist.scenario import (
     Measurement,
     MatrixObservable,
@@ -31,6 +32,8 @@ from qhist.scenario import (
     ObserverSpec,
     ProjectorListObservable,
     Scenario,
+    _measurement_key,
+    _measurement_slot,
     effective_tolerance,
     parse_scenario,
     resolve,
@@ -120,6 +123,71 @@ def test_a_pauli_on_a_factor_that_is_not_a_qubit_is_a_bad_decomposition():
     assert isinstance(info.value.__cause__, DimMismatchError)
 
 
+EXACT = Tolerance.uniform(0.0)
+
+# factor sizes 1-5, at least one qubit, total dim at most 64
+DIMS_WITH_A_QUBIT = (
+    st.tuples(st.lists(st.integers(1, 5), max_size=4), st.lists(st.integers(1, 5), max_size=4))
+    .map(lambda sides: (*sides[0], 2, *sides[1]))
+    .filter(lambda dims: math.prod(dims) <= 64)
+)
+
+
+def named_specs(dims):
+    """The trivial slot (None), ``identity`` and every Pauli on every qubit factor."""
+    paulis = [f"sigma_{axis}@{k}" for k, d in enumerate(dims, 1) if d == 2 for axis in "xyz"]
+    return [None] + [NamedObservable(name) for name in ["identity", *paulis]]
+
+
+@given(DIMS_WITH_A_QUBIT)
+@settings(max_examples=100, deadline=None)
+def test_named_decompositions_are_exact(dims):
+    """``resolve`` does not validate a named decomposition: each is exact by
+    construction, which this checks instead.  Validation at tolerance 0
+    passes, every residual it reads is exactly 0, and the projectors are
+    those ``make_decomposition`` builds from the Kronecker embedding, bit for
+    bit (tobytes tells -0.0 from +0.0)."""
+    total = math.prod(dims)
+    for spec in named_specs(dims):
+        decomp = _measurement_slot(_measurement_key(spec), dims, EXACT)
+        assert isinstance(decomp, ProjectiveDecomposition), spec
+        p = decomp.projectors
+        validated, fault = _validate_stacks([_Slot(p.copy(), decomp.labels, padded=True)], EXACT)
+        assert fault is None, (dims, spec, fault)
+        assert validated[0].projectors.tobytes() == p.tobytes()
+        residuals = [
+            max_abs(p - p.conj().swapaxes(-2, -1)),  # Hermitian
+            max_abs(p @ p - p),  # idempotent
+            max_abs(p[0] @ p[1:]) if len(p) > 1 else 0.0,  # orthogonal
+            max_abs(p.sum(axis=0) - identity(total)),  # complete
+        ]
+        assert residuals == [0.0] * 4, (dims, spec, residuals)
+        if spec is None or spec.name == "identity":
+            expected = make_decomposition([np.eye(total)], ["any"], EXACT)
+        else:
+            axis, factor = spec.name[len("sigma_")], int(spec.name.partition("@")[2])
+            ops = [kron_fold((np.eye(2) + sign * PAULI[axis]) / 2, factor, dims) for sign in (1, -1)]
+            expected = make_decomposition(ops, [f"+{axis}", f"-{axis}"], EXACT)
+        assert decomp.labels == expected.labels
+        assert p.tobytes() == expected.projectors.tobytes(), (dims, spec)
+
+
+def test_the_identity_interval_is_exactly_unitary():
+    for d in range(1, 65):
+        assert is_unitary(identity(d), EXACT), d
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 3, 2)])
+def test_named_stacks_are_built_per_call_and_read_only(dims):
+    for spec in named_specs(dims):
+        key = _measurement_key(spec)
+        first, second = (_measurement_slot(key, dims, EXACT).projectors for _ in range(2))
+        assert not first.flags.writeable
+        assert not np.shares_memory(first, second)
+        for shared in (*qhist.scenario._QUBIT_PROJECTORS.values(), identity(math.prod(dims))):
+            assert not np.shares_memory(first, shared)
+
+
 def test_preset_ket_matches_a_kron_fold_bit_for_bit():
     presets = qhist.scenario._QUBIT_PRESETS
     for n in (1, 2, 3):
@@ -165,10 +233,10 @@ def test_each_distinct_measurement_is_validated_once(monkeypatch):
     counted(qhist.scenario, "_validate_stacks")  # where resolve calls the validator
     counted(qhist.histories, "is_unitary")
     records = resolve(four_observers())
-    # one pass over trivial/identity, sigma_z@1, sigma_x@2, the matrix and the
-    # projector list; the identity evolution and CNOT
-    assert calls == {"_validate_stacks": 1, "is_unitary": 2}
-    assert validated == [5]
+    # one pass over the matrix and the projector list (trivial/identity,
+    # sigma_z@1 and sigma_x@2 are exact); CNOT (the identity evolution is exact)
+    assert calls == {"_validate_stacks": 1, "is_unitary": 1}
+    assert validated == [2]
     a, b, c, d = (r.family.slot_decompositions for r in records)
     assert a[0] is b[0] and a[2] is c[2] and b[1] is d[1]
     assert a[1] is d[0] is d[2]

@@ -128,6 +128,25 @@ class TestParse:
         with pytest.raises(ScenarioError):
             parse_scenario(doc(tolerance={"cons": 0.5}))
 
+    @pytest.mark.parametrize("name", ["sigma_z@²", "sigma_z@１", "sigma_z@٢", "sigma_z@+1", "sigma_z@ 1"])
+    def test_a_factor_suffix_of_other_than_ascii_digits_is_unknown(self, name):
+        # "²" passes str.isdigit but not int(); "１" and "٢" pass both
+        observers = [{"name": "O1", "measurements": [{"time": "t1", "observable": name}]}]
+        with pytest.raises(UnknownOperatorError) as excinfo:
+            parse_scenario(doc(systems=[2, 2], initial_state=["up_z", "up_z"], observers=observers))
+        assert excinfo.value.path == "$.observers[0].measurements[0].observable"
+        assert str(excinfo.value).endswith(f"subsystem index in {name!r} must be 1..2")
+
+    @pytest.mark.parametrize("label", ["p∧q", "∧", "a∨b", "x∨"])
+    def test_a_projector_label_with_a_joiner_is_refused(self, label):
+        projectors = [{"label": "up", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                      {"label": label, "matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]
+        observers = [{"name": "O1", "measurements": [{"time": "t1", "observable": {"projectors": projectors}}]}]
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc(observers=observers))
+        assert excinfo.value.path == "$.observers[0].measurements[0].observable.projectors[1].label"
+        assert "contains the joiner" in str(excinfo.value)
+
 
 class TestResolve:
     def test_subsystem_embedding(self):
@@ -141,6 +160,16 @@ class TestResolve:
         decomp = resolve(scn)[0].family.slot_decompositions[0]
         plus = np.kron((identity(2) + SIGMA_Z) / 2, identity(2))
         assert max_abs(decomp.projector_for("+z") - plus) < 1e-15
+
+    def test_a_factor_suffix_with_leading_zeros_shares_one_decomposition(self):
+        measures = [{"time": "t1", "observable": "sigma_z@01"}, {"time": "t2", "observable": "sigma_z@1"}]
+        scn = parse_scenario(
+            doc(systems=[2, 2], initial_state=["up_z", "up_z"], times=["t0", "t1", "t2"],
+                observers=[{"name": "O1", "measurements": measures}])
+        )
+        first, second = resolve(scn)[0].family.slot_decompositions
+        assert first is second
+        assert first.labels == ("+z", "-z")
 
     def test_bare_pauli_on_single_qubit(self):
         decomp = resolve(parse_scenario(doc()))[0].family.slot_decompositions[0]
