@@ -386,11 +386,8 @@ def _two_slot_lists(first: tuple[str, str], second: tuple[str, str]) -> dict:
     """Two qubits from plus_x, plus_x; O1 measures the first qubit's z and
     O2 the second's, each as a list of two diagonal projectors."""
 
-    def diag(*entries):
-        return cmatrix(np.diag(entries))
-
     def slot(labels, diagonals):
-        projectors = [{"label": label, "matrix": diag(*d)} for label, d in zip(labels, diagonals)]
+        projectors = [{"label": label, "matrix": cmatrix(np.diag(d))} for label, d in zip(labels, diagonals)]
         return [{"time": "t1", "observable": {"projectors": projectors}}]
 
     return {
