@@ -17,12 +17,14 @@ a temporary directory first; its entries name a scenario by its workload key
 ``digests.txt`` holds the lines ``digests`` prints.  Regenerate them only
 when a change means to alter the output.
 
-``digests`` prints one line per distinct seed-1 command line of
-``gallery``, ``observers``, ``deep_chain`` and ``wide_dense``: the
-workload, the argv with the scenario directory stripped, and the sha256 of
-the exit code, stdout and stderr.  Commands marked ``known_defect`` are
-skipped.  Two source trees print the same lines exactly when the CLI prints
-the same bytes on every one of these command lines:
+``digests`` prints two lines per distinct seed-1 command line of
+``gallery``, ``observers``, ``deep_chain`` and ``wide_dense``, one as the
+workload gives it and one with ``--tolerance 0`` appended, under which
+every input check but the norm's is exact: the workload, the argv with the
+scenario directory stripped, and the sha256 of the exit code, stdout and
+stderr.  Commands marked ``known_defect`` are skipped.  Two source trees
+print the same lines exactly when the CLI prints the same bytes on every
+one of these command lines:
 
     diff <(PYTHONPATH=<other tree>/src python3 scripts/cli_golden.py digests) \\
          <(PYTHONPATH=src python3 scripts/cli_golden.py digests)
@@ -50,6 +52,7 @@ REPORTS = ("analyze", "classify", "conditional")
 OBSERVERS_SEED = 1
 DIGEST_WORKLOADS = ("gallery", "observers", "deep_chain", "wide_dense")
 DIGEST_SEED = 1
+EXACT = ("--tolerance", "0")  # each digested command line runs again with these flags
 
 
 def command_lines(cmds) -> list[tuple[str, str, tuple[str, ...]]]:
@@ -104,10 +107,11 @@ def print_digests() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             paths = shipped(scenarios) if workload == "gallery" else write(scenarios, pathlib.Path(tmp))
             for command, scenario, args in command_lines([c for c in cmds if not c.known_defect]):
-                entry = record(command, scenario, paths[scenario], args)
-                blob = json.dumps([entry["exit"], entry["stdout"], entry["stderr"]]).encode()
-                argv = " ".join([command, paths[scenario].name, *args])
-                print(f"{workload} {argv} {hashlib.sha256(blob).hexdigest()}", flush=True)
+                for extra in ((), EXACT):
+                    entry = record(command, scenario, paths[scenario], (*args, *extra))
+                    blob = json.dumps([entry["exit"], entry["stdout"], entry["stderr"]]).encode()
+                    argv = " ".join([command, paths[scenario].name, *args, *extra])
+                    print(f"{workload} {argv} {hashlib.sha256(blob).hexdigest()}", flush=True)
 
 
 def main(argv=None) -> None:

@@ -241,14 +241,20 @@ def _emit(args, command: str, scn, tol: Tolerance, fields: dict, text) -> None:
     _print(_dumps(doc) if args.json else "\n".join(text(doc)))
 
 
-def _load(args) -> tuple:
-    """Read, parse, and resolve the scenario; returns (scenario, records, tol)."""
+def _load(args, observers=None) -> tuple:
+    """Read, parse, and resolve the scenario; returns (scenario, records, tol).
+
+    Only the observers a command reads are resolved into families:
+    ``observers`` names them, and None means every observer.  Every number
+    the file supplies is checked whatever the command reads (see
+    ``resolve``), so that a faulty file fails every command alike.  An
+    unknown name gets no record, for the command to report."""
     with open(args.path, "rb") as fh:
         data = fh.read()
     scn = parse_scenario(data)
     override = Tolerance.uniform(args.tolerance) if args.tolerance is not None else None
     tol = effective_tolerance(scn, override)
-    records = resolve(scn, tol, max_histories=args.max_histories)
+    records = resolve(scn, tol, max_histories=args.max_histories, observers=observers)
     return scn, records, tol
 
 
@@ -281,10 +287,9 @@ def _analyze_text(doc) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    scn, records, tol = _load(args)
+    scn, records, tol = _load(args, args.observer)  # the observers named, in scenario order
     if args.observer:
-        chosen = _pick(records, args.observer)
-        records = [r for r in records if r in chosen]
+        _pick(records, args.observer)  # an unknown name is an input error
     observers = []
     for record in records:
         report = consistency_check(record.family, tol)
@@ -370,7 +375,7 @@ def _classify_text(doc) -> list[str]:
 
 
 def cmd_classify(args) -> int:
-    scn, records, tol = _load(args)
+    scn, records, tol = _load(args, args.pair)
     if args.pair:
         pairs = [_pick(records, args.pair)]
     elif len(records) < 2:
@@ -402,7 +407,7 @@ def _conditional_text(doc) -> list[str]:
 
 
 def cmd_conditional(args) -> int:
-    scn, records, tol = _load(args)
+    scn, records, tol = _load(args, None if args.family == COMBINED_FAMILY else [args.family])
     event = _parse_fact(args.event, "event")
     given = _parse_fact(args.given, "given")
     by_name = {r.name: r for r in records}
@@ -486,9 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=None,
                        help="set all tolerances, input checks included (default: the file's, else 1e-9)")
         p.add_argument("--max-histories", type=positive_int, default=DEFAULT_MAX_HISTORIES,
-                       help="cap on the number of histories of every family: each observer's own, and "
-                       "the product families of classify and --family combined (1 to 2**63 - 1; it "
-                       "bounds the count, not the memory a command uses)")
+                       help="cap on the number of histories of every family the command builds: the "
+                       "own family of each observer it reads, and the product families of classify and "
+                       "--family combined (1 to 2**63 - 1; it bounds the count, not the memory a "
+                       "command uses)")
 
     p = sub.add_parser("validate", help="parse and resolve a scenario")
     common(p)

@@ -317,7 +317,10 @@ def make_decomposition(
     first element that is not a finite matrix, ``DuplicateLabelError``,
     ``DimMismatchError`` or ``NotAProjectorError`` naming the first offending
     index, ``NotOrthogonalError`` naming the first pair, or
-    ``NotCompleteError``.
+    ``NotCompleteError``.  Labels are taken as given, joiners included: an
+    engine-style product label such as "a∧b" is legitimate here (a test's
+    reference refinement is built that way); only labels read from a
+    scenario or a ``build_family`` slot list are refused one.
     """
     stack, misfits = _stacked(projectors, dim)
     return _validated(_Slot(stack, labels, misfits), tol)

@@ -124,6 +124,16 @@ def _require_square(m) -> np.ndarray:
     return m
 
 
+def _require_hermitian(h, tol: Tolerance) -> np.ndarray:
+    """``h`` as a finite square complex matrix, Hermitian within ``tol.herm``:
+    the input checks of ``hermitian_eigenprojectors``, which run before its
+    eigendecomposition, also for a matrix that is only checked."""
+    h = _require_square(h)
+    if max_abs(h - h.conj().T) > tol.herm:
+        raise NotHermitianError(f"matrix is not Hermitian within {tol.herm}")
+    return h
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two matrices."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -175,9 +185,7 @@ def hermitian_eigenprojectors(
     1.8e-9, 1) gives a rank-3 cluster at 9e-10 and a rank-1 cluster at 1.
     Returned ascending by eigenvalue.
     """
-    h = _require_square(h)
-    if max_abs(h - h.conj().T) > tol.herm:
-        raise NotHermitianError(f"matrix is not Hermitian within {tol.herm}")
+    h = _require_hermitian(h, tol)
     eigenvalues, vectors = np.linalg.eigh(h)
     cuts = [0, *(np.flatnonzero(np.diff(eigenvalues) > tol.herm) + 1).tolist(), len(eigenvalues)]
     out: list[tuple[float, np.ndarray]] = []

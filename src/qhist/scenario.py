@@ -16,11 +16,12 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from .errors import (
+    BadDecompositionError,
     DimMismatchError,
     QHistError,
     ScenarioError,
@@ -37,6 +38,7 @@ from .linalg import (
     SIGMA_Z,
     Tolerance,
     _frozen,
+    _require_hermitian,
     as_ket,
     identity,
 )
@@ -544,12 +546,18 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
     factor that is not a qubit (possible only in a hand-built ``Scenario``)
     embeds to the wrong shape, which ``_stacked`` keeps as misfits for
     validation to name.  Only a projector list may need the "rest" pad, so
-    only it goes through ``_padded_slot``.
+    only it goes through ``_padded_slot``, once its labels are checked for a
+    joiner (``parse_scenario`` refuses one too; this catches a hand-built
+    ``Scenario``).
     """
     total = math.prod(dims)
     if isinstance(key, MatrixObservable):
         return _eigen_slot(key.matrix, tol)
     if isinstance(key, ProjectorListObservable):
+        for i, label in enumerate(key.labels):
+            joiner = _joiner_in(label)
+            if joiner is not None:
+                raise BadDecompositionError(f"element {i}: label {label!r} contains the joiner {joiner!r}")
         return _padded_slot(key.labels, key.matrices, total, tol)
     if key == "identity":
         return ProjectiveDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
@@ -561,6 +569,18 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
         return ProjectiveDecomposition(total, _frozen(embedded), labels)
     stack, misfits = _stacked(embedded, total)
     return _Slot(stack, labels, misfits, padded=True)
+
+
+def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot | None:
+    """The checks of a measurement that only observers not asked for use: a
+    projector list, which is the file's own input, as the ``_Slot`` to
+    validate with the others; a matrix's squareness, finiteness and
+    Hermiticity, without its eigendecomposition; nothing for a named one."""
+    if isinstance(key, ProjectorListObservable):
+        return _measurement_slot(key, dims, tol)
+    if isinstance(key, MatrixObservable):
+        _require_hermitian(key.matrix, tol)
+    return None
 
 
 @contextlib.contextmanager
@@ -587,30 +607,40 @@ def resolve(
     s: Scenario,
     tol: Tolerance | None = None,
     max_histories: int = DEFAULT_MAX_HISTORIES,
+    observers: Iterable[str] | None = None,
 ) -> list[ObserverRecord]:
-    """Expand named operators and presets; build one family per observer.
+    """Expand named operators and presets; build one family per observer
+    named in ``observers`` (None, the default: every observer).
 
     ``parse_scenario`` checks the document's structure.  Here, under the
-    effective tolerance, what the file supplies is checked: the initial ket
-    (norm included), once for all observers, each distinct evolution matrix,
-    and each distinct observable object.  Every ``"identity"`` interval
-    shares one read-only identity, which is exact and not checked.  Each
-    distinct measurement (a Pauli on one factor, the identity or trivial
+    effective tolerance, every number the file supplies is checked, for
+    every observer, named or not: the initial ket (norm included), once,
+    each distinct evolution matrix, each distinct projector list (padded
+    and validated as a decomposition, since the list itself is the input),
+    and each distinct matrix observable's squareness, finiteness and
+    Hermiticity (``linalg._require_hermitian``).  Every ``"identity"``
+    interval shares one read-only identity, which is exact and not checked.
+    Only for the observers named is anything built: each distinct
+    measurement they use (a Pauli on one factor, the identity or trivial
     slot, or one observable object) becomes one decomposition that every
-    slot measuring it shares.  They are built in order of first use (see
+    slot measuring it shares, and each of them gets its family, under the
+    ``max_histories`` cap.  A matrix observable that only other observers
+    use is not decomposed, so its eigenprojectors are not validated.
+    Decompositions are built in order of first use (see
     ``_measurement_slot``): a named one as its exact decomposition, any
     other as a ``framework._Slot`` stack (a matrix's eigenprojectors, a
     projector list padded with "rest" when it falls short of the identity,
     or a Pauli that misfits the system's shape).  Those stacks are validated
     together by one ``framework._validate_stacks`` pass, in key order, which
     raises the fault of any slot but a matrix's as a
-    ``BadDecompositionError``.  A stack that cannot be built stops the
-    building, and the stacks before it are validated first, so the error
-    raised is the one met first in observer and slot order, a history cap of
-    an earlier observer included.  Every error starts with a JSONPath: the
-    initial state's (raised as a ScenarioError), the evolution's, or the
-    first measurement's to use the decomposition; the others keep their
-    type.
+    ``BadDecompositionError``.  A stack that cannot be built or checked
+    stops the building, and the stacks before it are validated first, so
+    the error raised is the one met first in observer and slot order, a
+    history cap of an earlier named observer included.  Every error starts
+    with a JSONPath: the initial state's (raised as a ScenarioError), the
+    evolution's, or the first measurement's to use the decomposition; the
+    others keep their type.  A name in ``observers`` that the scenario does
+    not have is ignored.  The records come in scenario order.
     The sharing is local to this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
@@ -634,6 +664,8 @@ def resolve(
                 u = None if isinstance(ev, str) else ev
                 unitaries[key] = _checked_evolution(grid, k, u, s.total_dim, tol).unitary
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
+    wanted = None if observers is None else set(observers)
+    named = [wanted is None or obs.name in wanted for obs in s.observers]
     keys: dict[object, int] = {}  # each distinct measurement, in order of first use
     uses = []  # per observer, per slot: (key index, measurement index)
     for obs in s.observers:
@@ -642,10 +674,12 @@ def resolve(
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
             uses[-1].append((keys.setdefault(_measurement_key(spec), len(keys)), j))
-    decomps, error = [], None  # per key: its decomposition, or the _Slot still to validate
-    for key in keys:
+    read = {k for slots, built in zip(uses, named) if built for k, _ in slots}  # keys a named observer uses
+    decomps, error = [], None  # per key: its decomposition, the _Slot still to validate, or None
+    for k, key in enumerate(keys):
+        build = _measurement_slot if k in read else _checked_slot
         try:
-            decomps.append(_measurement_slot(key, s.subsystem_dims, tol))
+            decomps.append(build(key, s.subsystem_dims, tol))
         except (QHistError, ValueError) as exc:
             error = exc
             break
@@ -664,6 +698,7 @@ def resolve(
                 with _located(f"$.observers[{i}].measurements[{j}].observable"):
                     raise error
             slots.append(decomps[k])
-        family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)
-        records.append(ObserverRecord(name=obs.name, family=family))
+        if named[i]:
+            family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)
+            records.append(ObserverRecord(name=obs.name, family=family))
     return records

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qhist.framework
 import qhist.histories
 import qhist.stablefacts
 from qhist import cli
@@ -418,6 +419,123 @@ class TestJoinerLabels:
         assert (code, out) == (1, "")
         assert err == ("error: $.observers[0].measurements[0].observable.projectors[1].label: "
                        "label 'p∧q' contains the joiner '∧'\n")
+
+
+def _three_observers(o2, **fields) -> dict:
+    """One qubit from up_z over two slots: O1 measures sigma_z at t1, O2
+    measures ``o2`` (time to observable), and O3 sigma_x at t2."""
+
+    def measuring(by_time):
+        return [{"time": t, "observable": obs} for t, obs in by_time.items()]
+
+    return {
+        "format": 1,
+        "name": "three_observers",
+        "systems": [2],
+        "initial_state": "up_z",
+        "times": ["t0", "t1", "t2"],
+        "observers": [
+            {"name": "O1", "measurements": measuring({"t1": "sigma_z"})},
+            {"name": "O2", "measurements": measuring(o2)},
+            {"name": "O3", "measurements": measuring({"t2": "sigma_x"})},
+        ],
+        **fields,
+    }
+
+
+ONLY_O1 = ("conditional", "--family", "O1", "--event", "t1:+z", "--given", "t1:+z")
+ONLY_O1_O3 = ("classify", "--pair", "O1", "O3")
+
+
+class TestReadObservers:
+    """A command builds the families of the observers it reads, and checks
+    every number the file supplies for every observer."""
+
+    @pytest.mark.parametrize(
+        "o2, fields",
+        [
+            ({"t1": {"matrix": cmatrix([[0, 1], [0, 0]])}}, {}),
+            ({"t1": {"projectors": [{"label": "+x", "matrix": cmatrix([[0.5, 0.5], [0.5, 0.5]])},
+                                    {"label": "up", "matrix": cmatrix([[1, 0], [0, 0]])}]}}, {}),
+            ({"t1": "sigma_x"}, {"evolutions": [{"matrix": cmatrix([[1, 1], [0, 1]])}, "identity"]}),
+        ],
+        ids=["not_hermitian", "not_orthogonal", "not_unitary"],
+    )
+    @pytest.mark.parametrize("argv", [ONLY_O1, ONLY_O1_O3], ids=["conditional_O1", "classify_O1_O3"])
+    def test_an_unread_observers_fault_fails_the_command_as_validate(self, capsys, tmp_path, o2, fields, argv):
+        path = write(tmp_path, _three_observers(o2, **fields))
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.")
+        command, *flags = argv
+        assert run(capsys, command, path, *flags) == (1, "", err)
+
+    def test_tolerance_0_fails_only_the_commands_that_decompose_the_matrix(self, capsys, tmp_path):
+        # sigma_x given as a matrix of 0s and 1s: eigh's eigenprojectors are not exactly idempotent
+        path = write(tmp_path, _three_observers({"t1": {"matrix": cmatrix([[0, 1], [1, 0]])}}))
+        fault = "error: $.observers[1].measurements[0].observable: element 0 ('ev0=-1') is not a projector\n"
+        exact = ("--tolerance", "0")
+        assert run(capsys, "validate", path, *exact) == (1, "", fault)
+        assert run(capsys, "conditional", path, "--family", "O2", "--event", "t1:ev0=-1",
+                   "--given", "t1:ev1=1", *exact) == (1, "", fault)
+        assert run(capsys, "classify", path, "--pair", "O1", "O2", *exact) == (1, "", fault)
+        assert run(capsys, "analyze", path, "--observer", "O3", "--observer", "O2", *exact) == (1, "", fault)
+        code, out, err = run(capsys, *ONLY_O1[:1], path, *ONLY_O1[1:], *exact)
+        assert (code, out, err) == (0, "P(+z@t1 | +z@t1) = 1 [family O1, scenario three_observers]\n", "")
+        code, out, err = run(capsys, *ONLY_O1_O3[:1], path, *ONLY_O1_O3[1:], *exact)
+        assert (code, err) == (0, "")
+        assert "pair O1,O3: stable" in out
+        code, out, err = run(capsys, "analyze", path, "--observer", "O3", *exact)
+        assert (code, err) == (0, "")
+        assert "observer O3: consistent" in out
+
+    def test_the_history_cap_counts_only_the_families_built(self, capsys, tmp_path):
+        # O1 and O3 have 2 histories each, O2 4
+        path = write(tmp_path, _three_observers({"t1": "sigma_x", "t2": "sigma_z"}))
+        cap = ("--max-histories", "3")
+        fault = "error: family would enumerate > 3 histories\n"
+        assert run(capsys, "validate", path, *cap) == (1, "", fault)
+        assert run(capsys, "conditional", path, "--family", "O2", "--event", "t1:+x",
+                   "--given", "t1:+x", *cap) == (1, "", fault)
+        assert run(capsys, "analyze", path, "--observer", "O2", *cap) == (1, "", fault)
+        code, out, err = run(capsys, *ONLY_O1[:1], path, *ONLY_O1[1:], *cap)
+        assert (code, out, err) == (0, "P(+z@t1 | +z@t1) = 1 [family O1, scenario three_observers]\n", "")
+        code, out, err = run(capsys, "analyze", path, "--observer", "O1", "--observer", "O3", *cap)
+        assert (code, err) == (0, "")
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("observer")] == [
+            "observer O1", "observer O3"]
+
+    def test_unknown_names_are_reported_as_before(self, capsys, tmp_path):
+        path = write(tmp_path, _three_observers({"t1": "sigma_x"}))
+        assert run(capsys, "conditional", path, "--family", "O9", "--event", "t1:+z", "--given", "t1:+z") == (
+            1, "", "error: unknown family 'O9' (pick an observer name or 'combined')\n")
+        assert run(capsys, "classify", path, "--pair", "O1", "O9") == (1, "", "error: unknown observer(s): O9\n")
+        assert run(capsys, "analyze", path, "--observer", "O9") == (1, "", "error: unknown observer(s): O9\n")
+
+    @pytest.mark.parametrize("argv, decomposed", [
+        (("validate",), 1),
+        (("verify",), 1),
+        (("classify", "--pair", "O1", "O3"), 1),
+        (("classify", "--pair", "O1", "O2"), 0),
+        (("conditional", "--family", "O1", "--event", "t1:+z", "--given", "t1:+z"), 0),
+        (("conditional", "--family", "O3", "--event", "t1:+y", "--given", "t1:+y"), 1),
+        (("analyze", "--observer", "O4"), 0),
+    ])
+    def test_the_observers_matrix_is_decomposed_only_when_read(self, capsys, monkeypatch, observers_paths,
+                                                                argv, decomposed):
+        # in the observers workload's all.json, O3's last slot is the one matrix observable
+        calls = []
+        original = qhist.framework.hermitian_eigenprojectors
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qhist.framework, "hermitian_eigenprojectors", counted)
+        command, *flags = argv
+        code, _, err = run(capsys, command, str(observers_paths["all"]), *flags)
+        assert code != 1, err
+        assert len(calls) == decomposed
 
 
 class TestClassify:

@@ -3,7 +3,8 @@
 ``golden/gallery_cli.json`` and ``golden/observers_cli.json`` hold the exit
 code, stdout and stderr of each gallery and ``observers`` command, and
 ``golden/digests.txt`` one digest of each command line of every workload,
-``deep_chain`` and ``wide_dense`` included; ``scripts/cli_golden.py golden``
+``deep_chain`` and ``wide_dense`` included, as given and under
+``--tolerance 0``; ``scripts/cli_golden.py golden``
 records all three.  A difference here means the output changed: regenerate
 the files only when that is the intent.
 """
@@ -12,7 +13,6 @@ import gc
 import importlib.util
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -23,7 +23,6 @@ from helpers import GOLDEN, gallery
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OBSERVERS_GOLDEN = json.loads((ROOT / "tests" / "golden" / "observers_cli.json").read_text())
-OBSERVERS_SEED = 1
 
 
 def _ids(entries) -> list[str]:
@@ -39,18 +38,6 @@ def _replay(capsys, entry, path) -> None:
 @pytest.mark.parametrize("entry", GOLDEN, ids=_ids(GOLDEN))
 def test_gallery_output_is_unchanged(capsys, entry):
     _replay(capsys, entry, gallery(entry["scenario"]))
-
-
-@pytest.fixture(scope="module")
-def observers_paths(tmp_path_factory):
-    """The seed-1 ``observers`` scenarios, generated and written by ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:  # its dataclasses look the module up by name
-        mp.setitem(sys.modules, "workloads", workloads)
-        spec.loader.exec_module(workloads)
-    scenarios, _ = workloads.generate("observers", OBSERVERS_SEED, ROOT)
-    return workloads.write(scenarios, tmp_path_factory.mktemp("observers"))
 
 
 @pytest.mark.parametrize("entry", OBSERVERS_GOLDEN, ids=_ids(OBSERVERS_GOLDEN))

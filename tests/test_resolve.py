@@ -4,6 +4,7 @@ measurement within a call, evolutions checked once, and unchanged errors."""
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from functools import reduce
 
@@ -12,14 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qhist.framework
 import qhist.histories
 import qhist.scenario
 from qhist.errors import (
     BadDecompositionError,
     DimMismatchError,
     HistoryLimitError,
+    NotAProjectorError,
     NotCompleteError,
     NotHermitianError,
+    NotOrthogonalError,
     NotUnitaryError,
 )
 from qhist.framework import ProjectiveDecomposition, _Slot, _validate_stacks, make_decomposition
@@ -38,6 +42,9 @@ from qhist.scenario import (
     parse_scenario,
     resolve,
 )
+from qhist.stablefacts import Verdict, check_compatibility
+
+from helpers import random_scenario
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -359,3 +366,162 @@ def test_threshold_scales_with_a_diagonal_above_one():
     assert top == pytest.approx(1.000002, abs=1e-12)
     assert report.threshold == tol.cons * top
     assert report.threshold > tol.cons
+
+
+# ---------------------------------------------------------------------------
+# resolving only the observers named
+
+
+def _records(records) -> list[tuple]:
+    """Each record's name, ket, unitaries, labels and projectors, as bytes."""
+    return [
+        (
+            r.name,
+            r.family.initial_ket.tobytes(),
+            tuple(ev.unitary.tobytes() for ev in r.family.evolutions),
+            tuple((d.labels, d.projectors.tobytes()) for d in r.family.slot_decompositions),
+        )
+        for r in records
+    ]
+
+
+def _outcome(scn, tol, observers=None) -> list[tuple] | tuple[type, str]:
+    """The records' bytes, or the type and message of the error raised."""
+    try:
+        return _records(resolve(scn, tol, observers=observers))
+    except Exception as exc:  # noqa: BLE001 - compared, never hidden
+        return type(exc), str(exc)
+
+
+def _without_unread_matrices(scn: Scenario, names) -> Scenario:
+    """``scn`` with each matrix observable of an observer outside ``names``
+    measured as the identity instead, at the same measurement index."""
+
+    def masked(obs):
+        if obs.name in names:
+            return obs
+        return replace(obs, measurements=tuple(
+            replace(m, observable=NamedObservable("identity")) if isinstance(m.observable, MatrixObservable) else m
+            for m in obs.measurements
+        ))
+
+    return replace(scn, observers=tuple(map(masked, scn.observers)))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_a_selective_resolve_agrees_with_the_full_one(seed):
+    """For every nonempty subset of observers, at the file's tolerance and
+    at 0: when the full resolve succeeds, the selective one returns the same
+    records of the subset, in scenario order, bit for bit.  When the
+    selective one raises, the full one raises the same error, unless the
+    full one first met an eigenprojector fault of a matrix only an unread
+    observer measures, which the selective resolve never decomposes.  In
+    every case the selective resolve does what the full resolve does with
+    the unread observers' matrices measured as the identity (random
+    matrices are exactly Hermitian, so their checks pass)."""
+    scn = random_scenario(np.random.default_rng(seed))
+    names = [obs.name for obs in scn.observers]
+    for tol in (None, Tolerance.uniform(0.0)):
+        full = _outcome(scn, tol)
+        for size in range(1, len(names) + 1):
+            for subset in itertools.combinations(names, size):
+                selective = _outcome(scn, tol, subset)
+                expected = _outcome(_without_unread_matrices(scn, subset), tol)
+                if isinstance(expected, list):
+                    expected = [r for r in expected if r[0] in subset]
+                assert selective == expected, (subset, tol)
+                if isinstance(full, list):
+                    assert selective == [r for r in full if r[0] in subset], (subset, tol)
+                elif not isinstance(selective, list) and selective != full:
+                    i, j = map(int, re.match(r"\$\.observers\[(\d+)\]\.measurements\[(\d+)\]", full[1]).groups())
+                    assert names[i] not in subset
+                    assert isinstance(scn.observers[i].measurements[j].observable, MatrixObservable)
+                    assert full[0] in (NotAProjectorError, NotOrthogonalError, NotCompleteError)
+
+
+def test_records_come_in_scenario_order_and_unknown_names_are_ignored():
+    records = resolve(four_observers(), observers=["C", "nobody", "A"])
+    assert [r.name for r in records] == ["A", "C"]
+    assert resolve(four_observers(), observers=[]) == []
+
+
+def _count_eigenprojectors(monkeypatch) -> list:
+    calls = []
+    original = qhist.framework.hermitian_eigenprojectors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qhist.framework, "hermitian_eigenprojectors", counted)
+    return calls
+
+
+def test_a_matrix_no_named_observer_measures_is_not_decomposed(monkeypatch):
+    calls = _count_eigenprojectors(monkeypatch)
+    resolve(four_observers(), observers=["A", "C"])  # B and D measure the matrix
+    assert calls == []
+    resolve(four_observers(), observers=["D"])
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("fault", list(FAULTY))
+@pytest.mark.parametrize("names", [None, ["A"], ["C"], ["A", "C"]])
+def test_every_observers_input_is_checked_whoever_is_named(fault, names):
+    a = observer("A", {"t1": NamedObservable("sigma_z")})
+    b = observer("B", {"t1": NamedObservable("sigma_x"), "t2": FAULTY[fault]})
+    c = observer("C", {"t2": NamedObservable("sigma_x")})
+    scn = scenario((2,), ["identity", "identity"], [a, b, c])
+    error = _error(scn, observers=names)
+    assert error == _error(scn)
+    assert error[1].startswith("$.observers[1].measurements[1].observable: ")
+
+
+def test_an_unread_observers_eigenprojectors_are_not_validated():
+    # under tolerance 0 sigma_x's eigenprojectors, from eigh, are not exactly idempotent
+    a = observer("A", {"t1": NamedObservable("sigma_z")})
+    b = observer("B", {"t1": MatrixObservable(SIGMA_X.copy())})
+    scn = scenario((2,), ["identity"], [a, b])
+    exact = Tolerance.uniform(0.0)
+    assert _error(scn, tol=exact) == (
+        NotAProjectorError, "$.observers[1].measurements[0].observable: element 0 ('ev0=-1') is not a projector"
+    )
+    assert _error(scn, tol=exact, observers=["B"]) == _error(scn, tol=exact)
+    assert [r.name for r in resolve(scn, exact, observers=["A"])] == ["A"]
+
+
+def test_the_history_cap_counts_only_the_families_built():
+    capped = observer("A", {"t1": NamedObservable("sigma_z"), "t2": NamedObservable("sigma_x")})
+    small = observer("B", {"t1": NamedObservable("sigma_z")})
+    scn = scenario((2,), ["identity", "identity"], [capped, small])
+    assert _error(scn, max_histories=3)[0] is HistoryLimitError
+    assert _error(scn, max_histories=3, observers=["A"])[0] is HistoryLimitError
+    (record,) = resolve(scn, max_histories=3, observers=["B"])
+    assert record.family.n_histories == 2
+
+
+def _two_lists(first: tuple[str, str], second: tuple[str, str]) -> Scenario:
+    """Two qubits from plus_x, plus_x; O1 measures the first qubit's z and
+    O2 the second's, each as a hand-built list of two diagonal projectors."""
+    o1 = ProjectorListObservable(first, (np.diag([1, 1, 0, 0]) + 0j, np.diag([0, 0, 1, 1]) + 0j))
+    o2 = ProjectorListObservable(second, (np.diag([1, 0, 1, 0]) + 0j, np.diag([0, 1, 0, 1]) + 0j))
+    scn = scenario((2, 2), ["identity"], [observer("O1", {"t1": o1}), observer("O2", {"t1": o2})])
+    return replace(scn, initial_state=("plus_x", "plus_x"))
+
+
+def test_hand_built_plain_labels_are_stable():
+    a, b = resolve(_two_lists(("p", "s"), ("u", "r")))
+    assert check_compatibility(a, b).verdict is Verdict.STABLE
+
+
+@pytest.mark.parametrize("names", [None, ["O2"]])
+def test_hand_built_joiner_labels_are_refused(names):
+    # before the check, products p∧q∧r were formed twice, and the pair read relative (condition 2)
+    with pytest.raises(BadDecompositionError) as info:
+        resolve(_two_lists(("p", "p∧q"), ("q∧r", "r")), observers=names)
+    assert str(info.value) == ("$.observers[0].measurements[0].observable: "
+                               "element 1: label 'p∧q' contains the joiner '∧'")
+    with pytest.raises(BadDecompositionError, match=r"^\$\.observers\[1\]\.measurements\[0\]\.observable: "
+                       r"element 1: label 'r∨s' contains the joiner '∨'$"):
+        resolve(_two_lists(("p", "s"), ("u", "r∨s")), observers=names)
