@@ -4,7 +4,7 @@ A decomposition is the quantum analogue of a partition of phase space:
 mutually orthogonal projectors summing to the identity.  This is the one
 module that validates decompositions: an observable's eigenprojectors, or
 labelled projectors padded with their complement "rest", are stacked as a
-``_Slot`` and validated, many slots in one pass, by ``_validate_stacks``.
+``_Slot`` and validated by ``_validate_stacks``, one slot at a time.
 (``scenario.resolve`` builds the exact named ones, the identity and each
 Pauli's (1 ± sigma)/2, without validating them.)
 
@@ -18,10 +18,8 @@ of products PQ per pair of decompositions (``_pair_products``).
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,17 +166,6 @@ def _block_rows(n: int, m: int) -> int:
     return max(1, (n + m) // m)
 
 
-def _runs(big: np.ndarray, sizes: Sequence[int], offsets: Sequence[int], count: int):
-    """Each run of consecutive stacks of one size n among the first ``count``
-    held in ``big`` from ``offsets``: its first stack, and a (stacks, n, d, d)
-    view of it."""
-    k = 0
-    while k < count:
-        end = next((e for e in range(k, count) if sizes[e] != sizes[k]), count)
-        yield k, big[offsets[k] : offsets[end]].reshape(end - k, sizes[k], *big.shape[1:])
-        k = end
-
-
 def _orthogonality_fault(run: np.ndarray, tol: Tolerance) -> tuple[int, int, int, float] | None:
     """The first pair (stack s, i < j), in that order, of a (stacks, n, d, d)
     run whose product exceeds ``tol.proj``, with its residual, or None.
@@ -201,92 +188,67 @@ def _orthogonality_fault(run: np.ndarray, tol: Tolerance) -> tuple[int, int, int
     return s, i, j, residuals[s, i, j]
 
 
-def _validate_stacks(
-    slots: Sequence[_Slot], tol: Tolerance
-) -> tuple[list[ProjectiveDecomposition], Exception | None]:
-    """Validate slots whose stacks have one ``dim`` as decompositions, all in
-    one pass.
+def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
+    """The first fault of one slot, or None.  The checks run in
+    ``make_decomposition``'s order: finiteness, the labels, each element's
+    projector property, the misfits, orthogonality, then completeness.
 
-    The stacks are the caller's to give up: the decompositions hold read-only
-    views of them, or of their concatenation.  Each of ``make_decomposition``'s
-    checks runs once over the concatenation, in its order: finiteness, the
-    labels, each element's projector property, the misfits, orthogonality,
-    then completeness.  Each stage checks only the slots before the first
-    fault found so far, so the error is the one that validating the slots
-    one at a time would raise first.  A padded slot's fault is raised as a
+    Returned, not raised: an exception caught to be returned keeps its
+    traceback, whose frames can hold it in a reference cycle.
+    """
+    stack, (n, dim, _) = slot.stack, slot.stack.shape
+    if not np.isfinite(stack).all():
+        return ValueError("matrix entries must be finite")
+    label_error = _label_error(n + len(slot.misfits), slot.labels)
+    if label_error is not None:
+        return label_error
+    if n:  # else the head may have dim 0, which the reductions refuse
+        # stack - stack^dagger, formed in one contiguous copy of the transpose:
+        # a strided conjugate-transpose operand costs more than the subtraction
+        skew = stack.swapaxes(-2, -1).copy()
+        np.conjugate(skew, out=skew)
+        hermitian = max_abs_each(np.subtract(stack, skew, out=skew)) <= tol.herm
+        idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
+        bad = np.flatnonzero(~(hermitian & idempotent)).tolist()
+        if bad:
+            return NotAProjectorError(f"element {bad[0]} ({slot.labels[bad[0]]!r}) is not a projector")
+    if slot.misfits:
+        return DimMismatchError(f"projector {n} has shape {slot.misfits[0].shape}, expected ({dim}, {dim})")
+    found = _orthogonality_fault(stack[None], tol)
+    if found is not None:
+        _, i, j, residual = found
+        return NotOrthogonalError(f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residual:.3e})")
+    residual = max_abs(stack.sum(axis=0) - identity(dim))
+    if residual > tol.proj:
+        return NotCompleteError(f"projectors do not sum to identity (residual {residual:.3e})")
+    return None
+
+
+def _validate_stacks(
+    slots: Iterable[_Slot], tol: Tolerance
+) -> tuple[list[ProjectiveDecomposition], Exception | None]:
+    """Validate slots as decompositions (``_slot_error``), one at a time, in
+    order, up to the first faulty one; ``slots`` is consumed no further.
+
+    The stacks are the caller's to give up: each decomposition holds its
+    slot's stack, made read-only.  A padded slot's fault is returned as a
     ``BadDecompositionError`` caused by it (a non-finite entry stays the
     ``ValueError`` it is).
-
-    Orthogonality and completeness go by runs of consecutive stacks of one
-    size (``_runs``): orthogonality by ``_orthogonality_fault``, and
-    completeness by one sum over each run's elements' axis, which adds them
-    in the order ``sum(axis=0)`` adds one stack's (``np.add.reduceat`` adds
-    them in another).
 
     Returns the decompositions of the slots before the first faulty one, and
     that one's error (None when every slot is valid).
     """
-    if not slots:
-        return [], None
-    sizes = [len(s.stack) for s in slots]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    big = slots[0].stack if len(slots) == 1 else np.concatenate([s.stack for s in slots])
-    dim = big.shape[1]
-    faulty, error = len(slots), None
-
-    def locate(e) -> tuple[int, int]:  # (slot, index in its stack) of element e
-        k = bisect.bisect_right(offsets, e) - 1
-        return k, int(e) - offsets[k]
-
-    if not np.isfinite(big).all():
-        bad = np.flatnonzero(~np.isfinite(big).all(axis=(1, 2)))
-        faulty, error = locate(bad[0])[0], ValueError("matrix entries must be finite")
-    for k in range(faulty):
-        label_error = _label_error(sizes[k] + len(slots[k].misfits), slots[k].labels)
-        if label_error is not None:
-            faulty, error = k, label_error
-            break
-    if faulty:  # else the head is empty, and may have dim 0, which the reductions refuse
-        head = big[: offsets[faulty]]
-        # head - head^dagger, formed in one contiguous copy of the transpose:
-        # a strided conjugate-transpose operand costs more than the subtraction
-        skew = head.swapaxes(-2, -1).copy()
-        np.conjugate(skew, out=skew)
-        hermitian = max_abs_each(np.subtract(head, skew, out=skew)) <= tol.herm
-        idempotent = max_abs_each(head @ head - head) <= tol.proj
-        bad = np.flatnonzero(~(hermitian & idempotent))
-        if bad.size:
-            k, i = locate(bad[0])
-            faulty, error = k, NotAProjectorError(f"element {i} ({slots[k].labels[i]!r}) is not a projector")
-    k = next((k for k in range(faulty) if slots[k].misfits), None)
-    if k is not None:
-        shape = slots[k].misfits[0].shape
-        faulty, error = k, DimMismatchError(f"projector {sizes[k]} has shape {shape}, expected ({dim}, {dim})")
-    for first, run in _runs(big, sizes, offsets, faulty):
-        found = _orthogonality_fault(run, tol)
-        if found is not None:
-            s, i, j, residual = found
-            faulty, error = first + s, NotOrthogonalError(
-                f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residual:.3e})"
-            )
-            break
-    if faulty:
-        sums = np.concatenate([run.sum(axis=1) for _, run in _runs(big, sizes, offsets, faulty)])
-        residuals = max_abs_each(sums - identity(dim))
-        bad = np.flatnonzero(residuals > tol.proj)
-        if bad.size:
-            faulty, error = int(bad[0]), NotCompleteError(
-                f"projectors do not sum to identity (residual {residuals[bad[0]]:.3e})"
-            )
-    big.setflags(write=False)
-    decomps = [
-        ProjectiveDecomposition(dim=dim, projectors=big[offsets[k] : offsets[k + 1]], labels=tuple(slots[k].labels))
-        for k in range(faulty)
-    ]
-    if isinstance(error, QHistError) and slots[faulty].padded:
-        cause, error = error, BadDecompositionError(f"slot is not a valid decomposition: {error}")
-        error.__cause__ = cause
-    return decomps, error
+    decomps = []
+    for slot in slots:
+        error = _slot_error(slot, tol)
+        if error is not None:
+            if isinstance(error, QHistError) and slot.padded:
+                cause, error = error, BadDecompositionError(f"slot is not a valid decomposition: {error}")
+                error.__cause__ = cause
+            return decomps, error
+        slot.stack.setflags(write=False)
+        decomps.append(ProjectiveDecomposition(slot.stack.shape[1], slot.stack, tuple(slot.labels)))
+    return decomps, None
 
 
 def _validated(slot: _Slot, tol: Tolerance) -> ProjectiveDecomposition:
@@ -308,9 +270,9 @@ def make_decomposition(
     ``projectors`` is a sequence of matrices or an (n, d, d) stack; either is
     converted to one complex stack, a copy, so later writes to the input do
     not reach the decomposition.  Each element must be ``dim`` x ``dim``, or
-    the first element's shape when ``dim`` is None.  The checks are those of
-    ``_validate_stacks``, of which this is the one-stack case, each over the
-    whole stack at once: the labels, each element's shape and projector
+    the first element's shape when ``dim`` is None.  The checks are those
+    ``_validate_stacks`` runs on each slot, each over the whole stack at
+    once: the labels, each element's shape and projector
     property (Hermitian within ``tol.herm``, idempotent within ``tol.proj``),
     the orthogonality of each pair, then completeness.  The error raised is
     the first the per-element order meets: ``as_matrix``'s error for the

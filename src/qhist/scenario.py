@@ -287,19 +287,24 @@ def _factor_index(suffix: str) -> int | None:
     return int(suffix) if suffix.isascii() and suffix.isdigit() else None
 
 
-def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
+def _check_known_operator(name: str, path: str, factors: int) -> None:
+    """Refuse, as an UnknownOperatorError at ``path``, a name whose base is
+    not an operator or whose ``@k`` suffix is not a factor 1..``factors``."""
     base, _, suffix = name.partition("@")
     if base not in _PAULI_OPS and base != "identity":
         raise UnknownOperatorError(f"unknown operator {name!r}", path=path)
     if suffix:
         factor = _factor_index(suffix)
-        if factor is None or not 1 <= factor <= len(dims):
-            raise UnknownOperatorError(
-                f"subsystem index in {name!r} must be 1..{len(dims)}", path=path
-            )
-        if base in _PAULI_OPS and dims[factor - 1] != 2:
-            raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[factor - 1]}")
-    elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
+        if factor is None or not 1 <= factor <= factors:
+            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{factors}", path=path)
+
+
+def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
+    _check_known_operator(name, path, len(dims))
+    base, _, suffix = name.partition("@")
+    if base in _PAULI_OPS and suffix and dims[int(suffix) - 1] != 2:
+        raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[int(suffix) - 1]}")
+    if base in _PAULI_OPS and not suffix and (len(dims) != 1 or dims[0] != 2):
         raise DimMismatchError(
             f"{path}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
         )
@@ -521,16 +526,14 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
 def _measurement_key(spec) -> object:
     """What a slot's decomposition depends on: ``"identity"`` for the trivial
     slot and every identity, ``"sigma_z@3"`` for a Pauli (``"sigma_z@03"``
-    too), else the observable."""
+    too), else the observable.  A name must be known
+    (``_check_known_operator``)."""
     if spec is None:
         return "identity"
     if not isinstance(spec, NamedObservable):
         return spec
     base, _, suffix = spec.name.partition("@")
-    if base == "identity":
-        return "identity"
-    factor = _factor_index(suffix or "1")
-    return f"{base}@{suffix if factor is None else factor}"  # a hand-built bad suffix fails to build
+    return "identity" if base == "identity" else f"{base}@{int(suffix or 1)}"
 
 
 def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition | _Slot:
@@ -612,7 +615,8 @@ def resolve(
     """Expand named operators and presets; build one family per observer
     named in ``observers`` (None, the default: every observer).
 
-    ``parse_scenario`` checks the document's structure.  Here, under the
+    ``parse_scenario`` checks the document's structure (here, too, an
+    operator name must be known, for a hand-built ``Scenario``).  Under the
     effective tolerance, every number the file supplies is checked, for
     every observer, named or not: the initial ket (norm included), once,
     each distinct evolution matrix, each distinct projector list (padded
@@ -631,8 +635,8 @@ def resolve(
     other as a ``framework._Slot`` stack (a matrix's eigenprojectors, a
     projector list padded with "rest" when it falls short of the identity,
     or a Pauli that misfits the system's shape).  Those stacks are validated
-    together by one ``framework._validate_stacks`` pass, in key order, which
-    raises the fault of any slot but a matrix's as a
+    by one ``framework._validate_stacks`` call, one at a time in key order up
+    to the first fault, which is raised, for any slot but a matrix's, as a
     ``BadDecompositionError``.  A stack that cannot be built or checked
     stops the building, and the stacks before it are validated first, so
     the error raised is the one met first in observer and slot order, a
@@ -666,20 +670,23 @@ def resolve(
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
     wanted = None if observers is None else set(observers)
     named = [wanted is None or obs.name in wanted for obs in s.observers]
+    dims = s.subsystem_dims
     keys: dict[object, int] = {}  # each distinct measurement, in order of first use
     uses = []  # per observer, per slot: (key index, measurement index)
-    for obs in s.observers:
+    for i, obs in enumerate(s.observers):
         by_time = {m.time: (j, m.observable) for j, m in enumerate(obs.measurements)}
         uses.append([])
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
+            if isinstance(spec, NamedObservable):  # a hand-built Scenario skips parse_scenario's check
+                _check_known_operator(spec.name, f"$.observers[{i}].measurements[{j}].observable", len(dims))
             uses[-1].append((keys.setdefault(_measurement_key(spec), len(keys)), j))
     read = {k for slots, built in zip(uses, named) if built for k, _ in slots}  # keys a named observer uses
     decomps, error = [], None  # per key: its decomposition, the _Slot still to validate, or None
     for k, key in enumerate(keys):
         build = _measurement_slot if k in read else _checked_slot
         try:
-            decomps.append(build(key, s.subsystem_dims, tol))
+            decomps.append(build(key, dims, tol))
         except (QHistError, ValueError) as exc:
             error = exc
             break
@@ -695,8 +702,11 @@ def resolve(
         slots = []
         for k, j in uses[i]:
             if k == len(decomps):
-                with _located(f"$.observers[{i}].measurements[{j}].observable"):
-                    raise error
+                try:
+                    with _located(f"$.observers[{i}].measurements[{j}].observable"):
+                        raise error
+                finally:  # the traceback holds this frame, so no local may hold the error
+                    error = fault = None
             slots.append(decomps[k])
         if named[i]:
             family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)

@@ -121,9 +121,9 @@ def check_compatibility(
 
     Slots that pair the same two decomposition objects (``resolve`` gives each
     distinct measurement one) share one product table per call: each distinct
-    pair is multiplied, labelled and validated once, in order of first use,
-    and its slots share one product decomposition.  ``per_slot_commutation``
-    still has a row per slot."""
+    pair is multiplied once, in order of first use, and labelled and
+    validated at most once, and its slots share one product decomposition.
+    ``per_slot_commutation`` still has a row per slot."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
     # a decomposition hashes by identity (eq=False), and the families hold
@@ -136,23 +136,21 @@ def check_compatibility(
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
     condition1 = all(sc.commutes for sc in per_slot)
 
-    # the products {K_i Y_j} of each distinct pair, validated in one pass; they
-    # may fail to form decompositions when condition 1 failed, or when comm is
-    # looser than herm or proj, and condition 2 is then skipped.  Which slot
-    # fails does not matter, so the pair of the first slot that does not
-    # commute, where products usually fail, is tried alone first.  A pair's
-    # products are labelled only when they are validated.
+    # the products {K_i Y_j} of each distinct pair, validated one pair at a
+    # time up to the first fault; they may fail to form decompositions when
+    # condition 1 failed, or when comm is looser than herm or proj, and
+    # condition 2 is then skipped.  Which pair fails does not matter, so the
+    # pairs that do not commute, where products usually fail, come first.  A
+    # pair's products are labelled only when they are validated.
     def slot(pair) -> _Slot:
         _, stack, keep = products[pair]
         return _Slot(stack, _product_labels(*pair, keep))
 
-    first = [pair for pair, sc in zip(slot_pairs, per_slot) if not sc.commutes][:1]
-    _, error = _validate_stacks([slot(pair) for pair in first], tol)
-    if error is None:
-        decomps, error = _validate_stacks([slot(pair) for pair in products], tol)
+    order = sorted(products, key=lambda pair: products[pair][0].compatible)
+    decomps, error = _validate_stacks(map(slot, order), tol)
     product_report = None
     if error is None:
-        product_of = dict(zip(products, decomps))
+        product_of = dict(zip(order, decomps))
         slots = [product_of[pair] for pair in slot_pairs]
         product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, max_histories)
         product_report = consistency_check(product_family, tol)

@@ -505,6 +505,28 @@ class TestStackedValidation:
     def test_no_stacks(self):
         assert _validate_stacks([], DEFAULT_TOL) == ([], None)
 
+    def test_slots_are_consumed_up_to_the_first_fault(self):
+        taken = []
+
+        def slots():
+            for k, stack in enumerate([I2, 2 * I2, I2]):  # the second is not a projector
+                taken.append(k)
+                yield _Slot(stack[None].copy(), ["a"])
+
+        remaining = slots()
+        decomps, error = _validate_stacks(remaining, DEFAULT_TOL)
+        assert len(decomps) == 1 and isinstance(error, NotAProjectorError)
+        assert taken == [0, 1]
+        next(remaining)
+        assert taken == [0, 1, 2]
+
+    def test_each_decomposition_holds_its_slots_stack_read_only(self):
+        slots = [_Slot(I2[None].copy(), ["any"]), _Slot(np.stack([P_UP, P_DOWN]), ["up", "down"])]
+        decomps, error = _validate_stacks(slots, DEFAULT_TOL)
+        assert error is None
+        for slot, decomp in zip(slots, decomps, strict=True):
+            assert decomp.projectors is slot.stack and not slot.stack.flags.writeable
+
 
 class TestMemory:
     """No step forms all n x m products at once: with n = 32 rank-one

@@ -56,16 +56,41 @@ def test_no_command_enumerates_histories(capsys, monkeypatch, observers_paths):
         _replay(capsys, entry, observers_paths[entry["scenario"]])
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=_ids(GOLDEN))
-def test_a_command_leaves_no_cyclic_garbage(entry):
+# one-qubit files whose observer O2 measures what resolve refuses
+FAULTY = {
+    "not_hermitian": {"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+    "not_orthogonal": {"projectors": [{"label": "+x", "matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]},
+                                      {"label": "up", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]},
+}
+FAULTY_RUNS = [{"command": c, "scenario": s, "args": []} for s in FAULTY for c in ("validate", "analyze", "classify")]
+
+
+def _faulty(tmp_path, name) -> pathlib.Path:
+    doc = {"format": 1, "name": name, "systems": [2], "initial_state": "up_z", "times": ["t0", "t1"],
+           "observers": [{"name": "O1", "measurements": [{"time": "t1", "observable": "sigma_z"}]},
+                         {"name": "O2", "measurements": [{"time": "t1", "observable": FAULTY[name]}]}]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, entry",
+    [("gallery", e) for e in GOLDEN] + [("observers", e) for e in OBSERVERS_GOLDEN]
+    + [("faulty", e) for e in FAULTY_RUNS],
+    ids=_ids(GOLDEN) + [f"observers {i}" for i in _ids(OBSERVERS_GOLDEN)] + [f"faulty {i}" for i in _ids(FAULTY_RUNS)],
+)
+def test_a_command_leaves_no_cyclic_garbage(observers_paths, tmp_path, kind, entry):
     # a reference cycle outlives its command until a full collection, and the
     # peak memory of a long run grows with it; the argparse tree, built once
     # per process, is the one cycle a command may leave
+    name = entry["scenario"]
+    path = {"gallery": gallery, "observers": observers_paths.get, "faulty": lambda n: _faulty(tmp_path, n)}[kind](name)
     cli._build_parser()
     gc.disable()
     try:
         gc.collect()
-        cli.main([entry["command"], str(gallery(entry["scenario"])), *entry["args"]])
+        cli.main([entry["command"], str(path), *entry["args"]])
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -25,6 +25,7 @@ from qhist.errors import (
     NotHermitianError,
     NotOrthogonalError,
     NotUnitaryError,
+    UnknownOperatorError,
 )
 from qhist.framework import ProjectiveDecomposition, _Slot, _validate_stacks, make_decomposition
 from qhist.histories import consistency_check
@@ -41,6 +42,7 @@ from qhist.scenario import (
     effective_tolerance,
     parse_scenario,
     resolve,
+    serialize_scenario,
 )
 from qhist.stablefacts import Verdict, check_compatibility
 
@@ -525,3 +527,21 @@ def test_hand_built_joiner_labels_are_refused(names):
     with pytest.raises(BadDecompositionError, match=r"^\$\.observers\[1\]\.measurements\[0\]\.observable: "
                        r"element 1: label 'r∨s' contains the joiner '∨'$"):
         resolve(_two_lists(("p", "s"), ("u", "r∨s")), observers=names)
+
+
+@pytest.mark.parametrize(
+    "name", ["sigma_q", "foo@1", "Sigma_z", "sigma_z@²", "sigma_z@x", "sigma_z@0", "sigma_z@5", "identity@9"]
+)
+@pytest.mark.parametrize("names", [None, ["A"], ["B"]], ids=["every_observer", "only_A", "only_B"])
+def test_hand_built_unknown_operators_are_refused_as_parse_scenario_refuses_them(name, names):
+    # before, resolve let out a bare KeyError or int()'s ValueError, named a
+    # shape misfit, or (identity@9) accepted the name
+    a = observer("A", {"t1": NamedObservable("sigma_z")})
+    scn = scenario((2,), ["identity"], [a, observer("B", {"t1": NamedObservable(name)})])
+    with pytest.raises(UnknownOperatorError) as parsed:
+        parse_scenario(serialize_scenario(scn))
+    with pytest.raises(UnknownOperatorError) as resolved:
+        resolve(scn, observers=names)
+    assert str(resolved.value) == str(parsed.value)
+    assert str(resolved.value).startswith("$.observers[1].measurements[0].observable: ")
+    assert resolved.value.path == "$.observers[1].measurements[0].observable"

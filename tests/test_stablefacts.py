@@ -28,7 +28,7 @@ from qhist.histories import (
     coarse_grain,
     consistency_check,
 )
-from qhist.linalg import DEFAULT_TOL, SIGMA_X, identity
+from qhist.linalg import DEFAULT_TOL, SIGMA_X, SIGMA_Z, Tolerance, identity
 from qhist.scenario import parse_scenario, resolve
 from qhist.stablefacts import (
     FactQuery,
@@ -521,7 +521,8 @@ def distinct_pairs(a: ObserverRecord, b: ObserverRecord) -> list[tuple[int, int]
 
 
 class TestProductSlotsInOnePass:
-    """``check_compatibility`` validates every distinct slot pair's products in one pass."""
+    """``check_compatibility`` validates each distinct slot pair's products
+    at most once, in one call that stops at the first fault."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -560,6 +561,33 @@ class TestProductSlotsInOnePass:
             multiplied.append(len(calls))
         assert verdicts == ["condition2", "condition1", None]
         assert multiplied == [2, 3, 3]  # A/B pairs (z, trivial) at t1 and t3
+
+    def test_each_distinct_pair_is_labelled_and_validated_once(self, monkeypatch):
+        """A measures sigma_z and B a z axis tilted by 1e-5 rad at t1, and both
+        sigma_x at t2.  The t1 pair does not commute within comm 1e-9, but its
+        products are projectors within herm and proj 1e-3, so both pairs'
+        products form decompositions; each pair is labelled once."""
+        labelled, validated = [], []
+
+        def product_labels(da, db, keep):
+            labelled.append((id(da), id(db)))
+            return qhist.framework._product_labels(da, db, keep)
+
+        def validate_stacks(slots, tol):
+            validated.append(slots)
+            return qhist.framework._validate_stacks(slots, tol)
+
+        monkeypatch.setattr(qhist.stablefacts, "_product_labels", product_labels)
+        monkeypatch.setattr(qhist.stablefacts, "_validate_stacks", validate_stacks)
+        tilt = 1e-5
+        dx = pauli_decomposition("x")
+        a = observer("A", [pauli_decomposition("z"), dx], ket=PLUS_X, dim=2)
+        b = observer("B", [np.cos(tilt) * SIGMA_Z + np.sin(tilt) * SIGMA_X, dx], ket=PLUS_X, dim=2)
+        report = check_compatibility(a, b, Tolerance(herm=1e-3, proj=1e-3, comm=1e-9))
+        assert report.failing_condition == "condition1"
+        assert report.product_family_consistency is not None
+        assert labelled == distinct_pairs(a, b)
+        assert len(labelled) == 2 and len(validated) == 1
 
     def test_a_slot_is_labelled_only_when_validated(self, monkeypatch):
         labelled = []
