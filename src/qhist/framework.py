@@ -4,9 +4,11 @@ A decomposition is the quantum analogue of a partition of phase space:
 mutually orthogonal projectors summing to the identity.  This is the one
 module that validates decompositions: an observable's eigenprojectors, or
 labelled projectors padded with their complement "rest", are stacked as a
-``_Slot`` and validated by ``_validate_stacks``, one slot at a time.
-(``scenario.resolve`` builds the exact named ones, the identity and each
-Pauli's (1 ± sigma)/2, without validating them.)
+``_Slot`` and validated by ``_validate_stacks``, one slot at a time.  Two
+kinds are exact by construction and built without validation, as an
+``_ExactDecomposition``: ``scenario.resolve``'s named slots (the identity
+and each Pauli's (1 ± sigma)/2 on a qubit factor), and the products of two
+exact decompositions that commute exactly (``_pair_products``).
 
 Conjunction of two projectors is defined only when they commute; otherwise
 it is the distinguished value ``UNDEFINED`` (a result of the three-valued
@@ -111,6 +113,15 @@ class ProjectiveDecomposition:
 
     def projector_for(self, label: str) -> np.ndarray:
         return self.projectors[self.index(label)]
+
+
+@dataclass(frozen=True, eq=False)
+class _ExactDecomposition(ProjectiveDecomposition):
+    """A decomposition that is exact by construction and was not validated:
+    a named slot (``scenario._measurement_slot``) or the products of an
+    exact table (``_pair_products``).  ``dataclasses.replace`` keeps this
+    type, so a decomposition made from one with other projectors is built
+    as a plain ``ProjectiveDecomposition``."""
 
 
 class _Slot(NamedTuple):
@@ -225,10 +236,12 @@ def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
 
 
 def _validate_stacks(
-    slots: Iterable[_Slot], tol: Tolerance
+    slots: Iterable[_Slot | ProjectiveDecomposition], tol: Tolerance
 ) -> tuple[list[ProjectiveDecomposition], Exception | None]:
     """Validate slots as decompositions (``_slot_error``), one at a time, in
-    order, up to the first faulty one; ``slots`` is consumed no further.
+    order, up to the first faulty one; ``slots`` is consumed no further.  An
+    element that is already a decomposition (an exact product from
+    ``_product_slot``) is taken as it is.
 
     The stacks are the caller's to give up: each decomposition holds its
     slot's stack, made read-only.  A padded slot's fault is returned as a
@@ -240,6 +253,9 @@ def _validate_stacks(
     """
     decomps = []
     for slot in slots:
+        if isinstance(slot, ProjectiveDecomposition):
+            decomps.append(slot)
+            continue
         error = _slot_error(slot, tol)
         if error is not None:
             if isinstance(error, QHistError) and slot.padded:
@@ -251,12 +267,16 @@ def _validate_stacks(
     return decomps, None
 
 
-def _validated(slot: _Slot, tol: Tolerance) -> ProjectiveDecomposition:
-    """The decomposition of one slot, or its ``_validate_stacks`` error raised."""
+def _validated(slot: _Slot | ProjectiveDecomposition, tol: Tolerance) -> ProjectiveDecomposition:
+    """The decomposition of one slot (a decomposition as it is), or its
+    ``_validate_stacks`` error raised."""
     decomps, error = _validate_stacks([slot], tol)
-    if error is not None:
+    if error is None:
+        return decomps[0]
+    try:
         raise error
-    return decomps[0]
+    finally:  # the traceback holds this frame, so no local may hold the error
+        error = None
 
 
 def make_decomposition(
@@ -383,33 +403,75 @@ class CommutationCheck(NamedTuple):
     worst_pair: tuple[str, str] | None
 
 
-def _pair_products(
-    a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance
-) -> tuple[CommutationCheck, np.ndarray, np.ndarray]:
+class _ProductTable(NamedTuple):
+    check: CommutationCheck
+    stack: np.ndarray  # the products kept, in row-major order, not yet validated
+    keep: np.ndarray  # the (len(a), len(b)) mask of the products kept
+    exact: bool  # whether the products form a decomposition exactly
+
+
+def _pair_products(a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance) -> _ProductTable:
     """The table of products PQ of two decompositions, each formed once:
-    ``decompositions_compatible``'s check, the nonzero products in row-major
-    order, not yet validated as a decomposition, and the (len(a), len(b))
-    mask of the products kept, from which ``_product_labels`` names them.
+    ``decompositions_compatible``'s check, the products of modulus above
+    ``tol.proj``, the mask of those kept, from which ``_product_labels``
+    names them, and whether the table is exact.
 
     The products are formed in blocks of rows (``_block_rows``).  Each
     block's residuals max|PQ - QP| multiply QP afresh rather than take it as
     (PQ)†, which equals QP only for exactly Hermitian operands.
+
+    The table is exact when both decompositions are ``_ExactDecomposition``s,
+    every residual is exactly 0.0 and every product dropped is exactly zero;
+    ``_product_slot`` then builds its products without validating them.
+    That is sound: an exact decomposition's projectors are tensor products
+    of one per-factor projector, 1 or a Pauli's (1 ± sigma)/2, for each
+    factor.  A nonzero product of two such commutes only when each factor's
+    pair commutes, and is then one again.  So every entry is a multiple of
+    2^-q, for q qubit factors, of modulus at most 1, and each sum of
+    products that this table or validation computes needs at most
+    2q + log2(dim) bits, 18 at dim 64: the floating-point arithmetic is
+    exact.  In exact arithmetic, the products of two commuting
+    decompositions are orthogonal projectors that sum to the identity, the
+    dropped ones are zero, and their labels "p∧q" are distinct, since every
+    label of one exact decomposition holds the same number of joiners.
+    Validation would thus compute every residual as exactly 0 and pass at
+    every tolerance, 0 included.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"decompositions have dims {a.dim} and {b.dim}")
     p, q = a.projectors, b.projectors
     step = _block_rows(len(p), len(q))
-    residuals, keep, kept = np.empty((len(p), len(q))), np.empty((len(p), len(q)), dtype=bool), []
+    residuals, sizes, kept = np.empty((len(p), len(q))), np.empty((len(p), len(q))), []
+    keep = np.empty((len(p), len(q)), dtype=bool)
     for r in range(0, len(p), step):
         block = p[r : r + step, None] @ q
         residuals[r : r + step] = max_abs_each(block - q @ p[r : r + step, None])
-        keep[r : r + step] = max_abs_each(block) > tol.proj
+        sizes[r : r + step] = max_abs_each(block)
+        keep[r : r + step] = sizes[r : r + step] > tol.proj
         kept.append(block[keep[r : r + step]])
     i, j = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[i, j])
     worst_pair = (a.labels[i], b.labels[j]) if worst > 0.0 else None
     stack = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    return CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, keep
+    exact = (
+        isinstance(a, _ExactDecomposition)
+        and isinstance(b, _ExactDecomposition)
+        and worst == 0.0
+        and not sizes[~keep].any()
+    )
+    return _ProductTable(CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, keep, exact)
+
+
+def _product_slot(table: _ProductTable, labels: Sequence[str]) -> ProjectiveDecomposition | _Slot:
+    """A table's products under ``labels``: built as an
+    ``_ExactDecomposition`` over its read-only stack when the table is exact
+    (``_pair_products``), else as the ``_Slot`` that ``_validate_stacks``
+    validates.  ``refine`` and ``stablefacts.check_compatibility`` build
+    every product decomposition through this."""
+    if not table.exact:
+        return _Slot(table.stack, labels)
+    table.stack.setflags(write=False)
+    return _ExactDecomposition(table.stack.shape[1], table.stack, tuple(labels))
 
 
 def _product_labels(a: ProjectiveDecomposition, b: ProjectiveDecomposition, keep: np.ndarray) -> list[str]:
@@ -425,7 +487,7 @@ def decompositions_compatible(
     ``worst_pair`` is the first pair (``a``'s labels, then ``b``'s) with the
     largest residual, and None when every residual is exactly 0.
     """
-    return _pair_products(a, b, tol)[0]
+    return _pair_products(a, b, tol).check
 
 
 def refine(
@@ -434,12 +496,15 @@ def refine(
     """Common refinement of two compatible decompositions.
 
     Keeps every nonzero product PQ, labelled "p∧q"; zero products span empty
-    subspaces and are dropped.
+    subspaces and are dropped.  The products are validated as a
+    decomposition unless the table is exact (``_pair_products``), in which
+    case they are built without validation.
     """
-    check, stack, keep = _pair_products(a, b, tol)
+    table = _pair_products(a, b, tol)
+    check = table.check
     if not check.compatible:
         raise IncompatibleFrameworksError(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
-    return _validated(_Slot(stack, _product_labels(a, b, keep)), tol)
+    return _validated(_product_slot(table, _product_labels(a, b, table.keep)), tol)

@@ -29,7 +29,16 @@ from .errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
-from .framework import ProjectiveDecomposition, _eigen_slot, _joiner_in, _padded_slot, _Slot, _stacked, _validate_stacks
+from .framework import (
+    ProjectiveDecomposition,
+    _eigen_slot,
+    _ExactDecomposition,
+    _joiner_in,
+    _padded_slot,
+    _Slot,
+    _stacked,
+    _validate_stacks,
+)
 from .histories import DEFAULT_MAX_HISTORIES, Evolution, TimeGrid, _assemble_family, _checked_evolution
 from .linalg import (
     DEFAULT_TOL,
@@ -287,27 +296,29 @@ def _factor_index(suffix: str) -> int | None:
     return int(suffix) if suffix.isascii() and suffix.isdigit() else None
 
 
-def _check_known_operator(name: str, path: str, factors: int) -> None:
-    """Refuse, as an UnknownOperatorError at ``path``, a name whose base is
-    not an operator or whose ``@k`` suffix is not a factor 1..``factors``."""
+def _check_known_operator(name: str, path: str, dims: tuple[int, ...]) -> None:
+    """Refuse a name that names no operator of a system of ``dims``: as an
+    UnknownOperatorError at ``path``, a base that is not an operator or an
+    ``@k`` suffix that is not a factor 1..len(dims); as a DimMismatchError
+    prefixed with ``path``, a bare Pauli on a system other than one qubit."""
     base, _, suffix = name.partition("@")
     if base not in _PAULI_OPS and base != "identity":
         raise UnknownOperatorError(f"unknown operator {name!r}", path=path)
     if suffix:
         factor = _factor_index(suffix)
-        if factor is None or not 1 <= factor <= factors:
-            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{factors}", path=path)
-
-
-def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
-    _check_known_operator(name, path, len(dims))
-    base, _, suffix = name.partition("@")
-    if base in _PAULI_OPS and suffix and dims[int(suffix) - 1] != 2:
-        raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[int(suffix) - 1]}")
-    if base in _PAULI_OPS and not suffix and (len(dims) != 1 or dims[0] != 2):
+        if factor is None or not 1 <= factor <= len(dims):
+            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{len(dims)}", path=path)
+    elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
         raise DimMismatchError(
             f"{path}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
         )
+
+
+def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
+    _check_known_operator(name, path, dims)
+    base, _, suffix = name.partition("@")
+    if base in _PAULI_OPS and suffix and dims[int(suffix) - 1] != 2:
+        raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[int(suffix) - 1]}")
 
 
 def parse_scenario(data: bytes | str) -> Scenario:
@@ -544,7 +555,8 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
     a qubit factor are exact by construction: their entries are 0, 1, ±1/2
     and ±i/2, multiplied only by exact 0s and 1s, so every residual
     validation would compute is exactly 0.  They are returned as
-    decompositions over a read-only stack built for this call, unvalidated;
+    ``framework._ExactDecomposition``s over a read-only stack built for this
+    call, unvalidated (their products may be too: ``_pair_products``);
     ``tests/test_resolve.py`` checks the constants instead.  A Pauli on a
     factor that is not a qubit (possible only in a hand-built ``Scenario``)
     embeds to the wrong shape, which ``_stacked`` keeps as misfits for
@@ -563,13 +575,13 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
                 raise BadDecompositionError(f"element {i}: label {label!r} contains the joiner {joiner!r}")
         return _padded_slot(key.labels, key.matrices, total, tol)
     if key == "identity":
-        return ProjectiveDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
+        return _ExactDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
     base, _, factor = key.partition("@")
     axis = _PAULI_OPS[base][1]
     labels = (f"+{axis}", f"-{axis}")
     embedded = _embed(_QUBIT_PROJECTORS[base], int(factor), dims)
     if embedded.shape[1:] == (total, total):
-        return ProjectiveDecomposition(total, _frozen(embedded), labels)
+        return _ExactDecomposition(total, _frozen(embedded), labels)
     stack, misfits = _stacked(embedded, total)
     return _Slot(stack, labels, misfits, padded=True)
 
@@ -616,7 +628,8 @@ def resolve(
     named in ``observers`` (None, the default: every observer).
 
     ``parse_scenario`` checks the document's structure (here, too, an
-    operator name must be known, for a hand-built ``Scenario``).  Under the
+    operator name must be known, and a bare Pauli needs a one-qubit system,
+    for a hand-built ``Scenario``).  Under the
     effective tolerance, every number the file supplies is checked, for
     every observer, named or not: the initial ket (norm included), once,
     each distinct evolution matrix, each distinct projector list (padded
@@ -679,7 +692,7 @@ def resolve(
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
             if isinstance(spec, NamedObservable):  # a hand-built Scenario skips parse_scenario's check
-                _check_known_operator(spec.name, f"$.observers[{i}].measurements[{j}].observable", len(dims))
+                _check_known_operator(spec.name, f"$.observers[{i}].measurements[{j}].observable", dims)
             uses[-1].append((keys.setdefault(_measurement_key(spec), len(keys)), j))
     read = {k for slots, built in zip(uses, named) if built for k, _ in slots}  # keys a named observer uses
     decomps, error = [], None  # per key: its decomposition, the _Slot still to validate, or None

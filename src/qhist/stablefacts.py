@@ -13,7 +13,7 @@ asking them of an inconsistent family is refused, not answered.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +26,14 @@ from .errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from .framework import _pair_products, _product_labels, _Slot, _validate_stacks, decompositions_compatible
+from .framework import (
+    ProjectiveDecomposition,
+    _pair_products,
+    _product_labels,
+    _product_slot,
+    _validate_stacks,
+    decompositions_compatible,
+)
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     ConsistencyReport,
@@ -123,6 +130,9 @@ def check_compatibility(
     distinct measurement one) share one product table per call: each distinct
     pair is multiplied once, in order of first use, and labelled and
     validated at most once, and its slots share one product decomposition.
+    A pair of exact decompositions (``resolve``'s named slots, or products
+    of them) whose products commute exactly is not validated: its products
+    are built as an exact decomposition (``framework._pair_products``).
     ``per_slot_commutation`` still has a row per slot."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
@@ -132,21 +142,22 @@ def check_compatibility(
     products = {pair: _pair_products(*pair, tol) for pair in dict.fromkeys(slot_pairs)}
     per_slot = []
     for time, pair in zip(fa.grid.slot_times, slot_pairs):
-        check = products[pair][0]
+        check = products[pair].check
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
     condition1 = all(sc.commutes for sc in per_slot)
 
-    # the products {K_i Y_j} of each distinct pair, validated one pair at a
-    # time up to the first fault; they may fail to form decompositions when
-    # condition 1 failed, or when comm is looser than herm or proj, and
-    # condition 2 is then skipped.  Which pair fails does not matter, so the
-    # pairs that do not commute, where products usually fail, come first.  A
-    # pair's products are labelled only when they are validated.
-    def slot(pair) -> _Slot:
-        _, stack, keep = products[pair]
-        return _Slot(stack, _product_labels(*pair, keep))
+    # the products {K_i Y_j} of each distinct pair, built (exact tables) or
+    # validated one pair at a time up to the first fault; they may fail to
+    # form decompositions when condition 1 failed, or when comm is looser
+    # than herm or proj, and condition 2 is then skipped.  Which pair fails
+    # does not matter, so the pairs that do not commute, where products
+    # usually fail, come first.  A pair's products are labelled only when
+    # they are built or validated.
+    def slot(pair):
+        table = products[pair]
+        return _product_slot(table, _product_labels(*pair, table.keep))
 
-    order = sorted(products, key=lambda pair: products[pair][0].compatible)
+    order = sorted(products, key=lambda pair: products[pair].check.compatible)
     decomps, error = _validate_stacks(map(slot, order), tol)
     product_report = None
     if error is None:
@@ -329,5 +340,6 @@ def information_preserved(
     for ev in family.evolutions[rec + 1 : lat + 1]:
         transport = ev.unitary if transport is None else ev.unitary @ transport
     later = family.slot_decompositions[lat]
-    pulled = replace(later, projectors=transport.conj().T @ later.projectors @ transport)
+    # built plain: conjugated projectors are not exact, and replace() would keep an exact type
+    pulled = ProjectiveDecomposition(later.dim, transport.conj().T @ later.projectors @ transport, later.labels)
     return decompositions_compatible(family.slot_decompositions[rec], pulled, tol).compatible

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 import tracemalloc
@@ -18,6 +19,9 @@ from qhist.errors import (
 )
 from qhist.framework import (
     UNDEFINED,
+    ProjectiveDecomposition,
+    _ExactDecomposition,
+    _pair_products,
     _orthogonality_fault,
     _Slot,
     _stacked,
@@ -28,6 +32,7 @@ from qhist.framework import (
     negation,
     refine,
 )
+from qhist.histories import build_family
 from qhist.linalg import DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, Tolerance, identity, max_abs, tensor_product
 from qhist.stablefacts import information_preserved
 
@@ -253,6 +258,20 @@ class TestRefine:
         assert len(first) == len(second)
         for p in first.projectors:
             assert any(max_abs(p - q) < 1e-12 for q in second.projectors)
+
+
+    def test_a_table_is_exact_only_when_every_dropped_product_is_zero(self):
+        # a diagonal stand-in for an exact product with entries 2^-10, as a
+        # 10-qubit (1 ± sigma_x)/2 product has: at proj 1e-3 it is dropped
+        small = 2.0**-10 * P_UP
+        a = _ExactDecomposition(2, np.stack([P_UP, P_DOWN]), ("up", "down"))
+        b = _ExactDecomposition(2, np.stack([small, I2 - small]), ("s", "r"))
+        table = _pair_products(a, b, Tolerance(proj=1e-3))
+        assert table.check.max_residual == 0.0 and table.keep.tolist() == [[False, True], [False, True]]
+        assert not table.exact
+        assert _pair_products(a, b, Tolerance(proj=0.0)).exact  # down·s, the one dropped, is exactly zero
+        plain = ProjectiveDecomposition(2, a.projectors, a.labels)
+        assert not _pair_products(plain, b, Tolerance(proj=0.0)).exact
 
 
 def _outcome(projectors, labels, dim=None) -> tuple:
@@ -526,6 +545,36 @@ class TestStackedValidation:
         assert error is None
         for slot, decomp in zip(slots, decomps, strict=True):
             assert decomp.projectors is slot.stack and not slot.stack.flags.writeable
+
+
+def _theta_basis(theta: float):
+    v, w = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+    return make_decomposition([np.outer(v, v), np.outer(w, w)], ["v", "w"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_decomposition([I2, I2], ["a", "b"]),
+        # bases 1e-4 apart commute within comm=1e-3, yet their products are not Hermitian
+        lambda: refine(pauli_decomposition("z"), _theta_basis(1e-4), Tolerance(comm=1e-3)),
+        # two copies of P_UP are padded with the rest 1 - 2 P_UP, which is no projector
+        lambda: build_family(P_UP[0], ["t0", "t1"], [I2], [[("a", P_UP), ("b", P_UP)]]),
+    ],
+    ids=["make_decomposition", "refine", "build_family_list_slot"],
+)
+def test_a_caught_validation_error_leaves_no_cyclic_garbage(call):
+    def caught():
+        with pytest.raises(QHistError):
+            call()
+
+    gc.disable()
+    try:
+        gc.collect()
+        caught()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMemory:

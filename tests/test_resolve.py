@@ -132,6 +132,20 @@ def test_a_pauli_on_a_factor_that_is_not_a_qubit_is_a_bad_decomposition():
     assert isinstance(info.value.__cause__, DimMismatchError)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3,), (2, 3), (1, 2)])
+@pytest.mark.parametrize("names", [None, ["A"], ["B"]], ids=["every_observer", "only_A", "only_B"])
+def test_a_hand_built_bare_pauli_needs_a_single_qubit_as_parse_scenario_says(dims, names):
+    # before, resolve read a bare sigma_z on (2, 2) as sigma_z@1
+    a = observer("A", {"t1": NamedObservable("identity")})
+    scn = scenario(dims, ["identity"], [a, observer("B", {"t1": NamedObservable("sigma_z")})])
+    with pytest.raises(DimMismatchError) as parsed:
+        parse_scenario(serialize_scenario(scn))
+    with pytest.raises(DimMismatchError) as resolved:
+        resolve(scn, observers=names)
+    assert str(resolved.value) == str(parsed.value)
+    assert str(resolved.value).startswith("$.observers[1].measurements[0].observable: bare 'sigma_z' needs")
+
+
 EXACT = Tolerance.uniform(0.0)
 
 # factor sizes 1-5, at least one qubit, total dim at most 64

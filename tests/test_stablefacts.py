@@ -18,7 +18,13 @@ from qhist.errors import (
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
-from qhist.framework import ProjectiveDecomposition, decompositions_compatible, make_decomposition
+from qhist.framework import (
+    ProjectiveDecomposition,
+    _ExactDecomposition,
+    decompositions_compatible,
+    make_decomposition,
+    refine,
+)
 from qhist.histories import (
     Evolution,
     HistoryFamily,
@@ -29,7 +35,7 @@ from qhist.histories import (
     consistency_check,
 )
 from qhist.linalg import DEFAULT_TOL, SIGMA_X, SIGMA_Z, Tolerance, identity
-from qhist.scenario import parse_scenario, resolve
+from qhist.scenario import Measurement, NamedObservable, ObserverSpec, Scenario, parse_scenario, resolve
 from qhist.stablefacts import (
     FactQuery,
     ObserverRecord,
@@ -506,6 +512,23 @@ class TestInformationPreserved:
         fam = build_family(KET_UP, GRID, [I2, SIGMA_X], [pauli_decomposition("z"), pauli_decomposition("z")])
         assert information_preserved(fam, "t1", "t2")
 
+    def test_the_pulled_decomposition_is_not_exact(self, monkeypatch):
+        # conjugated projectors carry rounding, so they are validated like any others
+        pulled = []
+
+        def compatible(a, b, tol):
+            pulled.append(b)
+            return decompositions_compatible(a, b, tol)
+
+        monkeypatch.setattr(qhist.stablefacts, "decompositions_compatible", compatible)
+        (record,) = resolve(parse_scenario(json.dumps(CONDITION2)), observers=["A"])
+        family = record.family
+        assert all(isinstance(d, _ExactDecomposition) for d in family.slot_decompositions)
+        assert information_preserved(family, "t1", "t3")
+        later = family.slot_decompositions[2]
+        assert type(pulled[0]) is ProjectiveDecomposition
+        assert pulled[0].labels == later.labels and np.array_equal(pulled[0].projectors, later.projectors)
+
     def test_bad_times(self):
         fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("z"), pauli_decomposition("z")])
         with pytest.raises(BadTimesError):
@@ -618,6 +641,175 @@ class TestProductSlotsInOnePass:
         o1, o2 = stable_pair()  # built separately: equal arrays, other objects
         check_compatibility(o1, o2)
         assert len(calls) == 1 + len(o1.family.evolutions)
+
+
+def plain(record: ObserverRecord) -> ObserverRecord:
+    """The record with each distinct slot decomposition rebuilt as a plain
+    ``ProjectiveDecomposition`` over the same projectors, which
+    ``check_compatibility`` validates whatever they are."""
+    copies = {}
+    slots = tuple(
+        copies.setdefault(id(d), ProjectiveDecomposition(d.dim, d.projectors, d.labels))
+        for d in record.family.slot_decompositions
+    )
+    return ObserverRecord(record.name, dataclasses.replace(record.family, slot_decompositions=slots))
+
+
+@st.composite
+def named_scenarios(draw):
+    """2-3 observers measuring nothing, the identity or a Pauli at each of
+    1-3 slots of 1-3 qubits, with or without a qutrit factor.  The initial
+    ket is a basis vector and each evolution the identity or a permutation,
+    so that every number passes ``resolve``'s checks at tolerance 0 too."""
+    n_qubits = draw(st.integers(1, 3))
+    dims = [2] * n_qubits
+    if draw(st.booleans()):
+        dims.insert(draw(st.integers(0, n_qubits)), 3)
+    qubits = [k for k, d in enumerate(dims, 1) if d == 2]
+    pauli = st.builds("sigma_{}@{}".format, st.sampled_from("xyz"), st.sampled_from(qubits))
+    spec = st.one_of(st.none(), st.just("identity"), pauli)
+    n_slots = draw(st.integers(1, 3))
+    observers = draw(st.lists(st.lists(spec, min_size=n_slots, max_size=n_slots), min_size=2, max_size=3))
+    total = int(np.prod(dims))
+    times = tuple(f"t{k}" for k in range(n_slots + 1))
+    permutation = st.permutations(range(total)).map(lambda order: identity(total)[list(order)])
+    return Scenario(
+        name="named",
+        subsystem_dims=tuple(dims),
+        initial_state=identity(total)[draw(st.integers(0, total - 1))],
+        times=times,
+        evolutions=tuple(draw(st.one_of(st.just("identity"), permutation)) for _ in times[1:]),
+        observers=tuple(
+            ObserverSpec(f"O{i + 1}", tuple(Measurement(t, NamedObservable(n)) for t, n in zip(times[1:], names) if n))
+            for i, names in enumerate(observers)
+        ),
+    )
+
+
+def _refined(da, db, tol):
+    """``refine``'s labels and projector bytes, or its error's type and message."""
+    try:
+        got = refine(da, db, tol)
+    except QHistError as exc:
+        return type(exc), str(exc)
+    return got.labels, got.projectors.tobytes()
+
+
+def _reference_refined(da, db, tol):
+    """What ``refine`` gives when it validates: the reference products run
+    through ``make_decomposition``, or the error either raises."""
+    check = decompositions_compatible(da, db, tol)
+    if not check.compatible:
+        return _refined(da, db, tol)  # IncompatibleFrameworksError, raised before any product is built
+    try:
+        expected = make_decomposition(*reference_products(da, db, tol), tol)
+    except QHistError as exc:
+        return type(exc), str(exc)
+    return expected.labels, expected.projectors.tobytes()
+
+
+class TestExactProducts:
+    """Products of exact decompositions (``resolve``'s named slots and their
+    exactly commuting products) are built without validation, and are what
+    validation would build."""
+
+    @given(scn=named_scenarios())
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance.uniform(0.0)], ids=["default", "zero"])
+    def test_exact_products_are_what_validation_builds(self, tol, scn):
+        records = resolve(scn, tol)
+        for a, b in itertools.combinations(records, 2):
+            pairs = list(zip(a.family.slot_decompositions, b.family.slot_decompositions))
+            for da, db in pairs:
+                assert _refined(da, db, tol) == _reference_refined(da, db, tol)
+                check = decompositions_compatible(da, db, tol)
+                if check.compatible:
+                    exact = isinstance(da, _ExactDecomposition) and isinstance(db, _ExactDecomposition)
+                    built_exact = isinstance(refine(da, db, tol), _ExactDecomposition)
+                    assert built_exact == (exact and check.max_residual == 0.0)
+            try:
+                expected = [make_decomposition(*reference_products(da, db, tol), tol) for da, db in pairs]
+            except QHistError:
+                expected = None
+            got = check_compatibility(a, b, tol)
+            validated = check_compatibility(plain(a), plain(b), tol)
+            assert (got.verdict, got.failing_condition) == (validated.verdict, validated.failing_condition)
+            assert got.per_slot_commutation == validated.per_slot_commutation
+            product = got.product_family_consistency
+            assert (product is None) == (expected is None) == (validated.product_family_consistency is None)
+            if product is None:
+                continue
+            assert (product.consistent, product.max_offdiag) == (
+                validated.product_family_consistency.consistent,
+                validated.product_family_consistency.max_offdiag,
+            )
+            slots = product.family.slot_decompositions
+            assert [d.labels for d in slots] == [d.labels for d in expected]
+            assert [d.projectors.tobytes() for d in slots] == [d.projectors.tobytes() for d in expected]
+
+    @pytest.fixture
+    def validated(self, monkeypatch) -> list[tuple[str, ...]]:
+        """The labels of each slot ``framework._slot_error`` checks."""
+        calls = []
+        slot_error = qhist.framework._slot_error
+
+        def counted(slot, tol):
+            calls.append(tuple(slot.labels))
+            return slot_error(slot, tol)
+
+        monkeypatch.setattr(qhist.framework, "_slot_error", counted)
+        return calls
+
+    def test_named_pairs_that_commute_exactly_are_not_validated(self, validated):
+        a, b, c = resolve(parse_scenario(json.dumps(CONDITION2)))
+        validated.clear()  # resolve validates nothing here; the pairs below must not either
+        assert check_compatibility(a, b).failing_condition == "condition2"
+        assert check_compatibility(b, c).verdict is Verdict.STABLE
+        for da, db in zip(b.family.slot_decompositions, c.family.slot_decompositions):
+            assert isinstance(refine(da, db), _ExactDecomposition)
+        assert validated == []
+
+    def test_a_pair_with_a_nonzero_residual_is_validated(self, validated):
+        a, _, c = resolve(parse_scenario(json.dumps(CONDITION2)))
+        report = check_compatibility(a, c)
+        assert report.failing_condition == "condition1" and report.product_family_consistency is None
+        # the t1 pair (sigma_z, sigma_x) does not commute: it is validated first and fails
+        assert validated == [("+z∧+x", "+z∧-x", "-z∧+x", "-z∧-x")]
+
+    @pytest.mark.parametrize(
+        "observable, products",
+        [
+            ({"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ("+z∧ev1=1", "-z∧ev0=-1")),
+            ({"projectors": [{"label": "up", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]},
+             ("+z∧up", "-z∧rest")),
+        ],
+        ids=["matrix", "projector_list"],
+    )
+    def test_a_pair_with_a_factor_that_is_not_named_is_validated(self, validated, observable, products):
+        doc = {**CONDITION2, "observers": [
+            {"name": "A", "measurements": [{"time": "t1", "observable": "sigma_z"}]},
+            {"name": "B", "measurements": [{"time": "t1", "observable": observable}]},
+        ]}
+        a, b = resolve(parse_scenario(json.dumps(doc)))
+        validated.clear()
+        report = check_compatibility(a, b)
+        assert report.verdict is Verdict.STABLE
+        # t1 pairs sigma_z with the observable; t2 and t3 pair the trivial slots, which are exact
+        assert validated == [products]
+        assert not isinstance(report.product_family_consistency.family.slot_decompositions[0], _ExactDecomposition)
+
+    def test_the_fold_into_observers_o3_is_validated(self, observers_paths, validated):
+        records = resolve(parse_scenario(observers_paths["all"].read_bytes()))
+        o1, o2, o3, _ = records
+        validated.clear()
+        with pytest.raises(NotCompatibleError) as info:
+            combine_all([o1, o2, o3])
+        assert info.value.report.failing_condition == "condition1"
+        # O1 and O2 measure only named observables: their products are built
+        # exact; O3's t1 (sigma_y on qubit a) fails to commute with theirs
+        # (sigma_z on a), so that pair is validated, first and alone
+        assert len(validated) == 1
+        assert all(label.endswith(("∧+y", "∧-y")) for label in validated[0])
 
 
 def _pauli_scenario(n_qubits: int, presets: list[str], observers: list[list]) -> dict:
