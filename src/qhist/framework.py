@@ -2,13 +2,15 @@
 
 A decomposition is the quantum analogue of a partition of phase space:
 mutually orthogonal projectors summing to the identity.  This is the one
-module that validates decompositions: an observable's eigenprojectors, or
-labelled projectors padded with their complement "rest", are stacked as a
-``_Slot`` and validated by ``_validate_stacks``, one slot at a time.  Two
-kinds are exact by construction and built without validation, as an
-``_ExactDecomposition``: ``scenario.resolve``'s named slots (the identity
-and each Pauli's (1 ± sigma)/2 on a qubit factor), and the products of two
-exact decompositions that commute exactly (``_pair_products``).
+module that validates decompositions, each where it is built: an
+observable's eigenprojectors, labelled projectors padded with their
+complement "rest", and the products of two decompositions are stacked as a
+``_Slot`` and validated by ``_validated``, which returns the decomposition
+or raises.  Two kinds are exact by construction and built without
+validation, as an ``_ExactDecomposition``: ``scenario.resolve``'s named
+slots (the identity and each Pauli's (1 ± sigma)/2 on a qubit factor), and
+the products of two exact decompositions that commute exactly
+(``_pair_products``).
 
 Conjunction of two projectors is defined only when they commute; otherwise
 it is the distinguished value ``UNDEFINED`` (a result of the three-valued
@@ -21,7 +23,7 @@ of products PQ per pair of decompositions (``_pair_products``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,7 +132,6 @@ class _Slot(NamedTuple):
     stack: np.ndarray  # complex, (n, dim, dim)
     labels: Sequence[str]
     misfits: Sequence = ()  # the elements after ``stack`` of another shape
-    padded: bool = False  # a fault of a padded slot is a BadDecompositionError
 
 
 def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -138,7 +139,7 @@ def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.nd
     one (k, d, d) stack (a copy), and the rest as matrices, the first of which
     has another shape.  ``d`` is ``dim``, or the first element's row count.
 
-    The usual input costs one conversion; ``_validate_stacks`` checks its
+    The usual input costs one conversion; ``_slot_error`` checks its
     finiteness.  Only when the conversion gives no such stack does each
     element go through ``as_matrix``, which raises the error of the first
     element that is not a finite matrix.
@@ -177,26 +178,26 @@ def _block_rows(n: int, m: int) -> int:
     return max(1, (n + m) // m)
 
 
-def _orthogonality_fault(run: np.ndarray, tol: Tolerance) -> tuple[int, int, int, float] | None:
-    """The first pair (stack s, i < j), in that order, of a (stacks, n, d, d)
-    run whose product exceeds ``tol.proj``, with its residual, or None.
+def _orthogonality_fault(stack: np.ndarray, tol: Tolerance) -> tuple[int, int, float] | None:
+    """The first pair i < j of an (n, d, d) stack whose product exceeds
+    ``tol.proj``, with its residual, or None.
 
-    Element i of every stack times a block of its elements after i is one
-    broadcast product of views: no operand is copied, and a block holds at
-    most half the run's elements, so the products and their moduli together
-    stay within the run's size.
+    Element i times a block of its elements after i is one broadcast
+    product of views: no operand is copied, and a block holds at most half
+    the stack's elements, so the products and their moduli together stay
+    within the stack's size.
     """
-    n = run.shape[1]
+    n = len(stack)
     width = max(1, n // 2)
-    residuals = np.zeros((len(run), n, n))
+    residuals = np.zeros((n, n))
     for i in range(n - 1):
         for j in range(i + 1, n, width):
-            residuals[:, i, j : j + width] = max_abs_each(run[:, i : i + 1] @ run[:, j : j + width])
+            residuals[i, j : j + width] = max_abs_each(stack[i : i + 1] @ stack[j : j + width])
     bad = np.argwhere(residuals > tol.proj)
     if not len(bad):
         return None
-    s, i, j = bad[0].tolist()
-    return s, i, j, residuals[s, i, j]
+    i, j = bad[0].tolist()
+    return i, j, residuals[i, j]
 
 
 def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
@@ -225,9 +226,9 @@ def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
             return NotAProjectorError(f"element {bad[0]} ({slot.labels[bad[0]]!r}) is not a projector")
     if slot.misfits:
         return DimMismatchError(f"projector {n} has shape {slot.misfits[0].shape}, expected ({dim}, {dim})")
-    found = _orthogonality_fault(stack[None], tol)
+    found = _orthogonality_fault(stack, tol)
     if found is not None:
-        _, i, j, residual = found
+        i, j, residual = found
         return NotOrthogonalError(f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residual:.3e})")
     residual = max_abs(stack.sum(axis=0) - identity(dim))
     if residual > tol.proj:
@@ -235,48 +236,18 @@ def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
     return None
 
 
-def _validate_stacks(
-    slots: Iterable[_Slot | ProjectiveDecomposition], tol: Tolerance
-) -> tuple[list[ProjectiveDecomposition], Exception | None]:
-    """Validate slots as decompositions (``_slot_error``), one at a time, in
-    order, up to the first faulty one; ``slots`` is consumed no further.  An
-    element that is already a decomposition (an exact product from
-    ``_product_slot``) is taken as it is.
-
-    The stacks are the caller's to give up: each decomposition holds its
-    slot's stack, made read-only.  A padded slot's fault is returned as a
-    ``BadDecompositionError`` caused by it (a non-finite entry stays the
-    ``ValueError`` it is).
-
-    Returns the decompositions of the slots before the first faulty one, and
-    that one's error (None when every slot is valid).
-    """
-    decomps = []
-    for slot in slots:
-        if isinstance(slot, ProjectiveDecomposition):
-            decomps.append(slot)
-            continue
-        error = _slot_error(slot, tol)
-        if error is not None:
-            if isinstance(error, QHistError) and slot.padded:
-                cause, error = error, BadDecompositionError(f"slot is not a valid decomposition: {error}")
-                error.__cause__ = cause
-            return decomps, error
-        slot.stack.setflags(write=False)
-        decomps.append(ProjectiveDecomposition(slot.stack.shape[1], slot.stack, tuple(slot.labels)))
-    return decomps, None
-
-
-def _validated(slot: _Slot | ProjectiveDecomposition, tol: Tolerance) -> ProjectiveDecomposition:
-    """The decomposition of one slot (a decomposition as it is), or its
-    ``_validate_stacks`` error raised."""
-    decomps, error = _validate_stacks([slot], tol)
-    if error is None:
-        return decomps[0]
-    try:
-        raise error
-    finally:  # the traceback holds this frame, so no local may hold the error
-        error = None
+def _validated(slot: _Slot, tol: Tolerance) -> ProjectiveDecomposition:
+    """The decomposition of one slot, or its ``_slot_error`` raised.  The
+    stack is the caller's to give up: the decomposition holds it, made
+    read-only."""
+    error = _slot_error(slot, tol)
+    if error is not None:
+        try:
+            raise error
+        finally:  # the traceback holds this frame, so no local may hold the error
+            error = None
+    slot.stack.setflags(write=False)
+    return ProjectiveDecomposition(slot.stack.shape[1], slot.stack, tuple(slot.labels))
 
 
 def make_decomposition(
@@ -290,9 +261,9 @@ def make_decomposition(
     ``projectors`` is a sequence of matrices or an (n, d, d) stack; either is
     converted to one complex stack, a copy, so later writes to the input do
     not reach the decomposition.  Each element must be ``dim`` x ``dim``, or
-    the first element's shape when ``dim`` is None.  The checks are those
-    ``_validate_stacks`` runs on each slot, each over the whole stack at
-    once: the labels, each element's shape and projector
+    the first element's shape when ``dim`` is None.  The checks
+    (``_slot_error``) each run over the whole stack at once: the labels,
+    each element's shape and projector
     property (Hermitian within ``tol.herm``, idempotent within ``tol.proj``),
     the orthogonality of each pair, then completeness.  The error raised is
     the first the per-element order meets: ``as_matrix``'s error for the
@@ -308,21 +279,25 @@ def make_decomposition(
     return _validated(_Slot(stack, labels, misfits), tol)
 
 
-def _eigen_slot(m: np.ndarray, tol: Tolerance) -> _Slot:
-    """Eigenprojectors of a Hermitian observable, labelled ``ev{k}={value}``
-    in ascending order of eigenvalue."""
+def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecomposition:
+    """The validated eigenprojectors of a Hermitian observable, labelled
+    ``ev{k}={value}`` in ascending order of eigenvalue."""
     pairs = hermitian_eigenprojectors(m, tol)
     labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
-    return _Slot(np.array([p for _, p in pairs], dtype=complex), labels)
+    return _validated(_Slot(np.array([p for _, p in pairs], dtype=complex), labels), tol)
 
 
-def _padded_slot(labels: Sequence[str], projectors, dim: int, tol: Tolerance) -> _Slot:
+def _padded_decomposition(
+    labels: Sequence[str], projectors, dim: int, tol: Tolerance
+) -> ProjectiveDecomposition:
     """Labelled projectors (a sequence of matrices or an (n, dim, dim)
     stack), converted and stacked once, padded with the complement labelled
-    "rest" when they do not sum to the identity.
+    "rest" when they do not sum to the identity, and validated.  A fault is
+    raised as a ``BadDecompositionError`` caused by it; a non-finite entry
+    stays the ``ValueError`` it is.
 
     An element that is not a finite matrix of two axes raises ``as_matrix``'s
-    error here, or, when the elements form one stack, at validation.  An
+    error, or, when the elements form one stack, the validation's.  An
     empty list, a slot with an element of the wrong shape and one with a
     non-finite entry are not padded, so that validation names the first
     fault in element order (for the empty list, ``NotCompleteError``).
@@ -336,14 +311,18 @@ def _padded_slot(labels: Sequence[str], projectors, dim: int, tol: Tolerance) ->
                 raise BadDecompositionError(f"label {REST_LABEL!r} is reserved for the complement padding")
             labels.append(REST_LABEL)
             stack = np.concatenate((stack, rest[None]))
-    return _Slot(stack, labels, misfits, padded=True)
+    try:
+        return _validated(_Slot(stack, labels, misfits), tol)
+    except QHistError as exc:
+        raise BadDecompositionError(f"slot is not a valid decomposition: {exc}") from exc
 
 
 def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
     """A ``build_family`` slot as a validated decomposition of dim ``dim``: a
     decomposition as it is, a Hermitian observable's eigenprojectors, or a
     single projector or a list of ``(label, projector)`` pairs (one labelled
-    projector is a list of one) padded to completeness by ``_padded_slot``.
+    projector is a list of one) padded to completeness by
+    ``_padded_decomposition``.
     A list element that is not a pair (a tuple or list of two) whose label
     is a ``str``, or whose label contains a joiner (``_joiner_in``), raises
     ``BadDecompositionError`` naming its index."""
@@ -358,14 +337,14 @@ def _coerce_slot(slot, dim: int, tol: Tolerance) -> ProjectiveDecomposition:
             joiner = _joiner_in(pair[0])
             if joiner is not None:
                 raise BadDecompositionError(f"slot element {i}: label {pair[0]!r} contains the joiner {joiner!r}")
-        return _validated(_padded_slot([lab for lab, _ in slot], [m for _, m in slot], dim, tol), tol)
+        return _padded_decomposition([lab for lab, _ in slot], [m for _, m in slot], dim, tol)
     m = as_matrix(slot)
     if m.shape != (dim, dim):
         raise DimMismatchError(f"slot operator has shape {m.shape}, expected ({dim}, {dim})")
     if is_projector(m, tol):
-        return _validated(_padded_slot(["p"], m[None], dim, tol), tol)
+        return _padded_decomposition(["p"], m[None], dim, tol)
     if is_hermitian(m, tol):
-        return _validated(_eigen_slot(m, tol), tol)
+        return _eigen_decomposition(m, tol)
     raise BadDecompositionError("slot operator is neither a projector nor Hermitian")
 
 
@@ -462,14 +441,13 @@ def _pair_products(a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: 
     return _ProductTable(CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, keep, exact)
 
 
-def _product_slot(table: _ProductTable, labels: Sequence[str]) -> ProjectiveDecomposition | _Slot:
-    """A table's products under ``labels``: built as an
-    ``_ExactDecomposition`` over its read-only stack when the table is exact
-    (``_pair_products``), else as the ``_Slot`` that ``_validate_stacks``
-    validates.  ``refine`` and ``stablefacts.check_compatibility`` build
+def _product_slot(table: _ProductTable, labels: Sequence[str], tol: Tolerance) -> ProjectiveDecomposition:
+    """A table's products under ``labels``: an ``_ExactDecomposition`` over
+    its read-only stack when the table is exact (``_pair_products``), else
+    validated.  ``refine`` and ``stablefacts.check_compatibility`` build
     every product decomposition through this."""
     if not table.exact:
-        return _Slot(table.stack, labels)
+        return _validated(_Slot(table.stack, labels), tol)
     table.stack.setflags(write=False)
     return _ExactDecomposition(table.stack.shape[1], table.stack, tuple(labels))
 
@@ -507,4 +485,4 @@ def refine(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
-    return _validated(_product_slot(table, _product_labels(a, b, table.keep)), tol)
+    return _product_slot(table, _product_labels(a, b, table.keep), tol)

@@ -31,13 +31,10 @@ from .errors import (
 )
 from .framework import (
     ProjectiveDecomposition,
-    _eigen_slot,
+    _eigen_decomposition,
     _ExactDecomposition,
     _joiner_in,
-    _padded_slot,
-    _Slot,
-    _stacked,
-    _validate_stacks,
+    _padded_decomposition,
 )
 from .histories import DEFAULT_MAX_HISTORIES, Evolution, TimeGrid, _assemble_family, _checked_evolution
 from .linalg import (
@@ -296,11 +293,12 @@ def _factor_index(suffix: str) -> int | None:
     return int(suffix) if suffix.isascii() and suffix.isdigit() else None
 
 
-def _check_known_operator(name: str, path: str, dims: tuple[int, ...]) -> None:
+def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
     """Refuse a name that names no operator of a system of ``dims``: as an
     UnknownOperatorError at ``path``, a base that is not an operator or an
     ``@k`` suffix that is not a factor 1..len(dims); as a DimMismatchError
-    prefixed with ``path``, a bare Pauli on a system other than one qubit."""
+    prefixed with ``path``, a Pauli on a factor that is not a qubit, or a
+    bare one on a system other than one qubit."""
     base, _, suffix = name.partition("@")
     if base not in _PAULI_OPS and base != "identity":
         raise UnknownOperatorError(f"unknown operator {name!r}", path=path)
@@ -308,17 +306,12 @@ def _check_known_operator(name: str, path: str, dims: tuple[int, ...]) -> None:
         factor = _factor_index(suffix)
         if factor is None or not 1 <= factor <= len(dims):
             raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{len(dims)}", path=path)
+        if base in _PAULI_OPS and dims[factor - 1] != 2:
+            raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[factor - 1]}")
     elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
         raise DimMismatchError(
             f"{path}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
         )
-
-
-def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
-    _check_known_operator(name, path, dims)
-    base, _, suffix = name.partition("@")
-    if base in _PAULI_OPS and suffix and dims[int(suffix) - 1] != 2:
-        raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[int(suffix) - 1]}")
 
 
 def parse_scenario(data: bytes | str) -> Scenario:
@@ -537,8 +530,8 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
 def _measurement_key(spec) -> object:
     """What a slot's decomposition depends on: ``"identity"`` for the trivial
     slot and every identity, ``"sigma_z@3"`` for a Pauli (``"sigma_z@03"``
-    too), else the observable.  A name must be known
-    (``_check_known_operator``)."""
+    too), else the observable.  A name must be checked
+    (``_check_operator_name``)."""
     if spec is None:
         return "identity"
     if not isinstance(spec, NamedObservable):
@@ -547,9 +540,8 @@ def _measurement_key(spec) -> object:
     return "identity" if base == "identity" else f"{base}@{int(suffix or 1)}"
 
 
-def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition | _Slot:
-    """The decomposition of one named ``_measurement_key``, or the stacked,
-    not yet validated projectors of any other.
+def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition:
+    """The decomposition of one ``_measurement_key``.
 
     The trivial slot (the identity) and a Pauli's (1 ± sigma)/2 embedded on
     a qubit factor are exact by construction: their entries are 0, 1, ±1/2
@@ -557,40 +549,34 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
     validation would compute is exactly 0.  They are returned as
     ``framework._ExactDecomposition``s over a read-only stack built for this
     call, unvalidated (their products may be too: ``_pair_products``);
-    ``tests/test_resolve.py`` checks the constants instead.  A Pauli on a
-    factor that is not a qubit (possible only in a hand-built ``Scenario``)
-    embeds to the wrong shape, which ``_stacked`` keeps as misfits for
-    validation to name.  Only a projector list may need the "rest" pad, so
-    only it goes through ``_padded_slot``, once its labels are checked for a
-    joiner (``parse_scenario`` refuses one too; this catches a hand-built
-    ``Scenario``).
+    ``tests/test_resolve.py`` checks the constants instead.  A matrix's
+    eigenprojectors and a projector list are validated; only a list may
+    need the "rest" pad, so only it goes through ``_padded_decomposition``,
+    once its labels are checked for a joiner (``parse_scenario`` refuses one
+    too; this catches a hand-built ``Scenario``).
     """
     total = math.prod(dims)
     if isinstance(key, MatrixObservable):
-        return _eigen_slot(key.matrix, tol)
+        return _eigen_decomposition(key.matrix, tol)
     if isinstance(key, ProjectorListObservable):
         for i, label in enumerate(key.labels):
             joiner = _joiner_in(label)
             if joiner is not None:
                 raise BadDecompositionError(f"element {i}: label {label!r} contains the joiner {joiner!r}")
-        return _padded_slot(key.labels, key.matrices, total, tol)
+        return _padded_decomposition(key.labels, key.matrices, total, tol)
     if key == "identity":
         return _ExactDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
     base, _, factor = key.partition("@")
     axis = _PAULI_OPS[base][1]
-    labels = (f"+{axis}", f"-{axis}")
     embedded = _embed(_QUBIT_PROJECTORS[base], int(factor), dims)
-    if embedded.shape[1:] == (total, total):
-        return _ExactDecomposition(total, _frozen(embedded), labels)
-    stack, misfits = _stacked(embedded, total)
-    return _Slot(stack, labels, misfits, padded=True)
+    return _ExactDecomposition(total, _frozen(embedded), (f"+{axis}", f"-{axis}"))
 
 
-def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> _Slot | None:
+def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition | None:
     """The checks of a measurement that only observers not asked for use: a
-    projector list, which is the file's own input, as the ``_Slot`` to
-    validate with the others; a matrix's squareness, finiteness and
-    Hermiticity, without its eigendecomposition; nothing for a named one."""
+    projector list, which is the file's own input, validated as its
+    decomposition; a matrix's squareness, finiteness and Hermiticity,
+    without its eigendecomposition; nothing for a named one."""
     if isinstance(key, ProjectorListObservable):
         return _measurement_slot(key, dims, tol)
     if isinstance(key, MatrixObservable):
@@ -627,38 +613,31 @@ def resolve(
     """Expand named operators and presets; build one family per observer
     named in ``observers`` (None, the default: every observer).
 
-    ``parse_scenario`` checks the document's structure (here, too, an
-    operator name must be known, and a bare Pauli needs a one-qubit system,
-    for a hand-built ``Scenario``).  Under the
-    effective tolerance, every number the file supplies is checked, for
-    every observer, named or not: the initial ket (norm included), once,
-    each distinct evolution matrix, each distinct projector list (padded
-    and validated as a decomposition, since the list itself is the input),
-    and each distinct matrix observable's squareness, finiteness and
-    Hermiticity (``linalg._require_hermitian``).  Every ``"identity"``
-    interval shares one read-only identity, which is exact and not checked.
-    Only for the observers named is anything built: each distinct
-    measurement they use (a Pauli on one factor, the identity or trivial
-    slot, or one observable object) becomes one decomposition that every
-    slot measuring it shares, and each of them gets its family, under the
-    ``max_histories`` cap.  A matrix observable that only other observers
-    use is not decomposed, so its eigenprojectors are not validated.
-    Decompositions are built in order of first use (see
-    ``_measurement_slot``): a named one as its exact decomposition, any
-    other as a ``framework._Slot`` stack (a matrix's eigenprojectors, a
-    projector list padded with "rest" when it falls short of the identity,
-    or a Pauli that misfits the system's shape).  Those stacks are validated
-    by one ``framework._validate_stacks`` call, one at a time in key order up
-    to the first fault, which is raised, for any slot but a matrix's, as a
-    ``BadDecompositionError``.  A stack that cannot be built or checked
-    stops the building, and the stacks before it are validated first, so
-    the error raised is the one met first in observer and slot order, a
-    history cap of an earlier named observer included.  Every error starts
-    with a JSONPath: the initial state's (raised as a ScenarioError), the
-    evolution's, or the first measurement's to use the decomposition; the
-    others keep their type.  A name in ``observers`` that the scenario does
-    not have is ignored.  The records come in scenario order.
-    The sharing is local to this call: nothing is kept between calls.
+    ``parse_scenario`` checks the document's structure; here, too, every
+    operator name is checked as it checks one (``_check_operator_name``),
+    for a hand-built ``Scenario``.  Under the effective tolerance, every
+    number the file supplies is checked, for every observer, named or not:
+    the initial ket (norm included), once, each distinct evolution matrix,
+    each distinct projector list (padded and validated as a decomposition,
+    since the list itself is the input; a fault is a
+    ``BadDecompositionError``), and each distinct matrix observable's
+    squareness, finiteness and Hermiticity (``linalg._require_hermitian``).
+    Every ``"identity"`` interval shares one read-only identity, which is
+    exact and not checked.  Only for the observers named is anything built:
+    each distinct measurement they use (a Pauli on one factor, the identity
+    or trivial slot, or one observable object) becomes one decomposition
+    (``_measurement_slot``) that every slot measuring it shares, and each of
+    them gets its family, under the ``max_histories`` cap.  A matrix
+    observable that only other observers use is not decomposed, so its
+    eigenprojectors are not validated.  Each distinct measurement is built
+    or checked at its first use, in observer and slot order, so the error
+    raised is the first met in that order, a history cap of an earlier
+    named observer included.  Every error starts with a JSONPath: the
+    initial state's (raised as a ScenarioError), the evolution's, or the
+    first measurement's to use the decomposition; the others keep their
+    type.  A name in ``observers`` that the scenario does not have is
+    ignored.  The records come in scenario order.  The sharing is local to
+    this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
     """
@@ -684,43 +663,26 @@ def resolve(
     wanted = None if observers is None else set(observers)
     named = [wanted is None or obs.name in wanted for obs in s.observers]
     dims = s.subsystem_dims
-    keys: dict[object, int] = {}  # each distinct measurement, in order of first use
-    uses = []  # per observer, per slot: (key index, measurement index)
+    uses = []  # per observer, per slot: (measurement key, measurement index)
     for i, obs in enumerate(s.observers):
         by_time = {m.time: (j, m.observable) for j, m in enumerate(obs.measurements)}
         uses.append([])
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
             if isinstance(spec, NamedObservable):  # a hand-built Scenario skips parse_scenario's check
-                _check_known_operator(spec.name, f"$.observers[{i}].measurements[{j}].observable", dims)
-            uses[-1].append((keys.setdefault(_measurement_key(spec), len(keys)), j))
-    read = {k for slots, built in zip(uses, named) if built for k, _ in slots}  # keys a named observer uses
-    decomps, error = [], None  # per key: its decomposition, the _Slot still to validate, or None
-    for k, key in enumerate(keys):
-        build = _measurement_slot if k in read else _checked_slot
-        try:
-            decomps.append(build(key, dims, tol))
-        except (QHistError, ValueError) as exc:
-            error = exc
-            break
-    pending = [k for k, slot in enumerate(decomps) if isinstance(slot, _Slot)]
-    validated, fault = _validate_stacks([decomps[k] for k in pending], tol)
-    for k, decomp in zip(pending, validated):
-        decomps[k] = decomp
-    if fault is not None:
-        del decomps[pending[len(validated)] :]
-        error = fault
+                _check_operator_name(spec.name, f"$.observers[{i}].measurements[{j}].observable", dims)
+            uses[-1].append((_measurement_key(spec), j))
+    read = {key for slots, built in zip(uses, named) if built for key, _ in slots}  # named observers' keys
+    decomps = {}  # per key, built at its first use: its decomposition, or None when nothing is built
     records = []
     for i, obs in enumerate(s.observers):
         slots = []
-        for k, j in uses[i]:
-            if k == len(decomps):
-                try:
-                    with _located(f"$.observers[{i}].measurements[{j}].observable"):
-                        raise error
-                finally:  # the traceback holds this frame, so no local may hold the error
-                    error = fault = None
-            slots.append(decomps[k])
+        for key, j in uses[i]:
+            if key not in decomps:
+                build = _measurement_slot if key in read else _checked_slot
+                with _located(f"$.observers[{i}].measurements[{j}].observable"):
+                    decomps[key] = build(key, dims, tol)
+            slots.append(decomps[key])
         if named[i]:
             family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)
             records.append(ObserverRecord(name=obs.name, family=family))

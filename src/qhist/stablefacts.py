@@ -23,6 +23,7 @@ from .errors import (
     InconsistentFamilyError,
     MismatchedScenarioError,
     NotCompatibleError,
+    QHistError,
     UnknownLabelError,
     ZeroProbabilityConditionError,
 )
@@ -31,7 +32,6 @@ from .framework import (
     _pair_products,
     _product_labels,
     _product_slot,
-    _validate_stacks,
     decompositions_compatible,
 )
 from .histories import (
@@ -128,12 +128,9 @@ def check_compatibility(
 
     Slots that pair the same two decomposition objects (``resolve`` gives each
     distinct measurement one) share one product table per call: each distinct
-    pair is multiplied once, in order of first use, and labelled and
-    validated at most once, and its slots share one product decomposition.
-    A pair of exact decompositions (``resolve``'s named slots, or products
-    of them) whose products commute exactly is not validated: its products
-    are built as an exact decomposition (``framework._pair_products``).
-    ``per_slot_commutation`` still has a row per slot."""
+    pair is multiplied once, in order of first use, and its products are
+    built (``framework._product_slot``) at most once and shared by its
+    slots.  ``per_slot_commutation`` still has a row per slot."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
     # a decomposition hashes by identity (eq=False), and the families hold
@@ -146,22 +143,20 @@ def check_compatibility(
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
     condition1 = all(sc.commutes for sc in per_slot)
 
-    # the products {K_i Y_j} of each distinct pair, built (exact tables) or
-    # validated one pair at a time up to the first fault; they may fail to
-    # form decompositions when condition 1 failed, or when comm is looser
-    # than herm or proj, and condition 2 is then skipped.  Which pair fails
-    # does not matter, so the pairs that do not commute, where products
-    # usually fail, come first.  A pair's products are labelled only when
-    # they are built or validated.
-    def slot(pair):
-        table = products[pair]
-        return _product_slot(table, _product_labels(*pair, table.keep))
-
-    order = sorted(products, key=lambda pair: products[pair].check.compatible)
-    decomps, error = _validate_stacks(map(slot, order), tol)
-    product_report = None
-    if error is None:
-        product_of = dict(zip(order, decomps))
+    # the products {K_i Y_j} of each distinct pair, built one pair at a time
+    # up to the first that fails to form a decomposition, which they may
+    # when condition 1 failed, or when comm is looser than herm or proj;
+    # condition 2 is then skipped.  Which pair fails does not matter, so the
+    # pairs that do not commute, where products usually fail, come first,
+    # and a pair's products are labelled only when they are built.
+    product_of, product_report = {}, None
+    try:
+        for pair in sorted(products, key=lambda pair: products[pair].check.compatible):
+            table = products[pair]
+            product_of[pair] = _product_slot(table, _product_labels(*pair, table.keep), tol)
+    except (QHistError, ValueError):
+        pass
+    else:
         slots = [product_of[pair] for pair in slot_pairs]
         product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, max_histories)
         product_report = consistency_check(product_family, tol)

@@ -25,7 +25,7 @@ from qhist.framework import (
     _orthogonality_fault,
     _Slot,
     _stacked,
-    _validate_stacks,
+    _validated,
     conjunction,
     decompositions_compatible,
     make_decomposition,
@@ -440,7 +440,7 @@ def _named(error) -> tuple[type, tuple[int, ...]]:
 
 
 class TestStackedValidation:
-    """``_validate_stacks`` over several slots against ``make_decomposition``
+    """``_validated`` on several slots in turn against ``make_decomposition``
     on each in turn."""
 
     @given(
@@ -471,17 +471,15 @@ class TestStackedValidation:
                 break
             expected_decomps.append(got)
 
-        # the inputs converted in order (a conversion error stops there), then one pass
-        slots, stop = [], None
+        # each input converted and validated in turn, up to the first error
+        decomps, error = [], None
         for mats, labels in inputs:
             try:
                 head, rest = _stacked(mats, d)
+                decomps.append(_validated(_Slot(head, labels, rest), DEFAULT_TOL))
             except (QHistError, ValueError) as exc:
-                stop = exc
+                error = exc
                 break
-            slots.append(_Slot(head, labels, rest))
-        decomps, error = _validate_stacks(slots, DEFAULT_TOL)
-        error = error or stop
         assert [(dec.labels, dec.projectors.tobytes()) for dec in decomps] == expected_decomps
         assert (None if error is None else (type(error), str(error))) == expected_error
         assert all(not dec.projectors.flags.writeable for dec in decomps)
@@ -514,36 +512,18 @@ class TestStackedValidation:
             used += 1
             labels = [f"b{i}" for i in range(8)]
             edge = Tolerance(herm=1e-3, proj=residuals[k])
-            decomps, error = _validate_stacks([_Slot(s.copy(), labels) for s in stacks], edge)
-            assert error is None and len(decomps) == 3
+            for s in stacks:
+                _validated(_Slot(s.copy(), labels), edge)
             below = Tolerance(herm=1e-3, proj=float(np.nextafter(residuals[k], 0.0)))
-            decomps, error = _validate_stacks([_Slot(s.copy(), labels) for s in stacks], below)
-            assert isinstance(error, NotCompleteError) and len(decomps) == k
+            for s in stacks[:k]:
+                _validated(_Slot(s.copy(), labels), below)
+            with pytest.raises(NotCompleteError):
+                _validated(_Slot(stacks[k].copy(), labels), below)
         assert used >= 5
 
-    def test_no_stacks(self):
-        assert _validate_stacks([], DEFAULT_TOL) == ([], None)
-
-    def test_slots_are_consumed_up_to_the_first_fault(self):
-        taken = []
-
-        def slots():
-            for k, stack in enumerate([I2, 2 * I2, I2]):  # the second is not a projector
-                taken.append(k)
-                yield _Slot(stack[None].copy(), ["a"])
-
-        remaining = slots()
-        decomps, error = _validate_stacks(remaining, DEFAULT_TOL)
-        assert len(decomps) == 1 and isinstance(error, NotAProjectorError)
-        assert taken == [0, 1]
-        next(remaining)
-        assert taken == [0, 1, 2]
-
     def test_each_decomposition_holds_its_slots_stack_read_only(self):
-        slots = [_Slot(I2[None].copy(), ["any"]), _Slot(np.stack([P_UP, P_DOWN]), ["up", "down"])]
-        decomps, error = _validate_stacks(slots, DEFAULT_TOL)
-        assert error is None
-        for slot, decomp in zip(slots, decomps, strict=True):
+        for slot in [_Slot(I2[None].copy(), ["any"]), _Slot(np.stack([P_UP, P_DOWN]), ["up", "down"])]:
+            decomp = _validated(slot, DEFAULT_TOL)
             assert decomp.projectors is slot.stack and not slot.stack.flags.writeable
 
 
@@ -600,8 +580,9 @@ class TestMemory:
         assert self._peak(lambda: make_decomposition(mats, labels)) < self.LIMIT
         assert self._peak(lambda: refine(a, a)) < self.LIMIT
 
-    @pytest.mark.parametrize("d, n, stacks", [(32, 32, 1), (16, 4, 8)], ids=["32x32", "8x4_at_16"])
-    def test_orthogonality_check_stays_within_its_stacks(self, rng, d, n, stacks):
-        run = np.stack([random_decomposition(rng, d, n_blocks=n).projectors for _ in range(stacks)])
-        assert _orthogonality_fault(run, DEFAULT_TOL) is None
-        assert self._peak(lambda: _orthogonality_fault(run, DEFAULT_TOL)) <= run.nbytes
+    @pytest.mark.parametrize("d, n", [(32, 32), (16, 4)], ids=["32x32", "4_at_16"])
+    def test_orthogonality_check_stays_within_its_stacks(self, rng, d, n):
+        stack = random_decomposition(rng, d, n_blocks=n).projectors
+        assert stack.shape == (n, d, d)
+        assert _orthogonality_fault(stack, DEFAULT_TOL) is None
+        assert self._peak(lambda: _orthogonality_fault(stack, DEFAULT_TOL)) <= stack.nbytes

@@ -1,6 +1,7 @@
 """``scenario.resolve``: embedded projectors, one decomposition per distinct
 measurement within a call, evolutions checked once, and unchanged errors."""
 
+import gc
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from qhist.errors import (
     NotUnitaryError,
     UnknownOperatorError,
 )
-from qhist.framework import ProjectiveDecomposition, _Slot, _validate_stacks, make_decomposition
+from qhist.framework import ProjectiveDecomposition, _Slot, _validated, make_decomposition
 from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Tolerance, identity, is_unitary, max_abs
 from qhist.scenario import (
@@ -120,16 +121,19 @@ def test_a_pauli_slot_is_its_two_projectors_and_no_rest(axis, factor):
     assert decomp.projectors.tobytes() == expected.projectors.tobytes()
 
 
-def test_a_pauli_on_a_factor_that_is_not_a_qubit_is_a_bad_decomposition():
-    # parse_scenario refuses this; a hand-built Scenario reaches resolve, where
-    # sigma_z on the 3-dim factor embeds to 4x4 in a 6-dim space
-    scn = scenario((3, 2), ["identity"], [observer("A", {"t1": NamedObservable("sigma_z@1")})])
-    with pytest.raises(BadDecompositionError) as info:
-        resolve(scn)
-    message = str(info.value)
-    assert message.startswith("$.observers[0].measurements[0].observable: ")
-    assert message.endswith("projector 0 has shape (4, 4), expected (6, 6)")
-    assert isinstance(info.value.__cause__, DimMismatchError)
+@pytest.mark.parametrize("names", [None, ["A"], ["B"]], ids=["every_observer", "only_A", "only_B"])
+def test_a_hand_built_pauli_on_a_factor_that_is_not_a_qubit_is_refused_as_parse_scenario_refuses_it(names):
+    # before, resolve embedded sigma_z on the 3-dim factor to 4x4 in a 6-dim
+    # space, and refused the misfit shape as a BadDecompositionError
+    a = observer("A", {"t1": NamedObservable("identity")})
+    scn = scenario((3, 2), ["identity"], [a, observer("B", {"t1": NamedObservable("sigma_z@1")})])
+    with pytest.raises(DimMismatchError) as parsed:
+        parse_scenario(serialize_scenario(scn))
+    with pytest.raises(DimMismatchError) as resolved:
+        resolve(scn, observers=names)
+    assert str(resolved.value) == str(parsed.value) == (
+        "$.observers[1].measurements[0].observable: 'sigma_z@1' needs a qubit factor, dim is 3"
+    )
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3,), (2, 3), (1, 2)])
@@ -175,9 +179,7 @@ def test_named_decompositions_are_exact(dims):
         decomp = _measurement_slot(_measurement_key(spec), dims, EXACT)
         assert isinstance(decomp, ProjectiveDecomposition), spec
         p = decomp.projectors
-        validated, fault = _validate_stacks([_Slot(p.copy(), decomp.labels, padded=True)], EXACT)
-        assert fault is None, (dims, spec, fault)
-        assert validated[0].projectors.tobytes() == p.tobytes()
+        assert _validated(_Slot(p.copy(), decomp.labels), EXACT).projectors.tobytes() == p.tobytes()
         residuals = [
             max_abs(p - p.conj().swapaxes(-2, -1)),  # Hermitian
             max_abs(p @ p - p),  # idempotent
@@ -239,27 +241,23 @@ def four_observers() -> Scenario:
 
 
 def test_each_distinct_measurement_is_validated_once(monkeypatch):
-    calls = {"_validate_stacks": 0, "is_unitary": 0}
-    validated = []  # the number of stacks of each validator call
+    calls = {"_slot_error": 0, "is_unitary": 0}
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "_validate_stacks":
-                validated.append(len(args[0]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(qhist.scenario, "_validate_stacks")  # where resolve calls the validator
+    counted(qhist.framework, "_slot_error")
     counted(qhist.histories, "is_unitary")
     records = resolve(four_observers())
-    # one pass over the matrix and the projector list (trivial/identity,
-    # sigma_z@1 and sigma_x@2 are exact); CNOT (the identity evolution is exact)
-    assert calls == {"_validate_stacks": 1, "is_unitary": 1}
-    assert validated == [2]
+    # the matrix and the projector list (trivial/identity, sigma_z@1 and
+    # sigma_x@2 are exact); CNOT (the identity evolution is exact)
+    assert calls == {"_slot_error": 2, "is_unitary": 1}
     a, b, c, d = (r.family.slot_decompositions for r in records)
     assert a[0] is b[0] and a[2] is c[2] and b[1] is d[1]
     assert a[1] is d[0] is d[2]
@@ -359,6 +357,26 @@ def test_a_history_cap_before_a_fault_is_reported_first(fault):
     assert _error(replace(scn, observers=(faulty, capped)), max_histories=3) == _error(
         replace(scn, observers=(faulty,))
     )
+
+
+@pytest.mark.parametrize("fault", list(FAULTY))
+def test_a_history_cap_before_a_fault_leaves_no_cyclic_garbage(fault):
+    # before, a later measurement's build error was caught and held while the
+    # cap was raised, and its traceback held resolve's frame, which held it
+    capped = observer("A", {"t1": NamedObservable("sigma_z"), "t2": NamedObservable("sigma_x")})
+    scn = scenario((2,), ["identity", "identity"], [capped, observer("B", {"t1": FAULTY[fault]})])
+
+    def caught():
+        with pytest.raises(HistoryLimitError):
+            resolve(scn, max_histories=3)
+
+    gc.disable()
+    try:
+        gc.collect()
+        caught()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_threshold_scales_with_a_diagonal_above_one():
@@ -472,6 +490,19 @@ def _count_eigenprojectors(monkeypatch) -> list:
 
     monkeypatch.setattr(qhist.framework, "hermitian_eigenprojectors", counted)
     return calls
+
+
+def test_nothing_is_built_after_the_first_faulty_measurement(monkeypatch):
+    # before, the projector list's fault was found only after the matrix
+    # measured at t2 had been eigendecomposed
+    calls = _count_eigenprojectors(monkeypatch)
+    a = observer("A", {"t1": FAULTY["not_a_projector"], "t2": MatrixObservable(SIGMA_X.copy())})
+    assert _error(scenario((2,), ["identity", "identity"], [a])) == (
+        BadDecompositionError,
+        "$.observers[0].measurements[0].observable: slot is not a valid decomposition: "
+        "element 0 ('half') is not a projector",
+    )
+    assert calls == []
 
 
 def test_a_matrix_no_named_observer_measures_is_not_decomposed(monkeypatch):

@@ -544,8 +544,8 @@ def distinct_pairs(a: ObserverRecord, b: ObserverRecord) -> list[tuple[int, int]
 
 
 class TestProductSlotsInOnePass:
-    """``check_compatibility`` validates each distinct slot pair's products
-    at most once, in one call that stops at the first fault."""
+    """``check_compatibility`` builds each distinct slot pair's products at
+    most once, one pair at a time, and stops at the first fault."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -589,19 +589,19 @@ class TestProductSlotsInOnePass:
         """A measures sigma_z and B a z axis tilted by 1e-5 rad at t1, and both
         sigma_x at t2.  The t1 pair does not commute within comm 1e-9, but its
         products are projectors within herm and proj 1e-3, so both pairs'
-        products form decompositions; each pair is labelled once."""
-        labelled, validated = [], []
+        products form decompositions; each pair is labelled and built once."""
+        labelled, built = [], []
 
         def product_labels(da, db, keep):
             labelled.append((id(da), id(db)))
             return qhist.framework._product_labels(da, db, keep)
 
-        def validate_stacks(slots, tol):
-            validated.append(slots)
-            return qhist.framework._validate_stacks(slots, tol)
+        def product_slot(table, labels, tol):
+            built.append(labels)
+            return qhist.framework._product_slot(table, labels, tol)
 
         monkeypatch.setattr(qhist.stablefacts, "_product_labels", product_labels)
-        monkeypatch.setattr(qhist.stablefacts, "_validate_stacks", validate_stacks)
+        monkeypatch.setattr(qhist.stablefacts, "_product_slot", product_slot)
         tilt = 1e-5
         dx = pauli_decomposition("x")
         a = observer("A", [pauli_decomposition("z"), dx], ket=PLUS_X, dim=2)
@@ -610,7 +610,7 @@ class TestProductSlotsInOnePass:
         assert report.failing_condition == "condition1"
         assert report.product_family_consistency is not None
         assert labelled == distinct_pairs(a, b)
-        assert len(labelled) == 2 and len(validated) == 1
+        assert len(labelled) == 2 and len(built) == 2
 
     def test_a_slot_is_labelled_only_when_validated(self, monkeypatch):
         labelled = []
