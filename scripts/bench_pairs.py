@@ -156,6 +156,28 @@ def unresolved(summary: dict, parent: list[float], change: list[float], lower_is
     return not apart
 
 
+HEADER = f"{'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} {'q1-q3':>21} {'ratio':>6} wins"
+
+
+def judge(name: str, parent: list[float], change: list[float], lower_is_better: bool, bound: float,
+          claimed: bool) -> tuple[dict, str, bool, bool, bool]:
+    """One metric's summary, its row under ``HEADER``, and whether a claim
+    on it (when ``claimed``) is met, it regressed, and it is unresolved."""
+    s = summarize(parent, change, lower_is_better)
+    met = not claimed or gain(s, lower_is_better)
+    worse = regressed(s, lower_is_better, bound)
+    spread = unresolved(s, parent, change, lower_is_better, bound)
+    verdict = ("claim met" if met else "claim NOT met") if claimed else ""
+    if worse:
+        verdict = f"{verdict} WORSE than the {bound:g} bound".lstrip()
+    if spread:
+        verdict = f"{verdict} unresolved: a quartile range exceeds the {bound:g} bound".lstrip()
+    row = (f"{name:18} {s['parent_median']:11.5g} {s['parent_q1']:10.5g}-{s['parent_q3']:<10.5g} "
+           f"{s['change_median']:11.5g} {s['change_q1']:10.5g}-{s['change_q3']:<10.5g} "
+           f"{s['change_over_parent']:6.3f} {s['change_better_pairs']}/{s['pairs']} {verdict}")
+    return s, row, met, worse, spread
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -194,25 +216,18 @@ def main(argv=None) -> int:
                       flush=True)
         summary, worse, spread = {}, [], []
         seeds = [str(s) for s in args.seeds]
-        print(f"\n{workload}: {'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} "
-              f"{'q1-q3':>21} {'ratio':>6} wins")
+        print(f"\n{workload}: {HEADER}")
         for name in sorted(lower):
             parent = [runs["parent"][s][name] for s in seeds]
             change = [runs["change"][s][name] for s in seeds]
-            summary[name] = s = summarize(parent, change, lower[name])
-            claimed = (workload, name) in claims
-            verdict = ("claim met" if gain(s, lower[name]) else "claim NOT met") if claimed else ""
-            if regressed(s, lower[name], bounds[name]):
+            summary[name], row, met, is_worse, is_spread = judge(
+                name, parent, change, lower[name], bounds[name], (workload, name) in claims)
+            if is_worse:
                 worse.append(name)
-                verdict = f"{verdict} WORSE than the {bounds[name]:g} bound".lstrip()
-            if unresolved(s, parent, change, lower[name], bounds[name]):
+            if is_spread:
                 spread.append(name)
-                verdict = f"{verdict} unresolved: a quartile range exceeds the {bounds[name]:g} bound".lstrip()
-            print(f"{workload}: {name:18} "
-                  f"{s['parent_median']:11.5g} {s['parent_q1']:10.5g}-{s['parent_q3']:<10.5g} "
-                  f"{s['change_median']:11.5g} {s['change_q1']:10.5g}-{s['change_q3']:<10.5g} "
-                  f"{s['change_over_parent']:6.3f} {s['change_better_pairs']}/{s['pairs']} {verdict}")
-            ok = ok and (not claimed or gain(s, lower[name]))
+            print(f"{workload}: {row}")
+            ok = ok and met
         ok = ok and correct and not any(failed.values()) and not worse
         doc["pairs"][workload] = {"all_correct": correct, "failed": failed, "regressed": worse, "runs": runs,
                                   "seeds": list(args.seeds), "summary": summary, "unresolved": spread}

@@ -22,9 +22,12 @@ when a change means to alter the output.
 workload gives it and one with ``--tolerance 0`` appended, under which
 every input check but the norm's is exact: the workload, the argv with the
 scenario directory stripped, and the sha256 of the exit code, stdout and
-stderr.  Commands marked ``known_defect`` are skipped.  Two source trees
-print the same lines exactly when the CLI prints the same bytes on every
-one of these command lines:
+stderr.  Commands marked ``known_defect`` are skipped.  Then it prints one
+line, workload ``usage``, per command line of ``USAGE_LINES``: help, usage
+errors and the argument forms around them, on the shipped ``stable_facts``
+scenario.  Usage and help text are wrapped at 80 columns whatever the
+terminal.  Two source trees print the same lines exactly when the CLI
+prints the same bytes on every one of these command lines:
 
     diff <(PYTHONPATH=<other tree>/src python3 scripts/cli_golden.py digests) \\
          <(PYTHONPATH=src python3 scripts/cli_golden.py digests)
@@ -37,10 +40,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -53,6 +58,40 @@ OBSERVERS_SEED = 1
 DIGEST_WORKLOADS = ("gallery", "observers", "deep_chain", "wide_dense")
 DIGEST_SEED = 1
 EXACT = ("--tolerance", "0")  # each digested command line runs again with these flags
+COMMANDS = ("validate", "analyze", "classify", "conditional", "verify")
+PATH = "PATH"  # stands for the path of USAGE_SCENARIO in USAGE_LINES
+USAGE_SCENARIO = "stable_facts"
+USAGE_LINES = (  # argument parsing: help, usage errors, and lines one token away from them
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    ("bogus", PATH),
+    ("--", "validate", PATH),
+    ("-h", "validate"),
+    *((command, "-h") for command in COMMANDS),
+    ("validate",),
+    ("validate", PATH, "--bogus"),
+    ("validate", PATH, "--tol", "0"),
+    ("validate", PATH, "--tolerance=1e-6"),
+    ("validate", PATH, "--tolerance", "abc"),
+    ("validate", PATH, "--tolerance", "-1"),
+    ("validate", PATH, "--max-histories", "0"),
+    ("verify", PATH, "--max-histories=x"),
+    ("validate", PATH, "extra"),
+    ("validate", "--", PATH),
+    ("validate", PATH, "--", "extra"),
+    ("validate", "--json", PATH),
+    ("analyze", PATH, "--observer"),
+    ("analyze", PATH, "--json", "--", "--json"),
+    ("analyze", PATH, "-h", "--bogus"),
+    ("classify", PATH, "--pair", "O1"),
+    ("classify", PATH, "--pair", "O1", "O2", "O3"),
+    ("classify", PATH, "--pair=O1", "O2"),
+    ("conditional", PATH, "--fam", "O2", "--event", "t2:+x", "--given", "t1:+x"),
+    ("conditional", PATH, "--event", "t2:+x", "--given", "t1:+x"),
+    ("conditional", PATH, "--family", "O2", "--event", "-x", "--given", "t1:+x"),
+)
 
 
 def command_lines(cmds) -> list[tuple[str, str, tuple[str, ...]]]:
@@ -68,12 +107,28 @@ def command_lines(cmds) -> list[tuple[str, str, tuple[str, ...]]]:
     return sorted(lines)
 
 
-def record(command: str, scenario: str, path: pathlib.Path, args: tuple[str, ...]) -> dict:
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``qhist.cli.main(argv)``, with
+    argparse's usage and help wrapped at 80 columns whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(path), *args])
-    return {"command": command, "scenario": scenario, "args": list(args),
-            "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(command: str, scenario: str, path: pathlib.Path, args: tuple[str, ...]) -> dict:
+    code, out, err = run([command, str(path), *args])
+    return {"command": command, "scenario": scenario, "args": list(args), "exit": code, "stdout": out, "stderr": err}
+
+
+def digest(code: int, stdout: str, stderr: str) -> str:
+    return hashlib.sha256(json.dumps([code, stdout, stderr]).encode()).hexdigest()
+
+
+def usage_argv(line: tuple[str, ...], path: str) -> list[str]:
+    """A line of ``USAGE_LINES`` with ``path`` for ``PATH``."""
+    return [path if word == PATH else word for word in line]
 
 
 def shipped(scenarios) -> dict[str, pathlib.Path]:
@@ -109,9 +164,13 @@ def print_digests() -> None:
             for command, scenario, args in command_lines([c for c in cmds if not c.known_defect]):
                 for extra in ((), EXACT):
                     entry = record(command, scenario, paths[scenario], (*args, *extra))
-                    blob = json.dumps([entry["exit"], entry["stdout"], entry["stderr"]]).encode()
                     argv = " ".join([command, paths[scenario].name, *args, *extra])
-                    print(f"{workload} {argv} {hashlib.sha256(blob).hexdigest()}", flush=True)
+                    sha = digest(entry["exit"], entry["stdout"], entry["stderr"])
+                    print(f"{workload} {argv} {sha}", flush=True)
+    path = shipped([USAGE_SCENARIO])[USAGE_SCENARIO]
+    for line in USAGE_LINES:
+        sha = digest(*run(usage_argv(line, str(path))))
+        print(f"usage {' '.join(usage_argv(line, path.name))} {sha}", flush=True)
 
 
 def main(argv=None) -> None:

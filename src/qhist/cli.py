@@ -26,7 +26,6 @@ whose ``indent`` would select json's slower pure-Python encoder.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import os
@@ -237,7 +236,7 @@ def _emit(args, command: str, scn, tol: Tolerance, fields: dict, text) -> None:
     command shares, then the command's ``fields``; else the lines ``text``
     renders from that same document."""
     doc = {"report_version": REPORT_VERSION, "command": command, "scenario": scn.name,
-           "tolerance": dataclasses.asdict(tol), **fields}
+           "tolerance": vars(tol), **fields}  # a frozen dataclass's fields, not copied
     _print(_dumps(doc) if args.json else "\n".join(text(doc)))
 
 
@@ -478,7 +477,8 @@ def positive_int(text: str) -> int:
 
 
 @functools.cache  # one parser per process; parse_args keeps no state between calls
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="qhist",
         description="Consistent-histories analysis of quantum scenarios: "
@@ -524,12 +524,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; return its exit code.  When the first argument
+    names a subcommand, its parser alone parses the rest, and leftovers are
+    the top-level parser's usage error; any other line goes to the top."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

@@ -10,7 +10,6 @@ expands named operators and presets into concrete history families, one
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -70,6 +69,7 @@ DEFAULT_MAX_DIM = 64
 
 TRIVIAL_LABEL = "any"
 COMBINED_FAMILY = "combined"  # `conditional --family` name of the n-way fold; no observer may take it
+_OBSERVABLE = "$.observers[{}].measurements[{}].observable"  # the JSONPath of measurement j of observer i
 
 _QUBIT_PRESETS = {
     "up_z": np.array([1, 0], dtype=complex),
@@ -258,10 +258,13 @@ def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
     return pairs.view(np.complex128).reshape(shape)
 
 
-def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
+def _parse_observable(value, i: int, j: int, dims: tuple[int, ...], total: int):
+    """The observable of ``$.observers[i].measurements[j]``."""
     if isinstance(value, str):
-        _check_operator_name(value, path, dims)
-        return NamedObservable(name=value)
+        observable = NamedObservable(name=value)
+        _measurement_key(observable, dims, i, j)
+        return observable
+    path = _OBSERVABLE.format(i, j)
     value = _expect(value, dict, path, "an operator name, {'matrix': ...}, or {'projectors': ...}")
     if "matrix" in value:
         _reject_unknown(value, {"matrix"}, path)
@@ -271,8 +274,8 @@ def _parse_observable(value, path: str, dims: tuple[int, ...], total: int):
         entries = _expect(value["projectors"], list, f"{path}.projectors", "an array of labelled projectors")
         labels = []
         matrices = []
-        for i, entry in enumerate(entries):
-            epath = f"{path}.projectors[{i}]"
+        for k, entry in enumerate(entries):
+            epath = f"{path}.projectors[{k}]"
             entry = _expect(entry, dict, epath, "an object with 'label' and 'matrix'")
             _reject_unknown(entry, {"label", "matrix"}, epath)
             label = _expect(_get(entry, "label", epath), str, f"{epath}.label", "a string")
@@ -293,25 +296,37 @@ def _factor_index(suffix: str) -> int | None:
     return int(suffix) if suffix.isascii() and suffix.isdigit() else None
 
 
-def _check_operator_name(name: str, path: str, dims: tuple[int, ...]) -> None:
-    """Refuse a name that names no operator of a system of ``dims``: as an
-    UnknownOperatorError at ``path``, a base that is not an operator or an
-    ``@k`` suffix that is not a factor 1..len(dims); as a DimMismatchError
-    prefixed with ``path``, a Pauli on a factor that is not a qubit, or a
-    bare one on a system other than one qubit."""
+def _measurement_key(spec, dims: tuple[int, ...], i: int, j: int | None) -> object:
+    """What the slot measuring ``spec`` depends on: ``"identity"`` for the
+    trivial slot (``spec`` None) and every identity, ``"sigma_z@3"`` for a
+    Pauli (``"sigma_z@03"`` too), else the observable.  A name that names
+    no operator of a system of ``dims`` is refused at ``_OBSERVABLE``'s
+    path for ``i`` and ``j``, built only then: a base that is not an
+    operator, or an ``@k`` suffix that is not a factor 1..len(dims), as an
+    UnknownOperatorError at it; a Pauli on a factor that is not a qubit, or
+    a bare one on a system other than one qubit, as a DimMismatchError
+    prefixed with it."""
+    if spec is None:
+        return "identity"
+    if not isinstance(spec, NamedObservable):
+        return spec
+    name = spec.name
     base, _, suffix = name.partition("@")
     if base not in _PAULI_OPS and base != "identity":
-        raise UnknownOperatorError(f"unknown operator {name!r}", path=path)
+        raise UnknownOperatorError(f"unknown operator {name!r}", path=_OBSERVABLE.format(i, j))
+    factor = _factor_index(suffix) if suffix else 1
     if suffix:
-        factor = _factor_index(suffix)
         if factor is None or not 1 <= factor <= len(dims):
-            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{len(dims)}", path=path)
+            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{len(dims)}",
+                                       path=_OBSERVABLE.format(i, j))
         if base in _PAULI_OPS and dims[factor - 1] != 2:
-            raise DimMismatchError(f"{path}: {name!r} needs a qubit factor, dim is {dims[factor - 1]}")
+            raise DimMismatchError(f"{_OBSERVABLE.format(i, j)}: {name!r} needs a qubit factor, "
+                                   f"dim is {dims[factor - 1]}")
     elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
         raise DimMismatchError(
-            f"{path}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
+            f"{_OBSERVABLE.format(i, j)}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
         )
+    return "identity" if base == "identity" else f"{base}@{factor}"
 
 
 def parse_scenario(data: bytes | str) -> Scenario:
@@ -440,9 +455,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
             if mtime in seen_times:
                 raise ScenarioError(f"observer {oname!r} measures twice at {mtime!r}", path=f"{mpath}.time")
             seen_times.add(mtime)
-            observable = _parse_observable(
-                _get(m, "observable", mpath), f"{mpath}.observable", dims, total
-            )
+            observable = _parse_observable(_get(m, "observable", mpath), i, j, dims, total)
             measurements.append(Measurement(time=mtime, observable=observable))
         observers.append(ObserverSpec(name=oname, measurements=tuple(measurements)))
 
@@ -499,10 +512,11 @@ def serialize_scenario(s: Scenario) -> bytes:
 # resolution
 
 def effective_tolerance(s: Scenario, override: Tolerance | None = None) -> Tolerance:
-    """Override wins over scenario file overrides, which win over defaults."""
+    """Override wins over scenario file overrides, which win over defaults;
+    with neither, ``DEFAULT_TOL`` itself."""
     if override is not None:
         return override
-    return replace(DEFAULT_TOL, **s.tolerance_overrides)
+    return replace(DEFAULT_TOL, **s.tolerance_overrides) if s.tolerance_overrides else DEFAULT_TOL
 
 
 def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
@@ -525,19 +539,6 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
     if right > 1:
         out = out * identity(right)[:, None, None, :]
     return out.reshape(n, left * k * right, left * k * right)
-
-
-def _measurement_key(spec) -> object:
-    """What a slot's decomposition depends on: ``"identity"`` for the trivial
-    slot and every identity, ``"sigma_z@3"`` for a Pauli (``"sigma_z@03"``
-    too), else the observable.  A name must be checked
-    (``_check_operator_name``)."""
-    if spec is None:
-        return "identity"
-    if not isinstance(spec, NamedObservable):
-        return spec
-    base, _, suffix = spec.name.partition("@")
-    return "identity" if base == "identity" else f"{base}@{int(suffix or 1)}"
 
 
 def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition:
@@ -572,26 +573,15 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
     return _ExactDecomposition(total, _frozen(embedded), (f"+{axis}", f"-{axis}"))
 
 
-def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition | None:
-    """The checks of a measurement that only observers not asked for use: a
-    projector list, which is the file's own input, validated as its
-    decomposition; a matrix's squareness, finiteness and Hermiticity,
-    without its eigendecomposition; nothing for a named one."""
-    if isinstance(key, ProjectorListObservable):
-        return _measurement_slot(key, dims, tol)
+def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> None:
+    """The checks of an observable that only observers not asked for use: a
+    matrix's squareness, finiteness and Hermiticity, without its
+    eigendecomposition; a projector list, which is the file's own input,
+    validated as its decomposition.  A name has nothing left to check."""
     if isinstance(key, MatrixObservable):
         _require_hermitian(key.matrix, tol)
-    return None
-
-
-@contextlib.contextmanager
-def _located(path: str):
-    """Prefix a numeric error raised inside with the JSONPath it concerns."""
-    try:
-        yield
-    except (QHistError, ValueError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    else:
+        _measurement_slot(key, dims, tol)
 
 
 def _initial_ket(s: Scenario) -> np.ndarray:
@@ -613,9 +603,9 @@ def resolve(
     """Expand named operators and presets; build one family per observer
     named in ``observers`` (None, the default: every observer).
 
-    ``parse_scenario`` checks the document's structure; here, too, every
-    operator name is checked as it checks one (``_check_operator_name``),
-    for a hand-built ``Scenario``.  Under the effective tolerance, every
+    ``parse_scenario`` checks the document's structure; for a hand-built
+    ``Scenario``, ``_measurement_key`` checks every operator name here too,
+    as it keys each measurement.  Under the effective tolerance, every
     number the file supplies is checked, for every observer, named or not:
     the initial ket (norm included), once, each distinct evolution matrix,
     each distinct projector list (padded and validated as a decomposition,
@@ -656,9 +646,12 @@ def resolve(
     for k, ev in enumerate(s.evolutions):
         key = ev if isinstance(ev, str) else k
         if key not in unitaries:
-            with _located(f"$.evolutions[{k}].matrix"):
+            try:
                 u = None if isinstance(ev, str) else ev
                 unitaries[key] = _checked_evolution(grid, k, u, s.total_dim, tol).unitary
+            except (QHistError, ValueError) as exc:
+                exc.args = (f"$.evolutions[{k}].matrix: {exc}",)
+                raise
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
     wanted = None if observers is None else set(observers)
     named = [wanted is None or obs.name in wanted for obs in s.observers]
@@ -669,9 +662,7 @@ def resolve(
         uses.append([])
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
-            if isinstance(spec, NamedObservable):  # a hand-built Scenario skips parse_scenario's check
-                _check_operator_name(spec.name, f"$.observers[{i}].measurements[{j}].observable", dims)
-            uses[-1].append((_measurement_key(spec), j))
+            uses[-1].append((_measurement_key(spec, dims, i, j), j))  # a hand-built Scenario is checked too
     read = {key for slots, built in zip(uses, named) if built for key, _ in slots}  # named observers' keys
     decomps = {}  # per key, built at its first use: its decomposition, or None when nothing is built
     records = []
@@ -679,9 +670,14 @@ def resolve(
         slots = []
         for key, j in uses[i]:
             if key not in decomps:
-                build = _measurement_slot if key in read else _checked_slot
-                with _located(f"$.observers[{i}].measurements[{j}].observable"):
-                    decomps[key] = build(key, dims, tol)
+                try:
+                    if key in read:
+                        decomps[key] = _measurement_slot(key, dims, tol)
+                    else:  # an unread name skips the call: it has nothing left to check
+                        decomps[key] = None if isinstance(key, str) else _checked_slot(key, dims, tol)
+                except (QHistError, ValueError) as exc:
+                    exc.args = (f"{_OBSERVABLE.format(i, j)}: {exc}",)
+                    raise
             slots.append(decomps[key])
         if named[i]:
             family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)

@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import itertools
 import json
 import math
@@ -17,6 +20,11 @@ import qhist.stablefacts
 from qhist import cli
 
 from helpers import CONDITION2, GALLERY_NAMES, GOLDEN, gallery
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("cli_golden", ROOT / "scripts" / "cli_golden.py")
+cli_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_golden)
 
 
 def run(capsys, *argv):
@@ -120,6 +128,69 @@ class TestRepeatedCalls:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert out.startswith("usage: qhist")
+
+
+def reference_main(argv) -> int:
+    """How ``main`` parsed a command line before it parsed in one pass: the
+    top-level parser's ``parse_args`` over the whole line."""
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_INPUT if exc.code else cli.EXIT_OK
+    return args.fn(args)
+
+
+USAGE_PATH = str(gallery(cli_golden.USAGE_SCENARIO))
+USAGE_CORPUS = [cli_golden.usage_argv(line, USAGE_PATH) for line in cli_golden.USAGE_LINES]
+USAGE_TOKENS = sorted({word for argv in USAGE_CORPUS for word in argv} | {"-"})
+
+
+class TestOneParse:
+    """``main`` parses a command line once, with the subcommand's parser when
+    the first argument names one, and must end as ``reference_main`` does:
+    the same exit code, stdout, stderr and parsed namespace.  Each
+    subcommand's function is replaced by one that records its namespace,
+    so that only the parsing runs."""
+
+    @staticmethod
+    def outcome(main, argv) -> tuple:
+        parsed = []
+
+        def record(args):
+            parsed.append({**vars(args), "fn": "record"})  # each outcome has a record of its own
+            return cli.EXIT_OK
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            for parser in cli._build_parser()[1].values():
+                mp.setitem(parser._defaults, "fn", record)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+        return code, out.getvalue(), err.getvalue(), parsed
+
+    @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=[" ".join(line) for line in cli_golden.USAGE_LINES])
+    def test_the_usage_corpus_parses_as_the_top_level_parser_does(self, argv):
+        assert self.outcome(cli.main, argv) == self.outcome(reference_main, argv)
+
+    @given(st.one_of(
+        st.lists(st.sampled_from(USAGE_TOKENS), max_size=8),
+        st.builds(lambda command, rest: [command, *rest], st.sampled_from(cli_golden.COMMANDS),
+                  st.lists(st.sampled_from(USAGE_TOKENS), max_size=8)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_line_of_its_tokens_parses_as_the_top_level_parser_does(self, argv):
+        assert self.outcome(cli.main, argv) == self.outcome(reference_main, argv)
+
+    def test_the_corpus_covers_each_way_a_line_ends(self):
+        """Help, the top-level parser's errors, a subcommand's errors, leftovers and a parsed command."""
+        outcomes = [self.outcome(cli.main, argv) for argv in USAGE_CORPUS]
+        stderrs = [err for _, _, err, _ in outcomes]
+        assert any(out.startswith("usage: qhist [-h]") for _, out, _, _ in outcomes)
+        assert any(out.startswith("usage: qhist validate") for _, out, _, _ in outcomes)
+        assert any(err.startswith("usage: qhist [-h]") and "unrecognized arguments: extra" in err for err in stderrs)
+        assert any(err.startswith("usage: qhist [-h]") and "invalid choice: 'bogus'" in err for err in stderrs)
+        assert any(err.startswith("usage: qhist classify") and "expected 2 arguments" in err for err in stderrs)
+        assert any(parsed and parsed[0]["tolerance"] == 0.0 for _, _, _, parsed in outcomes)  # --tol 0
 
 
 class TestInputChecks:

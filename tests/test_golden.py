@@ -4,7 +4,8 @@
 code, stdout and stderr of each gallery and ``observers`` command, and
 ``golden/digests.txt`` one digest of each command line of every workload,
 ``deep_chain`` and ``wide_dense`` included, as given and under
-``--tolerance 0``; ``scripts/cli_golden.py golden``
+``--tolerance 0``, then of each help and usage-error line of
+``cli_golden.USAGE_LINES``; ``scripts/cli_golden.py golden``
 records all three.  A difference here means the output changed: regenerate
 the files only when that is the intent.
 """

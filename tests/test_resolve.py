@@ -176,7 +176,7 @@ def test_named_decompositions_are_exact(dims):
     bit (tobytes tells -0.0 from +0.0)."""
     total = math.prod(dims)
     for spec in named_specs(dims):
-        decomp = _measurement_slot(_measurement_key(spec), dims, EXACT)
+        decomp = _measurement_slot(_measurement_key(spec, dims, 0, 0), dims, EXACT)
         assert isinstance(decomp, ProjectiveDecomposition), spec
         p = decomp.projectors
         assert _validated(_Slot(p.copy(), decomp.labels), EXACT).projectors.tobytes() == p.tobytes()
@@ -205,7 +205,7 @@ def test_the_identity_interval_is_exactly_unitary():
 @pytest.mark.parametrize("dims", [(2,), (2, 3, 2)])
 def test_named_stacks_are_built_per_call_and_read_only(dims):
     for spec in named_specs(dims):
-        key = _measurement_key(spec)
+        key = _measurement_key(spec, dims, 0, 0)
         first, second = (_measurement_slot(key, dims, EXACT).projectors for _ in range(2))
         assert not first.flags.writeable
         assert not np.shares_memory(first, second)
