@@ -29,7 +29,9 @@ Each seed gives one pair of runs per metric, judged by ``bench_pairs.py``'s
 rules and the bounds of the change tree's ``BENCHMARK.json``: a claimed
 gain needs nine wins of ten pairs and a median gap larger than the parent's
 interquartile range; a median worse than its bound is flagged as a
-regression, and a spread wider than its bound as unresolved.  The
+regression, and a spread wider than its bound as unresolved.  Each row
+also shows the median and quartiles of the seeds' change/parent ratios,
+which the machine's drift from seed to seed leaves alone.  The
 per-process metrics ``setup_s`` and ``peak_rss_mb`` are ``bench_pairs.py``'s
 to measure.  The exit code is 0 when both trees printed the same on every
 command, nothing regressed and every claim is met, else 1.

@@ -16,24 +16,27 @@ the tree's first run and removed at exit, so that no run reads bytecode
 left in a tree's ``__pycache__``, which may be stale against its sources.
 
 It prints, per workload and metric, both sides' medians and quartiles (the
-inclusive method of ``statistics.quantiles``), the ratio of the medians and
-the number of pairs in which the change was better.  A gain counts when the
+inclusive method of ``statistics.quantiles``), the ratio of the medians, the
+median and quartiles of each pair's change/parent ratio, and the number of
+pairs in which the change was better.  The pair ratios are shown and
+recorded beside the verdicts, not judged: a drift in machine speed from seed
+to seed widens each side's quartiles but not theirs.  A gain counts when the
 change is better in at least nine pairs of ten and the gap between the
 medians, in the better direction, is larger than the parent's interquartile
-range; each ``--claim WORKLOAD:METRIC`` is judged that way, and a claim on
-a metric that is not end-to-end or on a workload not run is refused before
+range; each ``--claim WORKLOAD:METRIC`` is judged that way, and a claim on a
+metric that is not end-to-end or on a workload not run is refused before
 anything runs.  Every metric whose change median is worse than the parent's
 by more than its ``bound`` in ``BENCHMARK.json`` (a share of the parent's
-median) is flagged as a regression.  A metric is flagged unresolved when
-the parent's or the change's interquartile range exceeds its ``bound``
-times the parent's median, unless every change run beats every parent run:
-the runs then spread too widely to tell a shift of the bound, and its
-verdict says little.  ``--out`` writes the runs and the summary as JSON, in
-the layout of ``BENCH_9.json``, with the command that made it (the two
-trees written as PARENT_TREE and CHANGE_TREE) and each workload's regressed
-and unresolved metrics.  The exit code is 0 when every run is correct, no
-command failed, no metric regressed and every claim is met, else 1; an
-unresolved metric does not change it.
+median) is flagged as a regression.  A metric is flagged unresolved when the
+parent's or the change's interquartile range exceeds its ``bound`` times the
+parent's median, unless every change run beats every parent run: the runs
+then spread too widely to tell a shift of the bound, and its verdict says
+little.  ``--out`` writes the runs and the summary, pair ratios included, as
+JSON, in the layout of ``BENCH_9.json``, with the command that made it (the
+two trees written as PARENT_TREE and CHANGE_TREE) and each workload's
+regressed and unresolved metrics.  The exit code is 0 when every run is
+correct, no command failed, no metric regressed and every claim is met, else
+1; an unresolved metric does not change it.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool) -
         q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
         return q1, q3
 
-    (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
+    ratios = [c / p for p, c in zip(parent, change)]  # each pair's, which a drift across pairs leaves alone
+    (p1, p3), (c1, c3), (r1, r3) = quartiles(parent), quartiles(change), quartiles(ratios)
     pm, cm = statistics.median(parent), statistics.median(change)
     better = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
     return {
@@ -120,6 +124,9 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool) -
         "change_over_parent": cm / pm if pm else None,
         "change_q1": c1,
         "change_q3": c3,
+        "pair_ratio_median": statistics.median(ratios),
+        "pair_ratio_q1": r1,
+        "pair_ratio_q3": r3,
         "pairs": len(parent),
         "parent_median": pm,
         "parent_q1": p1,
@@ -156,7 +163,8 @@ def unresolved(summary: dict, parent: list[float], change: list[float], lower_is
     return not apart
 
 
-HEADER = f"{'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} {'q1-q3':>21} {'ratio':>6} wins"
+HEADER = (f"{'metric':18} {'parent med':>11} {'q1-q3':>21} {'change med':>11} {'q1-q3':>21} {'ratio':>6} "
+          f"{'pair ratio':>10} {'q1-q3':>11} wins")
 
 
 def judge(name: str, parent: list[float], change: list[float], lower_is_better: bool, bound: float,
@@ -174,7 +182,8 @@ def judge(name: str, parent: list[float], change: list[float], lower_is_better: 
         verdict = f"{verdict} unresolved: a quartile range exceeds the {bound:g} bound".lstrip()
     row = (f"{name:18} {s['parent_median']:11.5g} {s['parent_q1']:10.5g}-{s['parent_q3']:<10.5g} "
            f"{s['change_median']:11.5g} {s['change_q1']:10.5g}-{s['change_q3']:<10.5g} "
-           f"{s['change_over_parent']:6.3f} {s['change_better_pairs']}/{s['pairs']} {verdict}")
+           f"{s['change_over_parent']:6.3f} {s['pair_ratio_median']:10.3f} "
+           f"{s['pair_ratio_q1']:5.3f}-{s['pair_ratio_q3']:<5.3f} {s['change_better_pairs']}/{s['pairs']} {verdict}")
     return s, row, met, worse, spread
 
 

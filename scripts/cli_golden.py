@@ -61,7 +61,7 @@ EXACT = ("--tolerance", "0")  # each digested command line runs again with these
 COMMANDS = ("validate", "analyze", "classify", "conditional", "verify")
 PATH = "PATH"  # stands for the path of USAGE_SCENARIO in USAGE_LINES
 USAGE_SCENARIO = "stable_facts"
-USAGE_LINES = (  # argument parsing: help, usage errors, and lines one token away from them
+USAGE_LINES = (  # argument parsing: help, usage errors, lines one token away from them, repeated options
     (),
     ("-h",),
     ("--help",),
@@ -91,6 +91,12 @@ USAGE_LINES = (  # argument parsing: help, usage errors, and lines one token awa
     ("conditional", PATH, "--fam", "O2", "--event", "t2:+x", "--given", "t1:+x"),
     ("conditional", PATH, "--event", "t2:+x", "--given", "t1:+x"),
     ("conditional", PATH, "--family", "O2", "--event", "-x", "--given", "t1:+x"),
+    ("analyze", PATH, "--observer", "O1", "--observer", "O2"),
+    ("conditional", PATH, "--family", "O1", "--family", "O2", "--event", "t2:+x", "--given", "t1:+x"),
+    ("analyze", PATH, "--json", "--json"),
+    ("conditional", PATH, "--family", "O2", "--event", "", "--given", "t1:+x"),
+    ("classify", PATH, "--pair", "O1", "O2", "--json"),
+    ("validate", PATH, "--max-histories", "9223372036854775808"),
 )
 
 
@@ -156,21 +162,27 @@ def write_golden(out: pathlib.Path) -> None:
     print(f"wrote {len(digests.read_text().splitlines())} digests to {digests}")
 
 
-def print_digests() -> None:
+def digest_lines():
+    """Each command line ``digests`` runs, in its order: the workload, the
+    argv, and the argv as printed, the scenario by its file name.  A
+    generated scenario's file lasts until the next workload's first line."""
     for workload in DIGEST_WORKLOADS:
         scenarios, cmds = generate(workload, DIGEST_SEED, ROOT)
         with tempfile.TemporaryDirectory() as tmp:
             paths = shipped(scenarios) if workload == "gallery" else write(scenarios, pathlib.Path(tmp))
             for command, scenario, args in command_lines([c for c in cmds if not c.known_defect]):
                 for extra in ((), EXACT):
-                    entry = record(command, scenario, paths[scenario], (*args, *extra))
-                    argv = " ".join([command, paths[scenario].name, *args, *extra])
-                    sha = digest(entry["exit"], entry["stdout"], entry["stderr"])
-                    print(f"{workload} {argv} {sha}", flush=True)
+                    path = paths[scenario]
+                    yield (workload, [command, str(path), *args, *extra],
+                           " ".join([command, path.name, *args, *extra]))
     path = shipped([USAGE_SCENARIO])[USAGE_SCENARIO]
     for line in USAGE_LINES:
-        sha = digest(*run(usage_argv(line, str(path))))
-        print(f"usage {' '.join(usage_argv(line, path.name))} {sha}", flush=True)
+        yield "usage", usage_argv(line, str(path)), " ".join(usage_argv(line, path.name))
+
+
+def print_digests() -> None:
+    for workload, argv, shown in digest_lines():
+        print(f"{workload} {shown} {digest(*run(argv))}", flush=True)
 
 
 def main(argv=None) -> None:

@@ -71,3 +71,25 @@ def test_claim_not_judged_is_refused_before_any_run(claim, tmp_path):
     with pytest.raises(SystemExit) as info:
         ab.main(argv)
     assert claim in str(info.value.code)
+
+
+def test_each_seeds_ratio_is_printed_beside_an_unchanged_verdict(monkeypatch, capsys):
+    """Made-up seeds whose speed drifts on both sides, the change at 0.8 of
+    the parent on each: every row shows the seeds' ratios at 0.8 with no
+    spread, and the claim is judged by ``bench_pairs.py``'s rule as before,
+    which finds the gap inside the parent's quartile range."""
+    drift = [0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.4, 1.6, 1.8]
+
+    def run_seed(clis, workloads, root, workload, seed, seconds):
+        parent = {name: drift[seed - 1] for name in ab.METRICS}
+        return {"parent": parent, "change": {name: 0.8 * value for name, value in parent.items()}}, []
+
+    monkeypatch.setattr(ab, "load_tree", lambda tree, name: None)
+    monkeypatch.setattr(ab, "load_workloads", lambda tree, package: None)
+    monkeypatch.setattr(ab, "run_seed", run_seed)
+    argv = ["PARENT", str(ROOT), "--workload", "gallery", "--seeds", "1-10", "--claim", "gallery:validate_ms.p50"]
+    assert ab.main(argv) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gallery: ") and "/10" in line]
+    assert len(rows) == len(ab.METRICS)
+    assert all(" 0.800 0.800-0.800 10/10" in row for row in rows)
+    assert [row.split()[1] for row in rows if "claim NOT met" in row] == ["validate_ms.p50"]

@@ -91,7 +91,10 @@ def test_a_regression_fails_the_run(slower, code, monkeypatch, capsys, tmp_path)
     assert bench_pairs.main(argv) == code
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
     assert ("WORSE than the 0.25 bound" in printed[0]) is bool(code)
-    assert json.loads(out.read_text())["pairs"]["observers"]["regressed"] == (["wall_s"] if code else [])
+    assert f" {slower:.3f} {slower:.3f}-{slower:.3f} " in printed[0]  # each pair's ratio
+    recorded = json.loads(out.read_text())["pairs"]["observers"]
+    assert recorded["regressed"] == (["wall_s"] if code else [])
+    assert recorded["summary"]["wall_s"]["pair_ratio_median"] == pytest.approx(slower)
 
 
 def test_each_tree_runs_with_its_own_fresh_pycache_prefix(monkeypatch, tmp_path):
@@ -161,3 +164,25 @@ def test_an_unresolved_metric_is_printed_and_recorded_but_does_not_fail_the_run(
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
     assert ("unresolved" in printed[0]) is wide
     assert json.loads(out.read_text())["pairs"]["observers"]["unresolved"] == (["wall_s"] if wide else [])
+
+
+def test_each_pairs_ratio_is_summarized_beside_an_unchanged_verdict():
+    """Runs that drift across seeds as ``WIDE`` on both sides, the change at
+    0.8 of the parent in every pair: the pair ratios read 0.8 with no
+    spread, while the claim rule, which takes the parent's quartile range,
+    still finds the gap of 0.2 inside it."""
+    change = [0.8 * x for x in WIDE]
+    summary, row, met, worse, spread = bench_pairs.judge("wall_s", WIDE, change, True, 0.25, claimed=True)
+    assert (summary["pair_ratio_q1"], summary["pair_ratio_median"], summary["pair_ratio_q3"]) == pytest.approx(
+        (0.8, 0.8, 0.8))
+    assert (met, worse, spread) == (False, False, True)
+    assert " 0.800 0.800-0.800 10/10 claim NOT met" in row
+
+
+def test_pair_ratio_quartiles_are_of_the_ratios_not_of_the_medians():
+    parent = [1.0, 2.0, 4.0, 8.0, 16.0]
+    change = [0.5, 1.8, 4.0, 6.0, 20.0]  # ratios 0.5, 0.9, 1.0, 0.75, 1.25
+    summary = bench_pairs.summarize(parent, change, lower_is_better=True)
+    assert (summary["pair_ratio_q1"], summary["pair_ratio_median"], summary["pair_ratio_q3"]) == pytest.approx(
+        (0.75, 0.9, 1.0))
+    assert summary["change_over_parent"] == pytest.approx(1.0)
