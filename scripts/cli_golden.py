@@ -21,7 +21,8 @@ when a change means to alter the output.
 ``gallery``, ``observers``, ``deep_chain`` and ``wide_dense``, one as the
 workload gives it and one with ``--tolerance 0`` appended, under which
 every input check but the norm's is exact: the workload, the argv with the
-scenario directory stripped, and the sha256 of the exit code, stdout and
+scenario directory stripped (a token that is empty or holds whitespace
+quoted by ``shlex.quote``), and the sha256 of the exit code, stdout and
 stderr.  Commands marked ``known_defect`` are skipped.  Then it prints one
 line, workload ``usage``, per command line of ``USAGE_LINES``: help, usage
 errors and the argument forms around them, on the shipped ``stable_facts``
@@ -43,6 +44,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import sys
 import tempfile
 from unittest import mock
@@ -137,6 +139,11 @@ def usage_argv(line: tuple[str, ...], path: str) -> list[str]:
     return [path if word == PATH else word for word in line]
 
 
+def shown(argv) -> str:
+    """``argv`` joined by spaces, a token quoted only when it is empty or holds whitespace."""
+    return " ".join(shlex.quote(word) if not word or any(c.isspace() for c in word) else word for word in argv)
+
+
 def shipped(scenarios) -> dict[str, pathlib.Path]:
     """The gallery's scenario files, by workload key."""
     return {key: ROOT / "scenarios" / f"{key}.json" for key in scenarios}
@@ -174,10 +181,10 @@ def digest_lines():
                 for extra in ((), EXACT):
                     path = paths[scenario]
                     yield (workload, [command, str(path), *args, *extra],
-                           " ".join([command, path.name, *args, *extra]))
+                           shown([command, path.name, *args, *extra]))
     path = shipped([USAGE_SCENARIO])[USAGE_SCENARIO]
     for line in USAGE_LINES:
-        yield "usage", usage_argv(line, str(path)), " ".join(usage_argv(line, path.name))
+        yield "usage", usage_argv(line, str(path)), shown(usage_argv(line, path.name))
 
 
 def print_digests() -> None:

@@ -248,7 +248,7 @@ def _load(args, observers=None) -> tuple:
     the file supplies is checked whatever the command reads (see
     ``resolve``), so that a faulty file fails every command alike.  An
     unknown name gets no record, for the command to report."""
-    with open(args.path, "rb") as fh:
+    with open(args.path, "rb", buffering=0) as fh:
         data = fh.read()
     scn = parse_scenario(data)
     override = Tolerance.uniform(args.tolerance) if args.tolerance is not None else None

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,15 +10,18 @@ from hypothesis import strategies as st
 
 from qhist.errors import (
     DimMismatchError,
+    QHistError,
     ScenarioError,
     ScenarioParseError,
     UnknownFieldError,
     UnknownOperatorError,
 )
+from qhist import scenario as scenario_module
 from qhist.linalg import SIGMA_Z, identity, max_abs
 from qhist.scenario import (
     Measurement,
     MatrixObservable,
+    NamedObservable,
     ObserverSpec,
     Scenario,
     _INT_OVERFLOW,
@@ -148,6 +153,84 @@ class TestParse:
         assert "contains the joiner" in str(excinfo.value)
 
 
+# A four-observer document on a qubit and a qutrit in which every observer
+# measures t1..t4 with the names the others use, so that a fault placed at
+# $.observers[2].measurements[3] follows eleven measurements of the same names.
+FAULT_NAMES = ("sigma_z@1", "sigma_x@1", "identity@2", "sigma_y@1")
+FAULT_AT = "$.observers[2].measurements[3]"
+FAULTS = {  # kind: (the faulty measurement, its error type, its message after the path's prefix)
+    "not an object": ("sigma_y@1", ScenarioError, ": expected an object"),
+    "unknown field": ({"time": "t4", "observable": "sigma_y@1", "note": 1}, UnknownFieldError,
+                      ".note: unknown field 'note'"),
+    "missing time": ({"observable": "sigma_y@1"}, ScenarioError, ": missing required field 'time'"),
+    "number time": ({"time": 4, "observable": "sigma_y@1"}, ScenarioError, ".time: expected a string"),
+    "list time": ({"time": ["t4"], "observable": "sigma_y@1"}, ScenarioError, ".time: expected a string"),
+    "dict time": ({"time": {"t": "t4"}, "observable": "sigma_y@1"}, ScenarioError, ".time: expected a string"),
+    "off grid": ({"time": "t9", "observable": "sigma_y@1"}, ScenarioError, ".time: time 't9' is not on the grid"),
+    "t0": ({"time": "t0", "observable": "sigma_y@1"}, ScenarioError,
+           ".time: measurements at the initial time are not allowed; t0 carries the initial state"),
+    "repeated time": ({"time": "t1", "observable": "sigma_y@1"}, ScenarioError,
+                      ".time: observer 'O3' measures twice at 't1'"),
+    "missing observable": ({"time": "t4"}, ScenarioError, ": missing required field 'observable'"),
+    "unknown name": ({"time": "t4", "observable": "sigma_q"}, UnknownOperatorError,
+                     ".observable: unknown operator 'sigma_q'"),
+    "bad @k": ({"time": "t4", "observable": "sigma_y@3"}, UnknownOperatorError,
+               ".observable: subsystem index in 'sigma_y@3' must be 1..2"),
+    "Pauli on a qutrit": ({"time": "t4", "observable": "sigma_y@2"}, DimMismatchError,
+                          ".observable: 'sigma_y@2' needs a qubit factor, dim is 3"),
+}
+
+
+def faulty_doc(faults: dict[tuple[int, int], object]) -> str:
+    """The four-observer document, measurement (i, j) replaced by ``faults[i, j]``."""
+    observers = [
+        {"name": f"O{i + 1}",
+         "measurements": [faults.get((i, j), {"time": f"t{j + 1}", "observable": name})
+                          for j, name in enumerate(FAULT_NAMES)]}
+        for i in range(4)
+    ]
+    return doc(systems=[2, 3], initial_state={"vector": [[1, 0]] + [[0, 0]] * 5},
+               times=["t0", "t1", "t2", "t3", "t4"], observers=observers)
+
+
+class TestMeasurementFaults:
+    def test_the_document_without_a_fault_parses(self):
+        scn = parse_scenario(faulty_doc({}))
+        assert [m.observable.name for m in scn.observers[2].measurements] == list(FAULT_NAMES)
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_each_fault_is_named_at_its_path(self, kind):
+        fault, error, message = FAULTS[kind]
+        with pytest.raises(QHistError) as excinfo:
+            parse_scenario(faulty_doc({(2, 3): fault}))
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == FAULT_AT + message
+
+    def test_of_two_faults_the_first_in_document_order_is_raised(self):
+        # the later fault in the same observer (after a fault at measurement 1) or in the next one
+        for first, second in itertools.product(FAULTS, repeat=2):
+            for later in ((2, 3), (3, 0)):
+                earlier = (2, 1) if later == (2, 3) else (2, 3)
+                with pytest.raises(QHistError) as excinfo:
+                    parse_scenario(faulty_doc({earlier: FAULTS[first][0], later: FAULTS[second][0]}))
+                assert type(excinfo.value) is FAULTS[first][1], (first, second, later)
+                assert str(excinfo.value) == f"$.observers[2].measurements[{earlier[1]}]{FAULTS[first][2]}"
+
+    @pytest.mark.parametrize("fault, kind", [
+        ({"time": 4, "note": 1}, "unknown field"),
+        ({"note": 1}, "unknown field"),
+        ({"time": "t1"}, "repeated time"),
+        ({"time": ["t4"]}, "list time"),
+        ({"time": "t0", "observable": "sigma_q"}, "t0"),
+        ({"time": "t9"}, "off grid"),
+    ])
+    def test_within_one_measurement_the_first_check_raises(self, fault, kind):
+        with pytest.raises(QHistError) as excinfo:
+            parse_scenario(faulty_doc({(2, 3): fault}))
+        assert type(excinfo.value) is FAULTS[kind][1]
+        assert str(excinfo.value) == FAULT_AT + FAULTS[kind][2]
+
+
 class TestResolve:
     def test_subsystem_embedding(self):
         scn = parse_scenario(
@@ -211,6 +294,57 @@ class TestResolve:
                     assert da.labels == db.labels
                     for pa, pb in zip(da.projectors, db.projectors):
                         assert np.array_equal(pa, pb)
+
+
+class TestOncePerDistinctName:
+    def test_each_distinct_name_is_keyed_once_per_call(self, observers_paths):
+        # six distinct names over 19 named measurements, and one matrix
+        data = observers_paths["all"].read_bytes()
+        with mock.patch.object(scenario_module, "_measurement_key", wraps=scenario_module._measurement_key) as key:
+            scn = parse_scenario(data)
+            assert key.call_count == 6
+            key.reset_mock()
+            resolve(scn)
+            assert key.call_count == 7
+
+    def test_measurements_of_one_name_share_one_observable(self, observers_paths):
+        scn = parse_scenario(observers_paths["all"].read_bytes())
+        by_name = {}
+        for obs in scn.observers:
+            for m in obs.measurements:
+                if isinstance(m.observable, NamedObservable):
+                    assert by_name.setdefault(m.observable.name, m.observable) is m.observable
+        assert len(by_name) == 6
+
+    def test_a_hand_built_unknown_name_raises_at_its_first_use(self):
+        scn = Scenario(
+            name="twice", subsystem_dims=(2,), initial_state=("up_z",), times=("t0", "t1", "t2"),
+            evolutions=("identity", "identity"),
+            observers=(
+                ObserverSpec("O1", (Measurement("t1", NamedObservable("sigma_z")),)),
+                ObserverSpec("O2", (Measurement("t1", NamedObservable("sigma_x")),
+                                    Measurement("t2", NamedObservable("sigma_q")))),
+                ObserverSpec("O3", (Measurement("t1", NamedObservable("sigma_q")),)),
+            ),
+        )
+        with pytest.raises(UnknownOperatorError) as excinfo:
+            resolve(scn)
+        assert str(excinfo.value) == "$.observers[1].measurements[1].observable: unknown operator 'sigma_q'"
+
+    def test_nothing_is_kept_between_calls(self, observers_paths):
+        data = observers_paths["all"].read_bytes()
+        first, second = parse_scenario(data), parse_scenario(data)
+
+        def observables(scn):
+            return {id(m.observable) for obs in scn.observers for m in obs.measurements}
+
+        assert not observables(first) & observables(second)
+        ones, twos = resolve(first), resolve(first)
+
+        def decompositions(records):
+            return {id(d) for r in records for d in r.family.slot_decompositions}
+
+        assert not decompositions(ones) & decompositions(twos)
 
 
 class TestRoundTrip:
