@@ -13,14 +13,15 @@ Exit codes are a stable contract:
 ``analyze``, ``classify`` and ``conditional`` each build one dict of report
 fields, printed as the ``--json`` document or rendered from it as text.  The
 rows of an ``analyze`` family are one ``_Rows`` object, the labels of its
-slots and its probability array, which writes every row in both renderings
-without a dict or a label tuple per history.
+slots and its probability array, which writes its rows in chunks in both
+renderings, so the memory that writing takes does not grow with the output.
 
 Verdicts themselves ("relative") are results, never failures.  JSON output is
 deterministic: identical inputs and flags give byte-identical bytes.  The
-document is written by ``_dumps``, not by the stdlib encoder: its bytes are
-those of ``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)``,
-whose ``indent`` would select json's slower pure-Python encoder.
+document is written by ``_write``, piece by piece: its bytes are those of
+``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)``, whose
+``indent`` would select json's pure-Python encoder, which holds the whole
+document and leaves a reference cycle per call.
 """
 
 from __future__ import annotations
@@ -65,121 +66,64 @@ EXIT_ORACLE = 4
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CHUNK = 8192  # rows per write: an ``analyze`` family's rows are never held whole
 
 
-def _dumps(doc) -> str:
-    """``doc`` exactly as ``json.dumps(doc, indent=2, sort_keys=True,
-    ensure_ascii=True)`` writes it, at about half that call's cost.  A
-    container inside itself recurses until ``RecursionError``, where json
-    raises ``ValueError``; a report holds none."""
-    out = []
-    _write(doc, out, "\n")
-    return "".join(out)
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
 
 
-def _scalar(o) -> str | None:
-    """The JSON of a scalar, with json's checks in json's order (``bool``
-    before ``int``; subclasses of str, int and float as their base), or None."""
-    if isinstance(o, str):
-        return _escape(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _NONFINITE.get(text, text)
-    return None
+# the JSON of each scalar type a report holds, by exact type
+_SCALARS = {str: _escape, float: _float, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
 
 
-def _key(k) -> str:
-    """A dict key as json writes it: a non-string scalar in quotes."""
-    if isinstance(k, str):
-        return _escape(k)
-    text = _scalar(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return '"' + text + '"'
-
-
-def _write(o, out: list, nl: str) -> None:
-    """Append the pieces of ``o``'s JSON to ``out``; ``nl`` is the newline
-    and indent of the line ``o`` starts on.  Leaves of the exact types a
-    report holds are written inside both loops, since a call per leaf costs
-    about 40% more; anything else goes to ``_scalar`` or back here.  A
-    module-level function, not a closure, so that a report leaves no
-    reference cycle to the garbage collector."""
-    emit = out.append
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            emit("{}")
-            return
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            head = sep + (_escape(k) if type(k) is str else _key(k)) + ": "
-            t = type(v)
-            if t is str:
-                emit(head + _escape(v))
-            elif t is float:
-                text = float.__repr__(v)
-                emit(head + _NONFINITE.get(text, text))
-            elif t is dict or t is list:
-                emit(head)
-                _write(v, out, inner)
-            else:
-                text = _scalar(v)
-                if text is None:
-                    emit(head)
-                    _write(v, out, inner)
-                else:
-                    emit(head + text)
-            sep = "," + inner
-        emit(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            emit("[]")
-            return
-        sep = "[" + inner
-        for v in o:
-            t = type(v)
-            if t is str:
-                emit(sep + _escape(v))
-            elif t is float:
-                text = float.__repr__(v)
-                emit(sep + _NONFINITE.get(text, text))
-            elif t is dict or t is list:
-                emit(sep)
-                _write(v, out, inner)
-            else:
-                text = _scalar(v)
-                if text is None:
-                    emit(sep)
-                    _write(v, out, inner)
-                else:
-                    emit(sep + text)
-            sep = "," + inner
-        emit(nl + "]")
-    elif type(o) is _Rows:
+def _write(o, out, nl: str) -> None:
+    """Write ``o`` through ``out`` exactly as ``json.dumps(o, indent=2,
+    sort_keys=True, ensure_ascii=True)`` would; ``nl`` is the newline and
+    indent of the line ``o`` starts on.  Only what a report holds is taken:
+    dicts with str keys, lists, ``_Rows``, and the exact types of
+    ``_SCALARS``; anything else (a tuple, an int key, a numpy scalar) raises
+    ``TypeError``.  A module-level function, not a closure, so that a report
+    leaves no reference cycle to the garbage collector."""
+    t = type(o)
+    if t is dict:
+        # a non-str key fails to sort among str keys or to escape
+        items, brackets = [(_escape(k) + ": ", v) for k, v in sorted(o.items())], "{}"
+    elif t is list:
+        items, brackets = zip(itertools.repeat(""), o), "[]"
+    elif t is _Rows:
         o.write(out, nl)
+        return
+    elif t in _SCALARS:
+        out(_SCALARS[t](o))
+        return
     else:
-        text = _scalar(o)
-        if text is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        emit(text)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not o:
+        out(brackets)
+        return
+    inner = nl + "  "
+    sep = brackets[0] + inner
+    for key, v in items:
+        scalar = _SCALARS.get(type(v))
+        if scalar is None:
+            out(sep + key)
+            _write(v, out, inner)
+        else:
+            out(sep + key + scalar(v))
+        sep = "," + inner
+    out(nl + brackets[1])
 
 
 class _Rows:
     """One family's ``analyze`` rows, a history each in flat order: its
     labels, one per slot, and its probability.  ``write`` puts them in a
     JSON document as the list of ``{"labels": [...], "probability": p}``
-    dicts that json would write, and ``lines`` renders them as text; neither
-    builds a dict, a label tuple or a float per history.  Not a tuple or a
-    list, which ``_write`` would take for a list of values."""
+    dicts that json would write, and ``lines`` renders them as text; both
+    produce at most ``_CHUNK`` rows at a time, and neither builds a dict, a
+    label tuple or a float per history."""
 
     __slots__ = ("slot_labels", "probabilities")
 
@@ -187,48 +131,68 @@ class _Rows:
         self.slot_labels = slot_labels  # one or more slots, each with one or more labels
         self.probabilities = probabilities
 
-    def _runs(self, convert, first: str, sep: str, last: str):
-        """Each history's labels through ``convert``, joined by ``sep``,
-        between ``first`` and ``last``: each slot's labels are converted
-        once, and a history's run is one join over their product."""
+    def _chunks(self, convert, first: str, sep: str, last: str):
+        """Pairs of each chunk's label runs and probabilities.  A history's
+        run is its labels through ``convert``, joined by ``sep``, between
+        ``first`` and ``last``: each slot's labels are converted once, and a
+        run is one join over their product."""
         pieces = [[sep + convert(label) for label in labels] for labels in self.slot_labels]
         pieces[0] = [first + convert(label) for label in self.slot_labels[0]]
         pieces[-1] = [piece + last for piece in pieces[-1]]
-        return map("".join, itertools.product(*pieces))
+        runs = map("".join, itertools.product(*pieces))
+        for start in range(0, self.probabilities.size, _CHUNK):
+            chunk = self.probabilities[start:start + _CHUNK]
+            yield itertools.islice(runs, chunk.size), chunk
 
-    def write(self, out: list, nl: str) -> None:
-        """Append the rows' JSON to ``out``, as ``_write`` would a list that starts on ``nl``."""
+    def write(self, out, nl: str) -> None:
+        """Write the rows' JSON through ``out``, as ``_write`` would a list that starts on ``nl``."""
         row, key, label = nl + "  ", nl + "    ", nl + "      "
-        texts = list(map(float.__repr__, self.probabilities.tolist()))
-        if not np.isfinite(self.probabilities).all():
-            texts = [_NONFINITE.get(text, text) for text in texts]
-        runs = self._runs(_escape, "{" + key + '"labels": [' + label, "," + label,
-                          key + "]," + key + '"probability": ')
-        out += ("[" + row, (row + "}," + row).join(map(str.__add__, runs, texts)), row + "}" + nl + "]")
+        head, sep = "[" + row, row + "}," + row
+        for runs, chunk in self._chunks(_escape, "{" + key + '"labels": [' + label, "," + label,
+                                        key + "]," + key + '"probability": '):
+            texts = map(float.__repr__ if np.isfinite(chunk).all() else _float, chunk.tolist())
+            out(head + sep.join(map(str.__add__, runs, texts)))
+            head = sep
+        out(row + "}" + nl + "]")
 
     def lines(self):
-        """The rows as ``analyze`` prints them: the labels joined by commas,
-        then the probability as ``_fmt`` writes it."""
-        texts = map("{:.12g}".format, self.probabilities.tolist())
-        return map(str.__add__, self._runs(str, "  ", ",", "  "), texts)
+        """The rows as ``analyze`` prints them, each chunk's lines joined by
+        newlines: the labels joined by commas, then the probability as
+        ``_fmt`` writes it."""
+        for runs, chunk in self._chunks(str, "  ", ",", "  "):
+            yield "\n".join(map(str.__add__, runs, map(_fmt, chunk.tolist())))
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+_fmt = "{:.12g}".format  # a number as the text reports write it
 
 
 def _verdict(consistent: bool) -> str:
     return "consistent" if consistent else "inconsistent"
 
 
-def _print(text: str) -> None:
-    """Print ``text`` to stdout.  If the reader closed the pipe, the rest is
-    dropped: stdout then points at ``os.devnull``, so the flush at shutdown
-    cannot raise again, and the command returns its own exit code."""
+def _print(render) -> None:
+    """Call ``render`` with stdout's ``write``, then end the line and flush;
+    an ``analyze`` family's rows go out ``_CHUNK`` at a time.  If the reader
+    closed the pipe, at whichever piece, the rest is dropped: stdout then
+    points at ``os.devnull``, so the flush at shutdown cannot raise again,
+    and the command returns its own exit code.  Another write error leaves
+    the output partial, for ``main`` to report.  With no stdout at all
+    (``>&-``), nothing is written, as ``print`` would write nothing."""
+    if sys.stdout is None:
+        return
     try:
-        print(text, flush=True)
+        render(sys.stdout.write)
+        print(flush=True)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write_lines(lines, write) -> None:
+    """Write ``lines`` with a newline between each two."""
+    sep = ""
+    for line in lines:
+        write(sep + line)
+        sep = "\n"
 
 
 def _emit(args, command: str, scn, tol: Tolerance, fields: dict, text) -> None:
@@ -237,7 +201,8 @@ def _emit(args, command: str, scn, tol: Tolerance, fields: dict, text) -> None:
     renders from that same document."""
     doc = {"report_version": REPORT_VERSION, "command": command, "scenario": scn.name,
            "tolerance": vars(tol), **fields}  # a frozen dataclass's fields, not copied
-    _print(_dumps(doc) if args.json else "\n".join(text(doc)))
+    _print(functools.partial(_write, doc, nl="\n") if args.json
+           else functools.partial(_write_lines, text(doc)))
 
 
 def _load(args, observers=None) -> tuple:
@@ -269,20 +234,17 @@ def _pick(records, names) -> list:
 def cmd_validate(args) -> int:
     scn, records, _ = _load(args)
     total = sum(r.family.n_histories for r in records)
-    _print(f"ok: scenario {scn.name!r}, dim {scn.total_dim}, "
-           f"{len(records)} observer(s), {total} histories")
+    _print(lambda write: write(f"ok: scenario {scn.name!r}, dim {scn.total_dim}, "
+                               f"{len(records)} observer(s), {total} histories"))
     return EXIT_OK
 
 
-def _analyze_text(doc) -> list[str]:
-    lines = [f"scenario: {doc['scenario']}"]
+def _analyze_text(doc):
+    yield f"scenario: {doc['scenario']}"
     for obs in doc["observers"]:
-        lines.append(
-            f"observer {obs['name']}: {_verdict(obs['consistent'])} "
-            f"(max off-diagonal {_fmt(obs['max_offdiag'])}, threshold {_fmt(obs['threshold'])})"
-        )
-        lines += obs["histories"].lines()
-    return lines
+        yield (f"observer {obs['name']}: {_verdict(obs['consistent'])} "
+               f"(max off-diagonal {_fmt(obs['max_offdiag'])}, threshold {_fmt(obs['threshold'])})")
+        yield from obs["histories"].lines()
 
 
 def cmd_analyze(args) -> int:
@@ -458,10 +420,8 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ORACLE
-    _print(
-        f"ok: scenario {scn.name!r}, {total} histories cross-checked, "
-        f"worst discrepancy {_fmt(worst)}"
-    )
+    _print(lambda write: write(f"ok: scenario {scn.name!r}, {total} histories cross-checked, "
+                               f"worst discrepancy {_fmt(worst)}"))
     return EXIT_OK
 
 

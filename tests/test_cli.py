@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def qhist_env() -> dict:
+    """The environment of a child ``python -m qhist.cli`` that imports this ``qhist``."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def write(tmp_path, doc) -> str:
@@ -1002,8 +1009,15 @@ class TestDeterminism:
 
 
 def stdlib_dumps(doc) -> str:
-    """The encoding ``cli._dumps`` reproduces."""
+    """The encoding ``cli._write`` reproduces."""
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
+
+
+def dumps(doc) -> str:
+    """``doc`` as ``cli._write`` writes it."""
+    out = []
+    cli._write(doc, out.append, "\n")
+    return "".join(out)
 
 
 # lone surrogates, control characters, quotes, backslashes and non-ASCII,
@@ -1017,25 +1031,17 @@ LEAVES = (
     | st.integers()
     | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
     | FLOATS
-    | FLOATS.map(np.float64)
     | TEXT
 )
+# what a report holds: lists, and dicts with str keys
 TREES = st.recursive(
     LEAVES,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(TEXT, inner, max_size=4)
-        # json sorts the keys before writing them: one key type per dict, as mixed types do not sort
-        | st.sampled_from([st.integers(), FLOATS, st.booleans(), st.none()]).flatmap(
-            lambda keys: st.dictionaries(keys, inner, max_size=4)
-        )
-    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=24,
 )
 
 
-WRAP = {"list": lambda x: [x, 0], "tuple": lambda x: (x,), "dict": lambda x: {"k": x, "a": []}}
+WRAP = {"list": lambda x: [x, 0], "dict": lambda x: {"k": x, "a": []}}
 
 
 def nest(leaf, kinds):
@@ -1045,32 +1051,26 @@ def nest(leaf, kinds):
     return leaf
 
 
-class TestDumps:
-    """``cli._dumps`` writes the bytes of the stdlib encoder it replaces."""
+class TestWrite:
+    """``cli._write`` writes a report's tree as the stdlib encoder would, and
+    refuses what a report never holds rather than write other bytes."""
 
     @settings(max_examples=200, deadline=None)
-    @given(TREES)
-    @example({})
-    @example([[], {}, (), [{}]])
-    @example([{None: 1}, {True: 2, 3: 3}, {1.5: 0, -math.inf: 1}, {"b": [1e308, -0.0, 5e-324]}])
-    def test_matches_the_stdlib_encoder(self, doc):
-        assert cli._dumps(doc) == stdlib_dumps(doc)
+    @given(TREES, st.lists(st.sampled_from(["list", "dict"]), max_size=40))
+    @example({}, [])
+    @example([[], {}, [{}]], [])
+    @example({"b": [1e308, -0.0, 5e-324, math.nan, -math.inf, 2**70, True, None], "a": "\ud800"},
+             ["dict", "list"] * 20)
+    def test_matches_the_stdlib_encoder(self, doc, kinds):
+        doc = nest(doc, kinds)
+        assert dumps(doc) == stdlib_dumps(doc)
 
     @settings(max_examples=50, deadline=None)
-    @given(LEAVES, st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=40))
-    @example("\ud800", ["dict", "list", "tuple"] * 13 + ["dict"])
-    def test_deep_nesting(self, leaf, kinds):
-        doc = nest(leaf, kinds)
-        assert cli._dumps(doc) == stdlib_dumps(doc)
-
-    @settings(max_examples=50, deadline=None)
-    @given(TREES, st.sampled_from([object(), 1j, np.int64(1), b"x", frozenset([1])]))
-    def test_rejects_what_the_stdlib_rejects(self, doc, bad):
-        for wrapped in ({"a": doc, "b": bad}, [doc, bad], [doc, {bad: doc}]):
+    @given(TREES, st.sampled_from([(1,), {1: "x"}, b"x", 1j, np.int64(1), np.float64(1.0), object()]))
+    def test_refuses_what_a_report_never_holds(self, doc, bad):
+        for wrapped in (bad, {"a": doc, "b": bad}, [doc, bad], [doc, {"k": [bad]}]):
             with pytest.raises(TypeError):
-                stdlib_dumps(wrapped)
-            with pytest.raises(TypeError):
-                cli._dumps(wrapped)
+                dumps(wrapped)
 
 
 SLOT_LABELS = st.lists(st.lists(TEXT, min_size=1, max_size=3), min_size=1, max_size=4)
@@ -1092,26 +1092,37 @@ def analyze_doc(histories) -> dict:
                            "histories": histories}]}
 
 
+# rows per chunk: 1, 2 and 3 end chunks at counts that do not divide the row count
+CHUNKS = st.sampled_from([1, 2, 3, 8192])
+
+
 class TestAnalyzeRows:
-    """``cli._Rows`` writes what one dict per history gave."""
+    """``cli._Rows`` writes what one dict per history gave, a chunk of rows at a time."""
 
     @settings(max_examples=100, deadline=None)
-    @given(analyze_rows(), st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=6))
-    @example(([["+z", "-z"], ["any"]], np.array([1.0, math.nan])), [])
-    def test_json_matches_dict_rows(self, rows, kinds):
+    @given(analyze_rows(), st.lists(st.sampled_from(["list", "dict"]), max_size=6), CHUNKS)
+    @example(([["+z", "-z"], ["any"]], np.array([1.0, math.nan])), [], 8192)
+    @example(([["a", "b", "c"], ["x", "y"]], np.linspace(0, 1, 6)), ["dict"], 4)
+    def test_json_matches_dict_rows(self, rows, kinds, chunk):
         slots, probabilities = rows
         dict_rows = [{"labels": list(labels), "probability": float(p)}
                      for labels, p in zip(itertools.product(*slots), probabilities)]
-        doc = nest(analyze_doc(cli._Rows(slots, probabilities)), kinds)
-        assert cli._dumps(doc) == stdlib_dumps(nest(analyze_doc(dict_rows), kinds))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK", chunk)
+            assert dumps(nest(analyze_doc(cli._Rows(slots, probabilities)), kinds)) == stdlib_dumps(
+                nest(analyze_doc(dict_rows), kinds))
 
     @settings(max_examples=100, deadline=None)
-    @given(analyze_rows())
-    def test_text_matches_dict_rows(self, rows):
+    @given(analyze_rows(), CHUNKS)
+    def test_text_matches_dict_rows(self, rows, chunk):
         slots, probabilities = rows
-        assert list(cli._Rows(slots, probabilities).lines()) == [
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK", chunk)
+            chunks = list(cli._Rows(slots, probabilities).lines())
+        assert len(chunks) == -(-probabilities.size // chunk)
+        assert "\n".join(chunks) == "\n".join(
             f"  {','.join(labels)}  {cli._fmt(p)}" for labels, p in zip(itertools.product(*slots), probabilities)
-        ]
+        )
 
 
 class TestResourceFailure:
@@ -1159,6 +1170,37 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert proc.returncode == code  # docs/report.md: the command's own code
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("flags", [("--json",), ()], ids=["analyze_json", "analyze_text"])
+    def test_a_pipe_closed_mid_document_ends_quietly(self, tmp_path, flags):
+        """``qhist analyze ... | head -c 65536``: the reader leaves mid-document, after some rows."""
+        times = [f"t{k}" for k in range(15)]
+        chain = write(tmp_path, one_qubit(
+            name="sz_chain_14", times=times,
+            observers=[{"name": "O1", "measurements": [{"time": t, "observable": "sigma_z"} for t in times[1:]]}],
+        ))
+        with tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen([sys.executable, "-m", "qhist.cli", "analyze", chain, *flags],
+                                    stdout=subprocess.PIPE, stderr=err, env=qhist_env())
+            head = proc.stdout.read(65536)
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err.seek(0)
+            assert err.read() == b""
+        assert len(head) == 65536  # 16384 rows are over 64 KiB in either rendering
+        assert code == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (("validate", str(gallery("stable_facts"))), 0),
+        (("analyze", str(gallery("zxz_inconsistent")), "--json"), 2),
+        (("analyze", str(gallery("zxz_inconsistent"))), 2),
+    ])
+    def test_no_stdout_at_all_ends_quietly_with_the_command_code(self, argv, code):
+        """``qhist ... >&-``: Python starts with no ``sys.stdout``, and the output goes nowhere."""
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m qhist.cli "$@" >&-', sys.executable, *argv],
+                              stderr=subprocess.PIPE, env=qhist_env(), timeout=120, check=False)
+        assert proc.returncode == code
         assert proc.stderr == b""
 
 
