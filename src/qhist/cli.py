@@ -487,81 +487,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-@functools.cache
-def _plain_actions(name: str) -> tuple:
-    """From subcommand ``name``'s own actions: its parser, the options
-    ``_plain_parse`` takes by exact string (store, append and store_true,
-    no help), its positionals, its required options and each dest's default."""
-    parser = _build_parser()[1][name]
-    actions = [a for a in parser._actions if a.dest is not argparse.SUPPRESS]
-    options = {option: a for a in actions for option in a.option_strings
-               if type(a) in (argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction)
-               and (a.nargs is None or type(a.nargs) is int)}
-    return (parser, options, [a for a in actions if not a.option_strings],
-            [a for a in actions if a.required and a.option_strings],
-            {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS})
-
-
-def _plain_parse(name: str, rest: list[str]) -> argparse.Namespace | None:
-    """What subcommand ``name``'s ``parse_known_args(rest, Namespace(command=name))``
-    returns, with no leftovers, when ``rest`` holds only exact option strings,
-    each with its count of values not starting with "-", and a token per
-    positional; else None.  ``set_defaults`` is read on every call."""
-    parser, options, positionals, required, defaults = _plain_actions(name)
-    namespace = argparse.Namespace()  # filled through its __dict__: Namespace(**values) costs twice as much
-    values = vars(namespace)
-    values.update(command=name, **defaults)
-    for dest, value in parser._defaults.items():
-        values.setdefault(dest, value)
-    tokens, bare, seen = iter(rest), [], set()
-    try:
-        for token in tokens:
-            action = options.get(token)
-            if action is None:
-                if token.startswith("-"):
-                    return None
-                bare.append(token)
-                continue
-            seen.add(action)
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                continue
-            words = list(itertools.islice(tokens, action.nargs or 1))
-            if len(words) < (action.nargs or 1) or any(word.startswith("-") for word in words):
-                return None
-            words = [word if action.type is None else action.type(word) for word in words]
-            value = words if action.nargs else words[0]
-            if type(action) is argparse._AppendAction:
-                value = [*(values[action.dest] or ()), value]  # a new list, as argparse makes
-            values[action.dest] = value
-        if len(bare) != len(positionals) or not seen.issuperset(required):
-            return None
-        for action, token in zip(positionals, bare):
-            values[action.dest] = token if action.type is None else action.type(token)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's own message follows
-        return None
-    return namespace
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line; return its exit code.  A plain line after a
-    subcommand's name is read by ``_plain_parse``; any other such line by
-    that subcommand's parser, leftovers being the top-level parser's usage
-    error; any other line by the top.  Help, usage and errors are argparse's."""
+    """Run one command line; return its exit code.  When the first argument
+    names a subcommand, its parser alone parses the rest, and leftovers are
+    the top-level parser's usage error; any other line goes to the top."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None
-    args = _plain_parse(argv[0], argv[1:]) if command is not None else None
-    if args is None:
-        try:
-            if command is None:
-                args = parser.parse_args(argv)
-            else:
-                args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help
-            return EXIT_INPUT if exc.code else EXIT_OK
+    try:
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except InconsistentFamilyError as exc:

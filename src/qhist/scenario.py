@@ -349,6 +349,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
         ) from exc
     except RecursionError:
         raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer literal past int's digit limit (4300 by default)
+        raise ScenarioParseError(f"invalid JSON: {exc}") from None
     doc = _expect(doc, dict, "$", "a JSON object")
     _reject_unknown(
         doc,

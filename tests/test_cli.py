@@ -152,6 +152,52 @@ USAGE_PATH = str(gallery(cli_golden.USAGE_SCENARIO))
 USAGE_CORPUS = [cli_golden.usage_argv(line, USAGE_PATH) for line in cli_golden.USAGE_LINES]
 USAGE_TOKENS = sorted({word for argv in USAGE_CORPUS for word in argv} | {"-"})
 
+PLAIN_VALUE = st.text(max_size=6).filter(lambda word: not word.startswith("-"))
+
+
+def plain_item(action):
+    """One option of ``action``'s and its values, well-formed for its type."""
+    count = 0 if action.nargs == 0 else action.nargs or 1
+    value = {
+        float: st.one_of(st.floats(min_value=0).map(repr), st.just("nan")),
+        cli.positive_int: st.integers(1, 2**63 - 1).map(str),
+    }.get(action.type, PLAIN_VALUE)
+    return st.builds(lambda option, values: [option, *values], st.sampled_from(action.option_strings),
+                     st.lists(value, min_size=count, max_size=count))
+
+
+@st.composite
+def plain_line(draw):
+    """A subcommand and a line of its grammar, read from its parser: every
+    required option, any others, each with its values, and the path anywhere between them."""
+    name = draw(st.sampled_from(cli_golden.COMMANDS))
+    actions = [a for a in cli._build_parser()[1][name]._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    items = [draw(plain_item(a)) for a in actions if a.required]
+    items += draw(st.lists(st.sampled_from(actions).flatmap(plain_item), max_size=5))
+    items.insert(draw(st.integers(0, len(items))), [draw(PLAIN_VALUE)])
+    return [name, *(word for item in items for word in item)]
+
+
+HOSTILE = st.one_of(st.text(max_size=4), st.sampled_from(sorted(
+    {"=", "-1", "nan", "", "-", "--", "-h", "--help", "--fam", "--tol", "--tolerance=0", "a b", "Ø", "O1",
+     "t1:+x", "1e-6", "0", str(2**63), "-x", "inf"}
+    | {option for parser in cli._build_parser()[1].values() for action in parser._actions
+       for option in action.option_strings})))
+
+
+@st.composite
+def hostile_line(draw):
+    """Hostile tokens alone after a subcommand, or a line of the grammar
+    with some of its tokens replaced or joined by them."""
+    if draw(st.integers(0, 3)) == 0:
+        return [draw(st.sampled_from(cli_golden.COMMANDS)), *draw(st.lists(HOSTILE, max_size=10))]
+    argv = draw(plain_line())
+    for token in draw(st.lists(HOSTILE, min_size=1, max_size=2)):
+        i = draw(st.integers(1, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = [token]
+    return argv
+
 
 class TestOneParse:
     """``main`` parses a command line once, with the subcommand's parser when
@@ -189,6 +235,32 @@ class TestOneParse:
     def test_any_line_of_its_tokens_parses_as_the_top_level_parser_does(self, argv):
         assert self.outcome(cli.main, argv) == self.outcome(reference_main, argv)
 
+    def assert_as_reference(self, argv):
+        """As above, with namespaces compared by ``repr``, in which a NaN tolerance equals itself."""
+        (code, out, err, parsed), expected = self.outcome(cli.main, argv), self.outcome(reference_main, argv)
+        assert (code, out, err, repr(parsed)) == (*expected[:3], repr(expected[3]))
+
+    @given(plain_line())
+    @settings(max_examples=300, deadline=None)
+    def test_any_line_of_the_grammar_parses_as_the_top_level_parser_does(self, argv):
+        """Every option of each subcommand, with values of its type, beyond the usage corpus's tokens."""
+        self.assert_as_reference(argv)
+
+    @given(hostile_line())
+    @example(["validate", "-x"])
+    @example(["validate", "-1"])
+    @example(["validate", "", "--tolerance", "nan"])
+    @example(["validate", "a b", "--max-histories", str(2**63)])
+    @example(["analyze", "Ø", "--observer", "O1", "--observer", "O2", "--json", "--json"])
+    @example(["classify", "p", "--pair", "O1", "-"])
+    @example(["conditional", "p", "--fam", "O1", "--event", "=", "--given", "t1:+x"])
+    @example(["conditional", "p", "--family", "O1", "--event", "-x", "--given", "--"])
+    @example(["conditional", "p", "--family", "O1", "--family", "O2", "--event", "", "--given", "t1:+x"])
+    @settings(max_examples=300, deadline=None)
+    def test_a_hostile_line_parses_as_the_top_level_parser_does(self, argv):
+        """Abbreviations, ``=``, ``--``, dashes, help and malformed values inside a line of the grammar."""
+        self.assert_as_reference(argv)
+
     def test_the_corpus_covers_each_way_a_line_ends(self):
         """Help, the top-level parser's errors, a subcommand's errors, leftovers and a parsed command."""
         outcomes = [self.outcome(cli.main, argv) for argv in USAGE_CORPUS]
@@ -199,101 +271,6 @@ class TestOneParse:
         assert any(err.startswith("usage: qhist [-h]") and "invalid choice: 'bogus'" in err for err in stderrs)
         assert any(err.startswith("usage: qhist classify") and "expected 2 arguments" in err for err in stderrs)
         assert any(parsed and parsed[0]["tolerance"] == 0.0 for _, _, _, parsed in outcomes)  # --tol 0
-
-
-def argparse_parse(name, rest):
-    """What subcommand ``name``'s parser makes of ``rest``, as ``main`` calls
-    it: its namespace and leftovers, or None after help or a usage error."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return cli._build_parser()[1][name].parse_known_args(rest, argparse.Namespace(command=name))
-        except SystemExit:
-            return None
-
-
-PLAIN_VALUE = st.text(max_size=6).filter(lambda word: not word.startswith("-"))
-
-
-def plain_item(action):
-    """One option of ``action``'s and its values, well-formed for its type."""
-    count = 0 if action.nargs == 0 else action.nargs or 1
-    value = {
-        float: st.one_of(st.floats(min_value=0).map(repr), st.just("nan")),
-        cli.positive_int: st.integers(1, 2**63 - 1).map(str),
-    }.get(action.type, PLAIN_VALUE)
-    return st.builds(lambda option, values: [option, *values], st.sampled_from(action.option_strings),
-                     st.lists(value, min_size=count, max_size=count))
-
-
-@st.composite
-def plain_line(draw):
-    """A subcommand and a line of its grammar, read from its parser: every
-    required option, any others, each with its values, and the path anywhere between them."""
-    name = draw(st.sampled_from(cli_golden.COMMANDS))
-    actions = [a for a in cli._build_parser()[1][name]._actions
-               if a.option_strings and not isinstance(a, argparse._HelpAction)]
-    items = [draw(plain_item(a)) for a in actions if a.required]
-    items += draw(st.lists(st.sampled_from(actions).flatmap(plain_item), max_size=5))
-    items.insert(draw(st.integers(0, len(items))), [draw(PLAIN_VALUE)])
-    return name, [word for item in items for word in item]
-
-
-HOSTILE = st.one_of(st.text(max_size=4), st.sampled_from(sorted(
-    {"=", "-1", "nan", "", "-", "--", "-h", "--help", "--fam", "--tol", "--tolerance=0", "a b", "Ø", "O1",
-     "t1:+x", "1e-6", "0", str(2**63), "-x", "inf"}
-    | {option for parser in cli._build_parser()[1].values() for action in parser._actions
-       for option in action.option_strings})))
-
-
-@st.composite
-def hostile_line(draw):
-    """Hostile tokens alone, or a line of the grammar with some of its tokens replaced or joined by them."""
-    if draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(cli_golden.COMMANDS)), draw(st.lists(HOSTILE, max_size=10))
-    name, rest = draw(plain_line())
-    for token in draw(st.lists(HOSTILE, min_size=1, max_size=2)):
-        i = draw(st.integers(0, len(rest)))
-        rest[i:i + draw(st.integers(0, 1))] = [token]
-    return name, rest
-
-
-class TestPlainParse:
-    """``_plain_parse`` returns either None or exactly the namespace
-    argparse makes of the line, without leftovers; compared by ``repr``, in
-    which a NaN tolerance equals itself."""
-
-    @staticmethod
-    def assert_as_argparse(name, rest, plain):
-        parsed = argparse_parse(name, rest)
-        assert parsed is not None
-        namespace, extra = parsed
-        assert extra == []
-        assert repr(vars(plain)) == repr(vars(namespace))
-
-    @given(hostile_line())
-    @example(("validate", ["-x"]))
-    @example(("validate", ["-1"]))
-    @example(("validate", ["", "--tolerance", "nan"]))
-    @example(("validate", ["a b", "--max-histories", str(2**63)]))
-    @example(("analyze", ["Ø", "--observer", "O1", "--observer", "O2", "--json", "--json"]))
-    @example(("classify", ["p", "--pair", "O1", "-"]))
-    @example(("conditional", ["p", "--fam", "O1", "--event", "=", "--given", "t1:+x"]))
-    @example(("conditional", ["p", "--family", "O1", "--event", "-x", "--given", "--"]))
-    @example(("conditional", ["p", "--family", "O1", "--family", "O2", "--event", "", "--given", "t1:+x"]))
-    @settings(max_examples=500, deadline=None)
-    def test_a_hostile_line_is_declined_or_parsed_as_argparse_parses_it(self, line):
-        name, rest = line
-        plain = cli._plain_parse(name, rest)
-        if plain is not None:
-            self.assert_as_argparse(name, rest, plain)
-
-    @given(plain_line())
-    @settings(max_examples=500, deadline=None)
-    def test_every_line_of_the_grammar_is_parsed_as_argparse_parses_it(self, line):
-        name, rest = line
-        plain = cli._plain_parse(name, rest)
-        assert plain is not None
-        self.assert_as_argparse(name, rest, plain)
 
     @staticmethod
     def parse_counted(argv) -> tuple[list, int]:
@@ -316,21 +293,15 @@ class TestPlainParse:
                 cli.main(list(argv))
         return parsed, len(calls)
 
-    def test_every_digested_workload_line_parses_without_argparse(self):
+    def test_every_digested_workload_line_runs_after_one_argparse_call(self):
+        """The subcommand's ``parse_known_args`` alone: the top-level
+        ``parse_args`` would call it again, and once more per subparser."""
         lines = [argv for workload, argv, _ in cli_golden.digest_lines() if workload != "usage"]
         digested = (ROOT / "tests" / "golden" / "digests.txt").read_text().splitlines()
         assert len(lines) == sum(not line.startswith("usage ") for line in digested)
         for argv in lines:
             parsed, calls = self.parse_counted(argv)
-            assert (len(parsed), calls) == (1, 0), argv
-
-    def test_every_usage_line_argparse_answers_is_declined(self):
-        """Help or a usage error from the reference: ``main`` ran no command and called argparse."""
-        answered = [argv for argv in USAGE_CORPUS if not TestOneParse.outcome(reference_main, argv)[3]]
-        for argv in answered:
-            parsed, calls = self.parse_counted(argv)
-            assert (parsed, calls > 0) == ([], True), argv
-        assert len(answered) == 29  # of 39; the other 10 parse
+            assert (len(parsed), calls) == (1, 1), argv
 
 
 class TestInputChecks:

@@ -84,6 +84,12 @@ class TestParse:
             parse_scenario(b"{not json")
         assert "line" in str(excinfo.value)
 
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(b'{"a": ' + b"1" * 5000 + b"}")
+        assert excinfo.value.path == "$"
+        assert str(excinfo.value).startswith("$: invalid JSON: Exceeds the limit")
+
     def test_dim_cap(self):
         with pytest.raises(DimMismatchError):
             parse_scenario(doc(systems=[8, 8, 2], initial_state={"vector": [[1, 0]] + [[0, 0]] * 127}))
