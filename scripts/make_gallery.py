@@ -157,10 +157,12 @@ def measurement_fam2() -> Scenario:
     )
 
 
+BUILDERS = (repeated_x, zxz_inconsistent, stable_facts, relative_facts, measurement_fam1, measurement_fam2)
+
+
 def main() -> None:
     OUT.mkdir(exist_ok=True)
-    for build in (repeated_x, zxz_inconsistent, stable_facts, relative_facts,
-                  measurement_fam1, measurement_fam2):
+    for build in BUILDERS:
         scenario = build()
         data = serialize_scenario(scenario)
         assert parse_scenario(data) == scenario, scenario.name

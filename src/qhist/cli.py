@@ -352,9 +352,12 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_fact(spec: str, what: str) -> dict:
-    time, sep, label = spec.partition(":")
-    if not sep or not time or not label:
+def _parse_fact(spec: str, what: str, slot_times: tuple[str, ...]) -> dict:
+    """TIME:LABEL split at the first ":" whose prefix is one of ``slot_times``
+    (a time may contain ":"), else at the first ":"."""
+    cut = next((k for k, c in enumerate(spec) if c == ":" and spec[:k] in slot_times), spec.find(":"))
+    time, label = spec[:cut], spec[cut + 1 :]
+    if cut < 0 or not time or not label:
         raise QHistError(f"--{what} must look like TIME:LABEL, got {spec!r}")
     return {"time": time, "label": label}
 
@@ -369,8 +372,8 @@ def _conditional_text(doc) -> list[str]:
 
 def cmd_conditional(args) -> int:
     scn, records, tol = _load(args, None if args.family == COMBINED_FAMILY else [args.family])
-    event = _parse_fact(args.event, "event")
-    given = _parse_fact(args.given, "given")
+    event = _parse_fact(args.event, "event", scn.times[1:])
+    given = _parse_fact(args.given, "given", scn.times[1:])
     by_name = {r.name: r for r in records}
     if args.family == COMBINED_FAMILY:
         if len(records) < 2:

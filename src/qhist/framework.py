@@ -4,20 +4,20 @@ A decomposition is the quantum analogue of a partition of phase space:
 mutually orthogonal projectors summing to the identity.  This is the one
 module that validates decompositions, each where it is built: an
 observable's eigenprojectors, labelled projectors padded with their
-complement "rest", and the products of two decompositions are stacked as a
-``_Slot`` and validated by ``_validated``, which returns the decomposition
-or raises.  Two kinds are exact by construction and built without
-validation, as an ``_ExactDecomposition``: ``scenario.resolve``'s named
-slots (the identity and each Pauli's (1 ± sigma)/2 on a qubit factor), and
-the products of two exact decompositions that commute exactly
-(``_pair_products``).
+complement "rest", and the products of two decompositions are stacked and
+validated by ``_validated``, which returns the decomposition or raises.
+Two kinds are exact by construction and built without validation, as an
+``_ExactDecomposition``: ``scenario.resolve``'s named slots (the identity
+and each Pauli's (1 ± sigma)/2 on a qubit factor), and the products of two
+exact decompositions that commute exactly (``_pair_products``).
 
 Conjunction of two projectors is defined only when they commute; otherwise
 it is the distinguished value ``UNDEFINED`` (a result of the three-valued
 logic, not a failure).  Two decompositions are compatible when all cross
 pairs commute; only compatible decompositions may be refined into a common
-one.  Compatibility, refinement and the two-condition test read one table
-of products PQ per pair of decompositions (``_pair_products``).
+one.  Compatibility reads one table of products PQ per pair of
+decompositions (``_pair_products``); ``_refinement`` builds the common
+refinement from it, for ``refine`` and the two-condition test alike.
 """
 
 from __future__ import annotations
@@ -126,14 +126,6 @@ class _ExactDecomposition(ProjectiveDecomposition):
     as a plain ``ProjectiveDecomposition``."""
 
 
-class _Slot(NamedTuple):
-    """A decomposition's projectors stacked and labelled, not yet validated."""
-
-    stack: np.ndarray  # complex, (n, dim, dim)
-    labels: Sequence[str]
-    misfits: Sequence = ()  # the elements after ``stack`` of another shape
-
-
 def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """The elements converted to complex: the leading ones of shape (d, d) as
     one (k, d, d) stack (a copy), and the rest as matrices, the first of which
@@ -200,18 +192,19 @@ def _orthogonality_fault(stack: np.ndarray, tol: Tolerance) -> tuple[int, int, f
     return i, j, residuals[i, j]
 
 
-def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
-    """The first fault of one slot, or None.  The checks run in
+def _slot_error(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits=()) -> Exception | None:
+    """The first fault of an (n, dim, dim) ``stack`` under ``labels``, then
+    the ``misfits`` (elements of another shape), or None.  The checks run in
     ``make_decomposition``'s order: finiteness, the labels, each element's
     projector property, the misfits, orthogonality, then completeness.
 
     Returned, not raised: an exception caught to be returned keeps its
     traceback, whose frames can hold it in a reference cycle.
     """
-    stack, (n, dim, _) = slot.stack, slot.stack.shape
+    n, dim, _ = stack.shape
     if not np.isfinite(stack).all():
         return ValueError("matrix entries must be finite")
-    label_error = _label_error(n + len(slot.misfits), slot.labels)
+    label_error = _label_error(n + len(misfits), labels)
     if label_error is not None:
         return label_error
     if n:  # else the head may have dim 0, which the reductions refuse
@@ -223,9 +216,9 @@ def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
         idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
         bad = np.flatnonzero(~(hermitian & idempotent)).tolist()
         if bad:
-            return NotAProjectorError(f"element {bad[0]} ({slot.labels[bad[0]]!r}) is not a projector")
-    if slot.misfits:
-        return DimMismatchError(f"projector {n} has shape {slot.misfits[0].shape}, expected ({dim}, {dim})")
+            return NotAProjectorError(f"element {bad[0]} ({labels[bad[0]]!r}) is not a projector")
+    if misfits:
+        return DimMismatchError(f"projector {n} has shape {misfits[0].shape}, expected ({dim}, {dim})")
     found = _orthogonality_fault(stack, tol)
     if found is not None:
         i, j, residual = found
@@ -236,18 +229,18 @@ def _slot_error(slot: _Slot, tol: Tolerance) -> Exception | None:
     return None
 
 
-def _validated(slot: _Slot, tol: Tolerance) -> ProjectiveDecomposition:
-    """The decomposition of one slot, or its ``_slot_error`` raised.  The
-    stack is the caller's to give up: the decomposition holds it, made
-    read-only."""
-    error = _slot_error(slot, tol)
+def _validated(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits=()) -> ProjectiveDecomposition:
+    """The decomposition of ``stack`` under ``labels``, or its ``_slot_error``
+    raised.  The stack is the caller's to give up: the decomposition holds
+    it, made read-only."""
+    error = _slot_error(stack, labels, tol, misfits)
     if error is not None:
         try:
             raise error
         finally:  # the traceback holds this frame, so no local may hold the error
             error = None
-    slot.stack.setflags(write=False)
-    return ProjectiveDecomposition(slot.stack.shape[1], slot.stack, tuple(slot.labels))
+    stack.setflags(write=False)
+    return ProjectiveDecomposition(stack.shape[1], stack, tuple(labels))
 
 
 def make_decomposition(
@@ -276,7 +269,7 @@ def make_decomposition(
     scenario or a ``build_family`` slot list are refused one.
     """
     stack, misfits = _stacked(projectors, dim)
-    return _validated(_Slot(stack, labels, misfits), tol)
+    return _validated(stack, labels, tol, misfits)
 
 
 def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecomposition:
@@ -284,7 +277,7 @@ def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecompositi
     ``ev{k}={value}`` in ascending order of eigenvalue."""
     pairs = hermitian_eigenprojectors(m, tol)
     labels = [f"ev{k}={value:.6g}" for k, (value, _) in enumerate(pairs)]
-    return _validated(_Slot(np.array([p for _, p in pairs], dtype=complex), labels), tol)
+    return _validated(np.array([p for _, p in pairs], dtype=complex), labels, tol)
 
 
 def _padded_decomposition(
@@ -312,7 +305,7 @@ def _padded_decomposition(
             labels.append(REST_LABEL)
             stack = np.concatenate((stack, rest[None]))
     try:
-        return _validated(_Slot(stack, labels, misfits), tol)
+        return _validated(stack, labels, tol, misfits)
     except QHistError as exc:
         raise BadDecompositionError(f"slot is not a valid decomposition: {exc}") from exc
 
@@ -383,6 +376,8 @@ class CommutationCheck(NamedTuple):
 
 
 class _ProductTable(NamedTuple):
+    """A pair's commutation check and products PQ, for ``_refinement``."""
+
     check: CommutationCheck
     stack: np.ndarray  # the products kept, in row-major order, not yet validated
     keep: np.ndarray  # the (len(a), len(b)) mask of the products kept
@@ -392,8 +387,7 @@ class _ProductTable(NamedTuple):
 def _pair_products(a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: Tolerance) -> _ProductTable:
     """The table of products PQ of two decompositions, each formed once:
     ``decompositions_compatible``'s check, the products of modulus above
-    ``tol.proj``, the mask of those kept, from which ``_product_labels``
-    names them, and whether the table is exact.
+    ``tol.proj``, the mask of those kept, and whether the table is exact.
 
     The products are formed in blocks of rows (``_block_rows``).  Each
     block's residuals max|PQ - QP| multiply QP afresh rather than take it as
@@ -401,7 +395,7 @@ def _pair_products(a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: 
 
     The table is exact when both decompositions are ``_ExactDecomposition``s,
     every residual is exactly 0.0 and every product dropped is exactly zero;
-    ``_product_slot`` then builds its products without validating them.
+    ``_refinement`` then builds its products without validating them.
     That is sound: an exact decomposition's projectors are tensor products
     of one per-factor projector, 1 or a Pauli's (1 ± sigma)/2, for each
     factor.  A nonzero product of two such commutes only when each factor's
@@ -441,20 +435,16 @@ def _pair_products(a: ProjectiveDecomposition, b: ProjectiveDecomposition, tol: 
     return _ProductTable(CommutationCheck(worst <= tol.comm, worst, worst_pair), stack, keep, exact)
 
 
-def _product_slot(table: _ProductTable, labels: Sequence[str], tol: Tolerance) -> ProjectiveDecomposition:
-    """A table's products under ``labels``: an ``_ExactDecomposition`` over
-    its read-only stack when the table is exact (``_pair_products``), else
-    validated.  ``refine`` and ``stablefacts.check_compatibility`` build
-    every product decomposition through this."""
+def _refinement(a, b, table: _ProductTable, tol: Tolerance) -> ProjectiveDecomposition:
+    """The products kept in ``table``, ``_pair_products(a, b, tol)`` of a pair
+    that commutes, labelled "p∧q" in its order: an ``_ExactDecomposition``
+    over its read-only stack when the table is exact, else validated.
+    ``refine`` and ``check_compatibility`` build every refinement with this."""
+    labels = tuple(f"{a.labels[i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(*np.nonzero(table.keep)))
     if not table.exact:
-        return _validated(_Slot(table.stack, labels), tol)
+        return _validated(table.stack, labels, tol)
     table.stack.setflags(write=False)
-    return _ExactDecomposition(table.stack.shape[1], table.stack, tuple(labels))
-
-
-def _product_labels(a: ProjectiveDecomposition, b: ProjectiveDecomposition, keep: np.ndarray) -> list[str]:
-    """The labels "p∧q" of the products ``_pair_products`` kept, in its order."""
-    return [f"{a.labels[i]}{CONJUNCTION_JOINER}{b.labels[j]}" for i, j in zip(*np.nonzero(keep))]
+    return _ExactDecomposition(table.stack.shape[1], table.stack, labels)
 
 
 def decompositions_compatible(
@@ -474,9 +464,7 @@ def refine(
     """Common refinement of two compatible decompositions.
 
     Keeps every nonzero product PQ, labelled "p∧q"; zero products span empty
-    subspaces and are dropped.  The products are validated as a
-    decomposition unless the table is exact (``_pair_products``), in which
-    case they are built without validation.
+    subspaces and are dropped (``_refinement``).
     """
     table = _pair_products(a, b, tol)
     check = table.check
@@ -485,4 +473,4 @@ def refine(
             f"cannot refine: projectors {check.worst_pair} do not commute "
             f"(residual {check.max_residual:.3e})"
         )
-    return _product_slot(table, _product_labels(a, b, table.keep), tol)
+    return _refinement(a, b, table, tol)

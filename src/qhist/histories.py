@@ -323,13 +323,13 @@ def coarse_grain(
     family: HistoryFamily,
     merges: Mapping[str, Sequence[Iterable[str]]],
     tol: Tolerance = DEFAULT_TOL,
-    max_histories: int = DEFAULT_MAX_HISTORIES,
 ) -> HistoryFamily:
     """Merge outcome labels at named slots by summing their projectors.
 
     ``merges`` maps a slot time to label groups that must partition that
     slot's labels exactly; slots not mentioned are untouched.  Merged groups
-    get the label "a∨b" in the slot's original label order.
+    get the label "a∨b" in the slot's original label order.  The merged
+    family has at most ``family``'s histories, its cap.
     """
     new_slots: list[ProjectiveDecomposition] = []
     for time, decomp in zip(family.grid.slot_times, family.slot_decompositions):
@@ -350,4 +350,4 @@ def coarse_grain(
     unknown = set(merges) - set(family.grid.slot_times)
     if unknown:
         raise UnknownLabelError(f"merge times {sorted(unknown)} are not slot times")
-    return _assemble_family(family.initial_ket, family.grid, family.evolutions, new_slots, max_histories)
+    return _assemble_family(family.initial_ket, family.grid, family.evolutions, new_slots, family.n_histories)

@@ -30,8 +30,7 @@ from .errors import (
 from .framework import (
     ProjectiveDecomposition,
     _pair_products,
-    _product_labels,
-    _product_slot,
+    _refinement,
     decompositions_compatible,
 )
 from .histories import (
@@ -83,11 +82,10 @@ class SlotCommutation(NamedTuple):
 class CompatibilityReport:
     """Evidence for the two-condition test between a pair of observers.
 
-    ``product_family_consistency`` is None when the slot products were not
-    well-formed decompositions, in which case condition 2 is marked skipped
-    rather than failed.  That happens when condition 1 failed, or when
-    ``tol.comm`` is looser than ``tol.herm`` or ``tol.proj``: products of
-    projectors that commute within ``comm`` need not be projectors within those.
+    ``product_family_consistency`` is None when condition 2 was skipped:
+    condition 1 failed, or the slot products do not form decompositions,
+    which they need not when ``tol.comm`` is looser than ``tol.herm`` or
+    ``tol.proj`` (the pair then fails condition 2).
     """
 
     observer_a: str
@@ -121,15 +119,15 @@ def check_compatibility(
     tol: Tolerance = DEFAULT_TOL,
     max_histories: int = DEFAULT_MAX_HISTORIES,
 ) -> CompatibilityReport:
-    """The two-condition test: slot-wise commutation, then consistency of the
-    slot-wise product family, whose histories are capped at ``max_histories``.
-    Stable iff both hold; the product family is then
-    ``report.product_family_consistency.family``.
+    """The two-condition test: slot-wise commutation, then, only when that
+    holds, consistency of the slot-wise product family, whose histories are
+    capped at ``max_histories``.  Stable iff both hold; the product family
+    is then ``report.product_family_consistency.family``.
 
     Slots that pair the same two decomposition objects (``resolve`` gives each
     distinct measurement one) share one product table per call: each distinct
-    pair is multiplied once, in order of first use, and its products are
-    built (``framework._product_slot``) at most once and shared by its
+    pair is multiplied once, in order of first use, and refined
+    (``framework._refinement``) once, when condition 1 holds, for all its
     slots.  ``per_slot_commutation`` still has a row per slot."""
     _require_shared_scenario(a, b, tol)
     fa, fb = a.family, b.family
@@ -143,23 +141,19 @@ def check_compatibility(
         per_slot.append(SlotCommutation(time, check.max_residual, check.compatible, check.worst_pair))
     condition1 = all(sc.commutes for sc in per_slot)
 
-    # the products {K_i Y_j} of each distinct pair, built one pair at a time
-    # up to the first that fails to form a decomposition, which they may
-    # when condition 1 failed, or when comm is looser than herm or proj;
-    # condition 2 is then skipped.  Which pair fails does not matter, so the
-    # pairs that do not commute, where products usually fail, come first,
-    # and a pair's products are labelled only when they are built.
-    product_of, product_report = {}, None
-    try:
-        for pair in sorted(products, key=lambda pair: products[pair].check.compatible):
-            table = products[pair]
-            product_of[pair] = _product_slot(table, _product_labels(*pair, table.keep), tol)
-    except (QHistError, ValueError):
-        pass
-    else:
-        slots = [product_of[pair] for pair in slot_pairs]
-        product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, max_histories)
-        product_report = consistency_check(product_family, tol)
+    # the products {K_i Y_j} of each distinct pair, refined one pair at a
+    # time up to the first whose products fail to form a decomposition,
+    # which they may when comm is looser than herm or proj
+    product_report = None
+    if condition1:
+        try:
+            product_of = {pair: _refinement(*pair, table, tol) for pair, table in products.items()}
+        except (QHistError, ValueError):
+            pass
+        else:
+            slots = [product_of[pair] for pair in slot_pairs]
+            product_family = _assemble_family(fa.initial_ket, fa.grid, fa.evolutions, slots, max_histories)
+            product_report = consistency_check(product_family, tol)
 
     if not condition1:
         failing = "condition1"

@@ -882,6 +882,18 @@ class TestConditional:
         assert code == 0
         assert out.startswith("P(-x@t1 | +x@t1) = 0 ")
 
+    def test_a_time_containing_a_colon_is_split_after(self, capsys, tmp_path):
+        measurements = [{"time": t, "observable": "sigma_z"} for t in ("1:00", "2:00")]
+        doc = one_qubit(times=["0:00", "1:00", "2:00"], observers=[{"name": "O1", "measurements": measurements}])
+        path = write(tmp_path, doc)
+        code, out, _ = run(capsys, "conditional", path, "--family", "O1", "--event", "2:00:+z", "--given", "1:00:+z")
+        assert code == 0
+        assert out.startswith("P(+z@2:00 | +z@1:00) = 1 ")
+        # no prefix is a slot time, so the first ":" splits, as for any other time
+        code, out, err = run(capsys, "conditional", path, "--family", "O1", "--event", "3:00:+z", "--given", "1:00:+z")
+        assert (code, out) == (1, "")
+        assert "time '3' not on grid" in err
+
     def test_combined_family(self, capsys):
         code, out, _ = run(
             capsys, "conditional", str(gallery("stable_facts")), "--json",

@@ -23,7 +23,6 @@ from qhist.framework import (
     _ExactDecomposition,
     _pair_products,
     _orthogonality_fault,
-    _Slot,
     _stacked,
     _validated,
     conjunction,
@@ -476,7 +475,7 @@ class TestStackedValidation:
         for mats, labels in inputs:
             try:
                 head, rest = _stacked(mats, d)
-                decomps.append(_validated(_Slot(head, labels, rest), DEFAULT_TOL))
+                decomps.append(_validated(head, labels, DEFAULT_TOL, rest))
             except (QHistError, ValueError) as exc:
                 error = exc
                 break
@@ -513,18 +512,18 @@ class TestStackedValidation:
             labels = [f"b{i}" for i in range(8)]
             edge = Tolerance(herm=1e-3, proj=residuals[k])
             for s in stacks:
-                _validated(_Slot(s.copy(), labels), edge)
+                _validated(s.copy(), labels, edge)
             below = Tolerance(herm=1e-3, proj=float(np.nextafter(residuals[k], 0.0)))
             for s in stacks[:k]:
-                _validated(_Slot(s.copy(), labels), below)
+                _validated(s.copy(), labels, below)
             with pytest.raises(NotCompleteError):
-                _validated(_Slot(stacks[k].copy(), labels), below)
+                _validated(stacks[k].copy(), labels, below)
         assert used >= 5
 
     def test_each_decomposition_holds_its_slots_stack_read_only(self):
-        for slot in [_Slot(I2[None].copy(), ["any"]), _Slot(np.stack([P_UP, P_DOWN]), ["up", "down"])]:
-            decomp = _validated(slot, DEFAULT_TOL)
-            assert decomp.projectors is slot.stack and not slot.stack.flags.writeable
+        for stack, labels in [(I2[None].copy(), ["any"]), (np.stack([P_UP, P_DOWN]), ["up", "down"])]:
+            decomp = _validated(stack, labels, DEFAULT_TOL)
+            assert decomp.projectors is stack and not stack.flags.writeable
 
 
 def _theta_basis(theta: float):

@@ -269,6 +269,14 @@ class TestCoarseGrain:
         with pytest.raises(NotAPartitionError):
             coarse_grain(xz_family(), {"t1": [("+x",)]})
 
+    def test_a_family_over_the_default_cap_merges_under_its_own(self):
+        # 2^21 histories, built under a raised cap; merging one slot halves
+        # them to 2^20, which is still over the default cap of 10^6
+        times = [f"t{k}" for k in range(22)]
+        family = build_family(KET_UP, times, [None] * 21, [DZ] * 21, max_histories=2**21)
+        merged = coarse_grain(family, {"t1": [("+z", "-z")]})
+        assert merged.shape == (1,) + (2,) * 20 and merged.n_histories == 2**20
+
 
 def _consistent_pool(rng, count):
     """Random consistent families: single-slot plus transported-observable chains."""

@@ -28,7 +28,7 @@ from qhist.errors import (
     NotUnitaryError,
     UnknownOperatorError,
 )
-from qhist.framework import ProjectiveDecomposition, _Slot, _validated, make_decomposition
+from qhist.framework import ProjectiveDecomposition, _validated, make_decomposition
 from qhist.histories import consistency_check
 from qhist.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Tolerance, identity, is_unitary, max_abs
 from qhist.scenario import (
@@ -179,7 +179,7 @@ def test_named_decompositions_are_exact(dims):
         decomp = _measurement_slot(_measurement_key(spec, dims, 0, 0), dims, EXACT)
         assert isinstance(decomp, ProjectiveDecomposition), spec
         p = decomp.projectors
-        assert _validated(_Slot(p.copy(), decomp.labels), EXACT).projectors.tobytes() == p.tobytes()
+        assert _validated(p.copy(), decomp.labels, EXACT).projectors.tobytes() == p.tobytes()
         residuals = [
             max_abs(p - p.conj().swapaxes(-2, -1)),  # Hermitian
             max_abs(p @ p - p),  # idempotent

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,8 @@ from qhist.scenario import (
 )
 
 from helpers import GALLERY_NAMES, gallery, random_scenario
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 MINIMAL = {
     "format": 1,
@@ -360,6 +364,15 @@ class TestRoundTrip:
         scn = parse_scenario(data)
         assert parse_scenario(serialize_scenario(scn)) == scn
         assert serialize_scenario(parse_scenario(serialize_scenario(scn))) == serialize_scenario(scn)
+
+    def test_the_gallery_is_what_make_gallery_builds(self):
+        spec = importlib.util.spec_from_file_location("make_gallery", ROOT / "scripts" / "make_gallery.py")
+        make_gallery = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_gallery)
+        built = {scn.name: serialize_scenario(scn) for scn in (build() for build in make_gallery.BUILDERS)}
+        assert sorted(built) == sorted(GALLERY_NAMES)
+        for name, data in built.items():
+            assert data == gallery(name).read_bytes(), name
 
     def test_default_evolutions_serialized_explicitly(self):
         scn = parse_scenario(doc())  # document has no evolutions field

@@ -544,8 +544,9 @@ def distinct_pairs(a: ObserverRecord, b: ObserverRecord) -> list[tuple[int, int]
 
 
 class TestProductSlotsInOnePass:
-    """``check_compatibility`` builds each distinct slot pair's products at
-    most once, one pair at a time, and stops at the first fault."""
+    """``check_compatibility`` refines each distinct slot pair at most once,
+    one pair at a time, only when condition 1 holds, and stops at the first
+    fault."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -585,52 +586,51 @@ class TestProductSlotsInOnePass:
         assert verdicts == ["condition2", "condition1", None]
         assert multiplied == [2, 3, 3]  # A/B pairs (z, trivial) at t1 and t3
 
-    def test_each_distinct_pair_is_labelled_and_validated_once(self, monkeypatch):
+    @pytest.fixture
+    def refined(self, monkeypatch) -> list[tuple[int, int]]:
+        """The ids of each pair ``check_compatibility`` refines, in order."""
+        calls = []
+
+        def refinement(da, db, table, tol):
+            calls.append((id(da), id(db)))
+            return qhist.framework._refinement(da, db, table, tol)
+
+        monkeypatch.setattr(qhist.stablefacts, "_refinement", refinement)
+        return calls
+
+    def test_each_distinct_pair_is_labelled_and_validated_once(self, refined):
         """A measures sigma_z and B a z axis tilted by 1e-5 rad at t1, and both
-        sigma_x at t2.  The t1 pair does not commute within comm 1e-9, but its
-        products are projectors within herm and proj 1e-3, so both pairs'
-        products form decompositions; each pair is labelled and built once."""
-        labelled, built = [], []
-
-        def product_labels(da, db, keep):
-            labelled.append((id(da), id(db)))
-            return qhist.framework._product_labels(da, db, keep)
-
-        def product_slot(table, labels, tol):
-            built.append(labels)
-            return qhist.framework._product_slot(table, labels, tol)
-
-        monkeypatch.setattr(qhist.stablefacts, "_product_labels", product_labels)
-        monkeypatch.setattr(qhist.stablefacts, "_product_slot", product_slot)
+        sigma_x at t2.  The t1 pair does not commute within comm 1e-9, although
+        its products are projectors within herm and proj 1e-3: condition 1
+        fails, so no pair is refined.  In CONDITION2, A and B commute at all
+        three slots, which pair two distinct decompositions: each is refined
+        once."""
         tilt = 1e-5
         dx = pauli_decomposition("x")
         a = observer("A", [pauli_decomposition("z"), dx], ket=PLUS_X, dim=2)
         b = observer("B", [np.cos(tilt) * SIGMA_Z + np.sin(tilt) * SIGMA_X, dx], ket=PLUS_X, dim=2)
         report = check_compatibility(a, b, Tolerance(herm=1e-3, proj=1e-3, comm=1e-9))
         assert report.failing_condition == "condition1"
+        assert report.product_family_consistency is None
+        assert refined == []
+
+        a, b, _ = resolve(parse_scenario(json.dumps(CONDITION2)))
+        report = check_compatibility(a, b)
+        assert report.failing_condition == "condition2"
         assert report.product_family_consistency is not None
-        assert labelled == distinct_pairs(a, b)
-        assert len(labelled) == 2 and len(built) == 2
+        assert refined == distinct_pairs(a, b)
+        assert len(refined) == 2 and len(report.per_slot_commutation) == 3
 
-    def test_a_slot_is_labelled_only_when_validated(self, monkeypatch):
-        labelled = []
-
-        def product_labels(da, db, keep):
-            labelled.append((id(da), id(db)))
-            return qhist.framework._product_labels(da, db, keep)
-
-        monkeypatch.setattr(qhist.stablefacts, "_product_labels", product_labels)
+    def test_a_slot_is_labelled_only_when_validated(self, refined):
         for a, b in itertools.combinations(resolve(parse_scenario(json.dumps(CONDITION2))), 2):
-            labelled.clear()
+            refined.clear()
             report = check_compatibility(a, b)
-            pairs = [(id(da), id(db)) for da, db in zip(a.family.slot_decompositions, b.family.slot_decompositions)]
             if report.failing_condition == "condition1":
-                # the first slot that does not commute fails alone; no other slot is labelled
-                first = next(k for k, sc in enumerate(report.per_slot_commutation) if not sc.commutes)
+                # condition 2 is not evaluated: no slot is refined
                 assert report.product_family_consistency is None
-                assert labelled == [pairs[first]]
+                assert refined == []
             else:
-                assert labelled == distinct_pairs(a, b)
+                assert refined == distinct_pairs(a, b)
 
     def test_records_of_one_resolve_compare_no_arrays(self, monkeypatch):
         calls = []
@@ -753,9 +753,9 @@ class TestExactProducts:
         calls = []
         slot_error = qhist.framework._slot_error
 
-        def counted(slot, tol):
-            calls.append(tuple(slot.labels))
-            return slot_error(slot, tol)
+        def counted(stack, labels, tol, misfits=()):
+            calls.append(tuple(labels))
+            return slot_error(stack, labels, tol, misfits)
 
         monkeypatch.setattr(qhist.framework, "_slot_error", counted)
         return calls
@@ -769,12 +769,13 @@ class TestExactProducts:
             assert isinstance(refine(da, db), _ExactDecomposition)
         assert validated == []
 
-    def test_a_pair_with_a_nonzero_residual_is_validated(self, validated):
+    def test_a_pair_with_a_nonzero_residual_is_not_refined(self, validated):
         a, _, c = resolve(parse_scenario(json.dumps(CONDITION2)))
         report = check_compatibility(a, c)
         assert report.failing_condition == "condition1" and report.product_family_consistency is None
-        # the t1 pair (sigma_z, sigma_x) does not commute: it is validated first and fails
-        assert validated == [("+z∧+x", "+z∧-x", "-z∧+x", "-z∧-x")]
+        # the t1 pair (sigma_z, sigma_x) does not commute, so condition 2 is
+        # not evaluated: no product, exact or not, is built or validated
+        assert validated == []
 
     @pytest.mark.parametrize(
         "observable, products",
@@ -798,7 +799,7 @@ class TestExactProducts:
         assert validated == [products]
         assert not isinstance(report.product_family_consistency.family.slot_decompositions[0], _ExactDecomposition)
 
-    def test_the_fold_into_observers_o3_is_validated(self, observers_paths, validated):
+    def test_the_fold_into_observers_o3_validates_nothing(self, observers_paths, validated):
         records = resolve(parse_scenario(observers_paths["all"].read_bytes()))
         o1, o2, o3, _ = records
         validated.clear()
@@ -807,9 +808,9 @@ class TestExactProducts:
         assert info.value.report.failing_condition == "condition1"
         # O1 and O2 measure only named observables: their products are built
         # exact; O3's t1 (sigma_y on qubit a) fails to commute with theirs
-        # (sigma_z on a), so that pair is validated, first and alone
-        assert len(validated) == 1
-        assert all(label.endswith(("∧+y", "∧-y")) for label in validated[0])
+        # (sigma_z on a), so no product with O3's is built or validated
+        assert info.value.report.product_family_consistency is None
+        assert validated == []
 
 
 def _pauli_scenario(n_qubits: int, presets: list[str], observers: list[list]) -> dict:
