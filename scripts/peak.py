@@ -6,7 +6,10 @@ For each tree, in the order given, the script runs ``python3 -m qhist.cli``
 with the arguments after ``--`` in a child process whose ``PYTHONPATH`` is
 that tree's ``src`` and whose ``PYTHONPYCACHEPREFIX`` is an empty temporary
 directory of its own, removed afterwards, so that no run reads bytecode left
-in a tree's ``__pycache__``, which may be stale against its sources.  The
+in a tree's ``__pycache__``, which may be stale against its sources.
+``measure`` runs any interpreter argv this way; given a ``pycache``
+directory, it uses that one instead and lets the child write bytecode
+there, so that the runs of one tree that share it compile once.  The
 child's stdout is read in chunks, of which only the byte count and the
 sha256 are kept, so the script never holds the output; its stderr goes to a
 temporary file.  The child is waited for with ``os.wait4``, which gives the
@@ -35,15 +38,21 @@ import time
 READ = 1 << 20  # bytes of stdout read at a time
 
 
-def measure(tree: pathlib.Path, argv: list[str]) -> dict:
-    """Run ``qhist`` with ``argv`` from ``tree``'s ``src`` in a child process;
-    its exit code, wall seconds, peak RSS in MB, stdout bytes and sha256, and stderr."""
-    with tempfile.TemporaryDirectory(prefix="peak-pycache-") as pycache, tempfile.TemporaryFile() as err:
-        env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONPYCACHEPREFIX": pycache}
+def measure(tree: pathlib.Path, argv: list[str], pycache: str | None = None) -> dict:
+    """Run the interpreter with ``argv`` (``["-m", "qhist.cli", ...]`` for a
+    ``qhist`` command) from ``tree``'s ``src`` in a child process; its exit
+    code, wall seconds, peak RSS in MB, stdout bytes and sha256, and stderr.
+
+    The child reads and writes bytecode in ``pycache``, even where the
+    environment sets ``PYTHONDONTWRITEBYTECODE``; with None, in an empty
+    temporary directory, removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="peak-pycache-") as fresh, tempfile.TemporaryFile() as err:
+        env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONPYCACHEPREFIX": pycache or fresh}
+        if pycache:
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
         digest, size = hashlib.sha256(), 0
         started = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "qhist.cli", *argv], stdout=subprocess.PIPE,
-                                stderr=err, env=env)
+        proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=err, env=env)
         with proc.stdout:
             while chunk := proc.stdout.read(READ):
                 digest.update(chunk)
@@ -67,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     if not command:
         p.error("give the qhist command line after --")
     for tree in args.trees:
-        run = measure(tree, command)
+        run = measure(tree, ["-m", "qhist.cli", *command])
         tail = run["stderr"].strip().splitlines()[-1:] if run["code"] else []
         print(f"{tree}: exit {run['code']}, {run['seconds']:.2f} s, {run['peak_mb']:.1f} MB peak, "
               f"{run['bytes']} B out, sha256 {run['sha256']}", *tail, sep="  ", flush=True)

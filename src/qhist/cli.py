@@ -352,14 +352,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_fact(spec: str, what: str, slot_times: tuple[str, ...]) -> dict:
-    """TIME:LABEL split at the first ":" whose prefix is one of ``slot_times``
-    (a time may contain ":"), else at the first ":"."""
-    cut = next((k for k, c in enumerate(spec) if c == ":" and spec[:k] in slot_times), spec.find(":"))
-    time, label = spec[:cut], spec[cut + 1 :]
-    if cut < 0 or not time or not label:
+def _parse_fact(spec: str, what: str, slot_times: tuple[str, ...]) -> list[dict]:
+    """The TIME:LABEL readings of ``spec``, one per ":" whose prefix is one of
+    ``slot_times`` (a time may contain ":"), in order, else the one at the
+    first ":"; the first reading must have a time and a label."""
+    cuts = [k for k, c in enumerate(spec) if c == ":" and spec[:k] in slot_times] or [spec.find(":")]
+    facts = [{"time": spec[:k], "label": spec[k + 1 :]} for k in cuts]
+    if cuts[0] < 0 or not facts[0]["time"] or not facts[0]["label"]:
         raise QHistError(f"--{what} must look like TIME:LABEL, got {spec!r}")
-    return {"time": time, "label": label}
+    return facts
+
+
+def _fact_in(facts: list[dict], family) -> dict:
+    """The first of ``facts`` whose (time, label) is an outcome of ``family``,
+    else the first."""
+    labels = dict(zip(family.grid.slot_times, (decomp.labels for decomp in family.slot_decompositions)))
+    return next((f for f in facts if f["label"] in labels.get(f["time"], ())), facts[0])
 
 
 def _conditional_text(doc) -> list[str]:
@@ -372,8 +380,8 @@ def _conditional_text(doc) -> list[str]:
 
 def cmd_conditional(args) -> int:
     scn, records, tol = _load(args, None if args.family == COMBINED_FAMILY else [args.family])
-    event = _parse_fact(args.event, "event", scn.times[1:])
-    given = _parse_fact(args.given, "given", scn.times[1:])
+    events = _parse_fact(args.event, "event", scn.times[1:])
+    givens = _parse_fact(args.given, "given", scn.times[1:])
     by_name = {r.name: r for r in records}
     if args.family == COMBINED_FAMILY:
         if len(records) < 2:
@@ -383,6 +391,7 @@ def cmd_conditional(args) -> int:
         report = consistency_check(by_name[args.family].family, tol)
     else:
         raise QHistError(f"unknown family {args.family!r} (pick an observer name or 'combined')")
+    event, given = _fact_in(events, report.family), _fact_in(givens, report.family)
     query = FactQuery(event=(event["time"], event["label"]), condition=(given["time"], given["label"]))
     fields = {"family": args.family, "event": event, "given": given,
               "probability": float(conditional_probability(report, query, tol))}

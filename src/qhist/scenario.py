@@ -330,12 +330,7 @@ def _measurement_key(spec, dims: tuple[int, ...], i: int, j: int | None) -> obje
 
 
 def parse_scenario(data: bytes | str) -> Scenario:
-    """Parse and structurally validate one scenario document.
-
-    A measurement builds no JSONPath unless a check fails; its checks then
-    run again in order, so the first fault in document order is raised.
-    Each distinct operator name is checked once, at its first use, and its
-    measurements share one ``NamedObservable`` (within this call only)."""
+    """Parse and structurally validate one scenario document."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -434,8 +429,6 @@ def parse_scenario(data: bytes | str) -> Scenario:
     observers_raw = _expect(_get(doc, "observers", "$"), list, "$.observers", "an array")
     observers = []
     seen_names: set[str] = set()
-    later = frozenset(times[1:])  # the times a measurement may take
-    by_name: dict[str, NamedObservable] = {}  # per distinct operator name, checked at its first use
     for i, obs in enumerate(observers_raw):
         opath = f"$.observers[{i}]"
         obs = _expect(obs, dict, opath, "an object")
@@ -450,29 +443,21 @@ def parse_scenario(data: bytes | str) -> Scenario:
         measurements = []
         seen_times: set[str] = set()
         for j, m in enumerate(meas_raw):
-            mtime = m.get("time") if type(m) is dict else None
-            if not (type(mtime) is str and mtime in later and mtime not in seen_times
-                    and len(m) == 2 and "observable" in m):  # some check below fails: the first raises
-                mpath = f"{opath}.measurements[{j}]"
-                m = _expect(m, dict, mpath, "an object")
-                _reject_unknown(m, {"time", "observable"}, mpath)
-                mtime = _expect(_get(m, "time", mpath), str, f"{mpath}.time", "a string")
-                if mtime not in times:
-                    raise ScenarioError(f"time {mtime!r} is not on the grid", path=f"{mpath}.time")
-                if mtime == times[0]:
-                    raise ScenarioError(
-                        "measurements at the initial time are not allowed; t0 carries the initial state",
-                        path=f"{mpath}.time",
-                    )
-                if mtime in seen_times:
-                    raise ScenarioError(f"observer {oname!r} measures twice at {mtime!r}", path=f"{mpath}.time")
-                _get(m, "observable", mpath)
+            mpath = f"{opath}.measurements[{j}]"
+            m = _expect(m, dict, mpath, "an object")
+            _reject_unknown(m, {"time", "observable"}, mpath)
+            mtime = _expect(_get(m, "time", mpath), str, f"{mpath}.time", "a string")
+            if mtime not in times:
+                raise ScenarioError(f"time {mtime!r} is not on the grid", path=f"{mpath}.time")
+            if mtime == times[0]:
+                raise ScenarioError(
+                    "measurements at the initial time are not allowed; t0 carries the initial state",
+                    path=f"{mpath}.time",
+                )
+            if mtime in seen_times:
+                raise ScenarioError(f"observer {oname!r} measures twice at {mtime!r}", path=f"{mpath}.time")
             seen_times.add(mtime)
-            value = m["observable"]
-            if type(value) is not str:
-                observable = _parse_observable(value, i, j, dims, total)
-            elif (observable := by_name.get(value)) is None:
-                observable = by_name[value] = _parse_observable(value, i, j, dims, total)
+            observable = _parse_observable(_get(m, "observable", mpath), i, j, dims, total)
             measurements.append(Measurement(time=mtime, observable=observable))
         observers.append(ObserverSpec(name=oname, measurements=tuple(measurements)))
 
@@ -622,8 +607,7 @@ def resolve(
 
     ``parse_scenario`` checks the document's structure; for a hand-built
     ``Scenario``, ``_measurement_key`` checks every operator name here too,
-    as it keys each distinct observable object, once, at its first use in
-    observer and slot order.  Under the effective tolerance, every
+    as it keys each measurement.  Under the effective tolerance, every
     number the file supplies is checked, for every observer, named or not:
     the initial ket (norm included), once, each distinct evolution matrix,
     each distinct projector list (padded and validated as a decomposition,
@@ -675,15 +659,12 @@ def resolve(
     named = [wanted is None or obs.name in wanted for obs in s.observers]
     dims = s.subsystem_dims
     uses = []  # per observer, per slot: (measurement key, measurement index)
-    keys = {}  # per distinct spec (None for a trivial slot), its key, checked at its first use
     for i, obs in enumerate(s.observers):
         by_time = {m.time: (j, m.observable) for j, m in enumerate(obs.measurements)}
         uses.append([])
         for t in grid.slot_times:
             j, spec = by_time.get(t, (None, None))
-            if (key := keys.get(spec)) is None:  # a hand-built Scenario is checked too
-                key = keys[spec] = _measurement_key(spec, dims, i, j)
-            uses[-1].append((key, j))
+            uses[-1].append((_measurement_key(spec, dims, i, j), j))  # a hand-built Scenario is checked too
     read = {key for slots, built in zip(uses, named) if built for key, _ in slots}  # named observers' keys
     decomps = {}  # per key, built at its first use: its decomposition, or None when nothing is built
     records = []

@@ -894,6 +894,18 @@ class TestConditional:
         assert (code, out) == (1, "")
         assert "time '3' not on grid" in err
 
+    def test_a_time_extending_another_past_a_colon_is_the_split_the_family_has(self, capsys, tmp_path):
+        measurements = [{"time": t, "observable": "sigma_z"} for t in ("1", "1:00")]
+        doc = one_qubit(times=["0", "1", "1:00"], observers=[{"name": "O1", "measurements": measurements}])
+        path = write(tmp_path, doc)
+        code, out, _ = run(capsys, "conditional", path, "--family", "O1", "--event", "1:00:+z", "--given", "1:+z")
+        assert code == 0
+        assert out.startswith("P(+z@1:00 | +z@1) = 1 ")
+        # no reading names an outcome of the family: the first split stands, and its refusal
+        code, out, err = run(capsys, "conditional", path, "--family", "O1", "--event", "1:00:+q", "--given", "1:+z")
+        assert (code, out) == (3, "")
+        assert "label '00:+q' not in ('+z', '-z')" in err
+
     def test_combined_family(self, capsys):
         code, out, _ = run(
             capsys, "conditional", str(gallery("stable_facts")), "--json",

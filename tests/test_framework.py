@@ -131,6 +131,14 @@ class TestConjunction:
         with pytest.raises(NotAProjectorError):
             conjunction(SIGMA_X, I2)
 
+    def test_projectors_of_unequal_dims_rejected(self):
+        with pytest.raises(DimMismatchError) as excinfo:
+            conjunction(P_UP, tensor_product(P_UP, I2))
+        assert str(excinfo.value) == "conjunction needs equal dims, got (2, 2) and (4, 4)"
+
+    def test_undefined_reads_as_its_name(self):
+        assert repr(UNDEFINED) == "Undefined"
+
     def test_symmetric_when_defined(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 6))

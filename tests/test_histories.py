@@ -15,6 +15,7 @@ from qhist.errors import (
     NotCompleteError,
     NotUnitaryError,
     UnknownHistoryError,
+    UnknownLabelError,
 )
 from qhist.framework import make_decomposition
 from qhist.histories import (
@@ -182,6 +183,13 @@ class TestBuildFamily:
         with pytest.raises(BadTimesError):
             TimeGrid(("t0",))
 
+    def test_grid_times_must_be_unique(self):
+        from qhist.errors import BadTimesError
+
+        with pytest.raises(BadTimesError) as excinfo:
+            TimeGrid(("t0", "t1", "t0"))
+        assert str(excinfo.value) == "duplicate time labels in ('t0', 't1', 't0')"
+
 
 class TestChainKet:
     def test_repeated_eigenstate_measurement(self):
@@ -268,6 +276,12 @@ class TestCoarseGrain:
     def test_not_a_partition_rejected(self):
         with pytest.raises(NotAPartitionError):
             coarse_grain(xz_family(), {"t1": [("+x",)]})
+
+    def test_a_merge_time_that_is_no_slot_time_is_refused(self):
+        # t0 is on the grid but carries no slot
+        with pytest.raises(UnknownLabelError) as excinfo:
+            coarse_grain(xz_family(), {"t9": [("+z", "-z")], "t0": [("+x", "-x")]})
+        assert str(excinfo.value) == "merge times ['t0', 't9'] are not slot times"
 
     def test_a_family_over_the_default_cap_merges_under_its_own(self):
         # 2^21 histories, built under a raised cap; merging one slot halves

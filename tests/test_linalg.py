@@ -9,6 +9,8 @@ from qhist.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     Tolerance,
+    as_ket,
+    as_matrix,
     commutator,
     dagger,
     hermitian_eigenprojectors,
@@ -123,6 +125,20 @@ class TestPredicates:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             is_projector(np.array([[np.nan, 0], [0, 0]]))
+
+
+class TestCoercion:
+    @pytest.mark.parametrize("value", [[1, 0], np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2, 2)), 1])
+    def test_a_matrix_is_a_nonempty_2d_array(self, value):
+        with pytest.raises(DimMismatchError) as excinfo:
+            as_matrix(value)
+        assert str(excinfo.value) == f"expected a matrix, got shape {np.shape(value)}"
+
+    @pytest.mark.parametrize("value", [[[1, 0]], [], np.zeros((2, 2)), 1])
+    def test_a_ket_is_a_nonempty_vector(self, value):
+        with pytest.raises(DimMismatchError) as excinfo:
+            as_ket(value)
+        assert str(excinfo.value) == f"expected a vector, got shape {np.shape(value)}"
 
 
 class TestCommutator:

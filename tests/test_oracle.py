@@ -50,6 +50,13 @@ class TestSequentialProbability:
         with pytest.raises(UnknownLabelError):
             sequential_probability(fam, ("+x", "+q"))
 
+    @pytest.mark.parametrize("seq", [(), ("+x",), ("+x", "+z", "+z")])
+    def test_a_sequence_of_the_wrong_length_is_refused(self, seq):
+        fam = build_family(KET_UP, GRID, [I2, I2], [DX, DZ])
+        with pytest.raises(UnknownLabelError) as excinfo:
+            sequential_probability(fam, seq)
+        assert str(excinfo.value) == f"sequence has {len(seq)} labels, family has 2 slots"
+
 
 class TestSequentialProbabilities:
     @given(

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import pathlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from qhist.errors import (
     UnknownFieldError,
     UnknownOperatorError,
 )
-from qhist import scenario as scenario_module
 from qhist.linalg import SIGMA_Z, identity, max_abs
 from qhist.scenario import (
     Measurement,
@@ -87,6 +85,16 @@ class TestParse:
         with pytest.raises(ScenarioParseError) as excinfo:
             parse_scenario(b"{not json")
         assert "line" in str(excinfo.value)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (5, "$.evolutions[0].matrix: expected a matrix as nested arrays of [re, im] pairs"),
+        ([5, 6], "$.evolutions[0].matrix[0]: expected an array of [re, im] pairs"),
+    ])
+    def test_a_matrix_not_of_nested_arrays_is_named(self, matrix, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(doc(evolutions=[{"matrix": matrix}]))
+        assert type(excinfo.value) is ScenarioError
+        assert str(excinfo.value) == message
 
     def test_an_integer_past_the_digit_limit_is_a_parse_error(self):
         with pytest.raises(ScenarioParseError) as excinfo:
@@ -307,25 +315,6 @@ class TestResolve:
 
 
 class TestOncePerDistinctName:
-    def test_each_distinct_name_is_keyed_once_per_call(self, observers_paths):
-        # six distinct names over 19 named measurements, and one matrix
-        data = observers_paths["all"].read_bytes()
-        with mock.patch.object(scenario_module, "_measurement_key", wraps=scenario_module._measurement_key) as key:
-            scn = parse_scenario(data)
-            assert key.call_count == 6
-            key.reset_mock()
-            resolve(scn)
-            assert key.call_count == 7
-
-    def test_measurements_of_one_name_share_one_observable(self, observers_paths):
-        scn = parse_scenario(observers_paths["all"].read_bytes())
-        by_name = {}
-        for obs in scn.observers:
-            for m in obs.measurements:
-                if isinstance(m.observable, NamedObservable):
-                    assert by_name.setdefault(m.observable.name, m.observable) is m.observable
-        assert len(by_name) == 6
-
     def test_a_hand_built_unknown_name_raises_at_its_first_use(self):
         scn = Scenario(
             name="twice", subsystem_dims=(2,), initial_state=("up_z",), times=("t0", "t1", "t2"),
@@ -373,6 +362,11 @@ class TestRoundTrip:
         assert sorted(built) == sorted(GALLERY_NAMES)
         for name, data in built.items():
             assert data == gallery(name).read_bytes(), name
+
+    def test_a_scenario_equals_no_other_type(self):
+        scn = parse_scenario(doc())
+        assert scn.__eq__(scn.to_jsonable()) is NotImplemented
+        assert scn != scn.to_jsonable() and scn != serialize_scenario(scn)
 
     def test_default_evolutions_serialized_explicitly(self):
         scn = parse_scenario(doc())  # document has no evolutions field

@@ -126,6 +126,18 @@ class TestCheckCompatibility:
         with pytest.raises(MismatchedScenarioError):
             check_compatibility(o1, other)
 
+    @pytest.mark.parametrize("ket, times, evolutions, slots, message", [
+        (KET_UP, GRID, [I2, I2], [pauli_decomposition("x")] * 2, "dims differ: 4 vs 2"),
+        (KET2, ["t0", "t1", "t3"], [I4, I4], [DX1, DX2], "grids differ: ('t0', 't1', 't2') vs ('t0', 't1', 't3')"),
+        (KET2, GRID, [I4, np.kron(I2, SIGMA_X)], [DX1, DX2], "evolutions differ on t1 -> t2"),
+    ])
+    def test_each_mismatch_is_named(self, ket, times, evolutions, slots, message):
+        o1, _ = stable_pair()
+        other = ObserverRecord("O2", build_family(ket, times, evolutions, slots))
+        with pytest.raises(MismatchedScenarioError) as excinfo:
+            check_compatibility(o1, other)
+        assert str(excinfo.value) == message
+
 
 def random_pair(seed):
     records = resolve(random_scenario(np.random.default_rng(seed)))
@@ -372,6 +384,12 @@ class TestCombine:
         passive = observer("P", [trivial_slot, trivial_slot])
         assert combine_all([o1, o2, passive]).consistent
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_combine_all_needs_two_observers(self, count):
+        with pytest.raises(NotCompatibleError) as excinfo:
+            combine_all(stable_pair()[:count])
+        assert str(excinfo.value) == "need at least two observers to combine"
+
 
 class TestConditionalProbability:
     def test_measurement_model_is_delta(self):
@@ -416,6 +434,14 @@ class TestConditionalProbability:
             conditional_probability(
                 consistency_check(fam), FactQuery(event=("t2", "+z"), condition=("t1", "+x"))
             )
+
+    @pytest.mark.parametrize("operator", [(I2 + SIGMA_Z) / 2, I4])  # no such projector; the wrong shape
+    def test_a_projector_matching_no_outcome_is_unknown(self, operator):
+        fam = build_family(KET_UP, GRID, [I2, I2], [pauli_decomposition("x"), pauli_decomposition("x")])
+        query = FactQuery(event=("t1", operator), condition=("t2", "+x"))
+        with pytest.raises(UnknownLabelError) as excinfo:
+            conditional_probability(consistency_check(fam), query)
+        assert str(excinfo.value) == "no projector at 't1' matches the given operator"
 
     def test_zero_probability_condition_refused(self):
         fam, _ = measurement_model(2)
