@@ -5,7 +5,8 @@ mutually orthogonal projectors summing to the identity.  This is the one
 module that validates decompositions, each where it is built: an
 observable's eigenprojectors, labelled projectors padded with their
 complement "rest", and the products of two decompositions are stacked and
-validated by ``_validated``, which returns the decomposition or raises.
+validated by ``_validated``, which returns the decomposition or raises the
+first fault where its check finds it.
 Two kinds are exact by construction and built without validation, as an
 ``_ExactDecomposition``: ``scenario.resolve``'s named slots (the identity
 and each Pauli's (1 ± sigma)/2 on a qubit factor), and the products of two
@@ -131,7 +132,7 @@ def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.nd
     one (k, d, d) stack (a copy), and the rest as matrices, the first of which
     has another shape.  ``d`` is ``dim``, or the first element's row count.
 
-    The usual input costs one conversion; ``_slot_error`` checks its
+    The usual input costs one conversion; ``_validated`` checks its
     finiteness.  Only when the conversion gives no such stack does each
     element go through ``as_matrix``, which raises the error of the first
     element that is not a finite matrix.
@@ -150,18 +151,17 @@ def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.nd
     return head, mats[k:]
 
 
-def _label_error(n: int, labels: Sequence[str]) -> QHistError | None:
-    """The error for ``n`` elements under ``labels``: none, a count that differs, or a repeat."""
+def _check_labels(n: int, labels: Sequence[str]) -> None:
+    """Raise unless ``labels`` names ``n`` elements, at least one, without a repeat."""
     if not n:
-        return NotCompleteError("a decomposition needs at least one projector")
+        raise NotCompleteError("a decomposition needs at least one projector")
     if len(labels) != n:
-        return DuplicateLabelError(f"{n} projectors but {len(labels)} labels")
+        raise DuplicateLabelError(f"{n} projectors but {len(labels)} labels")
     seen: dict[str, int] = {}
     for i, label in enumerate(labels):
         if label in seen:
-            return DuplicateLabelError(f"label {label!r} at index {i} repeats index {seen[label]}")
+            raise DuplicateLabelError(f"label {label!r} at index {i} repeats index {seen[label]}")
         seen[label] = i
-    return None
 
 
 def _block_rows(n: int, m: int) -> int:
@@ -170,9 +170,9 @@ def _block_rows(n: int, m: int) -> int:
     return max(1, (n + m) // m)
 
 
-def _orthogonality_fault(stack: np.ndarray, tol: Tolerance) -> tuple[int, int, float] | None:
-    """The first pair i < j of an (n, d, d) stack whose product exceeds
-    ``tol.proj``, with its residual, or None.
+def _check_orthogonal(stack: np.ndarray, tol: Tolerance) -> None:
+    """Raise ``NotOrthogonalError`` naming the first pair i < j of an
+    (n, d, d) stack whose product exceeds ``tol.proj``, with its residual.
 
     Element i times a block of its elements after i is one broadcast
     product of views: no operand is copied, and a block holds at most half
@@ -186,27 +186,22 @@ def _orthogonality_fault(stack: np.ndarray, tol: Tolerance) -> tuple[int, int, f
         for j in range(i + 1, n, width):
             residuals[i, j : j + width] = max_abs_each(stack[i : i + 1] @ stack[j : j + width])
     bad = np.argwhere(residuals > tol.proj)
-    if not len(bad):
-        return None
-    i, j = bad[0].tolist()
-    return i, j, residuals[i, j]
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise NotOrthogonalError(f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residuals[i, j]:.3e})")
 
 
-def _slot_error(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits=()) -> Exception | None:
-    """The first fault of an (n, dim, dim) ``stack`` under ``labels``, then
-    the ``misfits`` (elements of another shape), or None.  The checks run in
-    ``make_decomposition``'s order: finiteness, the labels, each element's
-    projector property, the misfits, orthogonality, then completeness.
-
-    Returned, not raised: an exception caught to be returned keeps its
-    traceback, whose frames can hold it in a reference cycle.
-    """
+def _validated(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits=()) -> ProjectiveDecomposition:
+    """The decomposition of an (n, dim, dim) ``stack`` under ``labels``; the
+    ``misfits`` are the elements of another shape that followed it.  Raises
+    the first fault, the checks running in ``make_decomposition``'s order:
+    finiteness, the labels, each element's projector property, the misfits,
+    orthogonality, then completeness.  The stack is the caller's to give
+    up: the decomposition holds it, made read-only."""
     n, dim, _ = stack.shape
     if not np.isfinite(stack).all():
-        return ValueError("matrix entries must be finite")
-    label_error = _label_error(n + len(misfits), labels)
-    if label_error is not None:
-        return label_error
+        raise ValueError("matrix entries must be finite")
+    _check_labels(n + len(misfits), labels)
     if n:  # else the head may have dim 0, which the reductions refuse
         # stack - stack^dagger, formed in one contiguous copy of the transpose:
         # a strided conjugate-transpose operand costs more than the subtraction
@@ -216,31 +211,15 @@ def _slot_error(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfit
         idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
         bad = np.flatnonzero(~(hermitian & idempotent)).tolist()
         if bad:
-            return NotAProjectorError(f"element {bad[0]} ({labels[bad[0]]!r}) is not a projector")
+            raise NotAProjectorError(f"element {bad[0]} ({labels[bad[0]]!r}) is not a projector")
     if misfits:
-        return DimMismatchError(f"projector {n} has shape {misfits[0].shape}, expected ({dim}, {dim})")
-    found = _orthogonality_fault(stack, tol)
-    if found is not None:
-        i, j, residual = found
-        return NotOrthogonalError(f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residual:.3e})")
+        raise DimMismatchError(f"projector {n} has shape {misfits[0].shape}, expected ({dim}, {dim})")
+    _check_orthogonal(stack, tol)
     residual = max_abs(stack.sum(axis=0) - identity(dim))
     if residual > tol.proj:
-        return NotCompleteError(f"projectors do not sum to identity (residual {residual:.3e})")
-    return None
-
-
-def _validated(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits=()) -> ProjectiveDecomposition:
-    """The decomposition of ``stack`` under ``labels``, or its ``_slot_error``
-    raised.  The stack is the caller's to give up: the decomposition holds
-    it, made read-only."""
-    error = _slot_error(stack, labels, tol, misfits)
-    if error is not None:
-        try:
-            raise error
-        finally:  # the traceback holds this frame, so no local may hold the error
-            error = None
+        raise NotCompleteError(f"projectors do not sum to identity (residual {residual:.3e})")
     stack.setflags(write=False)
-    return ProjectiveDecomposition(stack.shape[1], stack, tuple(labels))
+    return ProjectiveDecomposition(dim, stack, tuple(labels))
 
 
 def make_decomposition(
@@ -255,7 +234,7 @@ def make_decomposition(
     converted to one complex stack, a copy, so later writes to the input do
     not reach the decomposition.  Each element must be ``dim`` x ``dim``, or
     the first element's shape when ``dim`` is None.  The checks
-    (``_slot_error``) each run over the whole stack at once: the labels,
+    (``_validated``) each run over the whole stack at once: the labels,
     each element's shape and projector
     property (Hermitian within ``tol.herm``, idempotent within ``tol.proj``),
     the orthogonality of each pair, then completeness.  The error raised is

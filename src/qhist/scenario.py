@@ -68,6 +68,7 @@ FORMAT_VERSION = 1
 DEFAULT_MAX_DIM = 64
 
 TRIVIAL_LABEL = "any"
+_TOLERANCE_FIELDS = tuple(f.name for f in fields(Tolerance))  # a document's tolerance keys, in written order
 COMBINED_FAMILY = "combined"  # `conditional --family` name of the n-way fold; no observer may take it
 _OBSERVABLE = "$.observers[{}].measurements[{}].observable"  # the JSONPath of measurement j of observer i
 
@@ -159,7 +160,8 @@ class Scenario:
         }
         if self.tolerance_overrides:
             overrides = self.tolerance_overrides
-            doc["tolerance"] = {f.name: overrides[f.name] for f in fields(Tolerance) if f.name in overrides}
+            known = {key: overrides[key] for key in _TOLERANCE_FIELDS if key in overrides}
+            doc["tolerance"] = {**known, **overrides}  # Tolerance's field order, then any other key
         return doc
 
     def __eq__(self, other) -> bool:
@@ -171,7 +173,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown(obj: dict, allowed: Iterable[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise UnknownFieldError(f"unknown field {key!r}", path=f"{path}.{key}")
@@ -246,9 +248,7 @@ def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
     ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
     if ragged is not None:
         raise ScenarioError(f"row {ragged} has length {len(rows[ragged])}, expected {width}", path=path)
-    size = (len(rows), width) if matrix else (width,)
-    if size != shape:
-        raise DimMismatchError(f"{path}: shape {size} does not match total dim {shape[0]}")
+    _check_shape((len(rows), width) if matrix else (width,), shape, path)
     try:
         pairs = np.array(flat, dtype=np.float64)
     except OverflowError:
@@ -357,27 +357,14 @@ def parse_scenario(data: bytes | str) -> Scenario:
         raise ScenarioError(f"unsupported format {doc['format']!r}, expected {FORMAT_VERSION}", path="$.format")
     name = _expect(_get(doc, "name", "$"), str, "$.name", "a string")
 
-    dims_raw = _expect(_get(doc, "systems", "$"), list, "$.systems", "an array of factor dimensions")
-    if not dims_raw:
-        raise ScenarioError("systems must be nonempty", path="$.systems")
-    dims = []
-    for i, d in enumerate(dims_raw):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ScenarioError("factor dimension must be a positive integer", path=f"$.systems[{i}]")
-        dims.append(d)
-    dims = tuple(dims)
-    total = math.prod(dims)
-    if total > DEFAULT_MAX_DIM:
-        raise DimMismatchError(f"$.systems: total dim {total} exceeds cap {DEFAULT_MAX_DIM}")
+    dims = tuple(_expect(_get(doc, "systems", "$"), list, "$.systems", "an array of factor dimensions"))
+    total = _check_dims(dims)
 
     tolerance: dict[str, float] = {}
     if "tolerance" in doc:
         tobj = _expect(doc["tolerance"], dict, "$.tolerance", "an object")
-        _reject_unknown(tobj, {f.name for f in fields(Tolerance)}, "$.tolerance")
-        for key, value in tobj.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1e-3:
-                raise ScenarioError("tolerance must be a number in [0, 1e-3]", path=f"$.tolerance.{key}")
-            tolerance[key] = float(value)
+        _check_tolerance(tobj)
+        tolerance = {key: float(value) for key, value in tobj.items()}
 
     state_raw = _get(doc, "initial_state", "$")
     initial_state: tuple[str, ...] | np.ndarray
@@ -395,31 +382,19 @@ def parse_scenario(data: bytes | str) -> Scenario:
             path="$.initial_state",
         )
 
-    times_raw = _expect(_get(doc, "times", "$"), list, "$.times", "an array of time labels")
-    times = []
-    for i, t in enumerate(times_raw):
-        times.append(_expect(t, str, f"$.times[{i}]", "a string"))
-    if len(times) < 2:
-        raise ScenarioError("need at least two times (t0 plus one slot)", path="$.times")
-    if len(set(times)) != len(times):
-        raise ScenarioError("time labels must be unique", path="$.times")
-    times = tuple(times)
+    times = tuple(_expect(_get(doc, "times", "$"), list, "$.times", "an array of time labels"))
+    _check_times(times)
     n_intervals = len(times) - 1
 
     if "evolutions" in doc:
         evs_raw = _expect(doc["evolutions"], list, "$.evolutions", "an array")
-        if len(evs_raw) != n_intervals:
-            raise ScenarioError(
-                f"expected {n_intervals} evolutions (one per interval), got {len(evs_raw)}",
-                path="$.evolutions",
-            )
+        _check_evolution_count(len(evs_raw), n_intervals)
         evolutions = []
         for i, ev in enumerate(evs_raw):
             epath = f"$.evolutions[{i}]"
-            if ev == "identity":
-                evolutions.append("identity")
+            if not isinstance(ev, dict):
+                evolutions.append(_evolution_name(ev, i))
                 continue
-            ev = _expect(ev, dict, epath, "'identity' or {'matrix': ...}")
             _reject_unknown(ev, {"matrix"}, epath)
             evolutions.append(_parse_array(_get(ev, "matrix", epath), f"{epath}.matrix", (total, total)))
         evolutions = tuple(evolutions)
@@ -433,11 +408,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
         opath = f"$.observers[{i}]"
         obs = _expect(obs, dict, opath, "an object")
         _reject_unknown(obs, {"name", "measurements"}, opath)
-        oname = _expect(_get(obs, "name", opath), str, f"{opath}.name", "a string")
-        if oname == COMBINED_FAMILY:
-            raise ScenarioError(f"observer name {oname!r} is reserved", path=f"{opath}.name")
-        if oname in seen_names:
-            raise ScenarioError(f"duplicate observer name {oname!r}", path=f"{opath}.name")
+        oname = _get(obs, "name", opath)
+        _check_observer_name(oname, seen_names, i)
         seen_names.add(oname)
         meas_raw = _expect(_get(obs, "measurements", opath), list, f"{opath}.measurements", "an array")
         measurements = []
@@ -446,16 +418,8 @@ def parse_scenario(data: bytes | str) -> Scenario:
             mpath = f"{opath}.measurements[{j}]"
             m = _expect(m, dict, mpath, "an object")
             _reject_unknown(m, {"time", "observable"}, mpath)
-            mtime = _expect(_get(m, "time", mpath), str, f"{mpath}.time", "a string")
-            if mtime not in times:
-                raise ScenarioError(f"time {mtime!r} is not on the grid", path=f"{mpath}.time")
-            if mtime == times[0]:
-                raise ScenarioError(
-                    "measurements at the initial time are not allowed; t0 carries the initial state",
-                    path=f"{mpath}.time",
-                )
-            if mtime in seen_times:
-                raise ScenarioError(f"observer {oname!r} measures twice at {mtime!r}", path=f"{mpath}.time")
+            mtime = _get(m, "time", mpath)
+            _check_time(mtime, times, seen_times, oname, i, j)
             seen_times.add(mtime)
             observable = _parse_observable(_get(m, "observable", mpath), i, j, dims, total)
             measurements.append(Measurement(time=mtime, observable=observable))
@@ -481,6 +445,95 @@ def _check_presets(presets: tuple[str, ...], dims: tuple[int, ...], path: str) -
         if d != 2:
             raise DimMismatchError(f"{path}[{i}]: preset {p!r} needs a qubit factor, dim is {d}")
     return presets
+
+
+# ``_check_presets``, ``_measurement_key`` and the checks below hold the rules
+# of a scenario's structure: ``parse_scenario`` applies them to a document and
+# ``resolve`` (``_slot_keys``) to a hand-built ``Scenario``, in the same order,
+# and each error names the document's JSONPath.
+
+def _check_dims(dims: tuple) -> int:
+    """The total dimension of the factor dimensions ``dims``: at least one,
+    each a positive integer, their product at most ``DEFAULT_MAX_DIM``."""
+    if not dims:
+        raise ScenarioError("systems must be nonempty", path="$.systems")
+    for i, d in enumerate(dims):
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ScenarioError("factor dimension must be a positive integer", path=f"$.systems[{i}]")
+    total = math.prod(dims)
+    if total > DEFAULT_MAX_DIM:
+        raise DimMismatchError(f"$.systems: total dim {total} exceeds cap {DEFAULT_MAX_DIM}")
+    return total
+
+
+def _check_tolerance(overrides: dict) -> None:
+    """Each key a ``Tolerance`` field, each value a number in [0, 1e-3]."""
+    _reject_unknown(overrides, _TOLERANCE_FIELDS, "$.tolerance")
+    for key, value in overrides.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1e-3:
+            raise ScenarioError("tolerance must be a number in [0, 1e-3]", path=f"$.tolerance.{key}")
+
+
+def _check_shape(size: tuple[int, ...], shape: tuple[int, ...], path: str) -> None:
+    """A vector's or matrix's ``size`` must be ``shape``: (total,) or (total, total)."""
+    if size != shape:
+        raise DimMismatchError(f"{path}: shape {size} does not match total dim {shape[0]}")
+
+
+def _check_times(times: tuple) -> None:
+    """At least two time labels, each a string, none repeated."""
+    for i, t in enumerate(times):
+        if not isinstance(t, str):
+            raise ScenarioError("expected a string", path=f"$.times[{i}]")
+    if len(times) < 2:
+        raise ScenarioError("need at least two times (t0 plus one slot)", path="$.times")
+    if len(set(times)) != len(times):
+        raise ScenarioError("time labels must be unique", path="$.times")
+
+
+def _check_evolution_count(n: int, n_intervals: int) -> None:
+    """One evolution per interval of the grid."""
+    if n != n_intervals:
+        raise DimMismatchError(f"$.evolutions: expected {n_intervals} evolutions, got {n}")
+
+
+def _evolution_name(ev, k: int) -> str:
+    """Evolution ``k``, not a matrix, which must be ``"identity"``."""
+    if ev != "identity":
+        raise ScenarioError("expected 'identity' or {'matrix': ...}", path=f"$.evolutions[{k}]")
+    return ev
+
+
+def _check_observer_name(name, seen: set, i: int) -> None:
+    """Observer ``i``'s name: a string, not ``COMBINED_FAMILY``, and not in
+    ``seen``.  Its JSONPath is built only for the error raised."""
+    if not isinstance(name, str):
+        fault = "expected a string"
+    elif name == COMBINED_FAMILY:
+        fault = f"observer name {name!r} is reserved"
+    elif name in seen:
+        fault = f"duplicate observer name {name!r}"
+    else:
+        return
+    raise ScenarioError(fault, path=f"$.observers[{i}].name")
+
+
+def _check_time(time, times: tuple, seen, observer: str, i: int, j: int) -> None:
+    """The time of measurement ``j`` of observer ``i``: a string on the grid
+    ``times``, after its first time, and not in ``seen``, the times
+    ``observer`` measured before.  Its JSONPath is built only for the error
+    raised."""
+    if not isinstance(time, str):
+        fault = "expected a string"
+    elif time not in times:
+        fault = f"time {time!r} is not on the grid"
+    elif time == times[0]:
+        fault = "measurements at the initial time are not allowed; t0 carries the initial state"
+    elif time in seen:
+        fault = f"observer {observer!r} measures twice at {time!r}"
+    else:
+        return
+    raise ScenarioError(fault, path=f"$.observers[{i}].measurements[{j}].time")
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +649,49 @@ def _initial_ket(s: Scenario) -> np.ndarray:
     return np.array(s.initial_state, dtype=complex)
 
 
+def _slot_keys(s: Scenario) -> list[list[tuple[object, int | None]]]:
+    """Per observer, per slot, the ``_measurement_key`` and the index of the
+    measurement there (None for the trivial slot), once ``s``'s structure
+    passes the checks ``parse_scenario`` applies to a document, in its
+    order: the factor dimensions, the tolerance overrides, the presets or
+    the vector's length, the times, the evolutions' count, names and matrix
+    shapes, then each observer's name and each measurement's time, operator
+    name and matrix shapes."""
+    dims = s.subsystem_dims
+    total = _check_dims(dims)
+    _check_tolerance(s.tolerance_overrides)
+    if isinstance(s.initial_state, tuple):
+        _check_presets(s.initial_state, dims, "$.initial_state")
+    else:
+        _check_shape(np.shape(s.initial_state), (total,), "$.initial_state.vector")
+    _check_times(s.times)
+    _check_evolution_count(len(s.evolutions), len(s.times) - 1)
+    for k, ev in enumerate(s.evolutions):
+        if isinstance(ev, str):
+            _evolution_name(ev, k)
+        else:
+            _check_shape(np.shape(ev), (total, total), f"$.evolutions[{k}].matrix")
+    trivial = (_measurement_key(None, dims, 0, None), None)
+    uses = []
+    names: set[str] = set()
+    for i, obs in enumerate(s.observers):
+        _check_observer_name(obs.name, names, i)
+        names.add(obs.name)
+        by_time: dict[str, tuple[object, int]] = {}
+        for j, m in enumerate(obs.measurements):
+            _check_time(m.time, s.times, by_time, obs.name, i, j)
+            by_time[m.time] = (_measurement_key(m.observable, dims, i, j), j)
+            spec = m.observable
+            if isinstance(spec, MatrixObservable):
+                _check_shape(np.shape(spec.matrix), (total, total), f"{_OBSERVABLE.format(i, j)}.matrix")
+            elif isinstance(spec, ProjectorListObservable):
+                for k, matrix in enumerate(spec.matrices):
+                    path = f"{_OBSERVABLE.format(i, j)}.projectors[{k}].matrix"
+                    _check_shape(np.shape(matrix), (total, total), path)
+        uses.append([by_time.get(t, trivial) for t in s.times[1:]])
+    return uses
+
+
 def resolve(
     s: Scenario,
     tol: Tolerance | None = None,
@@ -605,9 +701,15 @@ def resolve(
     """Expand named operators and presets; build one family per observer
     named in ``observers`` (None, the default: every observer).
 
-    ``parse_scenario`` checks the document's structure; for a hand-built
-    ``Scenario``, ``_measurement_key`` checks every operator name here too,
-    as it keys each measurement.  Under the effective tolerance, every
+    First ``_slot_keys`` checks the structure of ``s`` with the rules
+    ``parse_scenario`` applies to a document: a hand-built ``Scenario``
+    whose document the parser refuses for its factor dimensions, tolerance
+    overrides, presets or vector length, times, evolution count or names,
+    matrix shapes, observer names, measurement times or operator names is
+    refused with the parser's error, the first in document order.  A
+    projector list that is empty or has a label with a joiner is refused
+    with the numbers, below, in its own words.  Under the effective
+    tolerance, every
     number the file supplies is checked, for every observer, named or not:
     the initial ket (norm included), once, each distinct evolution matrix,
     each distinct projector list (padded and validated as a decomposition,
@@ -633,6 +735,8 @@ def resolve(
 
     Deterministic: identical input bytes yield bit-identical projectors.
     """
+    uses = _slot_keys(s)
+    dims = s.subsystem_dims
     tol = effective_tolerance(s, tol)
     grid = TimeGrid(s.times)
     state_path = "$.initial_state" if isinstance(s.initial_state, tuple) else "$.initial_state.vector"
@@ -641,8 +745,6 @@ def resolve(
     except ValueError as exc:
         raise ScenarioError(str(exc), path=state_path) from None
     ket.setflags(write=False)
-    if len(s.evolutions) != len(grid.slot_times):
-        raise DimMismatchError(f"$.evolutions: expected {len(grid.slot_times)} evolutions, got {len(s.evolutions)}")
     evolutions = []
     unitaries: dict[object, np.ndarray] = {}  # "identity", or an interval's index
     for k, ev in enumerate(s.evolutions):
@@ -657,14 +759,6 @@ def resolve(
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
     wanted = None if observers is None else set(observers)
     named = [wanted is None or obs.name in wanted for obs in s.observers]
-    dims = s.subsystem_dims
-    uses = []  # per observer, per slot: (measurement key, measurement index)
-    for i, obs in enumerate(s.observers):
-        by_time = {m.time: (j, m.observable) for j, m in enumerate(obs.measurements)}
-        uses.append([])
-        for t in grid.slot_times:
-            j, spec = by_time.get(t, (None, None))
-            uses[-1].append((_measurement_key(spec, dims, i, j), j))  # a hand-built Scenario is checked too
     read = {key for slots, built in zip(uses, named) if built for key, _ in slots}  # named observers' keys
     decomps = {}  # per key, built at its first use: its decomposition, or None when nothing is built
     records = []

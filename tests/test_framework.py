@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhist.errors import (
+    BadDecompositionError,
     DimMismatchError,
     DuplicateLabelError,
     IncompatibleFrameworksError,
@@ -22,7 +23,7 @@ from qhist.framework import (
     ProjectiveDecomposition,
     _ExactDecomposition,
     _pair_products,
-    _orthogonality_fault,
+    _check_orthogonal,
     _stacked,
     _validated,
     conjunction,
@@ -540,25 +541,44 @@ def _theta_basis(theta: float):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error, message",
     [
-        lambda: make_decomposition([I2, I2], ["a", "b"]),
+        (lambda: make_decomposition([I2, I2], ["a", "b"]), NotOrthogonalError,
+         "projectors 0 and 1 are not orthogonal (|PiPj|_max = 1.000e+00)"),
         # bases 1e-4 apart commute within comm=1e-3, yet their products are not Hermitian
-        lambda: refine(pauli_decomposition("z"), _theta_basis(1e-4), Tolerance(comm=1e-3)),
+        (lambda: refine(pauli_decomposition("z"), _theta_basis(1e-4), Tolerance(comm=1e-3)), NotAProjectorError,
+         "element 0 ('+z∧v') is not a projector"),
         # two copies of P_UP are padded with the rest 1 - 2 P_UP, which is no projector
-        lambda: build_family(P_UP[0], ["t0", "t1"], [I2], [[("a", P_UP), ("b", P_UP)]]),
+        (lambda: build_family(P_UP[0], ["t0", "t1"], [I2], [[("a", P_UP), ("b", P_UP)]]), BadDecompositionError,
+         "slot is not a valid decomposition: element 2 ('rest') is not a projector"),
+        (lambda: make_decomposition([np.diag([np.nan, 1.0])], ["a"]), ValueError, "matrix entries must be finite"),
+        (lambda: make_decomposition([], []), NotCompleteError, "a decomposition needs at least one projector"),
+        (lambda: make_decomposition([I2], ["a", "b"]), DuplicateLabelError, "1 projectors but 2 labels"),
+        (lambda: make_decomposition([P_UP, P_DOWN], ["a", "a"]), DuplicateLabelError,
+         "label 'a' at index 1 repeats index 0"),
+        (lambda: make_decomposition([I2, np.eye(3)], ["a", "b"]), DimMismatchError,
+         "projector 1 has shape (3, 3), expected (2, 2)"),
+        (lambda: make_decomposition([P_UP], ["up"]), NotCompleteError,
+         "projectors do not sum to identity (residual 1.000e+00)"),
+        # under tolerance 0 sigma_x's eigenprojectors, from eigh, are not exactly idempotent
+        (lambda: build_family(P_UP[0], ["t0", "t1"], [I2], [SIGMA_X.copy()], Tolerance.uniform(0.0)),
+         NotAProjectorError, "element 0 ('ev0=-1') is not a projector"),
     ],
-    ids=["make_decomposition", "refine", "build_family_list_slot"],
+    ids=["make_decomposition", "refine", "build_family_list_slot", "non_finite", "no_element", "label_count",
+         "repeated_label", "misfit", "incomplete", "eigenprojectors"],
 )
-def test_a_caught_validation_error_leaves_no_cyclic_garbage(call):
+def test_a_caught_validation_error_leaves_no_cyclic_garbage(call, error, message):
     def caught():
-        with pytest.raises(QHistError):
+        with pytest.raises((QHistError, ValueError)) as info:
             call()
+        found = type(info.value), str(info.value)
+        del info  # it holds the traceback, which holds this frame
+        return found
 
     gc.disable()
     try:
         gc.collect()
-        caught()
+        assert caught() == (error, message)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -591,5 +611,5 @@ class TestMemory:
     def test_orthogonality_check_stays_within_its_stacks(self, rng, d, n):
         stack = random_decomposition(rng, d, n_blocks=n).projectors
         assert stack.shape == (n, d, d)
-        assert _orthogonality_fault(stack, DEFAULT_TOL) is None
-        assert self._peak(lambda: _orthogonality_fault(stack, DEFAULT_TOL)) <= stack.nbytes
+        assert _check_orthogonal(stack, DEFAULT_TOL) is None
+        assert self._peak(lambda: _check_orthogonal(stack, DEFAULT_TOL)) <= stack.nbytes

@@ -6,7 +6,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 
 import numpy as np
@@ -26,6 +26,9 @@ from qhist.errors import (
     NotHermitianError,
     NotOrthogonalError,
     NotUnitaryError,
+    QHistError,
+    ScenarioError,
+    UnknownFieldError,
     UnknownOperatorError,
 )
 from qhist.framework import ProjectiveDecomposition, _validated, make_decomposition
@@ -241,7 +244,7 @@ def four_observers() -> Scenario:
 
 
 def test_each_distinct_measurement_is_validated_once(monkeypatch):
-    calls = {"_slot_error": 0, "is_unitary": 0}
+    calls = {"_validated": 0, "is_unitary": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -252,12 +255,12 @@ def test_each_distinct_measurement_is_validated_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(qhist.framework, "_slot_error")
+    counted(qhist.framework, "_validated")
     counted(qhist.histories, "is_unitary")
     records = resolve(four_observers())
     # the matrix and the projector list (trivial/identity, sigma_z@1 and
     # sigma_x@2 are exact); CNOT (the identity evolution is exact)
-    assert calls == {"_slot_error": 2, "is_unitary": 1}
+    assert calls == {"_validated": 2, "is_unitary": 1}
     a, b, c, d = (r.family.slot_decompositions for r in records)
     assert a[0] is b[0] and a[2] is c[2] and b[1] is d[1]
     assert a[1] is d[0] is d[2]
@@ -590,3 +593,177 @@ def test_hand_built_unknown_operators_are_refused_as_parse_scenario_refuses_them
     assert str(resolved.value) == str(parsed.value)
     assert str(resolved.value).startswith("$.observers[1].measurements[0].observable: ")
     assert resolved.value.path == "$.observers[1].measurements[0].observable"
+
+
+ONE_QUBIT = scenario((2,), ["identity"], [observer("O1", {"t1": NamedObservable("sigma_x")})])
+
+
+def _refusals(scn: Scenario) -> list[tuple[type, str]]:
+    """The errors of ``parse_scenario`` on ``scn``'s document and of ``resolve(scn)``."""
+    errors = []
+    for call in (lambda: parse_scenario(serialize_scenario(scn)), lambda: resolve(scn)):
+        with pytest.raises(QHistError) as info:
+            call()
+        errors.append((type(info.value), str(info.value)))
+    return errors
+
+
+@pytest.mark.parametrize(
+    "time, message",
+    [("t9", "time 't9' is not on the grid"),
+     ("t0", "measurements at the initial time are not allowed; t0 carries the initial state")],
+)
+def test_a_hand_built_measurement_off_the_slots_is_refused_as_parse_scenario_refuses_it(time, message):
+    # before, resolve dropped it, and the slot at t1 was the trivial "any" with P = 1
+    scn = replace(ONE_QUBIT, observers=(observer("O1", {time: NamedObservable("sigma_x")}),))
+    assert _refusals(scn) == [(ScenarioError, f"$.observers[0].measurements[0].time: {message}")] * 2
+
+
+def test_a_hand_built_second_measurement_at_one_time_is_refused_as_parse_scenario_refuses_it():
+    # before, resolve dropped the first
+    twice = ObserverSpec("O1", tuple(Measurement("t1", NamedObservable(n)) for n in ("sigma_x", "sigma_z")))
+    assert _refusals(replace(ONE_QUBIT, observers=(twice,))) == [
+        (ScenarioError, "$.observers[0].measurements[1].time: observer 'O1' measures twice at 't1'")
+    ] * 2
+
+
+def test_a_hand_built_evolution_name_is_refused_as_parse_scenario_refuses_it():
+    # before, resolve ran "foo" as the identity
+    assert _refusals(replace(ONE_QUBIT, evolutions=("foo",))) == [
+        (ScenarioError, "$.evolutions[0]: expected 'identity' or {'matrix': ...}")
+    ] * 2
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [(("up_z", "up_z"), "$.initial_state: 2 presets for 1 factors"),
+     (np.array([1, 0, 0], dtype=complex), "$.initial_state.vector: shape (3,) does not match total dim 2")],
+    ids=["presets", "vector"],
+)
+def test_a_hand_built_initial_state_of_another_size_is_refused_as_parse_scenario_refuses_it(state, message):
+    # before, resolve passed it, and consistency_check failed in numpy's reshape
+    assert _refusals(replace(ONE_QUBIT, initial_state=state)) == [(DimMismatchError, message)] * 2
+
+
+def test_a_hand_built_unknown_preset_is_refused_as_parse_scenario_refuses_it():
+    # before, resolve let out a bare KeyError
+    assert _refusals(replace(ONE_QUBIT, initial_state=("bogus",))) == [
+        (UnknownOperatorError, "$.initial_state[0]: unknown state preset 'bogus'")
+    ] * 2
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(("O1", "O1"), "$.observers[1].name: duplicate observer name 'O1'"),
+     (("combined",), "$.observers[0].name: observer name 'combined' is reserved")],
+    ids=["repeated", "reserved"],
+)
+def test_hand_built_observer_names_are_refused_as_parse_scenario_refuses_them(names, message):
+    # before, resolve accepted both
+    observers = tuple(observer(name, {"t1": NamedObservable("sigma_x")}) for name in names)
+    assert _refusals(replace(ONE_QUBIT, observers=observers)) == [(ScenarioError, message)] * 2
+
+
+def test_a_hand_built_matrix_observable_of_another_size_is_refused_as_parse_scenario_refuses_it():
+    # before, resolve built the 3 x 3 matrix's eigenprojectors into a qubit's family
+    scn = replace(ONE_QUBIT, observers=(observer("O1", {"t1": MatrixObservable(identity(3))}),))
+    path = "$.observers[0].measurements[0].observable.matrix"
+    assert _refusals(scn) == [(DimMismatchError, f"{path}: shape (3, 3) does not match total dim 2")] * 2
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [({"subsystem_dims": (2, 0)}, ScenarioError, "$.systems[1]: factor dimension must be a positive integer"),
+     ({"subsystem_dims": (2, 64)}, DimMismatchError, "$.systems: total dim 128 exceeds cap 64"),
+     ({"tolerance_overrides": {"cons": 1.0}}, ScenarioError,
+      "$.tolerance.cons: tolerance must be a number in [0, 1e-3]"),
+     ({"tolerance_overrides": {"eps": 1e-9}}, UnknownFieldError, "$.tolerance.eps: unknown field 'eps'"),
+     ({"times": ("t0",)}, ScenarioError, "$.times: need at least two times (t0 plus one slot)"),
+     ({"times": ("t0", "t0")}, ScenarioError, "$.times: time labels must be unique"),
+     ({"evolutions": ()}, DimMismatchError, "$.evolutions: expected 1 evolutions, got 0"),
+     ({"evolutions": (identity(3),)}, DimMismatchError,
+      "$.evolutions[0].matrix: shape (3, 3) does not match total dim 2"),
+     ({"observers": (observer("O1", {"t1": ProjectorListObservable(("a", "b"), (UP, identity(3)))}),)},
+      DimMismatchError,
+      "$.observers[0].measurements[0].observable.projectors[1].matrix: shape (3, 3) does not match total dim 2")],
+    ids=["factor", "cap", "tolerance_value", "tolerance_key", "one_time", "repeated_time", "evolution_count",
+         "evolution_shape", "projector_shape"],
+)
+def test_the_other_structural_checks_of_a_hand_built_scenario_are_parse_scenarios(change, error, message):
+    assert _refusals(replace(ONE_QUBIT, **change)) == [(error, message)] * 2
+
+
+STRUCTURAL_FAULTS = (
+    None, "off_grid", "initial_time", "twice", "operator", "matrix_shape", "evolution_name", "evolution_shape",
+    "evolution_count", "presets", "preset_name", "vector", "observer_twice", "reserved", "factor", "cap",
+    "tolerance_value", "tolerance_key", "one_time", "repeated_time",
+)
+
+
+def _with_fault(scn: Scenario, fault: str | None, k: int) -> Scenario:
+    """``scn`` with at most one structural fault, ``k`` choosing among its forms."""
+    first, times, dims = scn.observers[0], scn.times, scn.subsystem_dims
+
+    def first_measuring(*extra: Measurement) -> Scenario:
+        changed = replace(first, measurements=first.measurements + extra)
+        return replace(scn, observers=(changed, *scn.observers[1:]))
+
+    if fault is None:
+        return scn
+    if fault in ("off_grid", "initial_time", "twice"):
+        at = {"off_grid": ["t9"], "initial_time": [times[0]], "twice": [times[-1]] * 2}[fault]
+        return first_measuring(*(Measurement(t, NamedObservable("identity")) for t in at))
+    if fault in ("operator", "matrix_shape"):
+        spec = NamedObservable("sigma_q") if fault == "operator" else MatrixObservable(identity(scn.total_dim + 1))
+        changed = ObserverSpec(first.name, (Measurement(times[1], spec),))
+        return replace(scn, observers=(changed, *scn.observers[1:]))
+    if fault in ("evolution_name", "evolution_shape"):
+        evolutions = list(scn.evolutions)
+        wrong = ("foo", "Identity", "")[k % 3] if fault == "evolution_name" else identity(scn.total_dim + 1)
+        evolutions[k % len(evolutions)] = wrong
+        return replace(scn, evolutions=tuple(evolutions))
+    if fault == "evolution_count":
+        return replace(scn, evolutions=scn.evolutions + ("identity",) if k % 2 else scn.evolutions[:-1])
+    if fault == "presets":
+        return replace(scn, initial_state=("up_z",) * (len(dims) + 1 + k % 2))
+    if fault == "preset_name":
+        return replace(scn, initial_state=("up_z",) * (len(dims) - 1) + ("bogus",))
+    if fault == "vector":
+        return replace(scn, initial_state=np.ones(scn.total_dim + 1 + k % 3, dtype=complex))
+    if fault in ("observer_twice", "reserved"):
+        name = first.name if fault == "observer_twice" else "combined"
+        return replace(scn, observers=scn.observers + (ObserverSpec(name, ()),))
+    if fault == "factor":
+        return replace(scn, subsystem_dims=dims + ((0, -1, True, 2.0)[k % 4],))
+    if fault == "cap":
+        return replace(scn, subsystem_dims=dims + (64,))
+    if fault == "tolerance_value":
+        key = fields(Tolerance)[k % len(fields(Tolerance))].name
+        value = (1.0, -1e-9, "small", True, float("nan"))[k % 5]
+        return replace(scn, tolerance_overrides={**scn.tolerance_overrides, key: value})
+    if fault == "tolerance_key":
+        return replace(scn, tolerance_overrides={**scn.tolerance_overrides, "eps": 1e-9})
+    if fault == "one_time":
+        return replace(scn, times=times[:1])
+    return replace(scn, times=times + (times[k % len(times)],))  # repeated_time
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(STRUCTURAL_FAULTS), st.integers(0, 59))
+@settings(max_examples=200, deadline=None)
+def test_parse_scenario_is_resolves_reference_for_a_hand_built_scenario(seed, fault, k):
+    """Where ``parse_scenario`` refuses a scenario's document, ``resolve``
+    raises its error; where it accepts the document, ``resolve`` succeeds."""
+    scn = _with_fault(random_scenario(np.random.default_rng(seed)), fault, k)
+    try:
+        parse_scenario(serialize_scenario(scn))
+    except QHistError as exc:
+        expected = type(exc), str(exc)
+    else:
+        expected = None
+    assert fault is None or expected is not None
+    if expected is None:
+        resolve(scn)
+    else:
+        with pytest.raises(QHistError) as info:
+            resolve(scn)
+        assert (type(info.value), str(info.value)) == expected

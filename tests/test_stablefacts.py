@@ -775,15 +775,15 @@ class TestExactProducts:
 
     @pytest.fixture
     def validated(self, monkeypatch) -> list[tuple[str, ...]]:
-        """The labels of each slot ``framework._slot_error`` checks."""
+        """The labels of each slot ``framework._validated`` checks."""
         calls = []
-        slot_error = qhist.framework._slot_error
+        validated = qhist.framework._validated
 
         def counted(stack, labels, tol, misfits=()):
             calls.append(tuple(labels))
-            return slot_error(stack, labels, tol, misfits)
+            return validated(stack, labels, tol, misfits)
 
-        monkeypatch.setattr(qhist.framework, "_slot_error", counted)
+        monkeypatch.setattr(qhist.framework, "_validated", counted)
         return calls
 
     def test_named_pairs_that_commute_exactly_are_not_validated(self, validated):
