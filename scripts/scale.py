@@ -30,8 +30,9 @@ an unreported ``import qhist.cli`` fills first, so that no command compiles
 qhist or numpy and none reads bytecode left in a tree's ``__pycache__``.
 
 First comes a floor block on the gallery: ``python -c pass``, ``import
-numpy``, ``import qhist.cli`` and one ``qhist validate``, which is what a
-real command pays before its own work starts.  Then comes the ladder.  Each
+numpy``, ``import qhist.cli``, ``import qhist.cli`` with qhist compiled at
+start (``COMPILING``) and one ``qhist validate``, which is what a real
+command pays before its own work starts.  Then comes the ladder.  Each
 row prints the outcome (the exit code, and "out of memory" when the command
 said so), the wall time, the child's own peak RSS (``os.wait4``), and the
 stdout byte count and sha256.  Each row also prints the outcome it had when
@@ -182,10 +183,26 @@ QUICK = (
     (Family("sz", 40, 2), ("verify", *BIG), OOM),
 )
 FLOOR_FILE = ROOT / "scenarios" / "stable_facts.json"
+# ``import qhist.cli`` in a process that finds no bytecode of qhist's own, as
+# one started with PYTHONDONTWRITEBYTECODE set and no cache does: qhist's
+# directory in the bytecode cache is moved aside for the import and back after
+# it, and nothing is written, so numpy and the stdlib read theirs, and the
+# other commands find qhist's.
+COMPILING = """\
+import importlib.util, os, sys
+sys.dont_write_bytecode = True
+cache = os.path.dirname(importlib.util.cache_from_source(importlib.util.find_spec("qhist").origin))
+os.rename(cache, cache + ".aside")
+try:
+    import qhist.cli
+finally:
+    os.rename(cache + ".aside", cache)
+"""
 FLOOR = (
     ("python -c pass", ["-c", "pass"]),
     ("import numpy", ["-c", "import numpy"]),
     ("import qhist.cli", ["-c", "import qhist.cli"]),
+    ("import qhist.cli, qhist compiled", ["-c", COMPILING]),
     (f"qhist validate {FLOOR_FILE.name}", ["-m", "qhist.cli", "validate", str(FLOOR_FILE)]),
 )
 

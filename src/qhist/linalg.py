@@ -47,8 +47,14 @@ class Tolerance:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not 0.0 <= value <= 1e-3:
+            if not self.admits(value):
                 raise ValueError(f"tolerance '{f.name}' must lie in [0, 1e-3], got {value!r}")
+
+    @staticmethod
+    def admits(value: float) -> bool:
+        """Whether ``value`` is a threshold's: it lies in [0, 1e-3].  The one
+        statement of the range, which a scenario's overrides are held to too."""
+        return 0.0 <= value <= 1e-3
 
     @classmethod
     def uniform(cls, eps: float) -> "Tolerance":

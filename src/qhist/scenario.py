@@ -1,10 +1,12 @@
-"""Declarative scenario format: parse, validate, serialize, resolve.
+"""Declarative scenario format: read, build, serialize, resolve.
 
 A scenario is one JSON document (strict: unknown fields are rejected, since a
 silent typo in a physics input produces silently wrong physics).  Complex
 numbers are [re, im] pairs, matrices are row-major nested arrays, subsystem
-addressing is 1-based ("sigma_z@1" acts on the first factor).  ``resolve``
-expands named operators and presets into concrete history families, one
+addressing is 1-based ("sigma_z@1" acts on the first factor).
+``parse_scenario`` reads a document into a ``Scenario``, whose construction
+checks its structure; ``resolve`` checks its numbers and expands named
+operators and presets into concrete history families, one
 ``ObserverRecord`` per observer.
 """
 
@@ -20,7 +22,6 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import (
-    BadDecompositionError,
     DimMismatchError,
     QHistError,
     ScenarioError,
@@ -121,6 +122,17 @@ class ObserverSpec:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """One scenario, valid by construction: building one applies the rules of
+    a scenario's structure, in document order, and ``dataclasses.replace``
+    re-checks.  A fault is raised with the error ``parse_scenario`` raises
+    for it in a document, at its JSONPath there: the factor dimensions, the
+    tolerance overrides (each then stored as a float), the presets or the
+    vector's length, the times, the evolutions' count, names and matrix
+    shapes, then each observer's name and each measurement's time, operator
+    name or matrix shapes, and a projector list's labels (no joiner) and
+    length (not 0).  The numbers are not checked here: ``resolve`` checks
+    them."""
+
     name: str
     subsystem_dims: tuple[int, ...]
     initial_state: tuple[str, ...] | np.ndarray  # presets or explicit vector
@@ -128,6 +140,33 @@ class Scenario:
     evolutions: tuple[Any, ...]  # "identity" | np.ndarray, one per interval
     observers: tuple[ObserverSpec, ...]
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        dims = self.subsystem_dims
+        total = _check_dims(dims)
+        _check_tolerance(self.tolerance_overrides)
+        object.__setattr__(self, "tolerance_overrides",
+                           {key: float(value) for key, value in self.tolerance_overrides.items()})
+        if isinstance(self.initial_state, tuple):
+            _check_presets(self.initial_state, dims)
+        else:
+            _check_shape(np.shape(self.initial_state), (total,), "$.initial_state.vector")
+        _check_times(self.times)
+        _check_evolution_count(len(self.evolutions), len(self.times) - 1)
+        for k, ev in enumerate(self.evolutions):
+            if isinstance(ev, np.ndarray):
+                _check_shape(ev.shape, (total, total), f"$.evolutions[{k}].matrix")
+            else:
+                _evolution_name(ev, k)
+        names: set[str] = set()
+        for i, obs in enumerate(self.observers):
+            _check_observer_name(obs.name, names, i)
+            names.add(obs.name)
+            seen: set[str] = set()
+            for j, m in enumerate(obs.measurements):
+                _check_time(m.time, self.times, seen, obs.name, i, j)
+                seen.add(m.time)
+                _check_observable(m.observable, dims, total, i, j)
 
     @property
     def total_dim(self) -> int:
@@ -212,19 +251,18 @@ def _flat_numbers(rows: list) -> list | None:
     return flat if set(map(type, flat)) <= _REAL else None
 
 
-def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The complex vector (``shape`` is ``(total,)``) or matrix (``(total,
-    total)``) that ``value`` holds as nested ``[re, im]`` pairs, bit for bit.
+def _parse_array(value, path: str, matrix: bool) -> np.ndarray:
+    """The complex vector or, when ``matrix``, matrix that ``value`` holds as
+    nested ``[re, im]`` pairs, bit for bit, in the shape it has there: its
+    size is checked when its ``Scenario`` is built.
 
     The entries are checked by ``_flat_numbers`` and their flat list
     converted by one ``np.array`` call: flattening and converting cost about
     half what converting the nested lists does, since numpy then has no
     shape to discover.
     Only when the check fails does a loop walk the entries, to name the
-    first faulty one; a JSONPath is built only for the error raised.  A
-    wrong size is a DimMismatchError, any other fault a ScenarioError.
+    first faulty one; a JSONPath is built only for the error raised.
     """
-    matrix = len(shape) == 2
     rows = value if matrix else [value]
 
     def at(*index: int) -> str:  # the JSONPath of rows[i] or rows[i][j]
@@ -248,27 +286,24 @@ def _parse_array(value, path: str, shape: tuple[int, ...]) -> np.ndarray:
     ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
     if ragged is not None:
         raise ScenarioError(f"row {ragged} has length {len(rows[ragged])}, expected {width}", path=path)
-    _check_shape((len(rows), width) if matrix else (width,), shape, path)
     try:
         pairs = np.array(flat, dtype=np.float64)
     except OverflowError:
         i, j = next((i, j) for i, row in enumerate(rows) for j, z in enumerate(row)
                     if any(type(x) is int and abs(x) >= _INT_OVERFLOW for x in z))
         raise ScenarioError("number does not fit an IEEE-754 double", path=at(i, j)) from None
-    return pairs.view(np.complex128).reshape(shape)
+    return pairs.view(np.complex128).reshape((len(rows), width) if matrix else width)
 
 
-def _parse_observable(value, i: int, j: int, dims: tuple[int, ...], total: int):
+def _parse_observable(value, i: int, j: int):
     """The observable of ``$.observers[i].measurements[j]``."""
     if isinstance(value, str):
-        observable = NamedObservable(name=value)
-        _measurement_key(observable, dims, i, j)
-        return observable
+        return NamedObservable(name=value)
     path = _OBSERVABLE.format(i, j)
     value = _expect(value, dict, path, "an operator name, {'matrix': ...}, or {'projectors': ...}")
     if "matrix" in value:
         _reject_unknown(value, {"matrix"}, path)
-        return MatrixObservable(matrix=_parse_array(value["matrix"], f"{path}.matrix", (total, total)))
+        return MatrixObservable(matrix=_parse_array(value["matrix"], f"{path}.matrix", True))
     if "projectors" in value:
         _reject_unknown(value, {"projectors"}, path)
         entries = _expect(value["projectors"], list, f"{path}.projectors", "an array of labelled projectors")
@@ -278,59 +313,22 @@ def _parse_observable(value, i: int, j: int, dims: tuple[int, ...], total: int):
             epath = f"{path}.projectors[{k}]"
             entry = _expect(entry, dict, epath, "an object with 'label' and 'matrix'")
             _reject_unknown(entry, {"label", "matrix"}, epath)
-            label = _expect(_get(entry, "label", epath), str, f"{epath}.label", "a string")
-            joiner = _joiner_in(label)
-            if joiner is not None:
-                raise ScenarioError(f"label {label!r} contains the joiner {joiner!r}", path=f"{epath}.label")
-            labels.append(label)
-            matrices.append(_parse_array(_get(entry, "matrix", epath), f"{epath}.matrix", (total, total)))
-        if not labels:
-            raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
+            labels.append(_expect(_get(entry, "label", epath), str, f"{epath}.label", "a string"))
+            matrices.append(_parse_array(_get(entry, "matrix", epath), f"{epath}.matrix", True))
         return ProjectorListObservable(labels=tuple(labels), matrices=tuple(matrices))
     raise UnknownFieldError("observable object needs 'matrix' or 'projectors'", path=path)
 
 
-def _factor_index(suffix: str) -> int | None:
-    """The factor an ``@k`` suffix names when it is ASCII digits, else None
-    (``str.isdigit`` also passes "²", which ``int`` refuses, and "１")."""
-    return int(suffix) if suffix.isascii() and suffix.isdigit() else None
-
-
-def _measurement_key(spec, dims: tuple[int, ...], i: int, j: int | None) -> object:
-    """What the slot measuring ``spec`` depends on: ``"identity"`` for the
-    trivial slot (``spec`` None) and every identity, ``"sigma_z@3"`` for a
-    Pauli (``"sigma_z@03"`` too), else the observable.  A name that names
-    no operator of a system of ``dims`` is refused at ``_OBSERVABLE``'s
-    path for ``i`` and ``j``, built only then: a base that is not an
-    operator, or an ``@k`` suffix that is not a factor 1..len(dims), as an
-    UnknownOperatorError at it; a Pauli on a factor that is not a qubit, or
-    a bare one on a system other than one qubit, as a DimMismatchError
-    prefixed with it."""
-    if spec is None:
-        return "identity"
-    if not isinstance(spec, NamedObservable):
-        return spec
-    name = spec.name
-    base, _, suffix = name.partition("@")
-    if base not in _PAULI_OPS and base != "identity":
-        raise UnknownOperatorError(f"unknown operator {name!r}", path=_OBSERVABLE.format(i, j))
-    factor = _factor_index(suffix) if suffix else 1
-    if suffix:
-        if factor is None or not 1 <= factor <= len(dims):
-            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{len(dims)}",
-                                       path=_OBSERVABLE.format(i, j))
-        if base in _PAULI_OPS and dims[factor - 1] != 2:
-            raise DimMismatchError(f"{_OBSERVABLE.format(i, j)}: {name!r} needs a qubit factor, "
-                                   f"dim is {dims[factor - 1]}")
-    elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
-        raise DimMismatchError(
-            f"{_OBSERVABLE.format(i, j)}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
-        )
-    return "identity" if base == "identity" else f"{base}@{factor}"
-
-
 def parse_scenario(data: bytes | str) -> Scenario:
-    """Parse and structurally validate one scenario document."""
+    """Read one scenario document, then build its ``Scenario``.
+
+    Reading checks what belongs to JSON: the encoding and syntax, the
+    ``format``, required and unknown fields, the JSON type of every object
+    and array and of the name and projector labels, and each array's
+    ``[re, im]`` pairs and rows of one length.  Building the ``Scenario``
+    then checks the structure, the other values' types included.  So of a
+    fault of each kind, the reading's is raised, wherever it is; of two of
+    one kind, the first in document order."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -356,26 +354,18 @@ def parse_scenario(data: bytes | str) -> Scenario:
     if type(version) is not int or version != FORMAT_VERSION:  # True and 1.0 equal 1 but are not ints
         raise ScenarioError(f"unsupported format {doc['format']!r}, expected {FORMAT_VERSION}", path="$.format")
     name = _expect(_get(doc, "name", "$"), str, "$.name", "a string")
-
     dims = tuple(_expect(_get(doc, "systems", "$"), list, "$.systems", "an array of factor dimensions"))
-    total = _check_dims(dims)
-
-    tolerance: dict[str, float] = {}
-    if "tolerance" in doc:
-        tobj = _expect(doc["tolerance"], dict, "$.tolerance", "an object")
-        _check_tolerance(tobj)
-        tolerance = {key: float(value) for key, value in tobj.items()}
+    tolerance = dict(_expect(doc["tolerance"], dict, "$.tolerance", "an object")) if "tolerance" in doc else {}
 
     state_raw = _get(doc, "initial_state", "$")
     initial_state: tuple[str, ...] | np.ndarray
     if isinstance(state_raw, str):
-        initial_state = _check_presets((state_raw,), dims, "$.initial_state")
+        initial_state = (state_raw,)
     elif isinstance(state_raw, list) and all(isinstance(x, str) for x in state_raw):
-        initial_state = _check_presets(tuple(state_raw), dims, "$.initial_state")
+        initial_state = tuple(state_raw)
     elif isinstance(state_raw, dict):
         _reject_unknown(state_raw, {"vector"}, "$.initial_state")
-        vector = _get(state_raw, "vector", "$.initial_state")
-        initial_state = _parse_array(vector, "$.initial_state.vector", (total,))
+        initial_state = _parse_array(_get(state_raw, "vector", "$.initial_state"), "$.initial_state.vector", False)
     else:
         raise ScenarioError(
             "expected a preset name, a list of preset names, or {'vector': ...}",
@@ -383,46 +373,31 @@ def parse_scenario(data: bytes | str) -> Scenario:
         )
 
     times = tuple(_expect(_get(doc, "times", "$"), list, "$.times", "an array of time labels"))
-    _check_times(times)
-    n_intervals = len(times) - 1
-
     if "evolutions" in doc:
-        evs_raw = _expect(doc["evolutions"], list, "$.evolutions", "an array")
-        _check_evolution_count(len(evs_raw), n_intervals)
         evolutions = []
-        for i, ev in enumerate(evs_raw):
-            epath = f"$.evolutions[{i}]"
-            if not isinstance(ev, dict):
-                evolutions.append(_evolution_name(ev, i))
-                continue
-            _reject_unknown(ev, {"matrix"}, epath)
-            evolutions.append(_parse_array(_get(ev, "matrix", epath), f"{epath}.matrix", (total, total)))
+        for k, ev in enumerate(_expect(doc["evolutions"], list, "$.evolutions", "an array")):
+            if isinstance(ev, dict):  # anything else is a name, which the Scenario checks
+                epath = f"$.evolutions[{k}]"
+                _reject_unknown(ev, {"matrix"}, epath)
+                ev = _parse_array(_get(ev, "matrix", epath), f"{epath}.matrix", True)
+            evolutions.append(ev)
         evolutions = tuple(evolutions)
     else:
-        evolutions = tuple(["identity"] * n_intervals)
+        evolutions = ("identity",) * (len(times) - 1)
 
-    observers_raw = _expect(_get(doc, "observers", "$"), list, "$.observers", "an array")
     observers = []
-    seen_names: set[str] = set()
-    for i, obs in enumerate(observers_raw):
+    for i, obs in enumerate(_expect(_get(doc, "observers", "$"), list, "$.observers", "an array")):
         opath = f"$.observers[{i}]"
         obs = _expect(obs, dict, opath, "an object")
         _reject_unknown(obs, {"name", "measurements"}, opath)
         oname = _get(obs, "name", opath)
-        _check_observer_name(oname, seen_names, i)
-        seen_names.add(oname)
-        meas_raw = _expect(_get(obs, "measurements", opath), list, f"{opath}.measurements", "an array")
         measurements = []
-        seen_times: set[str] = set()
-        for j, m in enumerate(meas_raw):
+        for j, m in enumerate(_expect(_get(obs, "measurements", opath), list, f"{opath}.measurements", "an array")):
             mpath = f"{opath}.measurements[{j}]"
             m = _expect(m, dict, mpath, "an object")
             _reject_unknown(m, {"time", "observable"}, mpath)
             mtime = _get(m, "time", mpath)
-            _check_time(mtime, times, seen_times, oname, i, j)
-            seen_times.add(mtime)
-            observable = _parse_observable(_get(m, "observable", mpath), i, j, dims, total)
-            measurements.append(Measurement(time=mtime, observable=observable))
+            measurements.append(Measurement(mtime, _parse_observable(_get(m, "observable", mpath), i, j)))
         observers.append(ObserverSpec(name=oname, measurements=tuple(measurements)))
 
     return Scenario(
@@ -436,21 +411,9 @@ def parse_scenario(data: bytes | str) -> Scenario:
     )
 
 
-def _check_presets(presets: tuple[str, ...], dims: tuple[int, ...], path: str) -> tuple[str, ...]:
-    if len(presets) != len(dims):
-        raise DimMismatchError(f"{path}: {len(presets)} presets for {len(dims)} factors")
-    for i, (p, d) in enumerate(zip(presets, dims)):
-        if p not in _QUBIT_PRESETS:
-            raise UnknownOperatorError(f"unknown state preset {p!r}", path=f"{path}[{i}]")
-        if d != 2:
-            raise DimMismatchError(f"{path}[{i}]: preset {p!r} needs a qubit factor, dim is {d}")
-    return presets
-
-
-# ``_check_presets``, ``_measurement_key`` and the checks below hold the rules
-# of a scenario's structure: ``parse_scenario`` applies them to a document and
-# ``resolve`` (``_slot_keys``) to a hand-built ``Scenario``, in the same order,
-# and each error names the document's JSONPath.
+# ``Scenario.__post_init__`` applies the checks below, the rules of a
+# scenario's structure, once per build, ``parse_scenario``'s included; each
+# error names the document's JSONPath.
 
 def _check_dims(dims: tuple) -> int:
     """The total dimension of the factor dimensions ``dims``: at least one,
@@ -467,11 +430,22 @@ def _check_dims(dims: tuple) -> int:
 
 
 def _check_tolerance(overrides: dict) -> None:
-    """Each key a ``Tolerance`` field, each value a number in [0, 1e-3]."""
+    """Each key a ``Tolerance`` field, each value a number it admits."""
     _reject_unknown(overrides, _TOLERANCE_FIELDS, "$.tolerance")
     for key, value in overrides.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1e-3:
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not Tolerance.admits(value):
             raise ScenarioError("tolerance must be a number in [0, 1e-3]", path=f"$.tolerance.{key}")
+
+
+def _check_presets(presets: tuple[str, ...], dims: tuple[int, ...]) -> None:
+    """One known qubit preset per factor, each factor a qubit."""
+    if len(presets) != len(dims):
+        raise DimMismatchError(f"$.initial_state: {len(presets)} presets for {len(dims)} factors")
+    for i, (p, d) in enumerate(zip(presets, dims)):
+        if p not in _QUBIT_PRESETS:
+            raise UnknownOperatorError(f"unknown state preset {p!r}", path=f"$.initial_state[{i}]")
+        if d != 2:
+            raise DimMismatchError(f"$.initial_state[{i}]: preset {p!r} needs a qubit factor, dim is {d}")
 
 
 def _check_shape(size: tuple[int, ...], shape: tuple[int, ...], path: str) -> None:
@@ -497,11 +471,10 @@ def _check_evolution_count(n: int, n_intervals: int) -> None:
         raise DimMismatchError(f"$.evolutions: expected {n_intervals} evolutions, got {n}")
 
 
-def _evolution_name(ev, k: int) -> str:
+def _evolution_name(ev, k: int) -> None:
     """Evolution ``k``, not a matrix, which must be ``"identity"``."""
     if ev != "identity":
         raise ScenarioError("expected 'identity' or {'matrix': ...}", path=f"$.evolutions[{k}]")
-    return ev
 
 
 def _check_observer_name(name, seen: set, i: int) -> None:
@@ -534,6 +507,51 @@ def _check_time(time, times: tuple, seen, observer: str, i: int, j: int) -> None
     else:
         return
     raise ScenarioError(fault, path=f"$.observers[{i}].measurements[{j}].time")
+
+
+def _check_operator(name: str, dims: tuple[int, ...], i: int, j: int) -> None:
+    """``name`` must name an operator of a system of ``dims``; it is refused
+    at ``_OBSERVABLE``'s path for ``i`` and ``j``, built only then: a base
+    that is not an operator, or an ``@k`` suffix that is not a factor
+    1..len(dims) in ASCII digits, as an UnknownOperatorError at it; a Pauli
+    on a factor that is not a qubit, or a bare one on a system other than
+    one qubit, as a DimMismatchError prefixed with it.  (``str.isdigit``
+    also passes "²", which ``int`` refuses, and "１".)"""
+    base, _, suffix = name.partition("@")
+    if base not in _PAULI_OPS and base != "identity":
+        raise UnknownOperatorError(f"unknown operator {name!r}", path=_OBSERVABLE.format(i, j))
+    if suffix:
+        factor = int(suffix) if suffix.isascii() and suffix.isdigit() else None
+        if factor is None or not 1 <= factor <= len(dims):
+            raise UnknownOperatorError(f"subsystem index in {name!r} must be 1..{len(dims)}",
+                                       path=_OBSERVABLE.format(i, j))
+        if base in _PAULI_OPS and dims[factor - 1] != 2:
+            raise DimMismatchError(f"{_OBSERVABLE.format(i, j)}: {name!r} needs a qubit factor, "
+                                   f"dim is {dims[factor - 1]}")
+    elif base in _PAULI_OPS and (len(dims) != 1 or dims[0] != 2):
+        raise DimMismatchError(
+            f"{_OBSERVABLE.format(i, j)}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
+        )
+
+
+def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -> None:
+    """The observable of measurement ``j`` of observer ``i``: a name of an
+    operator (``_check_operator``), a (total, total) matrix, or a nonempty
+    list of (total, total) projectors, no label of which has a joiner."""
+    if isinstance(spec, NamedObservable):
+        return _check_operator(spec.name, dims, i, j)
+    path = _OBSERVABLE.format(i, j)
+    if isinstance(spec, MatrixObservable):
+        _check_shape(np.shape(spec.matrix), (total, total), f"{path}.matrix")
+    else:
+        for k, (label, matrix) in enumerate(zip(spec.labels, spec.matrices)):
+            joiner = _joiner_in(label)
+            if joiner is not None:
+                raise ScenarioError(f"label {label!r} contains the joiner {joiner!r}",
+                                    path=f"{path}.projectors[{k}].label")
+            _check_shape(np.shape(matrix), (total, total), f"{path}.projectors[{k}].matrix")
+        if not spec.labels:
+            raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +614,17 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
     return out.reshape(n, left * k * right, left * k * right)
 
 
+def _measurement_key(spec) -> object:
+    """What the slot measuring ``spec``, a built ``Scenario``'s, depends on:
+    ``"identity"`` for the trivial slot (``spec`` None) and every identity,
+    ``"sigma_z@3"`` for a Pauli (``"sigma_z@03"`` too, and ``"sigma_z@1"``
+    for a bare one), else the observable."""
+    if not isinstance(spec, NamedObservable):
+        return "identity" if spec is None else spec
+    base, _, suffix = spec.name.partition("@")
+    return "identity" if base == "identity" else f"{base}@{int(suffix or 1)}"
+
+
 def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition:
     """The decomposition of one ``_measurement_key``.
 
@@ -607,18 +636,12 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
     call, unvalidated (their products may be too: ``_pair_products``);
     ``tests/test_resolve.py`` checks the constants instead.  A matrix's
     eigenprojectors and a projector list are validated; only a list may
-    need the "rest" pad, so only it goes through ``_padded_decomposition``,
-    once its labels are checked for a joiner (``parse_scenario`` refuses one
-    too; this catches a hand-built ``Scenario``).
+    need the "rest" pad, so only it goes through ``_padded_decomposition``.
     """
     total = math.prod(dims)
     if isinstance(key, MatrixObservable):
         return _eigen_decomposition(key.matrix, tol)
     if isinstance(key, ProjectorListObservable):
-        for i, label in enumerate(key.labels):
-            joiner = _joiner_in(label)
-            if joiner is not None:
-                raise BadDecompositionError(f"element {i}: label {label!r} contains the joiner {joiner!r}")
         return _padded_decomposition(key.labels, key.matrices, total, tol)
     if key == "identity":
         return _ExactDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
@@ -651,43 +674,11 @@ def _initial_ket(s: Scenario) -> np.ndarray:
 
 def _slot_keys(s: Scenario) -> list[list[tuple[object, int | None]]]:
     """Per observer, per slot, the ``_measurement_key`` and the index of the
-    measurement there (None for the trivial slot), once ``s``'s structure
-    passes the checks ``parse_scenario`` applies to a document, in its
-    order: the factor dimensions, the tolerance overrides, the presets or
-    the vector's length, the times, the evolutions' count, names and matrix
-    shapes, then each observer's name and each measurement's time, operator
-    name and matrix shapes."""
-    dims = s.subsystem_dims
-    total = _check_dims(dims)
-    _check_tolerance(s.tolerance_overrides)
-    if isinstance(s.initial_state, tuple):
-        _check_presets(s.initial_state, dims, "$.initial_state")
-    else:
-        _check_shape(np.shape(s.initial_state), (total,), "$.initial_state.vector")
-    _check_times(s.times)
-    _check_evolution_count(len(s.evolutions), len(s.times) - 1)
-    for k, ev in enumerate(s.evolutions):
-        if isinstance(ev, str):
-            _evolution_name(ev, k)
-        else:
-            _check_shape(np.shape(ev), (total, total), f"$.evolutions[{k}].matrix")
-    trivial = (_measurement_key(None, dims, 0, None), None)
+    measurement there (None for the trivial slot)."""
+    trivial = (_measurement_key(None), None)
     uses = []
-    names: set[str] = set()
-    for i, obs in enumerate(s.observers):
-        _check_observer_name(obs.name, names, i)
-        names.add(obs.name)
-        by_time: dict[str, tuple[object, int]] = {}
-        for j, m in enumerate(obs.measurements):
-            _check_time(m.time, s.times, by_time, obs.name, i, j)
-            by_time[m.time] = (_measurement_key(m.observable, dims, i, j), j)
-            spec = m.observable
-            if isinstance(spec, MatrixObservable):
-                _check_shape(np.shape(spec.matrix), (total, total), f"{_OBSERVABLE.format(i, j)}.matrix")
-            elif isinstance(spec, ProjectorListObservable):
-                for k, matrix in enumerate(spec.matrices):
-                    path = f"{_OBSERVABLE.format(i, j)}.projectors[{k}].matrix"
-                    _check_shape(np.shape(matrix), (total, total), path)
+    for obs in s.observers:
+        by_time = {m.time: (_measurement_key(m.observable), j) for j, m in enumerate(obs.measurements)}
         uses.append([by_time.get(t, trivial) for t in s.times[1:]])
     return uses
 
@@ -701,20 +692,13 @@ def resolve(
     """Expand named operators and presets; build one family per observer
     named in ``observers`` (None, the default: every observer).
 
-    First ``_slot_keys`` checks the structure of ``s`` with the rules
-    ``parse_scenario`` applies to a document: a hand-built ``Scenario``
-    whose document the parser refuses for its factor dimensions, tolerance
-    overrides, presets or vector length, times, evolution count or names,
-    matrix shapes, observer names, measurement times or operator names is
-    refused with the parser's error, the first in document order.  A
-    projector list that is empty or has a label with a joiner is refused
-    with the numbers, below, in its own words.  Under the effective
-    tolerance, every
-    number the file supplies is checked, for every observer, named or not:
-    the initial ket (norm included), once, each distinct evolution matrix,
-    each distinct projector list (padded and validated as a decomposition,
-    since the list itself is the input; a fault is a
-    ``BadDecompositionError``), and each distinct matrix observable's
+    ``s`` is valid by construction, so its structure is not checked again;
+    its numbers are.  Under the effective tolerance, every number the file
+    supplies is checked, for every observer, named or not: the initial ket
+    (norm included), once, each distinct evolution matrix, each distinct
+    projector list (padded and validated as a decomposition, since the list
+    itself is the input; a fault is a ``BadDecompositionError``), and each
+    distinct matrix observable's
     squareness, finiteness and Hermiticity (``linalg._require_hermitian``).
     Every ``"identity"`` interval shares one read-only identity, which is
     exact and not checked.  Only for the observers named is anything built:

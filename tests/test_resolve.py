@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qhist.framework
 import qhist.histories
 import qhist.scenario
+from qhist import cli
 from qhist.errors import (
     BadDecompositionError,
     DimMismatchError,
@@ -50,7 +51,7 @@ from qhist.scenario import (
 )
 from qhist.stablefacts import Verdict, check_compatibility
 
-from helpers import random_scenario
+from helpers import GALLERY_NAMES, gallery, random_scenario
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -70,6 +71,36 @@ def scenario(dims, evolutions, observers):
         evolutions=tuple(evolutions),
         observers=tuple(observers),
     )
+
+
+def _unchecked(base: Scenario, **change) -> Scenario:
+    """``base`` with ``change``, built around ``Scenario``'s checks, only to
+    write the document that such a scenario would have."""
+    s = object.__new__(Scenario)
+    for f in fields(Scenario):
+        object.__setattr__(s, f.name, change.get(f.name, getattr(base, f.name)))
+    return s
+
+
+# the three ways to a Scenario with ``change``: reading its document, building
+# it, and ``replace`` on the valid ``base``
+ROUTES = {
+    "parse": lambda base, change: parse_scenario(serialize_scenario(_unchecked(base, **change))),
+    "build": lambda base, change: Scenario(**{**{f.name: getattr(base, f.name) for f in fields(Scenario)}, **change}),
+    "replace": lambda base, change: replace(base, **change),
+}
+
+
+def _refusal(route: str, base: Scenario, **change) -> tuple[type, str]:
+    """The type and message of the error that ``route`` to ``base`` with ``change`` raises."""
+    with pytest.raises(QHistError) as info:
+        ROUTES[route](base, change)
+    return type(info.value), str(info.value)
+
+
+def _refusals(base: Scenario, **change) -> list[tuple[type, str]]:
+    """The errors of every route to ``base`` with ``change``."""
+    return [_refusal(route, base, **change) for route in ROUTES]
 
 
 def kron_fold(op, factor, dims):
@@ -124,33 +155,28 @@ def test_a_pauli_slot_is_its_two_projectors_and_no_rest(axis, factor):
     assert decomp.projectors.tobytes() == expected.projectors.tobytes()
 
 
-@pytest.mark.parametrize("names", [None, ["A"], ["B"]], ids=["every_observer", "only_A", "only_B"])
-def test_a_hand_built_pauli_on_a_factor_that_is_not_a_qubit_is_refused_as_parse_scenario_refuses_it(names):
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_hand_built_pauli_on_a_factor_that_is_not_a_qubit_is_refused_as_parse_scenario_refuses_it(route):
     # before, resolve embedded sigma_z on the 3-dim factor to 4x4 in a 6-dim
     # space, and refused the misfit shape as a BadDecompositionError
     a = observer("A", {"t1": NamedObservable("identity")})
-    scn = scenario((3, 2), ["identity"], [a, observer("B", {"t1": NamedObservable("sigma_z@1")})])
-    with pytest.raises(DimMismatchError) as parsed:
-        parse_scenario(serialize_scenario(scn))
-    with pytest.raises(DimMismatchError) as resolved:
-        resolve(scn, observers=names)
-    assert str(resolved.value) == str(parsed.value) == (
-        "$.observers[1].measurements[0].observable: 'sigma_z@1' needs a qubit factor, dim is 3"
+    faulty = (a, observer("B", {"t1": NamedObservable("sigma_z@1")}))
+    assert _refusal(route, scenario((3, 2), ["identity"], [a]), observers=faulty) == (
+        DimMismatchError, "$.observers[1].measurements[0].observable: 'sigma_z@1' needs a qubit factor, dim is 3"
     )
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3,), (2, 3), (1, 2)])
-@pytest.mark.parametrize("names", [None, ["A"], ["B"]], ids=["every_observer", "only_A", "only_B"])
-def test_a_hand_built_bare_pauli_needs_a_single_qubit_as_parse_scenario_says(dims, names):
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_hand_built_bare_pauli_needs_a_single_qubit_as_parse_scenario_says(dims, route):
     # before, resolve read a bare sigma_z on (2, 2) as sigma_z@1
     a = observer("A", {"t1": NamedObservable("identity")})
-    scn = scenario(dims, ["identity"], [a, observer("B", {"t1": NamedObservable("sigma_z")})])
-    with pytest.raises(DimMismatchError) as parsed:
-        parse_scenario(serialize_scenario(scn))
-    with pytest.raises(DimMismatchError) as resolved:
-        resolve(scn, observers=names)
-    assert str(resolved.value) == str(parsed.value)
-    assert str(resolved.value).startswith("$.observers[1].measurements[0].observable: bare 'sigma_z' needs")
+    base = scenario(dims, ["identity"], [a])
+    faulty = (a, observer("B", {"t1": NamedObservable("sigma_z")}))
+    error = _refusal(route, base, observers=faulty)
+    assert error == _refusal("parse", base, observers=faulty)
+    assert error[0] is DimMismatchError
+    assert error[1].startswith("$.observers[1].measurements[0].observable: bare 'sigma_z' needs")
 
 
 EXACT = Tolerance.uniform(0.0)
@@ -179,7 +205,7 @@ def test_named_decompositions_are_exact(dims):
     bit (tobytes tells -0.0 from +0.0)."""
     total = math.prod(dims)
     for spec in named_specs(dims):
-        decomp = _measurement_slot(_measurement_key(spec, dims, 0, 0), dims, EXACT)
+        decomp = _measurement_slot(_measurement_key(spec), dims, EXACT)
         assert isinstance(decomp, ProjectiveDecomposition), spec
         p = decomp.projectors
         assert _validated(p.copy(), decomp.labels, EXACT).projectors.tobytes() == p.tobytes()
@@ -208,7 +234,7 @@ def test_the_identity_interval_is_exactly_unitary():
 @pytest.mark.parametrize("dims", [(2,), (2, 3, 2)])
 def test_named_stacks_are_built_per_call_and_read_only(dims):
     for spec in named_specs(dims):
-        key = _measurement_key(spec, dims, 0, 0)
+        key = _measurement_key(spec)
         first, second = (_measurement_slot(key, dims, EXACT).projectors for _ in range(2))
         assert not first.flags.writeable
         assert not np.shares_memory(first, second)
@@ -303,12 +329,12 @@ def test_non_orthogonal_projector_list_raises():
 
 
 def test_an_empty_projector_list_is_refused_with_its_path():
-    # parse_scenario refuses the empty list; a hand-built one is refused here, not padded
-    scn = scenario((2,), ["identity"], [observer("A", {"t1": ProjectorListObservable((), ())})])
-    with pytest.raises(BadDecompositionError, match=r"^\$\.observers\[0\]\.measurements\[0\]\.observable: ") as info:
-        resolve(scn)
-    assert "needs at least one projector" in str(info.value)
-    assert type(info.value.__cause__) is NotCompleteError
+    # before, resolve refused a hand-built one as a BadDecompositionError
+    # caused by a NotCompleteError, at the observable's path
+    empty = (observer("A", {"t1": ProjectorListObservable((), ())}),)
+    assert _refusals(scenario((2,), ["identity"], []), observers=empty) == [
+        (ScenarioError, "$.observers[0].measurements[0].observable.projectors: projector list must be nonempty")
+    ] * 3
 
 
 def test_decomposition_error_names_the_first_measurement_using_it():
@@ -551,12 +577,17 @@ def test_the_history_cap_counts_only_the_families_built():
     assert record.family.n_histories == 2
 
 
-def _two_lists(first: tuple[str, str], second: tuple[str, str]) -> Scenario:
-    """Two qubits from plus_x, plus_x; O1 measures the first qubit's z and
-    O2 the second's, each as a hand-built list of two diagonal projectors."""
+def _list_observers(first: tuple[str, str], second: tuple[str, str]) -> tuple[ObserverSpec, ObserverSpec]:
+    """O1 measures the first of two qubits' z and O2 the second's, each as a
+    hand-built list of two diagonal projectors labelled ``first`` and ``second``."""
     o1 = ProjectorListObservable(first, (np.diag([1, 1, 0, 0]) + 0j, np.diag([0, 0, 1, 1]) + 0j))
     o2 = ProjectorListObservable(second, (np.diag([1, 0, 1, 0]) + 0j, np.diag([0, 1, 0, 1]) + 0j))
-    scn = scenario((2, 2), ["identity"], [observer("O1", {"t1": o1}), observer("O2", {"t1": o2})])
+    return observer("O1", {"t1": o1}), observer("O2", {"t1": o2})
+
+
+def _two_lists(first: tuple[str, str], second: tuple[str, str]) -> Scenario:
+    """Two qubits from plus_x, plus_x, and ``_list_observers``."""
+    scn = scenario((2, 2), ["identity"], _list_observers(first, second))
     return replace(scn, initial_state=("plus_x", "plus_x"))
 
 
@@ -565,47 +596,40 @@ def test_hand_built_plain_labels_are_stable():
     assert check_compatibility(a, b).verdict is Verdict.STABLE
 
 
-@pytest.mark.parametrize("names", [None, ["O2"]])
-def test_hand_built_joiner_labels_are_refused(names):
-    # before the check, products p∧q∧r were formed twice, and the pair read relative (condition 2)
-    with pytest.raises(BadDecompositionError) as info:
-        resolve(_two_lists(("p", "p∧q"), ("q∧r", "r")), observers=names)
-    assert str(info.value) == ("$.observers[0].measurements[0].observable: "
-                               "element 1: label 'p∧q' contains the joiner '∧'")
-    with pytest.raises(BadDecompositionError, match=r"^\$\.observers\[1\]\.measurements\[0\]\.observable: "
-                       r"element 1: label 'r∨s' contains the joiner '∨'$"):
-        resolve(_two_lists(("p", "s"), ("u", "r∨s")), observers=names)
+@pytest.mark.parametrize("route", ROUTES)
+def test_hand_built_joiner_labels_are_refused(route):
+    # before the check, products p∧q∧r were formed twice, and the pair read
+    # relative (condition 2); before construction checked the labels, resolve
+    # refused them as a BadDecompositionError at the observable's path
+    valid = _two_lists(("p", "s"), ("u", "r"))
+    joined = _list_observers(("p", "p∧q"), ("q∧r", "r"))
+    assert _refusal(route, valid, observers=joined) == (
+        ScenarioError, "$.observers[0].measurements[0].observable.projectors[1].label: "
+                       "label 'p∧q' contains the joiner '∧'")
+    joined = _list_observers(("p", "s"), ("u", "r∨s"))
+    assert _refusal(route, valid, observers=joined) == (
+        ScenarioError, "$.observers[1].measurements[0].observable.projectors[1].label: "
+                       "label 'r∨s' contains the joiner '∨'")
 
 
 @pytest.mark.parametrize(
     "name", ["sigma_q", "foo@1", "Sigma_z", "sigma_z@²", "sigma_z@x", "sigma_z@0", "sigma_z@5", "identity@9"]
 )
-@pytest.mark.parametrize("names", [None, ["A"], ["B"]], ids=["every_observer", "only_A", "only_B"])
-def test_hand_built_unknown_operators_are_refused_as_parse_scenario_refuses_them(name, names):
+@pytest.mark.parametrize("route", ROUTES)
+def test_hand_built_unknown_operators_are_refused_as_parse_scenario_refuses_them(name, route):
     # before, resolve let out a bare KeyError or int()'s ValueError, named a
     # shape misfit, or (identity@9) accepted the name
     a = observer("A", {"t1": NamedObservable("sigma_z")})
-    scn = scenario((2,), ["identity"], [a, observer("B", {"t1": NamedObservable(name)})])
-    with pytest.raises(UnknownOperatorError) as parsed:
-        parse_scenario(serialize_scenario(scn))
-    with pytest.raises(UnknownOperatorError) as resolved:
-        resolve(scn, observers=names)
-    assert str(resolved.value) == str(parsed.value)
-    assert str(resolved.value).startswith("$.observers[1].measurements[0].observable: ")
-    assert resolved.value.path == "$.observers[1].measurements[0].observable"
+    base = scenario((2,), ["identity"], [a])
+    faulty = (a, observer("B", {"t1": NamedObservable(name)}))
+    with pytest.raises(UnknownOperatorError) as info:
+        ROUTES[route](base, {"observers": faulty})
+    assert (UnknownOperatorError, str(info.value)) == _refusal("parse", base, observers=faulty)
+    assert str(info.value).startswith("$.observers[1].measurements[0].observable: ")
+    assert info.value.path == "$.observers[1].measurements[0].observable"
 
 
 ONE_QUBIT = scenario((2,), ["identity"], [observer("O1", {"t1": NamedObservable("sigma_x")})])
-
-
-def _refusals(scn: Scenario) -> list[tuple[type, str]]:
-    """The errors of ``parse_scenario`` on ``scn``'s document and of ``resolve(scn)``."""
-    errors = []
-    for call in (lambda: parse_scenario(serialize_scenario(scn)), lambda: resolve(scn)):
-        with pytest.raises(QHistError) as info:
-            call()
-        errors.append((type(info.value), str(info.value)))
-    return errors
 
 
 @pytest.mark.parametrize(
@@ -615,23 +639,25 @@ def _refusals(scn: Scenario) -> list[tuple[type, str]]:
 )
 def test_a_hand_built_measurement_off_the_slots_is_refused_as_parse_scenario_refuses_it(time, message):
     # before, resolve dropped it, and the slot at t1 was the trivial "any" with P = 1
-    scn = replace(ONE_QUBIT, observers=(observer("O1", {time: NamedObservable("sigma_x")}),))
-    assert _refusals(scn) == [(ScenarioError, f"$.observers[0].measurements[0].time: {message}")] * 2
+    off = (observer("O1", {time: NamedObservable("sigma_x")}),)
+    assert _refusals(ONE_QUBIT, observers=off) == [
+        (ScenarioError, f"$.observers[0].measurements[0].time: {message}")
+    ] * 3
 
 
 def test_a_hand_built_second_measurement_at_one_time_is_refused_as_parse_scenario_refuses_it():
     # before, resolve dropped the first
     twice = ObserverSpec("O1", tuple(Measurement("t1", NamedObservable(n)) for n in ("sigma_x", "sigma_z")))
-    assert _refusals(replace(ONE_QUBIT, observers=(twice,))) == [
+    assert _refusals(ONE_QUBIT, observers=(twice,)) == [
         (ScenarioError, "$.observers[0].measurements[1].time: observer 'O1' measures twice at 't1'")
-    ] * 2
+    ] * 3
 
 
 def test_a_hand_built_evolution_name_is_refused_as_parse_scenario_refuses_it():
     # before, resolve ran "foo" as the identity
-    assert _refusals(replace(ONE_QUBIT, evolutions=("foo",))) == [
+    assert _refusals(ONE_QUBIT, evolutions=("foo",)) == [
         (ScenarioError, "$.evolutions[0]: expected 'identity' or {'matrix': ...}")
-    ] * 2
+    ] * 3
 
 
 @pytest.mark.parametrize(
@@ -642,14 +668,42 @@ def test_a_hand_built_evolution_name_is_refused_as_parse_scenario_refuses_it():
 )
 def test_a_hand_built_initial_state_of_another_size_is_refused_as_parse_scenario_refuses_it(state, message):
     # before, resolve passed it, and consistency_check failed in numpy's reshape
-    assert _refusals(replace(ONE_QUBIT, initial_state=state)) == [(DimMismatchError, message)] * 2
+    assert _refusals(ONE_QUBIT, initial_state=state) == [(DimMismatchError, message)] * 3
 
 
 def test_a_hand_built_unknown_preset_is_refused_as_parse_scenario_refuses_it():
     # before, resolve let out a bare KeyError
-    assert _refusals(replace(ONE_QUBIT, initial_state=("bogus",))) == [
+    assert _refusals(ONE_QUBIT, initial_state=("bogus",)) == [
         (UnknownOperatorError, "$.initial_state[0]: unknown state preset 'bogus'")
-    ] * 2
+    ] * 3
+
+
+def test_a_hand_built_scenario_without_presets_is_refused_as_its_document_is():
+    # before, it was built, resolve refused it, and serialize_scenario raised
+    # a bare IndexError, since its document could not be written
+    error = (DimMismatchError, "$.initial_state: 0 presets for 1 factors")
+    assert [_refusal(route, ONE_QUBIT, initial_state=()) for route in ("build", "replace")] == [error] * 2
+    with pytest.raises(DimMismatchError) as info:
+        parse_scenario(json.dumps({**ONE_QUBIT.to_jsonable(), "initial_state": []}))
+    assert str(info.value) == error[1]
+
+
+def test_the_tolerance_range_is_stated_once(monkeypatch):
+    # before, linalg.Tolerance and scenario._check_tolerance each wrote [0, 1e-3]
+    document = {**ONE_QUBIT.to_jsonable(), "tolerance": {"cons": 1.0}}
+    with pytest.raises(ValueError) as option:
+        Tolerance.uniform(1.0)
+    with pytest.raises(ScenarioError) as file:
+        parse_scenario(json.dumps(document))
+    assert str(option.value) == "tolerance 'norm' must lie in [0, 1e-3], got 1.0"
+    assert str(file.value) == "$.tolerance.cons: tolerance must be a number in [0, 1e-3]"
+    document["tolerance"]["cons"] = 1e-4
+    assert effective_tolerance(parse_scenario(json.dumps(document))).cons == Tolerance.uniform(1e-4).cons == 1e-4
+    monkeypatch.setattr(Tolerance, "admits", staticmethod(lambda value: 0.0 <= value <= 1e-6))
+    with pytest.raises(ValueError, match="got 0.0001$"):
+        Tolerance.uniform(1e-4)
+    with pytest.raises(ScenarioError, match=r"^\$\.tolerance\.cons: "):
+        parse_scenario(json.dumps(document))
 
 
 @pytest.mark.parametrize(
@@ -661,14 +715,16 @@ def test_a_hand_built_unknown_preset_is_refused_as_parse_scenario_refuses_it():
 def test_hand_built_observer_names_are_refused_as_parse_scenario_refuses_them(names, message):
     # before, resolve accepted both
     observers = tuple(observer(name, {"t1": NamedObservable("sigma_x")}) for name in names)
-    assert _refusals(replace(ONE_QUBIT, observers=observers)) == [(ScenarioError, message)] * 2
+    assert _refusals(ONE_QUBIT, observers=observers) == [(ScenarioError, message)] * 3
 
 
 def test_a_hand_built_matrix_observable_of_another_size_is_refused_as_parse_scenario_refuses_it():
     # before, resolve built the 3 x 3 matrix's eigenprojectors into a qubit's family
-    scn = replace(ONE_QUBIT, observers=(observer("O1", {"t1": MatrixObservable(identity(3))}),))
+    observers = (observer("O1", {"t1": MatrixObservable(identity(3))}),)
     path = "$.observers[0].measurements[0].observable.matrix"
-    assert _refusals(scn) == [(DimMismatchError, f"{path}: shape (3, 3) does not match total dim 2")] * 2
+    assert _refusals(ONE_QUBIT, observers=observers) == [
+        (DimMismatchError, f"{path}: shape (3, 3) does not match total dim 2")
+    ] * 3
 
 
 @pytest.mark.parametrize(
@@ -690,7 +746,7 @@ def test_a_hand_built_matrix_observable_of_another_size_is_refused_as_parse_scen
          "evolution_shape", "projector_shape"],
 )
 def test_the_other_structural_checks_of_a_hand_built_scenario_are_parse_scenarios(change, error, message):
-    assert _refusals(replace(ONE_QUBIT, **change)) == [(error, message)] * 2
+    assert _refusals(ONE_QUBIT, **change) == [(error, message)] * 3
 
 
 STRUCTURAL_FAULTS = (
@@ -700,70 +756,116 @@ STRUCTURAL_FAULTS = (
 )
 
 
-def _with_fault(scn: Scenario, fault: str | None, k: int) -> Scenario:
-    """``scn`` with at most one structural fault, ``k`` choosing among its forms."""
+def _fault(scn: Scenario, fault: str | None, k: int) -> dict:
+    """The fields of ``scn`` to change for at most one structural fault, ``k``
+    choosing among its forms."""
     first, times, dims = scn.observers[0], scn.times, scn.subsystem_dims
 
-    def first_measuring(*extra: Measurement) -> Scenario:
-        changed = replace(first, measurements=first.measurements + extra)
-        return replace(scn, observers=(changed, *scn.observers[1:]))
+    def first_measuring(*extra: Measurement) -> dict:
+        changed = ObserverSpec(first.name, first.measurements + extra)
+        return {"observers": (changed, *scn.observers[1:])}
 
     if fault is None:
-        return scn
+        return {}
     if fault in ("off_grid", "initial_time", "twice"):
         at = {"off_grid": ["t9"], "initial_time": [times[0]], "twice": [times[-1]] * 2}[fault]
         return first_measuring(*(Measurement(t, NamedObservable("identity")) for t in at))
     if fault in ("operator", "matrix_shape"):
         spec = NamedObservable("sigma_q") if fault == "operator" else MatrixObservable(identity(scn.total_dim + 1))
         changed = ObserverSpec(first.name, (Measurement(times[1], spec),))
-        return replace(scn, observers=(changed, *scn.observers[1:]))
+        return {"observers": (changed, *scn.observers[1:])}
     if fault in ("evolution_name", "evolution_shape"):
         evolutions = list(scn.evolutions)
         wrong = ("foo", "Identity", "")[k % 3] if fault == "evolution_name" else identity(scn.total_dim + 1)
         evolutions[k % len(evolutions)] = wrong
-        return replace(scn, evolutions=tuple(evolutions))
+        return {"evolutions": tuple(evolutions)}
     if fault == "evolution_count":
-        return replace(scn, evolutions=scn.evolutions + ("identity",) if k % 2 else scn.evolutions[:-1])
+        return {"evolutions": scn.evolutions + ("identity",) if k % 2 else scn.evolutions[:-1]}
     if fault == "presets":
-        return replace(scn, initial_state=("up_z",) * (len(dims) + 1 + k % 2))
+        return {"initial_state": ("up_z",) * (len(dims) + 1 + k % 2)}
     if fault == "preset_name":
-        return replace(scn, initial_state=("up_z",) * (len(dims) - 1) + ("bogus",))
+        return {"initial_state": ("up_z",) * (len(dims) - 1) + ("bogus",)}
     if fault == "vector":
-        return replace(scn, initial_state=np.ones(scn.total_dim + 1 + k % 3, dtype=complex))
+        return {"initial_state": np.ones(scn.total_dim + 1 + k % 3, dtype=complex)}
     if fault in ("observer_twice", "reserved"):
         name = first.name if fault == "observer_twice" else "combined"
-        return replace(scn, observers=scn.observers + (ObserverSpec(name, ()),))
+        return {"observers": scn.observers + (ObserverSpec(name, ()),)}
     if fault == "factor":
-        return replace(scn, subsystem_dims=dims + ((0, -1, True, 2.0)[k % 4],))
+        return {"subsystem_dims": dims + ((0, -1, True, 2.0)[k % 4],)}
     if fault == "cap":
-        return replace(scn, subsystem_dims=dims + (64,))
+        return {"subsystem_dims": dims + (64,)}
     if fault == "tolerance_value":
         key = fields(Tolerance)[k % len(fields(Tolerance))].name
         value = (1.0, -1e-9, "small", True, float("nan"))[k % 5]
-        return replace(scn, tolerance_overrides={**scn.tolerance_overrides, key: value})
+        return {"tolerance_overrides": {**scn.tolerance_overrides, key: value}}
     if fault == "tolerance_key":
-        return replace(scn, tolerance_overrides={**scn.tolerance_overrides, "eps": 1e-9})
+        return {"tolerance_overrides": {**scn.tolerance_overrides, "eps": 1e-9}}
     if fault == "one_time":
-        return replace(scn, times=times[:1])
-    return replace(scn, times=times + (times[k % len(times)],))  # repeated_time
+        return {"times": times[:1]}
+    return {"times": times + (times[k % len(times)],)}  # repeated_time
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(STRUCTURAL_FAULTS), st.integers(0, 59))
 @settings(max_examples=200, deadline=None)
-def test_parse_scenario_is_resolves_reference_for_a_hand_built_scenario(seed, fault, k):
-    """Where ``parse_scenario`` refuses a scenario's document, ``resolve``
-    raises its error; where it accepts the document, ``resolve`` succeeds."""
-    scn = _with_fault(random_scenario(np.random.default_rng(seed)), fault, k)
-    try:
-        parse_scenario(serialize_scenario(scn))
-    except QHistError as exc:
-        expected = type(exc), str(exc)
-    else:
-        expected = None
-    assert fault is None or expected is not None
-    if expected is None:
+def test_parse_scenario_is_the_constructors_reference_for_a_hand_built_scenario(seed, fault, k):
+    """A hand-built scenario with a structural fault cannot be built: building
+    it, or ``replace`` on the valid one, raises what ``parse_scenario``
+    raises for its document (written around the checks, ``_unchecked``).
+    Without a fault, the scenario's document reads back as the scenario,
+    which resolves."""
+    scn = random_scenario(np.random.default_rng(seed))
+    change = _fault(scn, fault, k)
+    if fault is None:
+        assert parse_scenario(serialize_scenario(scn)) == scn
         resolve(scn)
     else:
-        with pytest.raises(QHistError) as info:
-            resolve(scn)
-        assert (type(info.value), str(info.value)) == expected
+        errors = _refusals(scn, **change)
+        assert errors == [errors[0]] * len(ROUTES)
+
+
+# the structural checks that building a Scenario applies, and the number of
+# items each checks in ``scn``
+STRUCTURAL_CHECKS = {
+    "_check_dims": lambda scn: 1,
+    "_check_tolerance": lambda scn: 1,
+    "_check_presets": lambda scn: int(isinstance(scn.initial_state, tuple)),
+    "_check_times": lambda scn: 1,
+    "_check_evolution_count": lambda scn: 1,
+    "_evolution_name": lambda scn: sum(isinstance(ev, str) for ev in scn.evolutions),
+    "_check_observer_name": lambda scn: len(scn.observers),
+    "_check_time": lambda scn: sum(len(obs.measurements) for obs in scn.observers),
+    "_check_operator": lambda scn: sum(isinstance(m.observable, NamedObservable)
+                                       for obs in scn.observers for m in obs.measurements),
+    "_check_shape": lambda scn: (
+        (not isinstance(scn.initial_state, tuple)) + sum(not isinstance(ev, str) for ev in scn.evolutions)
+        + sum(len(m.observable.matrices) if isinstance(m.observable, ProjectorListObservable)
+              else isinstance(m.observable, MatrixObservable) for obs in scn.observers for m in obs.measurements)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_a_command_checks_each_item_of_the_structure_once(name, monkeypatch, capsys):
+    # before, parse_scenario and resolve each applied every check
+    path = gallery(name)
+    expected = {check: count(parse_scenario(path.read_bytes())) for check, count in STRUCTURAL_CHECKS.items()}
+    calls = dict.fromkeys(STRUCTURAL_CHECKS, 0)
+
+    def counted(check):
+        original = getattr(qhist.scenario, check)
+
+        def wrapper(*args, **kwargs):
+            calls[check] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for check in STRUCTURAL_CHECKS:
+        monkeypatch.setattr(qhist.scenario, check, counted(check))
+    cli.main(["analyze", str(path)])
+    capsys.readouterr()
+    assert calls == expected
+    assert name != "stable_facts" or expected == {
+        "_check_dims": 1, "_check_tolerance": 1, "_check_presets": 1, "_check_times": 1, "_check_evolution_count": 1,
+        "_evolution_name": 2, "_check_observer_name": 2, "_check_time": 4, "_check_operator": 4, "_check_shape": 0,
+    }

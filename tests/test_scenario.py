@@ -197,6 +197,7 @@ FAULTS = {  # kind: (the faulty measurement, its error type, its message after t
     "Pauli on a qutrit": ({"time": "t4", "observable": "sigma_y@2"}, DimMismatchError,
                           ".observable: 'sigma_y@2' needs a qubit factor, dim is 3"),
 }
+READING = {"not an object", "unknown field", "missing time", "missing observable"}  # the rest are building's
 
 
 def faulty_doc(faults: dict[tuple[int, int], object]) -> str:
@@ -225,22 +226,24 @@ class TestMeasurementFaults:
         assert str(excinfo.value) == FAULT_AT + message
 
     def test_of_two_faults_the_first_in_document_order_is_raised(self):
-        # the later fault in the same observer (after a fault at measurement 1) or in the next one
+        # the later fault in the same observer (after a fault at measurement 1)
+        # or in the next one; reading's faults come before building's
         for first, second in itertools.product(FAULTS, repeat=2):
             for later in ((2, 3), (3, 0)):
                 earlier = (2, 1) if later == (2, 3) else (2, 3)
+                kind, (i, j) = (second, later) if second in READING and first not in READING else (first, earlier)
                 with pytest.raises(QHistError) as excinfo:
                     parse_scenario(faulty_doc({earlier: FAULTS[first][0], later: FAULTS[second][0]}))
-                assert type(excinfo.value) is FAULTS[first][1], (first, second, later)
-                assert str(excinfo.value) == f"$.observers[2].measurements[{earlier[1]}]{FAULTS[first][2]}"
+                assert type(excinfo.value) is FAULTS[kind][1], (first, second, later)
+                assert str(excinfo.value) == f"$.observers[{i}].measurements[{j}]{FAULTS[kind][2]}"
 
     @pytest.mark.parametrize("fault, kind", [
         ({"time": 4, "note": 1}, "unknown field"),
         ({"note": 1}, "unknown field"),
-        ({"time": "t1"}, "repeated time"),
-        ({"time": ["t4"]}, "list time"),
+        ({"time": "t1"}, "missing observable"),  # reading's fault before building's repeated time
+        ({"time": ["t4"]}, "missing observable"),
         ({"time": "t0", "observable": "sigma_q"}, "t0"),
-        ({"time": "t9"}, "off grid"),
+        ({"time": "t9"}, "missing observable"),
     ])
     def test_within_one_measurement_the_first_check_raises(self, fault, kind):
         with pytest.raises(QHistError) as excinfo:
@@ -316,18 +319,18 @@ class TestResolve:
 
 class TestOncePerDistinctName:
     def test_a_hand_built_unknown_name_raises_at_its_first_use(self):
-        scn = Scenario(
-            name="twice", subsystem_dims=(2,), initial_state=("up_z",), times=("t0", "t1", "t2"),
-            evolutions=("identity", "identity"),
-            observers=(
-                ObserverSpec("O1", (Measurement("t1", NamedObservable("sigma_z")),)),
-                ObserverSpec("O2", (Measurement("t1", NamedObservable("sigma_x")),
-                                    Measurement("t2", NamedObservable("sigma_q")))),
-                ObserverSpec("O3", (Measurement("t1", NamedObservable("sigma_q")),)),
-            ),
-        )
+        # before, it was built, and resolve raised the error
         with pytest.raises(UnknownOperatorError) as excinfo:
-            resolve(scn)
+            Scenario(
+                name="twice", subsystem_dims=(2,), initial_state=("up_z",), times=("t0", "t1", "t2"),
+                evolutions=("identity", "identity"),
+                observers=(
+                    ObserverSpec("O1", (Measurement("t1", NamedObservable("sigma_z")),)),
+                    ObserverSpec("O2", (Measurement("t1", NamedObservable("sigma_x")),
+                                        Measurement("t2", NamedObservable("sigma_q")))),
+                    ObserverSpec("O3", (Measurement("t1", NamedObservable("sigma_q")),)),
+                ),
+            )
         assert str(excinfo.value) == "$.observers[1].measurements[1].observable: unknown operator 'sigma_q'"
 
     def test_nothing_is_kept_between_calls(self, observers_paths):
@@ -475,7 +478,7 @@ class TestCodec:
     def test_integer_entries_convert_as_numpy_does(self, array):
         value, shape = array
         expected = np.array(value, dtype=np.float64).view(np.complex128).reshape(shape)
-        assert _parse_array(value, "$.m", shape).tobytes() == expected.tobytes()
+        assert _parse_array(value, "$.m", len(shape) == 2).tobytes() == expected.tobytes()
 
     @given(mixed_arrays(), st.sampled_from([_INT_OVERFLOW, -_INT_OVERFLOW, 2**1024]), st.data())
     @settings(max_examples=100, deadline=None)
@@ -486,5 +489,5 @@ class TestCodec:
         j = data.draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))
         rows[i][j][data.draw(st.sampled_from([0, 1]))] = big
         with pytest.raises(ScenarioError, match="does not fit an IEEE-754 double") as excinfo:
-            _parse_array(value, "$.m", shape)
+            _parse_array(value, "$.m", len(shape) == 2)
         assert excinfo.value.path == (f"$.m[{i}][{j}]" if len(shape) == 2 else f"$.m[{j}]")
