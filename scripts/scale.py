@@ -15,6 +15,8 @@ as a scenario file to a temporary directory:
   almost one row per history, and the family is consistent.
 - dense d=8 (Haar): an independent Haar unitary per interval, a Haar ket,
   and at each slot a Haar-rotated observable with 4 distinct eigenvalues.
+- wide d=64 (Haar): the same on 6 qubits, the dimension of ``perfbench``'s
+  ``wide_dense`` workload, whose generators it reads.
 - cap: d=10, the ket e0, and at each of its slots a diagonal observable
   with 10 distinct eigenvalues, so 10^6 histories at 6 slots, of which one
   chain ket is nonzero.
@@ -69,13 +71,22 @@ for _entry in (str(ROOT), str(ROOT / "src")):
 
 import numpy as np  # noqa: E402
 
-from perfbench.workloads import _degenerate_observable, _haar_unitary, _observer, _sz_chain, _times, write  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    WIDE_QUBITS,
+    _degenerate_observable,
+    _haar_unitary,
+    _observer,
+    _sz_chain,
+    _times,
+    write,
+)
 from qhist.scenario import MatrixObservable, Scenario  # noqa: E402
 
 REPEAT = 3  # runs per tree and command with --compare
 GB = 1 << 30
 RLIMIT_AS = 3 * GB  # of each command; the OOM rows of LADDER and QUICK hold under it
 OK = "exit 0"
+INCONSISTENT = "exit 2"
 OOM = "exit 1 (out of memory)"
 BIG = ("--max-histories", str(2**40))
 
@@ -124,14 +135,25 @@ def heisenberg(gen: np.random.Generator, slots: int, outcomes: int) -> Scenario:
                     observers=(_observer("O1", observables),))
 
 
+def _haar(gen: np.random.Generator, slots: int, dims: tuple[int, ...], name: str) -> Scenario:
+    """An independent Haar unitary per interval, a Haar ket, and at each slot
+    ``_degenerate_observable``, with 4 distinct eigenvalues."""
+    d = int(np.prod(dims))
+    times = _times(slots)
+    observables = {t: _degenerate_observable(gen, d) for t in times[1:]}
+    return Scenario(name=name, subsystem_dims=dims, initial_state=_haar_unitary(gen, d)[:, 0], times=times,
+                    evolutions=tuple(_haar_unitary(gen, d) for _ in range(slots)),
+                    observers=(_observer("O1", observables),))
+
+
 def dense(gen: np.random.Generator, slots: int, outcomes: int) -> Scenario:
     """``outcomes`` is 4, the distinct eigenvalues of ``_degenerate_observable``."""
-    times = _times(slots)
-    observables = {t: _degenerate_observable(gen, 8) for t in times[1:]}
-    return Scenario(name=f"dense_{slots}_{outcomes}", subsystem_dims=(8,),
-                    initial_state=_haar_unitary(gen, 8)[:, 0], times=times,
-                    evolutions=tuple(_haar_unitary(gen, 8) for _ in range(slots)),
-                    observers=(_observer("O1", observables),))
+    return _haar(gen, slots, (8,), f"dense_{slots}_{outcomes}")
+
+
+def wide(gen: np.random.Generator, slots: int, outcomes: int) -> Scenario:
+    """``dense`` on ``WIDE_QUBITS`` qubits."""
+    return _haar(gen, slots, (2,) * WIDE_QUBITS, f"wide_{slots}_{outcomes}")
 
 
 def cap(gen: np.random.Generator, slots: int, outcomes: int) -> Scenario:
@@ -147,10 +169,11 @@ def sz_chain(gen: np.random.Generator, slots: int, outcomes: int) -> Scenario:
     return _sz_chain(slots)
 
 
-BUILDERS = {"heisenberg": heisenberg, "dense": dense, "cap": cap, "sz": sz_chain}
+BUILDERS = {"heisenberg": heisenberg, "dense": dense, "cap": cap, "sz": sz_chain, "wide": wide}
 LABELS = {
     "heisenberg": "Heisenberg d=8, {slots} slots, {outcomes} outcomes",
     "dense": "dense d=8 (Haar), {slots} slots, {outcomes} outcomes",
+    "wide": "wide d=64 (Haar), {slots} slots, {outcomes} outcomes",
     "cap": "cap: d={outcomes}, {slots} slots, 1 nonzero ket",
     "sz": "σz chain, {slots} slots",
 }
@@ -167,6 +190,9 @@ LADDER = (
     (Family("dense", 7, 4), ("validate",), OK),
     (Family("dense", 7, 4), ("analyze",), OOM),
     (Family("dense", 7, 4), ("verify",), OOM),
+    (Family("wide", 3, 4), ("validate",), OK),
+    (Family("wide", 3, 4), ("analyze", "--json"), INCONSISTENT),
+    (Family("wide", 3, 4), ("verify",), OK),
     (Family("cap", 6, 10), ("analyze",), OK),
     (Family("cap", 6, 10), ("analyze", "--json"), OK),
     (Family("cap", 6, 10), ("verify",), OK),
@@ -178,6 +204,7 @@ LADDER = (
 QUICK = (
     (Family("heisenberg", 2, 4), ("analyze",), OK),
     (Family("dense", 2, 4), ("verify",), OK),
+    (Family("wide", 1, 4), ("validate",), OK),
     (Family("cap", 2, 10), ("analyze", "--json"), OK),
     (Family("sz", 4, 2), ("verify",), OK),
     (Family("sz", 40, 2), ("verify", *BIG), OOM),

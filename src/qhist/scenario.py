@@ -12,7 +12,6 @@ operators and presets into concrete history families, one
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -125,13 +124,13 @@ class Scenario:
     """One scenario, valid by construction: building one applies the rules of
     a scenario's structure, in document order, and ``dataclasses.replace``
     re-checks.  A fault is raised with the error ``parse_scenario`` raises
-    for it in a document, at its JSONPath there: the factor dimensions, the
-    tolerance overrides (each then stored as a float), the presets or the
-    vector's length, the times, the evolutions' count, names and matrix
-    shapes, then each observer's name and each measurement's time, operator
-    name or matrix shapes, and a projector list's labels (no joiner) and
-    length (not 0).  The numbers are not checked here: ``resolve`` checks
-    them."""
+    for it in a document, at its JSONPath there: the name (a string), the
+    factor dimensions, the tolerance overrides (each then stored as a
+    float), the presets or the vector's length, the times, the evolutions'
+    count, names and matrix shapes, then each observer's name and each
+    measurement's time, operator name or matrix shapes, and a projector
+    list's labels (one per matrix, each a string with no joiner) and length
+    (not 0).  The numbers are not checked here: ``resolve`` checks them."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -142,6 +141,8 @@ class Scenario:
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ScenarioError("expected a string", path="$.name")
         dims = self.subsystem_dims
         total = _check_dims(dims)
         _check_tolerance(self.tolerance_overrides)
@@ -234,34 +235,17 @@ _REAL = frozenset((int, float))  # exact types, so that bool is rejected
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer too large for float(): it rounds past the largest double
 
 
-def _flat_numbers(rows: list) -> list | None:
-    """The numbers of ``rows``, nonempty arrays of ``[re, im]`` pairs of
-    exact ints and floats, as one flat list in row-major order; None when
-    some entry is not of that form.
-
-    Each test is one C-level scan over a flattened list, with no Python
-    loop per entry.
-    """
-    if set(map(type, rows)) != {list} or not all(rows):
-        return None
-    pairs = list(itertools.chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(pairs))
-    return flat if set(map(type, flat)) <= _REAL else None
-
-
 def _parse_array(value, path: str, matrix: bool) -> np.ndarray:
     """The complex vector or, when ``matrix``, matrix that ``value`` holds as
     nested ``[re, im]`` pairs, bit for bit, in the shape it has there: its
     size is checked when its ``Scenario`` is built.
 
-    The entries are checked by ``_flat_numbers`` and their flat list
-    converted by one ``np.array`` call: flattening and converting cost about
-    half what converting the nested lists does, since numpy then has no
-    shape to discover.
-    Only when the check fails does a loop walk the entries, to name the
-    first faulty one; a JSONPath is built only for the error raised.
+    One walk checks each entry in row-major order, so the first faulty one
+    is named, and appends its two numbers to one flat list; rows of unequal
+    length are refused after it.  One ``np.array`` call converts the flat
+    list, which costs about half what converting the nested lists does,
+    since numpy then has no shape to discover.  A JSONPath is built only for
+    the error raised.
     """
     rows = value if matrix else [value]
 
@@ -272,16 +256,16 @@ def _parse_array(value, path: str, matrix: bool) -> np.ndarray:
         raise ScenarioError("expected a matrix as nested arrays of [re, im] pairs", path=path)
     if not rows:
         raise ScenarioError("matrix must be nonempty", path=path)
-    flat = _flat_numbers(rows)
-    if flat is None:
-        for i, row in enumerate(rows):  # the same tests, one entry at a time
-            if type(row) is not list:
-                raise ScenarioError("expected an array of [re, im] pairs", path=at(i))
-            if not row:
-                raise ScenarioError("vector must be nonempty", path=at(i))
-            for j, z in enumerate(row):
-                if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
-                    raise ScenarioError("expected a complex number as [re, im]", path=at(i, j))
+    flat = []
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            raise ScenarioError("expected an array of [re, im] pairs", path=at(i))
+        if not row:
+            raise ScenarioError("vector must be nonempty", path=at(i))
+        for j, z in enumerate(row):
+            if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
+                raise ScenarioError("expected a complex number as [re, im]", path=at(i, j))
+            flat += z
     width = len(rows[0])
     ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
     if ragged is not None:
@@ -313,7 +297,7 @@ def _parse_observable(value, i: int, j: int):
             epath = f"{path}.projectors[{k}]"
             entry = _expect(entry, dict, epath, "an object with 'label' and 'matrix'")
             _reject_unknown(entry, {"label", "matrix"}, epath)
-            labels.append(_expect(_get(entry, "label", epath), str, f"{epath}.label", "a string"))
+            labels.append(_get(entry, "label", epath))
             matrices.append(_parse_array(_get(entry, "matrix", epath), f"{epath}.matrix", True))
         return ProjectorListObservable(labels=tuple(labels), matrices=tuple(matrices))
     raise UnknownFieldError("observable object needs 'matrix' or 'projectors'", path=path)
@@ -324,11 +308,10 @@ def parse_scenario(data: bytes | str) -> Scenario:
 
     Reading checks what belongs to JSON: the encoding and syntax, the
     ``format``, required and unknown fields, the JSON type of every object
-    and array and of the name and projector labels, and each array's
-    ``[re, im]`` pairs and rows of one length.  Building the ``Scenario``
-    then checks the structure, the other values' types included.  So of a
-    fault of each kind, the reading's is raised, wherever it is; of two of
-    one kind, the first in document order."""
+    and array, and each array's ``[re, im]`` pairs and rows of one length.
+    Building the ``Scenario`` then checks the structure, the other values'
+    types included.  So of a fault of each kind, the reading's is raised,
+    wherever it is; of two of one kind, the first in document order."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -353,7 +336,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
     version = _get(doc, "format", "$")
     if type(version) is not int or version != FORMAT_VERSION:  # True and 1.0 equal 1 but are not ints
         raise ScenarioError(f"unsupported format {doc['format']!r}, expected {FORMAT_VERSION}", path="$.format")
-    name = _expect(_get(doc, "name", "$"), str, "$.name", "a string")
+    name = _get(doc, "name", "$")
     dims = tuple(_expect(_get(doc, "systems", "$"), list, "$.systems", "an array of factor dimensions"))
     tolerance = dict(_expect(doc["tolerance"], dict, "$.tolerance", "an object")) if "tolerance" in doc else {}
 
@@ -537,14 +520,20 @@ def _check_operator(name: str, dims: tuple[int, ...], i: int, j: int) -> None:
 def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -> None:
     """The observable of measurement ``j`` of observer ``i``: a name of an
     operator (``_check_operator``), a (total, total) matrix, or a nonempty
-    list of (total, total) projectors, no label of which has a joiner."""
+    list of (total, total) projectors, one string label each, no label of
+    which has a joiner."""
     if isinstance(spec, NamedObservable):
         return _check_operator(spec.name, dims, i, j)
     path = _OBSERVABLE.format(i, j)
     if isinstance(spec, MatrixObservable):
         _check_shape(np.shape(spec.matrix), (total, total), f"{path}.matrix")
     else:
+        if len(spec.labels) != len(spec.matrices):
+            raise ScenarioError(f"{len(spec.labels)} labels for {len(spec.matrices)} matrices",
+                                path=f"{path}.projectors")
         for k, (label, matrix) in enumerate(zip(spec.labels, spec.matrices)):
+            if not isinstance(label, str):
+                raise ScenarioError("expected a string", path=f"{path}.projectors[{k}].label")
             joiner = _joiner_in(label)
             if joiner is not None:
                 raise ScenarioError(f"label {label!r} contains the joiner {joiner!r}",

@@ -418,6 +418,7 @@ class TestScenarioErrors:
             (one_qubit(evolutions=[{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}]), "$.evolutions[0].matrix"),
             (one_qubit(times=["t0"], observers=[]), "$.times"),
             (one_qubit(times=["t0", "t0"], observers=[]), "$.times"),
+            (one_qubit(times=["t0", 1]), "$.times[1]"),
             (one_qubit(evolutions=[]), "$.evolutions"),
             (one_qubit(evolutions=[{"matrix": [[[1, 0]]]}]), "$.evolutions[0].matrix"),
             (one_qubit(evolutions=[{"matrix": []}]), "$.evolutions[0].matrix"),
@@ -429,6 +430,7 @@ class TestScenarioErrors:
              "$.observers[0].measurements[0].observable"),
             (_observing("sigma_z@1", systems=[3], initial_state={"vector": [[1, 0], [0, 0], [0, 0]]}),
              "$.observers[0].measurements[0].observable"),
+            (one_qubit(observers=[{"name": 5, "measurements": []}]), "$.observers[0].name"),
             (one_qubit(observers=[{"name": "O1", "measurements": []}] * 2), "$.observers[1].name"),
             (one_qubit(observers=[{"name": n, "measurements": []} for n in ("B", "combined")]), "$.observers[1].name"),
             (one_qubit(observers=[{"name": "O1", "measurements": [{"time": "t9", "observable": "sigma_z"}]}]),
@@ -441,10 +443,12 @@ class TestScenarioErrors:
         ],
         ids=[
             "not_utf8", "not_an_object", "nested_too_deeply", "missing_field", "state_of_wrong_type", "empty_systems", "zero_dim_factor", "total_dim_wraps_int64", "complex_not_pair", "empty_vector",
-            "vector_wrong_length", "ragged_rows", "one_time", "duplicate_times", "evolution_count",
+            "vector_wrong_length", "ragged_rows", "one_time", "duplicate_times", "time_not_a_string",
+            "evolution_count",
             "evolution_shape", "empty_matrix", "observable_without_matrix_or_projectors",
             "empty_projector_list", "projector_shape",
-            "pauli_factor_out_of_range", "pauli_on_qutrit", "duplicate_observer", "reserved_observer_name",
+            "pauli_factor_out_of_range", "pauli_on_qutrit", "observer_name_not_a_string", "duplicate_observer",
+            "reserved_observer_name",
             "time_off_grid",
             "preset_count", "unknown_preset", "huge_int_in_vector", "huge_int_in_matrix",
         ],

@@ -688,6 +688,19 @@ def test_a_hand_built_scenario_without_presets_is_refused_as_its_document_is():
     assert str(info.value) == error[1]
 
 
+@pytest.mark.parametrize("labels, n_matrices", [(("a", "b"), 1), (("a",), 2), ((), 1)], ids=["fewer", "more", "none"])
+@pytest.mark.parametrize("route", ["build", "replace"])
+def test_a_hand_built_projector_list_needs_one_matrix_per_label(labels, n_matrices, route):
+    # before, it was built, serialize_scenario wrote only the labels that had
+    # a matrix, and resolve refused it as "2 projectors but 3 labels"; no
+    # document can hold this fault
+    spec = ProjectorListObservable(labels, (np.diag([1, 0]).astype(complex),) * n_matrices)
+    assert _refusal(route, ONE_QUBIT, observers=(observer("O1", {"t1": spec}),)) == (
+        ScenarioError,
+        f"$.observers[0].measurements[0].observable.projectors: {len(labels)} labels for {n_matrices} matrices",
+    )
+
+
 def test_the_tolerance_range_is_stated_once(monkeypatch):
     # before, linalg.Tolerance and scenario._check_tolerance each wrote [0, 1e-3]
     document = {**ONE_QUBIT.to_jsonable(), "tolerance": {"cons": 1.0}}
@@ -752,8 +765,9 @@ def test_the_other_structural_checks_of_a_hand_built_scenario_are_parse_scenario
 STRUCTURAL_FAULTS = (
     None, "off_grid", "initial_time", "twice", "operator", "matrix_shape", "evolution_name", "evolution_shape",
     "evolution_count", "presets", "preset_name", "vector", "observer_twice", "reserved", "factor", "cap",
-    "tolerance_value", "tolerance_key", "one_time", "repeated_time",
+    "tolerance_value", "tolerance_key", "one_time", "repeated_time", "name", "label",
 )
+NOT_STRINGS = (5, None, True, 1.5, ["a"])
 
 
 def _fault(scn: Scenario, fault: str | None, k: int) -> dict:
@@ -770,10 +784,16 @@ def _fault(scn: Scenario, fault: str | None, k: int) -> dict:
     if fault in ("off_grid", "initial_time", "twice"):
         at = {"off_grid": ["t9"], "initial_time": [times[0]], "twice": [times[-1]] * 2}[fault]
         return first_measuring(*(Measurement(t, NamedObservable("identity")) for t in at))
-    if fault in ("operator", "matrix_shape"):
-        spec = NamedObservable("sigma_q") if fault == "operator" else MatrixObservable(identity(scn.total_dim + 1))
+    if fault in ("operator", "matrix_shape", "label"):
+        if fault == "label":  # the faulty label first or second of two
+            labels = ("a", NOT_STRINGS[k % 5]) if k % 2 else (NOT_STRINGS[k % 5], "a")
+            spec = ProjectorListObservable(labels, (identity(scn.total_dim),) * 2)
+        else:
+            spec = NamedObservable("sigma_q") if fault == "operator" else MatrixObservable(identity(scn.total_dim + 1))
         changed = ObserverSpec(first.name, (Measurement(times[1], spec),))
         return {"observers": (changed, *scn.observers[1:])}
+    if fault == "name":
+        return {"name": NOT_STRINGS[k % 5]}
     if fault in ("evolution_name", "evolution_shape"):
         evolutions = list(scn.evolutions)
         wrong = ("foo", "Identity", "")[k % 3] if fault == "evolution_name" else identity(scn.total_dim + 1)

@@ -43,7 +43,7 @@ def test_the_quick_ladder_reports_every_column(scale, tmp_path, capsys):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale.py"), "--quick"],
                           capture_output=True, text=True, timeout=120, check=True)
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("# seed 0; RLIMIT_AS 3 GB; 10 commands, 1 run(s) each per tree; Python ")
+    assert lines[0].startswith("# seed 0; RLIMIT_AS 3 GB; 11 commands, 1 run(s) each per tree; Python ")
     assert lines[1] == f"# tree: {ROOT}"
     assert cells(lines[2]) == HEAD and lines[3] == "|" + "---|" * len(HEAD)
     rows = [cells(line) for line in lines[4:]]
@@ -55,6 +55,7 @@ def test_the_quick_ladder_reports_every_column(scale, tmp_path, capsys):
         ["floor", "-", "qhist validate stable_facts.json"],
         ["Heisenberg d=8, 2 slots, 4 outcomes", "16", "analyze"],
         ["dense d=8 (Haar), 2 slots, 4 outcomes", "16", "verify"],
+        ["wide d=64 (Haar), 1 slots, 4 outcomes", "4", "validate"],
         ["cap: d=10, 2 slots, 1 nonzero ket", "100", "analyze --json"],
         ["σz chain, 4 slots", "16", "verify"],
         ["σz chain, 40 slots", str(2**40), f"verify --max-histories {2**40}"],
@@ -69,7 +70,7 @@ def test_the_quick_ladder_reports_every_column(scale, tmp_path, capsys):
         assert expected == result and mark == "", row
         assert float(seconds) > 0 and float(peak_mb) > 0, row
         assert (int(size), sha256) == (len(out), hashlib.sha256(out).hexdigest()), row
-    assert [row[3] for row in rows] == ["exit 0"] * 9 + ["exit 1 (out of memory)"]
+    assert [row[3] for row in rows] == ["exit 0"] * 10 + ["exit 1 (out of memory)"]
 
 
 def result(code=0, stderr="", seconds=1.0, peak_mb=30.0, out=b""):

@@ -433,6 +433,85 @@ def mixed_arrays(draw):
     return json.loads(json.dumps(value)), shape
 
 
+# what _parse_array reads: numbers that convert (ints past 2**53 rounded,
+# -0.0 kept), ints from 2**1024 on, which do not, and entries, rows and whole
+# values of other shapes or types
+ARRAY_NUMBERS = st.one_of(
+    st.sampled_from([0, -1, -0.0, 2**53 + 1, -(2**53) - 1]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    DOUBLES,
+)
+TOO_LARGE = [2**1024, -(2**1024) - 1, 2**1100]
+NOT_A_PAIR = [True, None, "1", 1.5, [], [0], [0, 0, 0], [True, 0], [0, None], [0, "1"], [[0, 0], [0, 0]], {"re": 0}]
+NOT_AN_ARRAY = [5, None, True, "m", {"m": []}]
+
+
+@st.composite
+def raw_arrays(draw):
+    """A vector or, when the second item is true, matrix of up to 4 x 4
+    entries as JSON reads it, valid or with up to two faults: a faulty entry,
+    a number too large for a double, a row that is not an array, an empty
+    row, a row of another length, or (one draw in ten) a whole value that is
+    empty or not an array."""
+    matrix = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    pairs = st.lists(st.lists(ARRAY_NUMBERS, min_size=2, max_size=2), min_size=width, max_size=width)
+    rows = [draw(pairs) for _ in range(draw(st.integers(1, 4)) if matrix else 1)]
+    for fault in draw(st.lists(st.sampled_from(["pair", "too large", "row", "empty row", "ragged"]), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault in ("pair", "too large") and type(rows[i]) is list and rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            if fault == "pair":
+                rows[i][j] = json.loads(json.dumps(draw(st.sampled_from(NOT_A_PAIR))))  # a copy: it may change
+            elif type(rows[i][j]) is list and len(rows[i][j]) == 2:
+                rows[i][j][draw(st.integers(0, 1))] = draw(st.sampled_from(TOO_LARGE))
+        elif fault == "row":
+            rows[i] = draw(st.sampled_from(NOT_AN_ARRAY))
+        elif fault == "empty row":
+            rows[i] = []
+        elif fault == "ragged" and type(rows[i]) is list:
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [[0, 0]]
+    value = rows if matrix else rows[0]
+    if draw(st.integers(0, 9)) == 0:
+        value = draw(st.sampled_from([[], *NOT_AN_ARRAY]))
+    return value, matrix
+
+
+def first_fault(value, matrix: bool) -> tuple[str, str] | None:
+    """The JSONPath (under "$.m") and message of the first fault of
+    ``value``, walked entry by entry in row-major order, then for rows of
+    unequal length, then for a number too large for a double; None when it
+    has none."""
+    if matrix and type(value) is not list:
+        return "$.m", "expected a matrix as nested arrays of [re, im] pairs"
+    rows = value if matrix else [value]
+    if not rows:
+        return "$.m", "matrix must be nonempty"
+
+    def at(i: int) -> str:
+        return f"$.m[{i}]" if matrix else "$.m"
+
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            return at(i), "expected an array of [re, im] pairs"
+        if not row:
+            return at(i), "vector must be nonempty"
+        for j, z in enumerate(row):
+            if type(z) is not list or len(z) != 2 or any(type(x) not in (int, float) for x in z):
+                return f"{at(i)}[{j}]", "expected a complex number as [re, im]"
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            return "$.m", f"row {i} has length {len(row)}, expected {len(rows[0])}"
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            for x in z:
+                try:
+                    float(x)
+                except OverflowError:
+                    return f"{at(i)}[{j}]", "number does not fit an IEEE-754 double"
+    return None
+
+
 class TestCodec:
     """The numeric arrays survive a serialize/parse round trip bit for bit,
     and a bad entry anywhere is an error naming that entry."""
@@ -479,6 +558,22 @@ class TestCodec:
         value, shape = array
         expected = np.array(value, dtype=np.float64).view(np.complex128).reshape(shape)
         assert _parse_array(value, "$.m", len(shape) == 2).tobytes() == expected.tobytes()
+
+    @given(raw_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_an_array_converts_as_numpy_does_or_its_first_fault_is_named(self, array):
+        value, matrix = array
+        fault = first_fault(value, matrix)
+        if fault is None:
+            expected = np.array(value, dtype=np.float64).view(np.complex128)
+            parsed = _parse_array(value, "$.m", matrix)
+            assert (parsed.shape, parsed.tobytes()) == (expected.shape[:-1], expected.tobytes())
+        else:
+            with pytest.raises(ScenarioError) as excinfo:
+                _parse_array(value, "$.m", matrix)
+            path, message = fault
+            assert (type(excinfo.value), excinfo.value.path, str(excinfo.value)) == (
+                ScenarioError, path, f"{path}: {message}")
 
     @given(mixed_arrays(), st.sampled_from([_INT_OVERFLOW, -_INT_OVERFLOW, 2**1024]), st.data())
     @settings(max_examples=100, deadline=None)
