@@ -44,7 +44,6 @@ import contextlib
 import importlib
 import importlib.util
 import io
-import json
 import pathlib
 import statistics
 import sys
@@ -53,7 +52,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from bench_pairs import HEADER, _seeds, judge  # noqa: E402
+from bench_pairs import _seeds, judge_workload, read_claims  # noqa: E402
 
 SIDES = ("parent", "change")
 KINDS = ("validate", "analyze", "classify", "conditional", "verify")
@@ -155,14 +154,7 @@ def run_seed(clis: dict, workloads, root: pathlib.Path, workload: str, seed: int
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"] if m["name"] in METRICS}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    claims = {tuple(c.split(":", 1)) for c in args.claim}
-    unknown = [c for c in args.claim
-               if ":" not in c or c.split(":", 1)[0] not in args.workload or c.split(":", 1)[1] not in lower]
-    if unknown:
-        raise SystemExit(f"not WORKLOAD:METRIC of a workload run and a metric timed here: {', '.join(unknown)}")
+    _, judged, claims = read_claims(args.change, args.workload, args.claim, METRICS)
     clis = {side: load_tree(tree, f"qhist_{side}") for side, tree in zip(SIDES, (args.parent, args.change))}
     workloads = load_workloads(args.change, "qhist_change")
     ok = True
@@ -178,14 +170,8 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: " + " ".join(
                 f"{name} {metrics['parent'][name]:.5g}/{metrics['change'][name]:.5g}"
                 for name in sorted(metrics["parent"])), flush=True)
-        print(f"\n{workload}: {HEADER}")
-        for name in sorted(runs["parent"][0]):
-            parent = [run[name] for run in runs["parent"]]
-            change = [run[name] for run in runs["change"]]
-            claimed = (workload, name) in claims
-            _, row, met, worse, _ = judge(name, parent, change, lower[name], bounds[name], claimed)
-            print(f"{workload}: {row}")
-            ok = ok and met and not worse
+        _, worse, _, met = judge_workload(workload, runs["parent"], runs["change"], judged, claims)
+        ok = ok and met and not worse
     return 0 if ok else 1
 
 

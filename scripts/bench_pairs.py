@@ -52,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterable
 
 WIN_SHARE = 0.9  # nine pairs of ten
 
@@ -187,16 +188,48 @@ def judge(name: str, parent: list[float], change: list[float], lower_is_better: 
     return s, row, met, worse, spread
 
 
+def read_claims(tree: pathlib.Path, workloads: list[str], claim_args: list[str],
+                judged: Iterable[str] | None = None) -> tuple[dict, dict, set]:
+    """``tree``'s ``BENCHMARK.json``, its end-to-end metrics that may be
+    judged (all, or those in ``judged``) mapped to whether lower is better
+    and their bound, and the claims as (workload, metric) pairs.  A claim on
+    a workload not run or a metric not judged is refused, before anything
+    runs."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: (m["better"] == "lower", m["bound"]) for m in spec["end_to_end"]
+               if judged is None or m["name"] in judged}
+    unknown = [c for c in claim_args
+               if ":" not in c or c.split(":", 1)[0] not in workloads or c.split(":", 1)[1] not in metrics]
+    if unknown:
+        raise SystemExit(f"not WORKLOAD:METRIC of a workload run and a metric judged here: {', '.join(unknown)}")
+    return spec, metrics, {tuple(c.split(":", 1)) for c in claim_args}
+
+
+def judge_workload(workload: str, parent: list[dict], change: list[dict], metrics: dict,
+                   claims: set) -> tuple[dict, list[str], list[str], bool]:
+    """Judge each metric of ``metrics`` that the runs hold, one dict per run
+    and side in pair order, printing a row under ``HEADER`` for each: the
+    summaries, the metrics that regressed and those unresolved, and whether
+    every claim on ``workload`` is met."""
+    print(f"\n{workload}: {HEADER}")
+    summary, worse, spread, met = {}, [], [], True
+    for name in sorted(metrics.keys() & parent[0].keys()):
+        lower_is_better, bound = metrics[name]
+        summary[name], row, claim_met, is_worse, is_spread = judge(
+            name, [run[name] for run in parent], [run[name] for run in change], lower_is_better, bound,
+            (workload, name) in claims)
+        if is_worse:
+            worse.append(name)
+        if is_spread:
+            spread.append(name)
+        print(f"{workload}: {row}")
+        met = met and claim_met
+    return summary, worse, spread, met
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    claims = {tuple(c.split(":", 1)) for c in args.claim}
-    unknown = [c for c in args.claim
-               if ":" not in c or c.split(":", 1)[0] not in args.workload or c.split(":", 1)[1] not in lower]
-    if unknown:
-        raise SystemExit(f"not WORKLOAD:METRIC of a workload run and an end-to-end metric: {', '.join(unknown)}")
+    spec, metrics, claims = read_claims(args.change, args.workload, args.claim)
     seconds = spec["run_seconds"]
     doc = {
         "about": f"Alternating pairs: each seed ran python3 perfbench/run.py --workload W --seed S "
@@ -223,21 +256,10 @@ def main(argv=None) -> int:
                 correct = correct and result["correct"]
                 print(f"{workload} seed {seed} {side}: correct={result['correct']} failed={result['failed']}",
                       flush=True)
-        summary, worse, spread = {}, [], []
         seeds = [str(s) for s in args.seeds]
-        print(f"\n{workload}: {HEADER}")
-        for name in sorted(lower):
-            parent = [runs["parent"][s][name] for s in seeds]
-            change = [runs["change"][s][name] for s in seeds]
-            summary[name], row, met, is_worse, is_spread = judge(
-                name, parent, change, lower[name], bounds[name], (workload, name) in claims)
-            if is_worse:
-                worse.append(name)
-            if is_spread:
-                spread.append(name)
-            print(f"{workload}: {row}")
-            ok = ok and met
-        ok = ok and correct and not any(failed.values()) and not worse
+        summary, worse, spread, met = judge_workload(
+            workload, [runs["parent"][s] for s in seeds], [runs["change"][s] for s in seeds], metrics, claims)
+        ok = ok and met and correct and not any(failed.values()) and not worse
         doc["pairs"][workload] = {"all_correct": correct, "failed": failed, "regressed": worse, "runs": runs,
                                   "seeds": list(args.seeds), "summary": summary, "unresolved": spread}
     if args.out:

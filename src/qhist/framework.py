@@ -5,8 +5,10 @@ mutually orthogonal projectors summing to the identity.  This is the one
 module that validates decompositions, each where it is built: an
 observable's eigenprojectors, labelled projectors padded with their
 complement "rest", and the products of two decompositions are stacked and
-validated by ``_validated``, which returns the decomposition or raises the
-first fault where its check finds it.
+validated by ``_validated`` (the labels, each element's projector property,
+orthogonality, completeness); a caller's matrices are first converted by
+``_stacked``, which checks each element's entries and shape.  Each raises
+the first fault where its check finds it.
 Two kinds are exact by construction and built without validation, as an
 ``_ExactDecomposition``: ``scenario.resolve``'s named slots (the identity
 and each Pauli's (1 ± sigma)/2 on a qubit factor), and the products of two
@@ -127,28 +129,29 @@ class _ExactDecomposition(ProjectiveDecomposition):
     as a plain ``ProjectiveDecomposition``."""
 
 
-def _stacked(projectors, dim: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The elements converted to complex: the leading ones of shape (d, d) as
-    one (k, d, d) stack (a copy), and the rest as matrices, the first of which
-    has another shape.  ``d`` is ``dim``, or the first element's row count.
-
-    The usual input costs one conversion; ``_validated`` checks its
-    finiteness.  Only when the conversion gives no such stack does each
-    element go through ``as_matrix``, which raises the error of the first
-    element that is not a finite matrix.
-    """
+def _stacked(projectors, dim: int | None = None) -> np.ndarray:
+    """The elements as one finite complex (n, d, d) stack, a copy, where
+    ``d`` is ``dim``, or the first element's row count.  Raises the first
+    element's fault in element order: ``as_matrix``'s error for an element
+    that is not a finite matrix, or ``DimMismatchError`` for one of another
+    shape.  The usual input costs one conversion and one finiteness check;
+    only when it gives no such stack is each element converted in turn."""
     try:
         stack = np.array(projectors, dtype=complex)
     except (TypeError, ValueError, OverflowError):  # elements of different shapes, or not numbers
         stack = np.empty(0)
     if stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2] and dim in (None, stack.shape[1]):
-        return stack, []
-    mats = [as_matrix(p) for p in projectors]
-    if dim is None:
-        dim = mats[0].shape[0] if mats else 0
-    k = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-    head = np.stack(mats[:k]) if k else np.empty((0, dim, dim), dtype=complex)
-    return head, mats[k:]
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        return stack
+    mats = []
+    for k, p in enumerate(projectors):
+        m = as_matrix(p)
+        dim = m.shape[0] if dim is None else dim
+        if m.shape != (dim, dim):
+            raise DimMismatchError(f"projector {k} has shape {m.shape}, expected ({dim}, {dim})")
+        mats.append(m)
+    return np.stack(mats) if mats else np.empty((0, dim or 0, dim or 0), dtype=complex)
 
 
 def _check_labels(n: int, labels: Sequence[str]) -> None:
@@ -171,49 +174,44 @@ def _block_rows(n: int, m: int) -> int:
 
 
 def _check_orthogonal(stack: np.ndarray, tol: Tolerance) -> None:
-    """Raise ``NotOrthogonalError`` naming the first pair i < j of an
-    (n, d, d) stack whose product exceeds ``tol.proj``, with its residual.
+    """Raise ``NotOrthogonalError`` naming the first pair i < j, in row-major
+    order, of an (n, d, d) stack whose product exceeds ``tol.proj``, with its
+    residual.
 
     Element i times a block of its elements after i is one broadcast
     product of views: no operand is copied, and a block holds at most half
     the stack's elements, so the products and their moduli together stay
-    within the stack's size.
+    within the stack's size.  Each block is searched as it is formed.
     """
     n = len(stack)
     width = max(1, n // 2)
-    residuals = np.zeros((n, n))
     for i in range(n - 1):
         for j in range(i + 1, n, width):
-            residuals[i, j : j + width] = max_abs_each(stack[i : i + 1] @ stack[j : j + width])
-    bad = np.argwhere(residuals > tol.proj)
-    if len(bad):
-        i, j = bad[0].tolist()
-        raise NotOrthogonalError(f"projectors {i} and {j} are not orthogonal (|PiPj|_max = {residuals[i, j]:.3e})")
+            residuals = max_abs_each(stack[i : i + 1] @ stack[j : j + width])
+            if residuals.max() > tol.proj:
+                k = int(np.argmax(residuals > tol.proj))
+                raise NotOrthogonalError(
+                    f"projectors {i} and {j + k} are not orthogonal (|PiPj|_max = {residuals[k]:.3e})")
 
 
-def _validated(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits=()) -> ProjectiveDecomposition:
-    """The decomposition of an (n, dim, dim) ``stack`` under ``labels``; the
-    ``misfits`` are the elements of another shape that followed it.  Raises
-    the first fault, the checks running in ``make_decomposition``'s order:
-    finiteness, the labels, each element's projector property, the misfits,
-    orthogonality, then completeness.  The stack is the caller's to give
-    up: the decomposition holds it, made read-only."""
+def _validated(stack: np.ndarray, labels: Sequence[str], tol: Tolerance) -> ProjectiveDecomposition:
+    """The decomposition of a finite (n, dim, dim) ``stack`` under
+    ``labels``.  Raises the first fault, the checks running in
+    ``make_decomposition``'s order after conversion: the labels, each
+    element's projector property, orthogonality, then completeness.  The
+    stack is the caller's to give up: the decomposition holds it, made
+    read-only."""
     n, dim, _ = stack.shape
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    _check_labels(n + len(misfits), labels)
-    if n:  # else the head may have dim 0, which the reductions refuse
-        # stack - stack^dagger, formed in one contiguous copy of the transpose:
-        # a strided conjugate-transpose operand costs more than the subtraction
-        skew = stack.swapaxes(-2, -1).copy()
-        np.conjugate(skew, out=skew)
-        hermitian = max_abs_each(np.subtract(stack, skew, out=skew)) <= tol.herm
-        idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
-        bad = np.flatnonzero(~(hermitian & idempotent)).tolist()
-        if bad:
-            raise NotAProjectorError(f"element {bad[0]} ({labels[bad[0]]!r}) is not a projector")
-    if misfits:
-        raise DimMismatchError(f"projector {n} has shape {misfits[0].shape}, expected ({dim}, {dim})")
+    _check_labels(n, labels)
+    # stack - stack^dagger, formed in one contiguous copy of the transpose:
+    # a strided conjugate-transpose operand costs more than the subtraction
+    skew = stack.swapaxes(-2, -1).copy()
+    np.conjugate(skew, out=skew)
+    hermitian = max_abs_each(np.subtract(stack, skew, out=skew)) <= tol.herm
+    idempotent = max_abs_each(stack @ stack - stack) <= tol.proj
+    bad = np.flatnonzero(~(hermitian & idempotent)).tolist()
+    if bad:
+        raise NotAProjectorError(f"element {bad[0]} ({labels[bad[0]]!r}) is not a projector")
     _check_orthogonal(stack, tol)
     residual = max_abs(stack.sum(axis=0) - identity(dim))
     if residual > tol.proj:
@@ -223,32 +221,27 @@ def _validated(stack: np.ndarray, labels: Sequence[str], tol: Tolerance, misfits
 
 
 def make_decomposition(
-    projectors: Sequence | np.ndarray,
-    labels: Sequence[str],
-    tol: Tolerance = DEFAULT_TOL,
-    dim: int | None = None,
+    projectors: Sequence | np.ndarray, labels: Sequence[str], tol: Tolerance = DEFAULT_TOL
 ) -> ProjectiveDecomposition:
     """Validate and assemble a projective decomposition.
 
     ``projectors`` is a sequence of matrices or an (n, d, d) stack; either is
     converted to one complex stack, a copy, so later writes to the input do
-    not reach the decomposition.  Each element must be ``dim`` x ``dim``, or
-    the first element's shape when ``dim`` is None.  The checks
-    (``_validated``) each run over the whole stack at once: the labels,
-    each element's shape and projector
-    property (Hermitian within ``tol.herm``, idempotent within ``tol.proj``),
-    the orthogonality of each pair, then completeness.  The error raised is
-    the first the per-element order meets: ``as_matrix``'s error for the
-    first element that is not a finite matrix, ``DuplicateLabelError``,
-    ``DimMismatchError`` or ``NotAProjectorError`` naming the first offending
-    index, ``NotOrthogonalError`` naming the first pair, or
-    ``NotCompleteError``.  Labels are taken as given, joiners included: an
-    engine-style product label such as "a∧b" is legitimate here (a test's
-    reference refinement is built that way); only labels read from a
-    scenario or a ``build_family`` slot list are refused one.
+    not reach the decomposition.  The conversion (``_stacked``) checks each
+    element in turn: a finite square matrix, as large as the first element.
+    The checks of ``_validated`` then each run over the whole stack at once:
+    the labels, each element's projector property (Hermitian within
+    ``tol.herm``, idempotent within ``tol.proj``), the orthogonality of each
+    pair, then completeness.  So the error raised is, in this order:
+    ``as_matrix``'s error or ``DimMismatchError`` for the first element that
+    is not such a matrix, ``DuplicateLabelError``, ``NotAProjectorError``
+    naming the first offending index, ``NotOrthogonalError`` naming the
+    first pair, or ``NotCompleteError``.  Labels are taken as given, joiners
+    included: an engine-style product label such as "a∧b" is legitimate
+    here (a test's reference refinement is built that way); only labels
+    read from a scenario or a ``build_family`` slot list are refused one.
     """
-    stack, misfits = _stacked(projectors, dim)
-    return _validated(stack, labels, tol, misfits)
+    return _validated(_stacked(projectors), labels, tol)
 
 
 def _eigen_decomposition(m: np.ndarray, tol: Tolerance) -> ProjectiveDecomposition:
@@ -263,28 +256,25 @@ def _padded_decomposition(
     labels: Sequence[str], projectors, dim: int, tol: Tolerance
 ) -> ProjectiveDecomposition:
     """Labelled projectors (a sequence of matrices or an (n, dim, dim)
-    stack), converted and stacked once, padded with the complement labelled
-    "rest" when they do not sum to the identity, and validated.  A fault is
-    raised as a ``BadDecompositionError`` caused by it; a non-finite entry
-    stays the ``ValueError`` it is.
-
-    An element that is not a finite matrix of two axes raises ``as_matrix``'s
-    error, or, when the elements form one stack, the validation's.  An
-    empty list, a slot with an element of the wrong shape and one with a
-    non-finite entry are not padded, so that validation names the first
-    fault in element order (for the empty list, ``NotCompleteError``).
+    stack), converted and stacked once (``_stacked``), padded with the
+    complement labelled "rest" when they do not sum to the identity, and
+    validated.  A fault of the conversion or the validation is raised as a
+    ``BadDecompositionError`` caused by it; a non-finite entry stays the
+    ``ValueError`` it is.  An empty list is not padded, so that validation
+    refuses it with ``NotCompleteError``.
     """
     labels = list(labels)
-    stack, misfits = _stacked(projectors, dim)
-    if len(stack) and not misfits and np.isfinite(stack).all():
+    try:
+        stack = _stacked(projectors, dim)
         rest = identity(dim) - stack.sum(axis=0)
-        if max_abs(rest) > tol.proj:
+        if len(stack) and max_abs(rest) > tol.proj:
             if REST_LABEL in labels:
                 raise BadDecompositionError(f"label {REST_LABEL!r} is reserved for the complement padding")
             labels.append(REST_LABEL)
             stack = np.concatenate((stack, rest[None]))
-    try:
-        return _validated(stack, labels, tol, misfits)
+        return _validated(stack, labels, tol)
+    except BadDecompositionError:
+        raise
     except QHistError as exc:
         raise BadDecompositionError(f"slot is not a valid decomposition: {exc}") from exc
 

@@ -71,6 +71,7 @@ TRIVIAL_LABEL = "any"
 _TOLERANCE_FIELDS = tuple(f.name for f in fields(Tolerance))  # a document's tolerance keys, in written order
 COMBINED_FAMILY = "combined"  # `conditional --family` name of the n-way fold; no observer may take it
 _OBSERVABLE = "$.observers[{}].measurements[{}].observable"  # the JSONPath of measurement j of observer i
+_OBSERVABLE_KINDS = "an operator name, {'matrix': ...}, or {'projectors': ...}"  # what an observable may be
 
 _QUBIT_PRESETS = {
     "up_z": np.array([1, 0], dtype=complex),
@@ -127,10 +128,11 @@ class Scenario:
     for it in a document, at its JSONPath there: the name (a string), the
     factor dimensions, the tolerance overrides (each then stored as a
     float), the presets or the vector's length, the times, the evolutions'
-    count, names and matrix shapes, then each observer's name and each
-    measurement's time, operator name or matrix shapes, and a projector
-    list's labels (one per matrix, each a string with no joiner) and length
-    (not 0).  The numbers are not checked here: ``resolve`` checks them."""
+    count, names and matrix shapes, then each observer's type and name and
+    each measurement's type, time, observable's type, operator name or
+    matrix shapes, and a projector list's labels (one per matrix, each a
+    string with no joiner) and length (not 0).  The numbers are not checked
+    here: ``resolve`` checks them."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -161,10 +163,14 @@ class Scenario:
                 _evolution_name(ev, k)
         names: set[str] = set()
         for i, obs in enumerate(self.observers):
+            if not isinstance(obs, ObserverSpec):
+                raise ScenarioError("expected an object", path=f"$.observers[{i}]")
             _check_observer_name(obs.name, names, i)
             names.add(obs.name)
             seen: set[str] = set()
             for j, m in enumerate(obs.measurements):
+                if not isinstance(m, Measurement):
+                    raise ScenarioError("expected an object", path=f"$.observers[{i}].measurements[{j}]")
                 _check_time(m.time, self.times, seen, obs.name, i, j)
                 seen.add(m.time)
                 _check_observable(m.observable, dims, total, i, j)
@@ -284,7 +290,7 @@ def _parse_observable(value, i: int, j: int):
     if isinstance(value, str):
         return NamedObservable(name=value)
     path = _OBSERVABLE.format(i, j)
-    value = _expect(value, dict, path, "an operator name, {'matrix': ...}, or {'projectors': ...}")
+    value = _expect(value, dict, path, _OBSERVABLE_KINDS)
     if "matrix" in value:
         _reject_unknown(value, {"matrix"}, path)
         return MatrixObservable(matrix=_parse_array(value["matrix"], f"{path}.matrix", True))
@@ -521,12 +527,16 @@ def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -
     """The observable of measurement ``j`` of observer ``i``: a name of an
     operator (``_check_operator``), a (total, total) matrix, or a nonempty
     list of (total, total) projectors, one string label each, no label of
-    which has a joiner."""
-    if isinstance(spec, NamedObservable):
+    which has a joiner.  Anything else, a ``NamedObservable`` whose name is
+    not a string included, is refused as the reader refuses an observable
+    that is neither a string nor an object."""
+    if isinstance(spec, NamedObservable) and isinstance(spec.name, str):
         return _check_operator(spec.name, dims, i, j)
     path = _OBSERVABLE.format(i, j)
     if isinstance(spec, MatrixObservable):
         _check_shape(np.shape(spec.matrix), (total, total), f"{path}.matrix")
+    elif not isinstance(spec, ProjectorListObservable):
+        raise ScenarioError(f"expected {_OBSERVABLE_KINDS}", path=path)
     else:
         if len(spec.labels) != len(spec.matrices):
             raise ScenarioError(f"{len(spec.labels)} labels for {len(spec.matrices)} matrices",

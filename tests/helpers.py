@@ -216,20 +216,22 @@ def reference_decomposition_error(
     projectors: list[np.ndarray], labels: list[str], tol: Tolerance = DEFAULT_TOL
 ) -> tuple[type, tuple[int, ...]] | None:
     """The error ``make_decomposition`` raises and the indices it names, or
-    None for a valid decomposition: a non-finite entry (a ``ValueError`` that
-    names no index), labels, then each element's shape and projector check,
-    then each pair's orthogonality, then completeness."""
-    if not all(np.isfinite(p).all() for p in projectors):
-        return ValueError, ()
+    None for a valid decomposition: each element in turn, a non-finite entry
+    (a ``ValueError`` that names no index) or a shape other than the first
+    element's rows squared, then labels, then each element's projector
+    check, then each pair's orthogonality, then completeness."""
+    dim = projectors[0].shape[0]
+    for i, p in enumerate(projectors):
+        if not np.isfinite(p).all():
+            return ValueError, ()
+        if p.shape != (dim, dim):
+            return DimMismatchError, (i,)
     seen: dict[str, int] = {}
     for i, label in enumerate(labels):
         if label in seen:
             return DuplicateLabelError, (i, seen[label])
         seen[label] = i
-    dim = projectors[0].shape[0]
     for i, p in enumerate(projectors):
-        if p.shape != (dim, dim):
-            return DimMismatchError, (i,)
         if not is_projector(p, tol):
             return NotAProjectorError, (i,)
     for i in range(len(projectors)):

@@ -78,7 +78,7 @@ class TestMakeDecomposition:
     @pytest.mark.parametrize(
         "mats, error, message",
         [
-            ([0.5 * I2, identity(3)], NotAProjectorError, "element 0 "),
+            ([0.5 * I2, identity(3)], DimMismatchError, "projector 1 has shape"),  # structure before values
             ([P_UP, identity(3), 0.5 * I2], DimMismatchError, "projector 1 has shape"),
             ([np.ones((2, 3)), 0.5 * I2], DimMismatchError, "projector 0 has shape"),
         ],
@@ -282,11 +282,11 @@ class TestRefine:
         assert not _pair_products(plain, b, Tolerance(proj=0.0)).exact
 
 
-def _outcome(projectors, labels, dim=None) -> tuple:
+def _outcome(projectors, labels) -> tuple:
     """What ``make_decomposition`` gives: its labels and projector bytes, or
     its error's type and message."""
     try:
-        decomp = make_decomposition(projectors, labels, dim=dim)
+        decomp = make_decomposition(projectors, labels)
     except (QHistError, ValueError) as exc:
         return type(exc), str(exc)
     return decomp.labels, decomp.projectors.tobytes()
@@ -473,7 +473,7 @@ class TestStackedValidation:
         # one make_decomposition call per input, up to the first error
         expected_decomps, expected_error = [], None
         for mats, labels in inputs:
-            got = _outcome(mats, labels, dim=d)
+            got = _outcome(mats, labels)
             if isinstance(got[0], type):
                 expected_error = got
                 break
@@ -483,8 +483,7 @@ class TestStackedValidation:
         decomps, error = [], None
         for mats, labels in inputs:
             try:
-                head, rest = _stacked(mats, d)
-                decomps.append(_validated(head, labels, DEFAULT_TOL, rest))
+                decomps.append(_validated(_stacked(mats), labels, DEFAULT_TOL))
             except (QHistError, ValueError) as exc:
                 error = exc
                 break
@@ -495,9 +494,7 @@ class TestStackedValidation:
         # the first faulty input, against the per-pair reference
         if error is not None:
             mats, labels = inputs[len(decomps)]
-            reference = reference_decomposition_error(mats, labels)
-            if mats[0].shape == (d, d):  # the reference's dimension is its first element's
-                assert _named(error) == reference
+            assert _named(error) == reference_decomposition_error(mats, labels)
 
     def test_completeness_residual_is_that_of_sum_axis_0(self):
         """At a ``proj`` tolerance equal to the largest completeness residual,
@@ -582,6 +579,36 @@ def test_a_caught_validation_error_leaves_no_cyclic_garbage(call, error, message
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _rank_one_stack(n: int, faulty: list[tuple[int, int]]) -> np.ndarray:
+    """The n coordinate projectors of dimension n, but for each faulty pair
+    (i, j) element j projects onto (e_j + e_i) / sqrt(2), which overlaps e_i
+    alone; the pairs share no index."""
+    vectors = np.eye(n, dtype=complex)
+    for i, j in faulty:
+        vectors[j] = (vectors[j] + vectors[i]) / np.sqrt(2)
+    return np.einsum("ki,kj->kij", vectors, vectors.conj())
+
+
+class TestCheckOrthogonal:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_the_first_faulty_pair_is_named_past_block_boundaries(self, n):
+        # rows are searched in blocks of n // 2 elements: at n = 6, (0, 4) is
+        # in row 0's second block and still comes before (1, 2)
+        pairs = list(itertools.combinations(range(n), 2))
+        cases = [[p] for p in pairs] + [[p, q] for p, q in itertools.permutations(pairs, 2) if not set(p) & set(q)]
+        if n == 6:
+            assert [(1, 2), (0, 4)] in cases
+        for faulty in cases:
+            stack = _rank_one_stack(n, faulty)
+            with pytest.raises(NotOrthogonalError) as info:
+                _check_orthogonal(stack, DEFAULT_TOL)
+            i, j = min(faulty)
+            assert _named(info.value) == (NotOrthogonalError, (i, j))
+            assert _named(info.value) == reference_decomposition_error(list(stack), [f"p{k}" for k in range(n)])
+            assert str(info.value).endswith(f"(|PiPj|_max = {max_abs(stack[i] @ stack[j]):.3e})")
+        assert _check_orthogonal(_rank_one_stack(n, []), DEFAULT_TOL) is None
 
 
 class TestMemory:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from qhist.errors import (
     BadDecompositionError,
     DimMismatchError,
-    DuplicateLabelError,
     HistoryLimitError,
     NotAPartitionError,
-    NotAProjectorError,
     NotCompleteError,
     NotUnitaryError,
     UnknownHistoryError,
@@ -101,12 +99,15 @@ class TestBuildFamily:
     @pytest.mark.parametrize(
         "slot, cause, named",
         [
-            ([("a", 0.5 * identity(4)), ("b", identity(3))], NotAProjectorError, "element 0 ('a') is not a projector"),
-            ([("a", identity(4)), ("a", identity(3))], DuplicateLabelError, "label 'a' at index 1 repeats index 0"),
+            ([("a", 0.5 * identity(4)), ("b", identity(3))], DimMismatchError,
+             "projector 1 has shape (3, 3), expected (4, 4)"),
+            ([("a", identity(4)), ("a", identity(3))], DimMismatchError,
+             "projector 1 has shape (3, 3), expected (4, 4)"),
         ],
         ids=["non_projector_before_3x3", "repeated_label_with_3x3"],
     )
-    def test_fault_before_a_misfit_is_named_first(self, slot, cause, named):
+    def test_a_misfit_is_named_before_an_earlier_fault(self, slot, cause, named):
+        # structure before values: a shape fault before a label or projector fault
         ket = identity(4)[0]
         with pytest.raises(BadDecompositionError) as info:
             build_family(ket, ["t0", "t1"], [None], [slot])

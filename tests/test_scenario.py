@@ -252,6 +252,39 @@ class TestMeasurementFaults:
         assert str(excinfo.value) == FAULT_AT + FAULTS[kind][2]
 
 
+OBSERVABLE_KINDS = "expected an operator name, {'matrix': ...}, or {'projectors': ...}"
+
+
+@pytest.mark.parametrize(
+    "observer, in_document, message",
+    [
+        (ObserverSpec("O1", (Measurement("t1", "sigma_z"),)),
+         {"name": "O1", "measurements": [{"time": "t1", "observable": ["sigma_z"]}]},
+         "$.observers[1].measurements[0].observable: " + OBSERVABLE_KINDS),
+        (ObserverSpec("O1", (Measurement("t1", NamedObservable(5)),)),
+         {"name": "O1", "measurements": [{"time": "t1", "observable": 5}]},
+         "$.observers[1].measurements[0].observable: " + OBSERVABLE_KINDS),
+        (ObserverSpec("O1", ("t1",)), {"name": "O1", "measurements": ["t1"]},
+         "$.observers[1].measurements[0]: expected an object"),
+        ("O1", "O1", "$.observers[1]: expected an object"),
+    ],
+    ids=["observable_not_an_observable", "name_not_a_string", "measurement_not_a_measurement",
+         "observer_not_an_observer_spec"],
+)
+def test_a_hand_built_part_of_another_type_is_refused_as_in_a_document(observer, in_document, message):
+    first = ObserverSpec("O0", (Measurement("t1", NamedObservable("sigma_z")),))
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario(name="minimal", subsystem_dims=(2,), initial_state=("up_z",), times=("t0", "t1"),
+                 evolutions=("identity",), observers=(first, observer))
+    assert type(excinfo.value) is ScenarioError
+    assert str(excinfo.value) == message
+    # the reader's error for the same fault in a document
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(doc(observers=[{"name": "O0", "measurements": [{"time": "t1", "observable": "sigma_z"}]},
+                                      in_document]))
+    assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+
+
 class TestResolve:
     def test_subsystem_embedding(self):
         scn = parse_scenario(

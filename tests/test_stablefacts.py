@@ -779,9 +779,9 @@ class TestExactProducts:
         calls = []
         validated = qhist.framework._validated
 
-        def counted(stack, labels, tol, misfits=()):
+        def counted(stack, labels, tol):
             calls.append(tuple(labels))
-            return validated(stack, labels, tol, misfits)
+            return validated(stack, labels, tol)
 
         monkeypatch.setattr(qhist.framework, "_validated", counted)
         return calls
