@@ -10,10 +10,12 @@ tree's ``BENCHMARK.json``.  The parent runs first on even seeds and the
 change on odd ones, so that a drift in machine speed falls on both sides.
 Each tree runs its own ``perfbench/`` against its own ``src/``; this script
 only reads them and ``BENCHMARK.json``, which also names the end-to-end
-metrics and whether lower or higher is better.  Each tree's runs share a
-``PYTHONPYCACHEPREFIX`` of their own, an empty temporary directory made at
-the tree's first run and removed at exit, so that no run reads bytecode
-left in a tree's ``__pycache__``, which may be stale against its sources.
+metrics and whether lower or higher is better.  Each run has the caller's
+environment with ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``,
+as a run of ``BENCHMARK.json``'s command has, and a tree with a
+``__pycache__`` under ``src/`` or ``perfbench/`` is refused before anything
+runs: both trees compile their own code at every start, and read numpy's and
+the standard library's installed bytecode.
 
 It prints, per workload and metric, both sides' medians and quartiles (the
 inclusive method of ``statistics.quantiles``), the ratio of the medians, the
@@ -42,16 +44,12 @@ correct, no command failed, no metric regressed and every claim is met, else
 from __future__ import annotations
 
 import argparse
-import atexit
-import functools
 import json
 import os
 import pathlib
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from collections.abc import Iterable
 
 WIN_SHARE = 0.9  # nine pairs of ten
@@ -88,20 +86,11 @@ def _command(args) -> str:
     return " ".join(words)
 
 
-@functools.cache
-def _pycache_prefix(tree: pathlib.Path) -> str:
-    """The bytecode directory of every run of ``tree``: made empty once per
-    invocation, removed at exit."""
-    path = tempfile.mkdtemp(prefix="bench_pairs_pycache_")
-    atexit.register(shutil.rmtree, path, ignore_errors=True)
-    return path
-
-
 def run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One benchmark run: its JSON result and the machine line it printed."""
     argv = [sys.executable, str(tree.resolve() / "perfbench" / "run.py"),
             "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": _pycache_prefix(tree.resolve())}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"} | {"PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -230,6 +219,10 @@ def judge_workload(workload: str, parent: list[dict], change: list[dict], metric
 def main(argv=None) -> int:
     args = _parse_args(argv)
     spec, metrics, claims = read_claims(args.change, args.workload, args.claim)
+    for tree in (args.parent, args.change):  # its runs would read this bytecode while the other tree's compile
+        cached = sorted(str(p) for d in ("src", "perfbench") for p in (tree / d).rglob("__pycache__"))
+        if cached:
+            raise SystemExit(f"{tree} holds bytecode that its runs would read; remove it first: {', '.join(cached)}")
     seconds = spec["run_seconds"]
     doc = {
         "about": f"Alternating pairs: each seed ran python3 perfbench/run.py --workload W --seed S "

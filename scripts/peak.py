@@ -4,20 +4,21 @@
 
 For each tree, in the order given, the script runs ``python3 -m qhist.cli``
 with the arguments after ``--`` in a child process whose ``PYTHONPATH`` is
-that tree's ``src`` and whose ``PYTHONPYCACHEPREFIX`` is an empty temporary
-directory of its own, removed afterwards, so that no run reads bytecode left
-in a tree's ``__pycache__``, which may be stale against its sources.
-``measure`` runs any interpreter argv this way; given a ``pycache``
-directory, it uses that one instead and lets the child write bytecode
-there, so that the runs of one tree that share it compile once.  The
-child's stdout is read in chunks, of which only the byte count and the
-sha256 are kept, so the script never holds the output; its stderr goes to a
-temporary file.  The child is waited for with ``os.wait4``, which gives the
-peak RSS of that child alone (``RUSAGE_CHILDREN`` would give the largest of
-every child waited for so far).  On Linux that peak also counts the memory
-of the process that started the child, up to the child's ``exec`` (with
-``subprocess``'s vfork, that process's own peak so far), so run this script
-as a small process of its own, not ``measure`` from inside a large one.
+that tree's ``src``, in the caller's environment with
+``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``: numpy and the
+standard library read their installed bytecode, and qhist compiles at every
+start unless the tree's ``__pycache__`` holds current bytecode.  ``measure``
+runs any interpreter argv this way; given a ``pycache`` directory, it lets
+the child read and write bytecode there instead, so that the runs of one
+tree that share it compile once.  The child's stdout is read in chunks, of
+which only the byte count and the sha256 are kept, so the script never holds
+the output; its stderr goes to a temporary file.  The child is waited for
+with ``os.wait4``, which gives the peak RSS of that child alone
+(``RUSAGE_CHILDREN`` would give the largest of every child waited for so
+far).  On Linux that peak also counts the memory of the process that
+started the child, up to the child's ``exec`` (with ``subprocess``'s vfork,
+that process's own peak so far), so run this script as a small process of
+its own, not ``measure`` from inside a large one.
 
 It prints one line per tree: the exit code, the wall time, the child's peak
 RSS, the stdout byte count and its sha256, and the last line of stderr if
@@ -44,12 +45,12 @@ def measure(tree: pathlib.Path, argv: list[str], pycache: str | None = None) -> 
     code, wall seconds, peak RSS in MB, stdout bytes and sha256, and stderr.
 
     The child reads and writes bytecode in ``pycache``, even where the
-    environment sets ``PYTHONDONTWRITEBYTECODE``; with None, in an empty
-    temporary directory, removed afterwards."""
-    with tempfile.TemporaryDirectory(prefix="peak-pycache-") as fresh, tempfile.TemporaryFile() as err:
-        env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONPYCACHEPREFIX": pycache or fresh}
-        if pycache:
-            env.pop("PYTHONDONTWRITEBYTECODE", None)
+    environment sets ``PYTHONDONTWRITEBYTECODE``; with None, it writes none
+    and reads it from ``__pycache__``, even where a prefix is set."""
+    with tempfile.TemporaryFile() as err:
+        bytecode = {"PYTHONPYCACHEPREFIX": pycache} if pycache else {"PYTHONDONTWRITEBYTECODE": "1"}
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
+        env |= {"PYTHONPATH": str(tree.resolve() / "src"), **bytecode}
         digest, size = hashlib.sha256(), 0
         started = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=err, env=env)

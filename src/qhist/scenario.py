@@ -72,6 +72,9 @@ _TOLERANCE_FIELDS = tuple(f.name for f in fields(Tolerance))  # a document's tol
 COMBINED_FAMILY = "combined"  # `conditional --family` name of the n-way fold; no observer may take it
 _OBSERVABLE = "$.observers[{}].measurements[{}].observable"  # the JSONPath of measurement j of observer i
 _OBSERVABLE_KINDS = "an operator name, {'matrix': ...}, or {'projectors': ...}"  # what an observable may be
+_STATE_KINDS = "a preset name, a list of preset names, or {'vector': ...}"  # what an initial state may be
+_PROJECTORS = "an array of labelled projectors"  # what a projector list must be
+_ARRAY = (tuple, list)  # what a hand-built Scenario may hold where a document holds an array
 
 _QUBIT_PRESETS = {
     "up_z": np.array([1, 0], dtype=complex),
@@ -131,8 +134,12 @@ class Scenario:
     count, names and matrix shapes, then each observer's type and name and
     each measurement's type, time, observable's type, operator name or
     matrix shapes, and a projector list's labels (one per matrix, each a
-    string with no joiner) and length (not 0).  The numbers are not checked
-    here: ``resolve`` checks them."""
+    string with no joiner) and length (not 0).  A part must be a tuple or a
+    list where a document holds an array (a projector list's matrices may
+    also be one stacked array), a dict for the tolerance overrides, and a
+    tuple of presets, a list or an array for the initial state; any other is
+    refused as the reader refuses it in a document.  The numbers are not
+    checked here: ``resolve`` checks them."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -145,28 +152,33 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ScenarioError("expected a string", path="$.name")
-        dims = self.subsystem_dims
+        dims = _expect(self.subsystem_dims, _ARRAY, "$.systems", "an array of factor dimensions")
         total = _check_dims(dims)
-        _check_tolerance(self.tolerance_overrides)
+        _check_tolerance(_expect(self.tolerance_overrides, dict, "$.tolerance", "an object"))
         object.__setattr__(self, "tolerance_overrides",
                            {key: float(value) for key, value in self.tolerance_overrides.items()})
         if isinstance(self.initial_state, tuple):
             _check_presets(self.initial_state, dims)
-        else:
+        elif isinstance(self.initial_state, (list, np.ndarray)):
             _check_shape(np.shape(self.initial_state), (total,), "$.initial_state.vector")
-        _check_times(self.times)
-        _check_evolution_count(len(self.evolutions), len(self.times) - 1)
+        else:
+            raise ScenarioError(f"expected {_STATE_KINDS}", path="$.initial_state")
+        _check_times(_expect(self.times, _ARRAY, "$.times", "an array of time labels"))
+        _check_evolution_count(len(_expect(self.evolutions, _ARRAY, "$.evolutions", "an array")),
+                               len(self.times) - 1)
         for k, ev in enumerate(self.evolutions):
             if isinstance(ev, np.ndarray):
                 _check_shape(ev.shape, (total, total), f"$.evolutions[{k}].matrix")
             else:
                 _evolution_name(ev, k)
         names: set[str] = set()
-        for i, obs in enumerate(self.observers):
+        for i, obs in enumerate(_expect(self.observers, _ARRAY, "$.observers", "an array")):
             if not isinstance(obs, ObserverSpec):
                 raise ScenarioError("expected an object", path=f"$.observers[{i}]")
             _check_observer_name(obs.name, names, i)
             names.add(obs.name)
+            if not isinstance(obs.measurements, _ARRAY):
+                raise ScenarioError("expected an array", path=f"$.observers[{i}].measurements")
             seen: set[str] = set()
             for j, m in enumerate(obs.measurements):
                 if not isinstance(m, Measurement):
@@ -296,7 +308,7 @@ def _parse_observable(value, i: int, j: int):
         return MatrixObservable(matrix=_parse_array(value["matrix"], f"{path}.matrix", True))
     if "projectors" in value:
         _reject_unknown(value, {"projectors"}, path)
-        entries = _expect(value["projectors"], list, f"{path}.projectors", "an array of labelled projectors")
+        entries = _expect(value["projectors"], list, f"{path}.projectors", _PROJECTORS)
         labels = []
         matrices = []
         for k, entry in enumerate(entries):
@@ -356,10 +368,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
         _reject_unknown(state_raw, {"vector"}, "$.initial_state")
         initial_state = _parse_array(_get(state_raw, "vector", "$.initial_state"), "$.initial_state.vector", False)
     else:
-        raise ScenarioError(
-            "expected a preset name, a list of preset names, or {'vector': ...}",
-            path="$.initial_state",
-        )
+        raise ScenarioError(f"expected {_STATE_KINDS}", path="$.initial_state")
 
     times = tuple(_expect(_get(doc, "times", "$"), list, "$.times", "an array of time labels"))
     if "evolutions" in doc:
@@ -537,6 +546,8 @@ def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -
         _check_shape(np.shape(spec.matrix), (total, total), f"{path}.matrix")
     elif not isinstance(spec, ProjectorListObservable):
         raise ScenarioError(f"expected {_OBSERVABLE_KINDS}", path=path)
+    elif not isinstance(spec.labels, _ARRAY) or not isinstance(spec.matrices, (*_ARRAY, np.ndarray)):
+        raise ScenarioError(f"expected {_PROJECTORS}", path=f"{path}.projectors")
     else:
         if len(spec.labels) != len(spec.matrices):
             raise ScenarioError(f"{len(spec.labels)} labels for {len(spec.matrices)} matrices",

@@ -1,10 +1,9 @@
-"""``scripts/bench_pairs.py``: the claim rule, the regression bound and the
-refusals made before anything runs.  No benchmark is run here; the runs a
-test needs are made up."""
+"""``scripts/bench_pairs.py``: the claim rule, the regression bound, the
+refusals made before anything runs and each run's environment.  No
+benchmark is run here; the runs a test needs are made up."""
 
 import importlib.util
 import json
-import os
 import pathlib
 import types
 
@@ -75,19 +74,30 @@ def test_a_median_worse_than_the_bound_is_a_regression(parent, change, lower_is_
     assert bench_pairs.regressed(summary, lower_is_better, bound) is worse
 
 
+def made_up_trees(tmp_path) -> tuple[pathlib.Path, pathlib.Path]:
+    """A parent and a change tree that hold only ``BENCHMARK.json``, for runs
+    that are made up: this tree's own ``src/`` may hold bytecode."""
+    trees = tmp_path / "parent", tmp_path / "change"
+    for tree in trees:
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    return trees
+
+
 @pytest.mark.parametrize("slower, code", [(1.3, 1), (1.2, 0)], ids=["past_bound", "inside_bound"])
 def test_a_regression_fails_the_run(slower, code, monkeypatch, capsys, tmp_path):
     """Made-up runs: every metric reads 1.0 in both trees, except the
     change's ``wall_s``, whose bound in ``BENCHMARK.json`` is 0.25."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent, change = made_up_trees(tmp_path)
 
     def run(tree, workload, seed, seconds):
-        value = {n: slower if n == "wall_s" and tree == ROOT else 1.0 for n in names}
+        value = {n: slower if n == "wall_s" and tree == change else 1.0 for n in names}
         return {"metrics": {n: {"value": v} for n, v in value.items()}, "failed": 0, "correct": True}, {}
 
     monkeypatch.setattr(bench_pairs, "run", run)
     out = tmp_path / "bench.json"
-    argv = [str(tmp_path), str(ROOT), "--workload", "observers", "--seeds", "2-11", "--out", str(out)]
+    argv = [str(parent), str(change), "--workload", "observers", "--seeds", "2-11", "--out", str(out)]
     assert bench_pairs.main(argv) == code
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
     assert ("WORSE than the 0.25 bound" in printed[0]) is bool(code)
@@ -97,31 +107,40 @@ def test_a_regression_fails_the_run(slower, code, monkeypatch, capsys, tmp_path)
     assert recorded["summary"]["wall_s"]["pair_ratio_median"] == pytest.approx(slower)
 
 
-def test_each_tree_runs_with_its_own_fresh_pycache_prefix(monkeypatch, tmp_path):
-    """Faked runs: each tree's bytecode goes to one directory for all its
-    runs, empty when the first run starts, distinct from the other tree's
-    and outside both trees, so stale ``__pycache__`` in a tree is never read."""
-    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    seen = []
+def test_each_run_compiles_the_trees_and_nothing_else(monkeypatch, tmp_path):
+    """Faked runs: each child has the caller's environment with bytecode
+    writing off and no ``PYTHONPYCACHEPREFIX``, even when the caller sets
+    one, so numpy and the standard library read their installed bytecode."""
+    parent, change = made_up_trees(tmp_path)
+    envs = []
 
     def fake_run(argv, cwd, env, **kwargs):
-        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((pathlib.Path(cwd), prefix, sorted(os.listdir(prefix))))
-        (prefix / f"run{len(seen)}.pyc").touch()  # what a run leaves there
-        return types.SimpleNamespace(returncode=0, stdout='{"metrics": {}}\n', stderr="")
+        envs.append(env)
+        return types.SimpleNamespace(returncode=0, stdout='{"metrics": {}, "failed": 0, "correct": true}\n',
+                                     stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    for seed in range(4):
-        for side in ("parent", "change") if seed % 2 == 0 else ("change", "parent"):
-            bench_pairs.run(trees[side], "observers", seed, 1.0)
-    prefixes = {side: {prefix for cwd, prefix, _ in seen if cwd == tree} for side, tree in trees.items()}
-    assert all(len(p) == 1 for p in prefixes.values())
-    (parent,), (change,) = prefixes.values()
-    assert parent != change
-    for prefix in (parent, change):
-        assert all(tree.resolve() not in prefix.resolve().parents for tree in trees.values())
-        first = next(listing for _, p, listing in seen if p == prefix)
-        assert first == []
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("BENCH_PAIRS_TEST", "kept")
+    assert bench_pairs.main([str(parent), str(change), "--workload", "observers", "--seeds", "2-3"]) == 0
+    assert len(envs) == 4
+    for env in envs:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+        assert env["BENCH_PAIRS_TEST"] == "kept"
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("cache", ["src/qhist/__pycache__", "perfbench/__pycache__"])
+def test_a_tree_holding_bytecode_is_refused_before_any_run(side, cache, monkeypatch, tmp_path):
+    trees = dict(zip(("parent", "change"), made_up_trees(tmp_path)))
+    (trees[side] / cache).mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: runs.append(a))
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([str(trees["parent"]), str(trees["change"]), "--workload", "observers", "--seeds", "2-3"])
+    assert str(trees[side] / cache) in str(info.value.code)
+    assert runs == []
 
 
 WIDE = [0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.4, 1.6, 1.8]  # median 1.0, quartiles 0.725-1.35
@@ -151,15 +170,16 @@ def test_an_unresolved_metric_is_printed_and_recorded_but_does_not_fail_the_run(
     """Made-up runs: every metric reads 1.0 in both trees, except the
     parent's ``wall_s``, which spreads as ``WIDE`` when ``wide``."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    parent, change = made_up_trees(tmp_path)
 
     def run(tree, workload, seed, seconds):
-        spread = WIDE[seed - 2] if wide and tree != ROOT else 1.0
+        spread = WIDE[seed - 2] if wide and tree == parent else 1.0
         value = {n: spread if n == "wall_s" else 1.0 for n in names}
         return {"metrics": {n: {"value": v} for n, v in value.items()}, "failed": 0, "correct": True}, {}
 
     monkeypatch.setattr(bench_pairs, "run", run)
     out = tmp_path / "bench.json"
-    argv = [str(tmp_path), str(ROOT), "--workload", "observers", "--seeds", "2-11", "--out", str(out)]
+    argv = [str(parent), str(change), "--workload", "observers", "--seeds", "2-11", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("observers: wall_s")]
     assert ("unresolved" in printed[0]) is wide

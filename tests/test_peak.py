@@ -2,15 +2,21 @@
 no more than ``validate`` takes plus a bounded margin, whatever the output's size."""
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 import re
 import subprocess
 import sys
 
+import pytest
+
 from qhist import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("peak", ROOT / "scripts" / "peak.py")
+peak_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(peak_script)
 LINE = re.compile(r"(.*): exit (\d+), ([\d.]+) s, ([\d.]+) MB peak, (\d+) B out, "
                   r"sha256 ([0-9a-f]{64})(?:  (.*))?")
 MARGIN_MB = 25
@@ -61,3 +67,27 @@ def test_analyze_of_an_18_slot_chain_peaks_near_validate(tmp_path):
         run = peak("analyze", path, *flags)
         assert run["code"] == 0 and run["stderr"] is None, flags
         assert run["peak_mb"] <= floor["peak_mb"] + MARGIN_MB, (flags, run["peak_mb"], floor["peak_mb"])
+
+
+PROBE = ["-c", "import os, sys; print(os.environ.get('PYTHONPYCACHEPREFIX'), sys.flags.dont_write_bytecode)"]
+
+
+@pytest.mark.parametrize("inherited", [False, True], ids=["no_prefix", "inherited_prefix"])
+def test_a_child_writes_no_bytecode_and_looks_for_none_under_a_prefix(inherited, monkeypatch, tmp_path):
+    """With no ``pycache``, the child reads bytecode where a plain
+    interpreter does, numpy's installed bytecode included, and writes none,
+    whatever the caller's environment says."""
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    if inherited:
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    run = peak_script.measure(ROOT, PROBE)
+    assert (run["code"], run["sha256"]) == (0, hashlib.sha256(b"None 1\n").hexdigest()), run["stderr"]
+
+
+def test_a_child_given_a_pycache_reads_and_writes_bytecode_there(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
+    cache = str(tmp_path / "cache")
+    run = peak_script.measure(ROOT, PROBE, cache)
+    assert (run["code"], run["sha256"]) == (0, hashlib.sha256(f"{cache} 0\n".encode()).hexdigest()), run["stderr"]

@@ -23,6 +23,7 @@ from qhist.scenario import (
     MatrixObservable,
     NamedObservable,
     ObserverSpec,
+    ProjectorListObservable,
     Scenario,
     _INT_OVERFLOW,
     _parse_array,
@@ -283,6 +284,72 @@ def test_a_hand_built_part_of_another_type_is_refused_as_in_a_document(observer,
         parse_scenario(doc(observers=[{"name": "O0", "measurements": [{"time": "t1", "observable": "sigma_z"}]},
                                       in_document]))
     assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+
+
+UP = np.array([[1, 0], [0, 0]], dtype=complex)
+PROJECTORS_AT = "$.observers[0].measurements[0].observable.projectors: expected an array of labelled projectors"
+
+
+def minimal_parts(**parts) -> dict:
+    """The parts of the hand-built ``MINIMAL``, with ``parts`` in place."""
+    return {"name": "minimal", "subsystem_dims": (2,), "initial_state": ("up_z",), "times": ("t0", "t1"),
+            "evolutions": ("identity",),
+            "observers": (ObserverSpec("O1", (Measurement("t1", NamedObservable("sigma_z")),)),), **parts}
+
+
+def with_projectors(labels, matrices) -> dict:
+    return {"observers": (ObserverSpec("O1", (Measurement("t1", ProjectorListObservable(labels, matrices)),)),)}
+
+
+IN_DOCUMENT_PROJECTORS = {"observers": [{"name": "O1", "measurements": [
+    {"time": "t1", "observable": {"projectors": None}}]}]}
+
+
+@pytest.mark.parametrize(
+    "parts, in_document, message",
+    [
+        ({"subsystem_dims": 5}, {"systems": 5}, "$.systems: expected an array of factor dimensions"),
+        ({"subsystem_dims": None}, {"systems": None}, "$.systems: expected an array of factor dimensions"),
+        ({"times": None}, {"times": None}, "$.times: expected an array of time labels"),
+        ({"times": 5}, {"times": 5}, "$.times: expected an array of time labels"),
+        ({"evolutions": None}, {"evolutions": None}, "$.evolutions: expected an array"),
+        ({"evolutions": 5}, {"evolutions": 5}, "$.evolutions: expected an array"),
+        ({"tolerance_overrides": None}, {"tolerance": None}, "$.tolerance: expected an object"),
+        ({"tolerance_overrides": 5}, {"tolerance": 5}, "$.tolerance: expected an object"),
+        ({"initial_state": None}, {"initial_state": None},
+         "$.initial_state: expected a preset name, a list of preset names, or {'vector': ...}"),
+        ({"initial_state": 5}, {"initial_state": 5},
+         "$.initial_state: expected a preset name, a list of preset names, or {'vector': ...}"),
+        ({"observers": None}, {"observers": None}, "$.observers: expected an array"),
+        ({"observers": (ObserverSpec("O1", None),)}, {"observers": [{"name": "O1", "measurements": None}]},
+         "$.observers[0].measurements: expected an array"),
+        (with_projectors(None, None), IN_DOCUMENT_PROJECTORS, PROJECTORS_AT),
+        (with_projectors(("a",), None), IN_DOCUMENT_PROJECTORS, PROJECTORS_AT),
+        (with_projectors(None, (UP,)), IN_DOCUMENT_PROJECTORS, PROJECTORS_AT),
+    ],
+    ids=["systems_5", "systems_none", "times_none", "times_5", "evolutions_none", "evolutions_5",
+         "tolerance_none", "tolerance_5", "initial_state_none", "initial_state_5", "observers_none",
+         "measurements_none", "projectors_none", "matrices_none", "labels_none"],
+)
+def test_a_hand_built_container_of_another_type_is_refused_as_in_a_document(parts, in_document, message):
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario(**minimal_parts(**parts))
+    assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+    # the reader's error for the same fault in a document
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(doc(**in_document))
+    assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+
+
+def test_a_hand_built_scenario_takes_lists_where_it_takes_tuples():
+    down = np.array([[0, 0], [0, 1]], dtype=complex)
+    observable = ProjectorListObservable(["up", "down"], [UP, down])
+    listed = Scenario(**minimal_parts(subsystem_dims=[2], initial_state=[1, 0], times=["t0", "t1"],
+                                      evolutions=["identity"], observers=[ObserverSpec("O1", [
+                                          Measurement("t1", observable)])]))
+    tupled = Scenario(**minimal_parts(initial_state=np.array([1, 0], dtype=complex), **with_projectors(
+        ("up", "down"), (UP, down))))
+    assert listed == tupled
 
 
 class TestResolve:
