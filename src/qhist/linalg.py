@@ -49,6 +49,7 @@ class Tolerance:
             value = getattr(self, f.name)
             if not self.admits(value):
                 raise ValueError(f"tolerance '{f.name}' must lie in [0, 1e-3], got {value!r}")
+            object.__setattr__(self, f.name, float(value) + 0.0)  # a float, and -0.0 as 0.0
 
     @staticmethod
     def admits(value: float) -> bool:

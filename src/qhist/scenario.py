@@ -139,7 +139,10 @@ class Scenario:
     also be one stacked array), a dict for the tolerance overrides, and a
     tuple of presets, a list or an array for the initial state; any other is
     refused as the reader refuses it in a document.  The numbers are not
-    checked here: ``resolve`` checks them."""
+    checked here: ``resolve`` checks them.  Each measurement's check returns
+    its key (``_check_observable``), and the build keeps, per observer and
+    per slot, the (key, measurement index) pair there, ``("identity",
+    None)`` where the observer does not measure, for ``resolve`` to read."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -172,6 +175,7 @@ class Scenario:
             else:
                 _evolution_name(ev, k)
         names: set[str] = set()
+        uses = []
         for i, obs in enumerate(_expect(self.observers, _ARRAY, "$.observers", "an array")):
             if not isinstance(obs, ObserverSpec):
                 raise ScenarioError("expected an object", path=f"$.observers[{i}]")
@@ -179,13 +183,14 @@ class Scenario:
             names.add(obs.name)
             if not isinstance(obs.measurements, _ARRAY):
                 raise ScenarioError("expected an array", path=f"$.observers[{i}].measurements")
-            seen: set[str] = set()
+            by_time = {}  # per time measured so far, its (key, measurement index)
             for j, m in enumerate(obs.measurements):
                 if not isinstance(m, Measurement):
                     raise ScenarioError("expected an object", path=f"$.observers[{i}].measurements[{j}]")
-                _check_time(m.time, self.times, seen, obs.name, i, j)
-                seen.add(m.time)
-                _check_observable(m.observable, dims, total, i, j)
+                _check_time(m.time, self.times, by_time, obs.name, i, j)
+                by_time[m.time] = (_check_observable(m.observable, dims, total, i, j), j)
+            uses.append(tuple(by_time.get(t, ("identity", None)) for t in self.times[1:]))
+        object.__setattr__(self, "_uses", tuple(uses))
 
     @property
     def total_dim(self) -> int:
@@ -507,14 +512,16 @@ def _check_time(time, times: tuple, seen, observer: str, i: int, j: int) -> None
     raise ScenarioError(fault, path=f"$.observers[{i}].measurements[{j}].time")
 
 
-def _check_operator(name: str, dims: tuple[int, ...], i: int, j: int) -> None:
-    """``name`` must name an operator of a system of ``dims``; it is refused
-    at ``_OBSERVABLE``'s path for ``i`` and ``j``, built only then: a base
-    that is not an operator, or an ``@k`` suffix that is not a factor
-    1..len(dims) in ASCII digits, as an UnknownOperatorError at it; a Pauli
-    on a factor that is not a qubit, or a bare one on a system other than
-    one qubit, as a DimMismatchError prefixed with it.  (``str.isdigit``
-    also passes "²", which ``int`` refuses, and "１".)"""
+def _check_operator(name: str, dims: tuple[int, ...], i: int, j: int) -> str | tuple[str, int]:
+    """The key of the operator ``name`` names on a system of ``dims``:
+    ``"identity"`` for ``identity[@k]``, and ``(base, factor)`` for a Pauli,
+    a bare one's factor 1.  ``name`` is refused at ``_OBSERVABLE``'s path
+    for ``i`` and ``j``, built only then: a base that is not an operator, or
+    an ``@k`` suffix that is not a factor 1..len(dims) in ASCII digits, as
+    an UnknownOperatorError at it; a Pauli on a factor that is not a qubit,
+    or a bare one on a system other than one qubit, as a DimMismatchError
+    prefixed with it.  (``str.isdigit`` also passes "²", which ``int``
+    refuses, and "１".)"""
     base, _, suffix = name.partition("@")
     if base not in _PAULI_OPS and base != "identity":
         raise UnknownOperatorError(f"unknown operator {name!r}", path=_OBSERVABLE.format(i, j))
@@ -530,15 +537,17 @@ def _check_operator(name: str, dims: tuple[int, ...], i: int, j: int) -> None:
         raise DimMismatchError(
             f"{_OBSERVABLE.format(i, j)}: bare {base!r} needs a single-qubit system; use '@k' to pick a factor"
         )
+    return "identity" if base == "identity" else (base, factor if suffix else 1)
 
 
-def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -> None:
-    """The observable of measurement ``j`` of observer ``i``: a name of an
-    operator (``_check_operator``), a (total, total) matrix, or a nonempty
-    list of (total, total) projectors, one string label each, no label of
-    which has a joiner.  Anything else, a ``NamedObservable`` whose name is
-    not a string included, is refused as the reader refuses an observable
-    that is neither a string nor an object."""
+def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -> object:
+    """The key of the observable ``spec`` of measurement ``j`` of observer
+    ``i``: a name of an operator gets ``_check_operator``'s, and a
+    (total, total) matrix or a nonempty list of (total, total) projectors,
+    one string label each, no label of which has a joiner, is its own.
+    Anything else, a ``NamedObservable`` whose name is not a string
+    included, is refused as the reader refuses an observable that is
+    neither a string nor an object."""
     if isinstance(spec, NamedObservable) and isinstance(spec.name, str):
         return _check_operator(spec.name, dims, i, j)
     path = _OBSERVABLE.format(i, j)
@@ -562,6 +571,7 @@ def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -
             _check_shape(np.shape(matrix), (total, total), f"{path}.projectors[{k}].matrix")
         if not spec.labels:
             raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +634,10 @@ def _embed(ops: np.ndarray, factor: int, dims: tuple[int, ...]) -> np.ndarray:
     return out.reshape(n, left * k * right, left * k * right)
 
 
-def _measurement_key(spec) -> object:
-    """What the slot measuring ``spec``, a built ``Scenario``'s, depends on:
-    ``"identity"`` for the trivial slot (``spec`` None) and every identity,
-    ``"sigma_z@3"`` for a Pauli (``"sigma_z@03"`` too, and ``"sigma_z@1"``
-    for a bare one), else the observable."""
-    if not isinstance(spec, NamedObservable):
-        return "identity" if spec is None else spec
-    base, _, suffix = spec.name.partition("@")
-    return "identity" if base == "identity" else f"{base}@{int(suffix or 1)}"
-
-
 def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveDecomposition:
-    """The decomposition of one ``_measurement_key``.
+    """The decomposition of one measurement's key, which a ``Scenario``
+    takes from ``_check_observable`` as it is built: ``"identity"``, a
+    Pauli's ``(base, factor)``, or a matrix or projector-list observable.
 
     The trivial slot (the identity) and a Pauli's (1 ± sigma)/2 embedded on
     a qubit factor are exact by construction: their entries are 0, 1, ±1/2
@@ -655,9 +656,9 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
         return _padded_decomposition(key.labels, key.matrices, total, tol)
     if key == "identity":
         return _ExactDecomposition(total, _frozen(np.eye(total, dtype=complex)[None]), (TRIVIAL_LABEL,))
-    base, _, factor = key.partition("@")
+    base, factor = key
     axis = _PAULI_OPS[base][1]
-    embedded = _embed(_QUBIT_PROJECTORS[base], int(factor), dims)
+    embedded = _embed(_QUBIT_PROJECTORS[base], factor, dims)
     return _ExactDecomposition(total, _frozen(embedded), (f"+{axis}", f"-{axis}"))
 
 
@@ -665,7 +666,8 @@ def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> None:
     """The checks of an observable that only observers not asked for use: a
     matrix's squareness, finiteness and Hermiticity, without its
     eigendecomposition; a projector list, which is the file's own input,
-    validated as its decomposition.  A name has nothing left to check."""
+    validated as its decomposition.  A name's key, a string or a tuple, has
+    nothing left to check, so ``resolve`` skips this call for it."""
     if isinstance(key, MatrixObservable):
         _require_hermitian(key.matrix, tol)
     else:
@@ -682,17 +684,6 @@ def _initial_ket(s: Scenario) -> np.ndarray:
     return np.array(s.initial_state, dtype=complex)
 
 
-def _slot_keys(s: Scenario) -> list[list[tuple[object, int | None]]]:
-    """Per observer, per slot, the ``_measurement_key`` and the index of the
-    measurement there (None for the trivial slot)."""
-    trivial = (_measurement_key(None), None)
-    uses = []
-    for obs in s.observers:
-        by_time = {m.time: (_measurement_key(m.observable), j) for j, m in enumerate(obs.measurements)}
-        uses.append([by_time.get(t, trivial) for t in s.times[1:]])
-    return uses
-
-
 def resolve(
     s: Scenario,
     tol: Tolerance | None = None,
@@ -702,13 +693,14 @@ def resolve(
     """Expand named operators and presets; build one family per observer
     named in ``observers`` (None, the default: every observer).
 
-    ``s`` is valid by construction, so its structure is not checked again;
-    its numbers are.  Under the effective tolerance, every number the file
-    supplies is checked, for every observer, named or not: the initial ket
-    (norm included), once, each distinct evolution matrix, each distinct
-    projector list (padded and validated as a decomposition, since the list
-    itself is the input; a fault is a ``BadDecompositionError``), and each
-    distinct matrix observable's
+    ``s`` is valid by construction, so its structure is not checked again,
+    and its names are not read again: each slot's key is the one its build
+    kept.  Its numbers are checked.  Under the effective tolerance, every
+    number the file supplies is checked, for every observer, named or not:
+    the initial ket (norm included), once, each distinct evolution matrix,
+    each distinct projector list (padded and validated as a decomposition,
+    since the list itself is the input; a fault is a
+    ``BadDecompositionError``), and each distinct matrix observable's
     squareness, finiteness and Hermiticity (``linalg._require_hermitian``).
     Every ``"identity"`` interval shares one read-only identity, which is
     exact and not checked.  Only for the observers named is anything built:
@@ -719,17 +711,16 @@ def resolve(
     observable that only other observers use is not decomposed, so its
     eigenprojectors are not validated.  Each distinct measurement is built
     or checked at its first use, in observer and slot order, so the error
-    raised is the first met in that order, a history cap of an earlier
-    named observer included.  Every error starts with a JSONPath: the
-    initial state's (raised as a ScenarioError), the evolution's, or the
-    first measurement's to use the decomposition; the others keep their
-    type.  A name in ``observers`` that the scenario does not have is
-    ignored.  The records come in scenario order.  The sharing is local to
-    this call: nothing is kept between calls.
+    raised is the first met in that order, a history cap of an earlier named
+    observer included.  Every error starts with a JSONPath: the initial
+    state's (raised as a ScenarioError), the evolution's, or the first
+    measurement's to use the decomposition; the others keep their type.  A
+    name in ``observers`` that the scenario does not have is ignored.  The
+    records come in scenario order.  The sharing is local to this call:
+    nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
     """
-    uses = _slot_keys(s)
     dims = s.subsystem_dims
     tol = effective_tolerance(s, tol)
     grid = TimeGrid(s.times)
@@ -753,18 +744,18 @@ def resolve(
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
     wanted = None if observers is None else set(observers)
     named = [wanted is None or obs.name in wanted for obs in s.observers]
-    read = {key for slots, built in zip(uses, named) if built for key, _ in slots}  # named observers' keys
+    read = {key for slots, built in zip(s._uses, named) if built for key, _ in slots}  # named observers' keys
     decomps = {}  # per key, built at its first use: its decomposition, or None when nothing is built
     records = []
     for i, obs in enumerate(s.observers):
         slots = []
-        for key, j in uses[i]:
+        for key, j in s._uses[i]:
             if key not in decomps:
                 try:
                     if key in read:
                         decomps[key] = _measurement_slot(key, dims, tol)
                     else:  # an unread name skips the call: it has nothing left to check
-                        decomps[key] = None if isinstance(key, str) else _checked_slot(key, dims, tol)
+                        decomps[key] = None if isinstance(key, (str, tuple)) else _checked_slot(key, dims, tol)
                 except (QHistError, ValueError) as exc:
                     exc.args = (f"{_OBSERVABLE.format(i, j)}: {exc}",)
                     raise

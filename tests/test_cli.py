@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -360,6 +361,21 @@ class TestInputChecks:
         code, out, err = run(capsys, "validate", str(gallery("stable_facts")), "--tolerance", "0")
         assert (code, err) == (0, "")
         assert out.startswith("ok: ")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_a_negative_zero_tolerance_reports_as_zero(self, capsys, tmp_path, json_flag):
+        # before, "--tolerance -0" and a document's "cons": -0.0 printed "threshold -0"
+        # and "tolerance": {"comm": -0.0, ...}
+        flagged = [run(capsys, "analyze", str(gallery("repeated_x")), "--tolerance", zero, *json_flag)
+                   for zero in ("-0", "0")]
+        written = [run(capsys, "analyze", write(tmp_path, one_qubit(tolerance={"cons": zero})), *json_flag)
+                   for zero in (-0.0, 0.0)]
+        for negative, positive in (flagged, written):
+            assert negative == positive
+            assert negative[0] == 0 and not re.search(r"(?<![\w.])-0(\.0+)?(?![\w.])", negative[1])
+        if json_flag:
+            assert json.loads(flagged[0][1])["tolerance"] == dict.fromkeys(("norm", "herm", "proj", "comm", "cons"), 0)
+            assert json.loads(written[0][1])["tolerance"]["cons"] == 0
 
     def test_tolerance_0_keeps_the_projector_checks_exact(self, capsys):
         code, out, err = run(capsys, "validate", str(gallery("measurement_fam2")), "--tolerance", "0")

@@ -42,7 +42,7 @@ from qhist.scenario import (
     ObserverSpec,
     ProjectorListObservable,
     Scenario,
-    _measurement_key,
+    _check_observable,
     _measurement_slot,
     effective_tolerance,
     parse_scenario,
@@ -195,6 +195,11 @@ def named_specs(dims):
     return [None] + [NamedObservable(name) for name in ["identity", *paulis]]
 
 
+def key_of(spec, dims):
+    """The key a ``Scenario`` of ``dims`` keeps for ``spec``: the trivial slot's for None."""
+    return "identity" if spec is None else _check_observable(spec, dims, math.prod(dims), 0, 0)
+
+
 @given(DIMS_WITH_A_QUBIT)
 @settings(max_examples=100, deadline=None)
 def test_named_decompositions_are_exact(dims):
@@ -205,7 +210,7 @@ def test_named_decompositions_are_exact(dims):
     bit (tobytes tells -0.0 from +0.0)."""
     total = math.prod(dims)
     for spec in named_specs(dims):
-        decomp = _measurement_slot(_measurement_key(spec), dims, EXACT)
+        decomp = _measurement_slot(key_of(spec, dims), dims, EXACT)
         assert isinstance(decomp, ProjectiveDecomposition), spec
         p = decomp.projectors
         assert _validated(p.copy(), decomp.labels, EXACT).projectors.tobytes() == p.tobytes()
@@ -234,7 +239,7 @@ def test_the_identity_interval_is_exactly_unitary():
 @pytest.mark.parametrize("dims", [(2,), (2, 3, 2)])
 def test_named_stacks_are_built_per_call_and_read_only(dims):
     for spec in named_specs(dims):
-        key = _measurement_key(spec)
+        key = key_of(spec, dims)
         first, second = (_measurement_slot(key, dims, EXACT).projectors for _ in range(2))
         assert not first.flags.writeable
         assert not np.shares_memory(first, second)
@@ -292,11 +297,56 @@ def test_each_distinct_measurement_is_validated_once(monkeypatch):
     assert a[1] is d[0] is d[2]
 
 
+def test_spellings_of_one_measurement_share_one_decomposition():
+    spellings = ["sigma_z", "sigma_z@1", "sigma_z@01", "identity@1", "identity"]
+    scn = scenario((2,), ["identity", "identity"], [observer(n, {"t1": NamedObservable(n)}) for n in spellings])
+    z, z1, z01, identity_1, plain_identity = (r.family.slot_decompositions for r in resolve(scn))
+    assert z[0] is z1[0] is z01[0]
+    assert z[0].labels == ("+z", "-z")
+    assert identity_1[0] is plain_identity[0] is z[1]  # z[1] is the trivial slot
+    assert z[1].labels == ("any",)
+
+
+def test_a_pauli_no_named_observer_reads_is_not_embedded(monkeypatch):
+    embedded = []
+    original = qhist.scenario._embed
+    monkeypatch.setattr(qhist.scenario, "_embed", lambda ops, factor, dims: embedded.append(factor) or
+                        original(ops, factor, dims))
+    resolve(four_observers(), observers=["B"])
+    assert embedded == [1]  # B's sigma_z@1; A's and C's sigma_x@2 are not built
+
+
 def test_separate_calls_share_no_decomposition():
     scn = four_observers()
     first, second = resolve(scn), resolve(scn)
     ids = [{id(d) for r in records for d in r.family.slot_decompositions} for records in (first, second)]
     assert ids[0].isdisjoint(ids[1])
+
+
+def _resolved(scn: Scenario) -> list:
+    """Per slot of each family, its labels, its projectors' bytes and the
+    index of the first slot that shares its decomposition."""
+    decomps = [d for r in resolve(scn) for d in r.family.slot_decompositions]
+    first = {}
+    return [(d.labels, d.projectors.tobytes(), first.setdefault(id(d), k)) for k, d in enumerate(decomps)]
+
+
+def test_the_keys_of_a_replaced_scenario_are_its_own():
+    # no matrix or projector list is measured twice, since a document reads
+    # it back as one object per measurement
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    x2 = NamedObservable("sigma_x@2")
+    others = (
+        observer("B", {"t1": NamedObservable("sigma_z@1"), "t2": NamedObservable("identity")}),
+        observer("C", {"t2": ProjectorListObservable(("low",), (np.diag([1, 1, 0, 0]).astype(complex),)), "t3": x2}),
+    )
+    base = scenario((2, 2), ["identity", CNOT, "identity"],
+                    [observer("A", {"t1": NamedObservable("sigma_z@1"), "t3": x2}), *others])
+    for swapped in (NamedObservable("sigma_y@2"), MatrixObservable(h + h.conj().T)):
+        new = replace(base, observers=(observer("A", {"t1": swapped, "t3": x2}), *others))
+        assert _resolved(new) == _resolved(parse_scenario(serialize_scenario(new)))
+        assert _resolved(new) != _resolved(base)
 
 
 def test_non_unitary_evolution_raises():
