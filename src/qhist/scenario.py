@@ -74,7 +74,6 @@ _OBSERVABLE = "$.observers[{}].measurements[{}].observable"  # the JSONPath of m
 _OBSERVABLE_KINDS = "an operator name, {'matrix': ...}, or {'projectors': ...}"  # what an observable may be
 _STATE_KINDS = "a preset name, a list of preset names, or {'vector': ...}"  # what an initial state may be
 _PROJECTORS = "an array of labelled projectors"  # what a projector list must be
-_ARRAY = (tuple, list)  # what a hand-built Scenario may hold where a document holds an array
 
 _QUBIT_PRESETS = {
     "up_z": np.array([1, 0], dtype=complex),
@@ -95,6 +94,14 @@ _QUBIT_PROJECTORS = {
 }
 
 
+def _hold_tuples(obj, *names: str) -> None:
+    """Store each list among the frozen ``obj``'s fields ``names`` as a
+    tuple, so that no change to the list reaches what a build checked."""
+    for name in names:
+        if isinstance(getattr(obj, name), list):
+            object.__setattr__(obj, name, tuple(getattr(obj, name)))
+
+
 @dataclass(frozen=True, eq=False)
 class NamedObservable:
     name: str  # "sigma_x", "identity", optionally with "@k"
@@ -110,6 +117,9 @@ class ProjectorListObservable:
     labels: tuple[str, ...]
     matrices: tuple[np.ndarray, ...]
 
+    def __post_init__(self) -> None:
+        _hold_tuples(self, "labels", "matrices")
+
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
@@ -121,6 +131,9 @@ class Measurement:
 class ObserverSpec:
     name: str
     measurements: tuple[Measurement, ...]
+
+    def __post_init__(self) -> None:
+        _hold_tuples(self, "measurements")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +148,15 @@ class Scenario:
     each measurement's type, time, observable's type, operator name or
     matrix shapes, and a projector list's labels (one per matrix, each a
     string with no joiner) and length (not 0).  A part must be a tuple or a
-    list where a document holds an array (a projector list's matrices may
-    also be one stacked array), a dict for the tolerance overrides, and a
-    tuple of presets, a list or an array for the initial state; any other is
-    refused as the reader refuses it in a document.  The numbers are not
-    checked here: ``resolve`` checks them.  Each measurement's check returns
-    its key (``_check_observable``), and the build keeps, per observer and
-    per slot, the (key, measurement index) pair there, ``("identity",
-    None)`` where the observer does not measure, for ``resolve`` to read."""
+    list where a document holds an array, and is held as a tuple (a
+    projector list's matrices may also be one stacked array), a dict for the
+    tolerance overrides, and a tuple of presets, a list or an array for the
+    initial state; any other is refused as the reader refuses it in a
+    document.  The numbers are not checked here: ``resolve`` checks them.
+    Each measurement's check returns its key (``_check_observable``), and
+    the build keeps, per observer and per slot, the (key, measurement index)
+    pair there, ``("identity", None)`` where the observer does not measure,
+    for ``resolve`` to read."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -153,9 +167,10 @@ class Scenario:
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _hold_tuples(self, "subsystem_dims", "times", "evolutions", "observers")
         if not isinstance(self.name, str):
             raise ScenarioError("expected a string", path="$.name")
-        dims = _expect(self.subsystem_dims, _ARRAY, "$.systems", "an array of factor dimensions")
+        dims = _expect(self.subsystem_dims, tuple, "$.systems", "an array of factor dimensions")
         total = _check_dims(dims)
         _check_tolerance(_expect(self.tolerance_overrides, dict, "$.tolerance", "an object"))
         object.__setattr__(self, "tolerance_overrides",
@@ -166,8 +181,8 @@ class Scenario:
             _check_shape(np.shape(self.initial_state), (total,), "$.initial_state.vector")
         else:
             raise ScenarioError(f"expected {_STATE_KINDS}", path="$.initial_state")
-        _check_times(_expect(self.times, _ARRAY, "$.times", "an array of time labels"))
-        _check_evolution_count(len(_expect(self.evolutions, _ARRAY, "$.evolutions", "an array")),
+        _check_times(_expect(self.times, tuple, "$.times", "an array of time labels"))
+        _check_evolution_count(len(_expect(self.evolutions, tuple, "$.evolutions", "an array")),
                                len(self.times) - 1)
         for k, ev in enumerate(self.evolutions):
             if isinstance(ev, np.ndarray):
@@ -176,12 +191,12 @@ class Scenario:
                 _evolution_name(ev, k)
         names: set[str] = set()
         uses = []
-        for i, obs in enumerate(_expect(self.observers, _ARRAY, "$.observers", "an array")):
+        for i, obs in enumerate(_expect(self.observers, tuple, "$.observers", "an array")):
             if not isinstance(obs, ObserverSpec):
                 raise ScenarioError("expected an object", path=f"$.observers[{i}]")
             _check_observer_name(obs.name, names, i)
             names.add(obs.name)
-            if not isinstance(obs.measurements, _ARRAY):
+            if not isinstance(obs.measurements, tuple):
                 raise ScenarioError("expected an array", path=f"$.observers[{i}].measurements")
             by_time = {}  # per time measured so far, its (key, measurement index)
             for j, m in enumerate(obs.measurements):
@@ -326,12 +341,39 @@ def _parse_observable(value, i: int, j: int):
     raise UnknownFieldError("observable object needs 'matrix' or 'projectors'", path=path)
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members; a repeated key, whose first value ``json.loads`` would drop, is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"duplicate key {next(k for n, (k, _) in enumerate(pairs) if k in dict(pairs[:n]))!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)  # json.loads would build one per call
+
+
+def _refuse_lone_surrogates(doc) -> None:
+    """Refuse the first string of ``doc``, key or value, that holds a lone surrogate (a ``\\ud800``
+    escape), which UTF-8 cannot encode; with its own stack, as ``doc`` may nest as deep as ``json`` reads."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list)):
+            stack += reversed([x for pair in value.items() for x in pair] if isinstance(value, dict) else value)
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ScenarioParseError(f"not valid UTF-8: lone surrogate {value[exc.start]!r}") from None
+
+
 def parse_scenario(data: bytes | str) -> Scenario:
     """Read one scenario document, then build its ``Scenario``.
 
-    Reading checks what belongs to JSON: the encoding and syntax, the
-    ``format``, required and unknown fields, the JSON type of every object
-    and array, and each array's ``[re, im]`` pairs and rows of one length.
+    Reading checks what belongs to JSON: the encoding and syntax, a repeated
+    key and a lone surrogate included, the ``format``, required and unknown
+    fields, the JSON type of every object and array, and each array's
+    ``[re, im]`` pairs and rows of one length.
     Building the ``Scenario`` then checks the structure, the other values'
     types included.  So of a fault of each kind, the reading's is raised,
     wherever it is; of two of one kind, the first in document order."""
@@ -341,15 +383,19 @@ def parse_scenario(data: bytes | str) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ScenarioParseError(f"not valid UTF-8: {exc}") from exc
     try:
-        doc = json.loads(data)
+        if data.startswith("\ufeff"):  # json.loads's refusal, which JSONDecoder.decode does not make
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        doc = _DECODER.decode(data)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"invalid JSON: {exc.msg}", path=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
     except RecursionError:
         raise ScenarioParseError("invalid JSON: arrays or objects nested too deeply") from None
-    except ValueError as exc:  # an integer literal past int's digit limit (4300 by default)
+    except ValueError as exc:  # a repeated key, or an integer literal past int's digit limit (4300 by default)
         raise ScenarioParseError(f"invalid JSON: {exc}") from None
+    if "\\" in data or not data.isascii():  # only an escape, or raw text passed as a str, holds a surrogate
+        _refuse_lone_surrogates(doc)
     doc = _expect(doc, dict, "$", "a JSON object")
     _reject_unknown(
         doc,
@@ -376,17 +422,12 @@ def parse_scenario(data: bytes | str) -> Scenario:
         raise ScenarioError(f"expected {_STATE_KINDS}", path="$.initial_state")
 
     times = tuple(_expect(_get(doc, "times", "$"), list, "$.times", "an array of time labels"))
-    if "evolutions" in doc:
-        evolutions = []
-        for k, ev in enumerate(_expect(doc["evolutions"], list, "$.evolutions", "an array")):
-            if isinstance(ev, dict):  # anything else is a name, which the Scenario checks
-                epath = f"$.evolutions[{k}]"
-                _reject_unknown(ev, {"matrix"}, epath)
-                ev = _parse_array(_get(ev, "matrix", epath), f"{epath}.matrix", True)
-            evolutions.append(ev)
-        evolutions = tuple(evolutions)
-    else:
-        evolutions = ("identity",) * (len(times) - 1)
+    evolutions = _expect(doc.get("evolutions", ["identity"] * (len(times) - 1)), list, "$.evolutions", "an array")
+    for k, ev in enumerate(evolutions):
+        if isinstance(ev, dict):  # anything else is a name, which the Scenario checks
+            epath = f"$.evolutions[{k}]"
+            _reject_unknown(ev, {"matrix"}, epath)
+            evolutions[k] = _parse_array(_get(ev, "matrix", epath), f"{epath}.matrix", True)
 
     observers = []
     for i, obs in enumerate(_expect(_get(doc, "observers", "$"), list, "$.observers", "an array")):
@@ -403,15 +444,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
             measurements.append(Measurement(mtime, _parse_observable(_get(m, "observable", mpath), i, j)))
         observers.append(ObserverSpec(name=oname, measurements=tuple(measurements)))
 
-    return Scenario(
-        name=name,
-        subsystem_dims=dims,
-        initial_state=initial_state,
-        times=times,
-        evolutions=evolutions,
-        observers=tuple(observers),
-        tolerance_overrides=tolerance,
-    )
+    return Scenario(name, dims, initial_state, times, tuple(evolutions), tuple(observers), tolerance)
 
 
 # ``Scenario.__post_init__`` applies the checks below, the rules of a
@@ -555,7 +588,7 @@ def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -
         _check_shape(np.shape(spec.matrix), (total, total), f"{path}.matrix")
     elif not isinstance(spec, ProjectorListObservable):
         raise ScenarioError(f"expected {_OBSERVABLE_KINDS}", path=path)
-    elif not isinstance(spec.labels, _ARRAY) or not isinstance(spec.matrices, (*_ARRAY, np.ndarray)):
+    elif not isinstance(spec.labels, tuple) or not isinstance(spec.matrices, (tuple, np.ndarray)):
         raise ScenarioError(f"expected {_PROJECTORS}", path=f"{path}.projectors")
     else:
         if len(spec.labels) != len(spec.matrices):
@@ -662,16 +695,17 @@ def _measurement_slot(key, dims: tuple[int, ...], tol: Tolerance) -> ProjectiveD
     return _ExactDecomposition(total, _frozen(embedded), (f"+{axis}", f"-{axis}"))
 
 
-def _checked_slot(key, dims: tuple[int, ...], tol: Tolerance) -> None:
-    """The checks of an observable that only observers not asked for use: a
-    matrix's squareness, finiteness and Hermiticity, without its
-    eigendecomposition; a projector list, which is the file's own input,
-    validated as its decomposition.  A name's key, a string or a tuple, has
-    nothing left to check, so ``resolve`` skips this call for it."""
-    if isinstance(key, MatrixObservable):
-        _require_hermitian(key.matrix, tol)
-    else:
-        _measurement_slot(key, dims, tol)
+def _content_key(spec, i: int, j: int) -> tuple:
+    """The key ``resolve`` shares the decomposition of the matrix or
+    projector-list observable ``spec`` of measurement ``j`` of observer
+    ``i`` under: its content, as ``resolve`` reads it, its labels (None for a
+    matrix) and each array's shape, dtype and bytes."""
+    labels, arrays = (None, (spec.matrix,)) if isinstance(spec, MatrixObservable) else (spec.labels, spec.matrices)
+    try:
+        return labels, tuple([(a.shape, a.dtype, a.tobytes()) for a in map(np.asarray, arrays)])
+    except ValueError as exc:
+        exc.args = (f"{_OBSERVABLE.format(i, j)}: {exc}",)
+        raise
 
 
 def _initial_ket(s: Scenario) -> np.ndarray:
@@ -705,19 +739,20 @@ def resolve(
     Every ``"identity"`` interval shares one read-only identity, which is
     exact and not checked.  Only for the observers named is anything built:
     each distinct measurement they use (a Pauli on one factor, the identity
-    or trivial slot, or one observable object) becomes one decomposition
+    or trivial slot, or a matrix or projector-list observable, keyed by its
+    content: ``_content_key``) becomes one decomposition
     (``_measurement_slot``) that every slot measuring it shares, and each of
     them gets its family, under the ``max_histories`` cap.  A matrix
     observable that only other observers use is not decomposed, so its
-    eigenprojectors are not validated.  Each distinct measurement is built
-    or checked at its first use, in observer and slot order, so the error
-    raised is the first met in that order, a history cap of an earlier named
-    observer included.  Every error starts with a JSONPath: the initial
-    state's (raised as a ScenarioError), the evolution's, or the first
-    measurement's to use the decomposition; the others keep their type.  A
-    name in ``observers`` that the scenario does not have is ignored.  The
-    records come in scenario order.  The sharing is local to this call:
-    nothing is kept between calls.
+    eigenprojectors are not validated.  Each distinct measurement is checked
+    at its first use and built at its first use by an observer named, in
+    observer and slot order, so the error raised is the first met in that
+    order, a history cap of an earlier named observer included.  Every error
+    starts with a JSONPath: the initial state's (raised as a ScenarioError),
+    the evolution's, or the measurement's that checks or builds; the others
+    keep their type.  A name in ``observers`` that the scenario does not have
+    is ignored.  The records come in scenario order.  The sharing is local
+    to this call: nothing is kept between calls.
 
     Deterministic: identical input bytes yield bit-identical projectors.
     """
@@ -743,24 +778,25 @@ def resolve(
                 raise
         evolutions.append(Evolution(start=grid.labels[k], end=grid.labels[k + 1], unitary=unitaries[key]))
     wanted = None if observers is None else set(observers)
-    named = [wanted is None or obs.name in wanted for obs in s.observers]
-    read = {key for slots, built in zip(s._uses, named) if built for key, _ in slots}  # named observers' keys
-    decomps = {}  # per key, built at its first use: its decomposition, or None when nothing is built
+    decomps = {}  # per key: its decomposition, or None while only observers not named have used it
     records = []
     for i, obs in enumerate(s.observers):
+        named = wanted is None or obs.name in wanted
         slots = []
-        for key, j in s._uses[i]:
-            if key not in decomps:
+        for spec, j in s._uses[i]:
+            key = spec if isinstance(spec, (str, tuple)) else _content_key(spec, i, j)  # a name's key is its own
+            if decomps.get(key) is None and (named or key not in decomps):  # a first use, or a first named one
                 try:
-                    if key in read:
-                        decomps[key] = _measurement_slot(key, dims, tol)
-                    else:  # an unread name skips the call: it has nothing left to check
-                        decomps[key] = None if isinstance(key, (str, tuple)) else _checked_slot(key, dims, tol)
+                    decomps[key] = None  # unread: a name has nothing left to check, and a list is checked as built
+                    if named or isinstance(spec, ProjectorListObservable):
+                        decomps[key] = _measurement_slot(spec, dims, tol)
+                    elif isinstance(spec, MatrixObservable):  # an unread matrix is checked, not decomposed
+                        _require_hermitian(spec.matrix, tol)
                 except (QHistError, ValueError) as exc:
                     exc.args = (f"{_OBSERVABLE.format(i, j)}: {exc}",)
                     raise
             slots.append(decomps[key])
-        if named[i]:
+        if named:
             family = _assemble_family(ket, grid, tuple(evolutions), slots, max_histories)
             records.append(ObserverRecord(name=obs.name, family=family))
     return records

@@ -479,6 +479,24 @@ class TestScenarioErrors:
         assert "Traceback" not in err
 
 
+class TestReadFaults:
+    """What JSON reads without a word, and no command can use, is refused as
+    it is read: every command exits 1 with one line."""
+
+    @pytest.mark.parametrize("text, err", [
+        (json.dumps(one_qubit()).replace('"measurements": [', '"measurements": [], "measurements": ['),
+         "error: $: invalid JSON: duplicate key 'measurements'\n"),
+        (json.dumps(one_qubit(name="a\ud800b")), "error: $: not valid UTF-8: lone surrogate '\\ud800'\n"),
+    ], ids=["repeated_key", "lone_surrogate"])
+    def test_every_command_refuses_it_alike(self, capsys, tmp_path, text, err):
+        # before, every command read the repeated key's last value; validate
+        # accepted the lone surrogate, which analyze then failed to write
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        for command, *flags in (("validate",), ("analyze",), ("classify",), ONLY_O1, ("verify",)):
+            assert run(capsys, command, str(path), *flags) == (1, "", err), command
+
+
 class TestValidate:
     def test_shipped_scenario(self, capsys):
         code, out, _ = run(capsys, "validate", str(gallery("stable_facts")))

@@ -349,6 +349,100 @@ def test_the_keys_of_a_replaced_scenario_are_its_own():
         assert _resolved(new) != _resolved(base)
 
 
+def test_a_list_changed_after_the_build_changes_nothing_built():
+    # before, a built Scenario held the lists it was given, and resolve read
+    # the keys its build had kept: A's slot resolved as +z/-z under sigma_x
+    base = four_observers()
+    labels, matrices = ["low"], [np.diag([1, 1, 0, 0]).astype(complex)]
+    measurements = [Measurement("t2", ProjectorListObservable(labels, matrices))]
+    observers = [*base.observers[:2], ObserverSpec("C", measurements), base.observers[3]]
+    dims, times, evolutions = [2, 2], list(base.times), list(base.evolutions)
+    scns = (Scenario(base.name, dims, base.initial_state, times, evolutions, observers),
+            replace(base, observers=observers))
+    expected = [_resolved(scn) for scn in scns]
+    observers[0] = observer("A", {"t1": NamedObservable("sigma_x@1")})
+    measurements.append(Measurement("t3", NamedObservable("sigma_z@2")))
+    labels[0], matrices[0] = "high", np.diag([0, 0, 1, 1]).astype(complex)
+    dims[0], evolutions[1] = 3, "identity"
+    times.append("t4")
+    for scn, resolved in zip(scns, expected):
+        assert scn.observers[0] is base.observers[0]
+        assert scn.observers[0].measurements[0].observable.name == "sigma_z@1"
+        assert _resolved(scn) == resolved
+    built = scns[0]
+    spec = built.observers[2].measurements[0].observable
+    assert (built.subsystem_dims, built.times, len(built.observers[2].measurements)) == ((2, 2), base.times, 1)
+    assert (spec.labels, spec.matrices[0].tobytes()) == (("low",), np.diag([1, 1, 0, 0]).astype(complex).tobytes())
+    assert built.evolutions[1] is CNOT
+
+
+def _validated_calls(scn: Scenario, monkeypatch) -> int:
+    """How many times resolving ``scn`` calls ``framework._validated``."""
+    calls = []
+    original = qhist.framework._validated
+    monkeypatch.setattr(qhist.framework, "_validated", lambda *args: calls.append(1) or original(*args))
+    resolve(scn)
+    return len(calls)
+
+
+def test_an_observable_written_twice_is_decomposed_once_after_a_round_trip(monkeypatch):
+    # before, a document's two equal matrices were two objects, so two keys:
+    # three calls, where one object as built made two
+    scn = four_observers()
+    for route in (scn, parse_scenario(serialize_scenario(scn))):
+        assert _validated_calls(route, monkeypatch) == 2  # the matrix and the projector list
+        _, b, _, d = (r.family.slot_decompositions for r in resolve(route))
+        assert b[1] is d[1]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_a_copied_observable_resolves_alike_as_built_and_read_back(seed, pick):
+    """One matrix or projector-list measurement of a random scenario (a new
+    random matrix when it has none), given to two more observers: one object
+    as built, three once its document is read back.  Both resolve to the
+    same labels, the same projector bytes and the same slots sharing one
+    decomposition, the copies' slots among them, or raise the same error."""
+    rng = np.random.default_rng(seed)
+    scn = random_scenario(rng)
+    arrays = [m for obs in scn.observers for m in obs.measurements
+              if isinstance(m.observable, (MatrixObservable, ProjectorListObservable))]
+    if arrays:
+        m = arrays[pick % len(arrays)]
+    else:
+        h = rng.normal(size=(scn.total_dim,) * 2) + 1j * rng.normal(size=(scn.total_dim,) * 2)
+        m = Measurement(scn.times[1 + pick % (len(scn.times) - 1)], MatrixObservable(h + h.conj().T))
+    copied = replace(scn, observers=(*scn.observers, ObserverSpec("c1", (m,)), ObserverSpec("c2", (m,))))
+    outcomes = []
+    for route in (copied, parse_scenario(serialize_scenario(copied))):
+        try:
+            outcomes.append(_resolved(route))
+        except QHistError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], list):
+        n_slots = len(scn.times) - 1
+        slot = len(outcomes[0]) - n_slots + scn.times.index(m.time) - 1  # c2's
+        assert outcomes[0][slot][2] == outcomes[0][slot - n_slots][2]  # c1's decomposition
+
+
+def test_observables_share_a_decomposition_only_when_their_labels_and_bytes_are_equal():
+    h = np.random.default_rng(5).normal(size=(4, 4)) + 1j * np.random.default_rng(6).normal(size=(4, 4))
+    h = h + h.conj().T
+    low = np.diag([1, 1, 0, 0]).astype(complex)
+    cases = [
+        (MatrixObservable(h), MatrixObservable(h.copy()), True),
+        (MatrixObservable(h), MatrixObservable(h.T.copy()), False),
+        (MatrixObservable(low), MatrixObservable(low.real.copy()), False),  # float64: another dtype
+        (ProjectorListObservable(("a",), (low,)), ProjectorListObservable(["a"], low[None].copy()), True),
+        (ProjectorListObservable(("a",), (low,)), ProjectorListObservable(("b",), (low,)), False),
+    ]
+    for first, second, shared in cases:
+        scn = scenario((2, 2), ["identity"], [observer("A", {"t1": first}), observer("B", {"t1": second})])
+        (a,), (b,) = (r.family.slot_decompositions for r in resolve(scn))
+        assert (a is b) == shared
+
+
 def test_non_unitary_evolution_raises():
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
     scn = scenario((2,), [shear], [observer("A", {"t1": NamedObservable("sigma_z")})])
@@ -615,6 +709,20 @@ def test_an_unread_observers_eigenprojectors_are_not_validated():
     )
     assert _error(scn, tol=exact, observers=["B"]) == _error(scn, tol=exact)
     assert [r.name for r in resolve(scn, exact, observers=["A"])] == ["A"]
+
+
+def test_a_shared_matrix_is_decomposed_at_its_first_named_use_as_built_and_read_back():
+    # before, when only C was named, B's and C's one object failed at B's
+    # path, and its document's two equal copies at C's
+    x = MatrixObservable(SIGMA_X.copy())
+    a = observer("A", {"t1": NamedObservable("sigma_z")})
+    scn = scenario((2,), ["identity"], [a, observer("B", {"t1": x}), observer("C", {"t1": x})])
+    exact = Tolerance.uniform(0.0)
+    fault = "measurements[0].observable: element 0 ('ev0=-1') is not a projector"
+    for route in (scn, parse_scenario(serialize_scenario(scn))):
+        assert _error(route, tol=exact, observers=["C"]) == (NotAProjectorError, f"$.observers[2].{fault}")
+        assert _error(route, tol=exact) == (NotAProjectorError, f"$.observers[1].{fault}")
+        assert [r.name for r in resolve(route, exact, observers=["A"])] == ["A"]
 
 
 def test_the_history_cap_counts_only_the_families_built():

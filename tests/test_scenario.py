@@ -103,6 +103,40 @@ class TestParse:
         assert excinfo.value.path == "$"
         assert str(excinfo.value).startswith("$: invalid JSON: Exceeds the limit")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": 1, "b": 2, "a": 3}', "duplicate key 'a'"),
+        ('{"format": 1, "x": [{"c": 0, "b": [], "c": [], "b": 1}]}', "duplicate key 'c'"),
+        (doc().replace('"measurements": [', '"measurements": [], "measurements": ['), "duplicate key 'measurements'"),
+    ])
+    def test_a_repeated_key_is_refused_at_reading(self, text, message):
+        # before, json.loads kept the last value: the observer measured nothing
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(text.encode())
+        assert str(excinfo.value) == f"$: invalid JSON: {message}"
+
+    @pytest.mark.parametrize("text, surrogate", [
+        (doc(name="a\ud800b"), "\ud800"),
+        ('{"\\udc00": ["\\ud800"]}', "\udc00"),
+        ('{"a": [["x", "\\ud83d"]], "b": "\\udfff"}', "\ud83d"),
+        ('{"a": "\\ud83d\\ude00\\ud800"}', "\ud800"),
+        ('{"name": "\ud800"}', "\ud800"),  # raw, in a str
+    ])
+    def test_a_lone_surrogate_is_refused_at_reading(self, text, surrogate):
+        # before, validate accepted one, and analyze failed as it wrote the name
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value) == f"$: not valid UTF-8: lone surrogate {surrogate!r}"
+
+    def test_a_surrogate_pair_escape_and_other_text_are_read(self):
+        for name in ("\U0001f600", "café", "back\\slash"):
+            assert parse_scenario(doc(name=name)).name == name
+            assert parse_scenario(json.dumps({**MINIMAL, "name": name}, ensure_ascii=False).encode()).name == name
+
+    def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it(self):
+        with pytest.raises(ScenarioParseError) as excinfo:
+            parse_scenario(b"\xef\xbb\xbf" + doc().encode())
+        assert str(excinfo.value) == "line 1, column 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
     def test_dim_cap(self):
         with pytest.raises(DimMismatchError):
             parse_scenario(doc(systems=[8, 8, 2], initial_state={"vector": [[1, 0]] + [[0, 0]] * 127}))
