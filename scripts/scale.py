@@ -198,6 +198,8 @@ LADDER = (
     (Family("cap", 6, 10), ("verify",), OK),
     (Family("sz", 19, 2), ("analyze", "--json"), OK),
     (Family("sz", 19, 2), ("verify",), OK),
+    (Family("sz", 22, 2), ("validate", *BIG), OK),
+    (Family("sz", 22, 2), ("verify", *BIG), OK),
     (Family("sz", 40, 2), ("verify", *BIG), OOM),
     (Family("sz", 40, 2), ("conditional", "--family", "O1", "--event", "t40:+z", "--given", "t1:+z", *BIG), OOM),
 )

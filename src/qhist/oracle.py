@@ -2,17 +2,17 @@
 
 ``sequential_probability`` reimplements the Born rule as a plain state
 propagation: evolve the vector, project it, never normalize, and read the
-final squared norm, one history at a time.  ``sequential_probabilities``
-runs the same steps for a whole family as a walk of the tree of history
-prefixes, with one evolve-and-project per prefix, so siblings share their
-parent's evolved state.  It expands only prefixes whose state is nonzero:
-every extension of an exactly-zero state is exactly zero, so the leaves of a
-skipped subtree keep the 0.0 the full walk would write, and the walk gives
-the same bits as the unpruned ``sequential_probability`` history by history,
-zero subtrees included.  Both deliberately share no code with ``histories``
-(whose ``chain_ket`` composes the operator string and whose
-``consistency_check`` propagates all histories as one batch); agreement
-between them is the suite's strongest cross-check.
+final squared norm, one history at a time.  ``leaves`` runs the same steps
+for a whole family as a walk of the tree of history prefixes, with one
+evolve-and-project per prefix, so siblings share their parent's evolved
+state.  It expands and returns only states that are not exactly zero: every
+extension of a zero state is zero, so each other history's probability is
+the +0.0 of ``sequential_probability``, and each leaf's squared norm has its
+bits.  ``sequential_probabilities`` scatters those into zeros, one entry per
+history; ``qhist verify`` reads the leaves.  Both deliberately share no code
+with ``histories`` (whose ``chain_ket`` composes the operator string and
+whose ``consistency_check`` propagates all histories as one batch);
+agreement between them is the suite's strongest cross-check.
 
 ``exhaustive_additivity_scan`` probes the operational meaning of consistency:
 for every pairwise merge of two outcomes at one slot it compares the merged
@@ -39,6 +39,7 @@ from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "AdditivityViolation",
+    "leaves",
     "sequential_probability",
     "sequential_probabilities",
     "exhaustive_additivity_scan",
@@ -61,39 +62,49 @@ def sequential_probability(family: HistoryFamily, seq: Sequence[str]) -> float:
     return float(np.vdot(state, state).real)
 
 
-def sequential_probabilities(family: HistoryFamily) -> np.ndarray:
-    """Every history's probability, in ``itertools.product`` order of the
-    slot labels, by a depth-first walk of the tree of history prefixes.
+def leaves(family: HistoryFamily) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The flat indices (int64, ascending, in ``itertools.product`` order of
+    the slot labels) of the histories whose state is not exactly zero, and
+    a list of those states, by a depth-first walk of the tree of history
+    prefixes.  The states are the walk's own arrays, not copied into one.
 
     Each node runs the step of ``sequential_probability``: the parent's
     state is evolved once, and each child projects that evolved state.  A
-    proper prefix whose state is exactly zero is not expanded, and its
-    subtree's leaves keep the 0.0 they start with: the evolutions and
-    projectors are finite, so each extension of a zero state is zero, and
-    its squared norm is +0.0, the value the full walk would write.  Leaves
-    are not tested; a zero leaf's squared norm is written as computed.  In
-    exact arithmetic a consistent family has at most d nonzero prefixes per
-    level, every truncation of it being consistent too, so its walk costs
-    O(d * total outcomes) rather than O(histories); a dense family costs
-    what the full walk does.  The walk keeps an explicit stack, so the
-    number of slots is not bounded by the recursion limit.
+    node whose state is exactly zero is neither expanded nor returned: the
+    evolutions and projectors are finite, so each extension of a zero state
+    is zero, and its squared norm is +0.0, the value the full walk would
+    give.  In exact arithmetic a consistent family has at most d nonzero
+    prefixes per level, every truncation of it being consistent too, so its
+    walk costs O(d * total outcomes) rather than O(histories); a dense
+    family costs what the full walk does.  The walk keeps an explicit
+    stack, so the number of slots is not bounded by the recursion limit.
     """
     steps = [(ev.unitary, d.projectors) for ev, d in zip(family.evolutions, family.slot_decompositions)]
-    out = np.zeros(family.n_histories)
+    indices, states = [], []
     # (depth, flat index of the prefix among prefixes of its depth, state)
     stack = [(0, 0, np.array(family.initial_ket, dtype=complex))]
     while stack:
         depth, index, state = stack.pop()
-        if depth == len(steps):
-            out[index] = np.vdot(state, state).real
-            continue
         if not np.count_nonzero(state):  # cheaper than state.any() on a short vector
+            continue
+        if depth == len(steps):
+            indices.append(index)
+            states.append(state)
             continue
         unitary, projectors = steps[depth]
         evolved = unitary @ state
         n = len(projectors)
-        for k in range(n):
+        for k in reversed(range(n)):  # so that the children are popped in ascending order
             stack.append((depth + 1, index * n + k, projectors[k] @ evolved))
+    return np.array(indices, dtype=np.int64), states
+
+
+def sequential_probabilities(family: HistoryFamily) -> np.ndarray:
+    """Every history's probability, in ``itertools.product`` order of the
+    slot labels: each of the ``leaves``' squared norms, and 0.0 elsewhere."""
+    indices, states = leaves(family)
+    out = np.zeros(family.n_histories)
+    out[indices] = [np.vdot(state, state).real for state in states]
     return out
 
 

@@ -151,12 +151,12 @@ class Scenario:
     list where a document holds an array, and is held as a tuple (a
     projector list's matrices may also be one stacked array), a dict for the
     tolerance overrides, and a tuple of presets, a list or an array for the
-    initial state; any other is refused as the reader refuses it in a
-    document.  The numbers are not checked here: ``resolve`` checks them.
-    Each measurement's check returns its key (``_check_observable``), and
-    the build keeps, per observer and per slot, the (key, measurement index)
-    pair there, ``("identity", None)`` where the observer does not measure,
-    for ``resolve`` to read."""
+    initial state (a list is held as a read-only array); any other is
+    refused as the reader refuses it in a document.  The numbers are not
+    checked here: ``resolve`` checks them.  Each measurement's check returns
+    its key (``_check_observable``), and the build keeps, per observer and
+    per slot, the (key, measurement index) pair there, ``("identity",
+    None)`` where the observer does not measure, for ``resolve`` to read."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -175,9 +175,11 @@ class Scenario:
         _check_tolerance(_expect(self.tolerance_overrides, dict, "$.tolerance", "an object"))
         object.__setattr__(self, "tolerance_overrides",
                            {key: float(value) for key, value in self.tolerance_overrides.items()})
+        if isinstance(self.initial_state, list):  # held read-only, in the conversion np.shape makes
+            object.__setattr__(self, "initial_state", _frozen(np.array(self.initial_state)))
         if isinstance(self.initial_state, tuple):
             _check_presets(self.initial_state, dims)
-        elif isinstance(self.initial_state, (list, np.ndarray)):
+        elif isinstance(self.initial_state, np.ndarray):
             _check_shape(np.shape(self.initial_state), (total,), "$.initial_state.vector")
         else:
             raise ScenarioError(f"expected {_STATE_KINDS}", path="$.initial_state")
@@ -731,7 +733,8 @@ def resolve(
     and its names are not read again: each slot's key is the one its build
     kept.  Its numbers are checked.  Under the effective tolerance, every
     number the file supplies is checked, for every observer, named or not:
-    the initial ket (norm included), once, each distinct evolution matrix,
+    the initial ket (norm included), once, each distinct evolution matrix
+    (keyed by its shape, dtype and bytes, and checked at its first interval),
     each distinct projector list (padded and validated as a decomposition,
     since the list itself is the input; a fault is a
     ``BadDecompositionError``), and each distinct matrix observable's
@@ -766,9 +769,9 @@ def resolve(
         raise ScenarioError(str(exc), path=state_path) from None
     ket.setflags(write=False)
     evolutions = []
-    unitaries: dict[object, np.ndarray] = {}  # "identity", or an interval's index
+    unitaries: dict[object, np.ndarray] = {}  # "identity", or a matrix's shape, dtype and bytes
     for k, ev in enumerate(s.evolutions):
-        key = ev if isinstance(ev, str) else k
+        key = ev if isinstance(ev, str) else (ev.shape, ev.dtype, ev.tobytes())
         if key not in unitaries:
             try:
                 u = None if isinstance(ev, str) else ev

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import qhist.framework
 import qhist.histories
+import qhist.oracle
 import qhist.stablefacts
 from qhist import cli
 
@@ -978,12 +979,14 @@ class TestVerify:
         assert "ok" in out
 
     def test_fault_injection_detected(self, capsys, monkeypatch):
-        from qhist.oracle import sequential_probabilities
+        from qhist.oracle import leaves
 
         def corrupted(family):
-            return sequential_probabilities(family) + 1e-6
+            # every leaf's state scaled so that its squared norm is 1e-6 more
+            indices, states = leaves(family)
+            return indices, [state * np.sqrt(1 + 1e-6 / np.vdot(state, state).real) for state in states]
 
-        monkeypatch.setattr(cli, "sequential_probabilities", corrupted)
+        monkeypatch.setattr(cli, "leaves", corrupted)
         code, _, err = run(capsys, "verify", str(gallery("repeated_x")))
         assert code == 4
         assert "discrepancy" in err
@@ -995,23 +998,59 @@ class TestVerify:
         # stable_facts' O2 measures x at t1 and at t2; its flat history order
         # is (+x,+x), (+x,-x), (-x,+x), (-x,-x).  Only O2's oracle is corrupted,
         # so O1's tiny discrepancies must not hide it.
-        from qhist.oracle import sequential_probabilities
+        from qhist.oracle import leaves
 
         calls = []
 
         def corrupted(family):
-            probs = sequential_probabilities(family)
+            indices, states = leaves(family)
             calls.append(family)
             if len(calls) == 2:
-                probs[index] += 1e-6
-            return probs
+                # the history's leaf, a new one if its state is exactly zero,
+                # with a squared norm 1e-6 more
+                by_index = dict(zip(indices.tolist(), states))
+                state = by_index.get(index, np.zeros(family.dim, dtype=complex))
+                by_index[index] = np.zeros(family.dim, dtype=complex)
+                by_index[index][0] = np.sqrt(np.vdot(state, state).real + 1e-6)
+                indices = np.array(sorted(by_index), dtype=np.int64)
+                states = [by_index[k] for k in indices.tolist()]
+            return indices, states
 
-        monkeypatch.setattr(cli, "sequential_probabilities", corrupted)
+        monkeypatch.setattr(cli, "leaves", corrupted)
         code, out, err = run(capsys, "verify", str(gallery("stable_facts")))
         assert len(calls) == 2
         assert code == 4
         assert out == ""
         assert err.rstrip("\n").endswith(f"at observer O2, history {labels}")
+
+    def test_a_leaf_the_oracle_drops_is_caught_on_the_engines_support(self, capsys, monkeypatch):
+        # the comparison covers the engine's support as well as the leaves
+        from qhist.oracle import leaves
+
+        calls = []
+
+        def dropped(family):
+            indices, states = leaves(family)
+            calls.append(family)
+            return (indices[1:], states[1:]) if len(calls) == 2 else (indices, states)
+
+        monkeypatch.setattr(cli, "leaves", dropped)
+        code, out, err = run(capsys, "verify", str(gallery("stable_facts")))
+        assert (code, out) == (4, "")
+        assert err.rstrip("\n").endswith("at observer O2, history +x,+x")
+
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_no_n_length_oracle_array_is_read(self, capsys, monkeypatch, name):
+        # verify reads the oracle's leaves, not its probabilities scattered
+        # into one entry per history
+        def refused(family):
+            raise AssertionError("sequential_probabilities called")
+
+        monkeypatch.setattr(qhist.oracle, "sequential_probabilities", refused)
+        monkeypatch.setattr(cli, "sequential_probabilities", refused, raising=False)
+        code, out, _ = run(capsys, "verify", str(gallery(name)))
+        assert code == 0
+        assert out.startswith("ok: ")
 
     def test_no_observers_is_input_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"

@@ -457,6 +457,45 @@ def test_non_unitary_evolution_names_its_path():
         resolve(scn)
 
 
+def test_an_evolution_matrix_held_by_several_intervals_is_checked_once(monkeypatch):
+    # before, evolutions were keyed by interval, so CNOT was checked 3 times
+    calls = []
+    original = qhist.histories.is_unitary
+    monkeypatch.setattr(qhist.histories, "is_unitary", lambda *args: calls.append(1) or original(*args))
+    scn = scenario((2, 2), [CNOT, CNOT.copy(), CNOT], [observer("A", {"t1": NamedObservable("sigma_z@1")})])
+    (record,) = resolve(scn)
+    assert len(calls) == 1
+    unitaries = [ev.unitary for ev in record.family.evolutions]
+    assert all(u is unitaries[0] for u in unitaries) and not unitaries[0].flags.writeable
+    # a matrix of another dtype is another key
+    calls.clear()
+    resolve(replace(scn, evolutions=(CNOT, CNOT.real.copy(), CNOT)))
+    assert len(calls) == 2
+
+
+def test_a_shared_non_unitary_evolution_is_reported_at_its_first_interval():
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    scn = scenario((2,), ["identity", shear, shear.copy()], [observer("A", {"t1": NamedObservable("sigma_z")})])
+    with pytest.raises(NotUnitaryError) as excinfo:
+        resolve(scn)
+    assert str(excinfo.value) == "$.evolutions[1].matrix: evolution 1 (t1 -> t2) is not unitary"
+
+
+def test_an_initial_state_list_changed_after_the_build_changes_nothing_built():
+    # before, the build kept the list it was given: appending to it resolved
+    # a family of dim 3 with 2x2 unitaries and projectors
+    vector = [1.0, 0.0]
+    scn = Scenario("v", (2,), vector, ("t0", "t1"), ("identity",),
+                   (observer("A", {"t1": NamedObservable("sigma_z")}),))
+    vector.append(0.0)
+    vector[0] = 0.5
+    (record,) = resolve(scn)
+    assert record.family.dim == 2
+    assert record.family.initial_ket.tobytes() == np.array([1, 0], dtype=complex).tobytes()
+    assert isinstance(scn.initial_state, np.ndarray) and not scn.initial_state.flags.writeable
+    assert scn == replace(scn, initial_state=np.array([1, 0], dtype=complex))
+
+
 def test_evolution_count_must_match_the_grid():
     scn = scenario((2,), ["identity"], [observer("A", {"t1": NamedObservable("sigma_z")})])
     with pytest.raises(DimMismatchError, match=r"^\$\.evolutions: expected 2 evolutions, got 1"):
