@@ -11,14 +11,14 @@ kets are orthogonal.
 
 ``consistency_check`` propagates every chain ket at once, level by level: a
 batch of prefix kets is evolved, split by the slot's projectors, and rid of
-the rows that are exactly zero.  Each distinct (decomposition, unitary) pair
-of objects forms its step, the projectors times the unitary, once per call,
-and the levels that repeat it reuse it.  A zero ket is orthogonal to every
-ket, so the report keeps only the surviving kets (a consistent family has at
-most ``dim`` of them); their Gram matrix is formed once, by ``_overlaps``,
-read for the probabilities and the largest overlap, and not kept.  ``chain_ket``
-composes one history's operator string on its own and is kept as an
-independent per-history path.
+the kets that are exactly zero, all found by one ``np.nonzero``.  Each
+distinct (decomposition, unitary) pair of objects forms its step, the
+projectors times the unitary, once per call, and the levels that repeat it
+reuse it.  A zero ket is orthogonal to every ket, so the report keeps only
+the surviving kets (a consistent family has at most ``dim`` of them); their
+Gram matrix is formed once, by ``_overlaps``, read for the probabilities and
+the largest overlap, and not kept.  ``chain_ket`` composes one history's
+operator string on its own and is kept as an independent per-history path.
 
 A history is a tuple of outcome labels, one per slot; a family's histories are
 those tuples in ``itertools.product`` order, and a solved family is its
@@ -254,12 +254,12 @@ def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
     """The chain kets that are not exactly zero, as rows, and their flat
     history indices (ascending, in ``itertools.product`` order).
 
-    One level per slot: every prefix ket is evolved and projected by each of
-    the slot's projectors in one matrix product, and the rows that come out
-    exactly zero are dropped, since every extension of a zero prefix is zero.
-    A level's step, the slot's projectors times the interval's unitary, is
-    formed once per distinct (decomposition, unitary) pair of objects in the
-    call; levels that repeat a pair reuse it.
+    One level per slot: the prefix kets are evolved and split by the slot's
+    projectors in one matrix product, shaped (prefix, outcome, dim), and one
+    ``np.nonzero`` keeps those not exactly zero (every extension of a zero
+    prefix is zero); a kept ket's index, its prefix's times the slot's size
+    plus its outcome, stays ascending.  A level's step, the projectors times
+    the unitary, is formed once per distinct pair of those objects in a call.
     """
     dim = family.dim
     kets = family.initial_ket[None, :]
@@ -272,10 +272,9 @@ def _surviving_kets(family: HistoryFamily) -> tuple[np.ndarray, np.ndarray]:
         step = steps.get(key)
         if step is None:
             step = steps[key] = (decomp.projectors @ ev.unitary).reshape(n * dim, dim).T
-        kets = (kets @ step).reshape(-1, dim)
-        index = (index[:, None] * n + np.arange(n)).reshape(-1)
-        live = kets.any(axis=1)
-        kets, index = kets[live], index[live]
+        kets = (kets @ step).reshape(-1, n, dim)
+        parents, outcomes = np.nonzero(kets.any(axis=2))
+        kets, index = kets[parents, outcomes], index[parents] * n + outcomes
     return kets, index
 
 

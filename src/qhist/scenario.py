@@ -152,11 +152,12 @@ class Scenario:
     projector list's matrices may also be one stacked array), a dict for the
     tolerance overrides, and a tuple of presets, a list or an array for the
     initial state (a list is held as a read-only array); any other is
-    refused as the reader refuses it in a document.  The numbers are not
-    checked here: ``resolve`` checks them.  Each measurement's check returns
-    its key (``_check_observable``), and the build keeps, per observer and
-    per slot, the (key, measurement index) pair there, ``("identity",
-    None)`` where the observer does not measure, for ``resolve`` to read."""
+    refused as the reader refuses it in a document.  A vector's or matrix's
+    entries must be numbers (``_check_array``), whose values ``resolve``
+    checks.  Each measurement's check returns its key
+    (``_check_observable``), and the build keeps, per observer and per slot,
+    the (key, measurement index) pair there, ``("identity", None)`` where
+    the observer does not measure, for ``resolve`` to read."""
 
     name: str
     subsystem_dims: tuple[int, ...]
@@ -175,12 +176,12 @@ class Scenario:
         _check_tolerance(_expect(self.tolerance_overrides, dict, "$.tolerance", "an object"))
         object.__setattr__(self, "tolerance_overrides",
                            {key: float(value) for key, value in self.tolerance_overrides.items()})
-        if isinstance(self.initial_state, list):  # held read-only, in the conversion np.shape makes
-            object.__setattr__(self, "initial_state", _frozen(np.array(self.initial_state)))
         if isinstance(self.initial_state, tuple):
             _check_presets(self.initial_state, dims)
-        elif isinstance(self.initial_state, np.ndarray):
-            _check_shape(np.shape(self.initial_state), (total,), "$.initial_state.vector")
+        elif isinstance(self.initial_state, (list, np.ndarray)):
+            _check_array(self.initial_state, (total,), "$.initial_state.vector")
+            if isinstance(self.initial_state, list):  # held read-only
+                object.__setattr__(self, "initial_state", _frozen(np.array(self.initial_state)))
         else:
             raise ScenarioError(f"expected {_STATE_KINDS}", path="$.initial_state")
         _check_times(_expect(self.times, tuple, "$.times", "an array of time labels"))
@@ -188,7 +189,7 @@ class Scenario:
                                len(self.times) - 1)
         for k, ev in enumerate(self.evolutions):
             if isinstance(ev, np.ndarray):
-                _check_shape(ev.shape, (total, total), f"$.evolutions[{k}].matrix")
+                _check_array(ev, (total, total), f"$.evolutions[{k}].matrix")
             else:
                 _evolution_name(ev, k)
         names: set[str] = set()
@@ -272,6 +273,7 @@ def _get(obj: dict, key: str, path: str):
 
 
 _REAL = frozenset((int, float))  # exact types, so that bool is rejected
+_NOT_A_NUMBER = "expected a complex number as [re, im]"  # the reader's refusal of an entry
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer too large for float(): it rounds past the largest double
 
 
@@ -304,19 +306,23 @@ def _parse_array(value, path: str, matrix: bool) -> np.ndarray:
             raise ScenarioError("vector must be nonempty", path=at(i))
         for j, z in enumerate(row):
             if type(z) is not list or len(z) != 2 or type(z[0]) not in _REAL or type(z[1]) not in _REAL:
-                raise ScenarioError("expected a complex number as [re, im]", path=at(i, j))
+                raise ScenarioError(_NOT_A_NUMBER, path=at(i, j))
             flat += z
-    width = len(rows[0])
-    ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
-    if ragged is not None:
-        raise ScenarioError(f"row {ragged} has length {len(rows[ragged])}, expected {width}", path=path)
+    _check_rows(rows, path)
     try:
         pairs = np.array(flat, dtype=np.float64)
     except OverflowError:
         i, j = next((i, j) for i, row in enumerate(rows) for j, z in enumerate(row)
                     if any(type(x) is int and abs(x) >= _INT_OVERFLOW for x in z))
         raise ScenarioError("number does not fit an IEEE-754 double", path=at(i, j)) from None
-    return pairs.view(np.complex128).reshape((len(rows), width) if matrix else width)
+    return pairs.view(np.complex128).reshape((len(rows), len(rows[0])) if matrix else len(rows[0]))
+
+
+def _check_rows(rows, path: str) -> None:
+    """Refuse the first of the matrix ``path``'s ``rows`` whose length is not the first's."""
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
+    if ragged is not None:
+        raise ScenarioError(f"row {ragged} has length {len(rows[ragged])}, expected {len(rows[0])}", path=path)
 
 
 def _parse_observable(value, i: int, j: int):
@@ -486,6 +492,32 @@ def _check_presets(presets: tuple[str, ...], dims: tuple[int, ...]) -> None:
             raise DimMismatchError(f"$.initial_state[{i}]: preset {p!r} needs a qubit factor, dim is {d}")
 
 
+def _check_array(value, shape: tuple[int, ...], path: str) -> None:
+    """The vector or matrix ``value`` must hold numbers (an int, float or
+    complex, numpy's included; a bool, a string or None is not) and have
+    ``shape``, (total,) or (total, total).  A numeric array, as the reader's
+    are, is not walked, and an array of another type but object is refused
+    at its first entry.  A list, a tuple or an object array is walked as
+    ``_parse_array`` walks a document's: its first entry that is not a
+    number is refused, then a matrix's first row of another length."""
+    matrix = len(shape) == 2
+    kind = value.dtype.kind if isinstance(value, np.ndarray) else None
+    if kind is not None and kind not in "iufcO":
+        if value.size and value.ndim:
+            raise ScenarioError(_NOT_A_NUMBER, path=path + "[0]" * value.ndim)
+    elif isinstance(value, (list, tuple)) or kind == "O" and value.ndim:
+        rows = value if matrix else [value]
+        for i, row in enumerate(rows):
+            at = f"{path}[{i}]" if matrix else path
+            if not isinstance(row, (list, tuple)) and not (isinstance(row, np.ndarray) and row.ndim):
+                raise ScenarioError("expected an array of [re, im] pairs", path=at)
+            for j, z in enumerate(row):
+                if not isinstance(z, (int, float, complex, np.number)) or isinstance(z, (bool, np.timedelta64)):
+                    raise ScenarioError(_NOT_A_NUMBER, path=f"{at}[{j}]")
+        _check_rows(rows, path)
+    _check_shape(np.shape(value), shape, path)
+
+
 def _check_shape(size: tuple[int, ...], shape: tuple[int, ...], path: str) -> None:
     """A vector's or matrix's ``size`` must be ``shape``: (total,) or (total, total)."""
     if size != shape:
@@ -587,7 +619,7 @@ def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -
         return _check_operator(spec.name, dims, i, j)
     path = _OBSERVABLE.format(i, j)
     if isinstance(spec, MatrixObservable):
-        _check_shape(np.shape(spec.matrix), (total, total), f"{path}.matrix")
+        _check_array(spec.matrix, (total, total), f"{path}.matrix")
     elif not isinstance(spec, ProjectorListObservable):
         raise ScenarioError(f"expected {_OBSERVABLE_KINDS}", path=path)
     elif not isinstance(spec.labels, tuple) or not isinstance(spec.matrices, (tuple, np.ndarray)):
@@ -603,7 +635,7 @@ def _check_observable(spec, dims: tuple[int, ...], total: int, i: int, j: int) -
             if joiner is not None:
                 raise ScenarioError(f"label {label!r} contains the joiner {joiner!r}",
                                     path=f"{path}.projectors[{k}].label")
-            _check_shape(np.shape(matrix), (total, total), f"{path}.projectors[{k}].matrix")
+            _check_array(matrix, (total, total), f"{path}.projectors[{k}].matrix")
         if not spec.labels:
             raise ScenarioError("projector list must be nonempty", path=f"{path}.projectors")
     return spec

@@ -496,6 +496,18 @@ def test_an_initial_state_list_changed_after_the_build_changes_nothing_built():
     assert scn == replace(scn, initial_state=np.array([1, 0], dtype=complex))
 
 
+def test_a_list_matrix_made_ragged_after_the_build_is_refused_at_its_measurement():
+    # the build keeps a matrix observable's list as given, so resolve's
+    # content key is the first to read it again
+    matrix = [[1, 0], [0, -1]]
+    scn = Scenario("v", (2,), ("up_z",), ("t0", "t1"), ("identity",),
+                   (observer("A", {"t1": MatrixObservable(matrix)}),))
+    matrix[1].pop()
+    with pytest.raises(ValueError) as excinfo:
+        resolve(scn)
+    assert str(excinfo.value).startswith("$.observers[0].measurements[0].observable: ")
+
+
 def test_evolution_count_must_match_the_grid():
     scn = scenario((2,), ["identity"], [observer("A", {"t1": NamedObservable("sigma_z")})])
     with pytest.raises(DimMismatchError, match=r"^\$\.evolutions: expected 2 evolutions, got 1"):

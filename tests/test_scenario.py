@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,6 +385,94 @@ def test_a_hand_built_scenario_takes_lists_where_it_takes_tuples():
     tupled = Scenario(**minimal_parts(initial_state=np.array([1, 0], dtype=complex), **with_projectors(
         ("up", "down"), (UP, down))))
     assert listed == tupled
+
+
+def observing(observable) -> dict:
+    """``minimal_parts``'s observer measuring ``observable`` at t1."""
+    return {"observers": (ObserverSpec("O1", (Measurement("t1", observable),)),)}
+
+
+def in_document_observing(observable) -> dict:
+    """``MINIMAL``'s observer measuring the observable object ``observable`` at t1."""
+    return {"observers": [{"name": "O1", "measurements": [{"time": "t1", "observable": observable}]}]}
+
+
+NOT_A_NUMBER = "expected a complex number as [re, im]"
+AT_MATRIX = "$.observers[0].measurements[0].observable.matrix"
+AT_PROJECTOR = "$.observers[0].measurements[0].observable.projectors[0].matrix"
+PAIRS_WITH_STRING = [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]  # the document's matrix whose first entry is a string
+PAIRS_WITH_BOOL = [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]
+RAGGED_PAIRS = [[[1, 0], [0, 0]], [[0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "parts, in_document, message",
+    [
+        ({"initial_state": ["1", 0]}, {"initial_state": {"vector": [["1", 0], [0, 0]]}},
+         f"$.initial_state.vector[0]: {NOT_A_NUMBER}"),
+        ({"initial_state": np.array(["1", "0"])}, {"initial_state": {"vector": [["1", 0], [0, 0]]}},
+         f"$.initial_state.vector[0]: {NOT_A_NUMBER}"),
+        ({"initial_state": [1, None]}, {"initial_state": {"vector": [[1, 0], None]}},
+         f"$.initial_state.vector[1]: {NOT_A_NUMBER}"),
+        ({"evolutions": (np.array([["1", "0"], ["0", "1"]]),)}, {"evolutions": [{"matrix": PAIRS_WITH_STRING}]},
+         f"$.evolutions[0].matrix[0][0]: {NOT_A_NUMBER}"),
+        ({"evolutions": (np.eye(2, dtype=bool),)}, {"evolutions": [{"matrix": PAIRS_WITH_BOOL}]},
+         f"$.evolutions[0].matrix[0][0]: {NOT_A_NUMBER}"),
+        (observing(MatrixObservable([["1", "0"], ["0", "-1"]])), in_document_observing({"matrix": PAIRS_WITH_STRING}),
+         f"{AT_MATRIX}[0][0]: {NOT_A_NUMBER}"),
+        (observing(MatrixObservable(np.array([[True, False], [False, False]]))),
+         in_document_observing({"matrix": PAIRS_WITH_BOOL}), f"{AT_MATRIX}[0][0]: {NOT_A_NUMBER}"),
+        (observing(MatrixObservable([[np.timedelta64(1), 0], [0, 1]])),
+         in_document_observing({"matrix": PAIRS_WITH_STRING}), f"{AT_MATRIX}[0][0]: {NOT_A_NUMBER}"),
+        (observing(MatrixObservable([[1, 0], [0]])), in_document_observing({"matrix": RAGGED_PAIRS}),
+         f"{AT_MATRIX}: row 1 has length 1, expected 2"),
+        (observing(MatrixObservable([[1, 0], 5])), in_document_observing({"matrix": [[[1, 0], [0, 0]], 5]}),
+         f"{AT_MATRIX}[1]: expected an array of [re, im] pairs"),
+        (observing(ProjectorListObservable(("a",), (np.array([["1", "0"], ["0", "0"]]),))),
+         in_document_observing({"projectors": [{"label": "a", "matrix": PAIRS_WITH_STRING}]}),
+         f"{AT_PROJECTOR}[0][0]: {NOT_A_NUMBER}"),
+        (observing(ProjectorListObservable(("a",), ([[1, 0], [0]],))),
+         in_document_observing({"projectors": [{"label": "a", "matrix": RAGGED_PAIRS}]}),
+         f"{AT_PROJECTOR}: row 1 has length 1, expected 2"),
+    ],
+    ids=["vector_list_of_strings", "vector_array_of_strings", "vector_list_with_none", "evolution_array_of_strings",
+         "evolution_array_of_bools", "matrix_list_of_strings", "matrix_array_of_bools", "matrix_list_with_a_timedelta",
+         "matrix_ragged_list", "matrix_row_not_a_list", "projector_array_of_strings", "projector_ragged_list"],
+)
+def test_a_hand_built_array_of_other_than_numbers_is_refused_as_in_a_document(parts, in_document, message):
+    # before, strings and bools were converted by resolve, [1, None] was
+    # refused there as not finite, and a ragged list let numpy's ValueError out
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario(**minimal_parts(**parts))
+    assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+    with pytest.raises(ScenarioError) as excinfo:
+        replace(Scenario(**minimal_parts()), **parts)
+    assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+    # the reader's error for the same fault in a document
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(doc(**in_document))
+    assert (type(excinfo.value), str(excinfo.value)) == (ScenarioError, message)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        {"initial_state": [1, 0.0]},
+        {"initial_state": np.array([0, 1], dtype=np.int8)},
+        {"initial_state": [np.float32(1), 0j]},
+        {"evolutions": (np.eye(2, dtype=int),)},
+        observing(MatrixObservable([[1, 0], [0, -1.0]])),
+        observing(MatrixObservable(np.array([[1, 0], [0, -1]], dtype=object))),
+        observing(ProjectorListObservable(("a",), ([[1, 0], [0, 0]],))),
+    ],
+    ids=["vector_list", "vector_int8", "vector_numpy_scalars", "evolution_ints", "matrix_list", "matrix_objects",
+         "projector_list"],
+)
+def test_a_hand_built_array_of_ints_floats_or_complex_numbers_is_taken(parts):
+    scn = Scenario(**minimal_parts(**parts))
+    assert replace(Scenario(**minimal_parts()), **parts) == scn
+    (record,) = resolve(scn)
+    assert record.family.dim == 2
 
 
 class TestResolve:
